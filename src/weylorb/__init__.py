@@ -77,7 +77,6 @@ from .oracle import (
     fit_monomial,
     infer_datum,
     load_spec,
-    merge_structure,
     spec_from_obj,
 )
 
@@ -101,6 +100,6 @@ __all__ = [
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
     "OracleError", "OracleReport", "OrbitInfo", "align_reports", "compare",
     "enumerate_orbits", "fit_monomial", "infer_datum", "load_spec",
-    "merge_structure", "spec_from_obj",
+    "spec_from_obj",
     "__version__",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .coxeter import (
     DEFAULT_GROUP_CAP,
     WeylElement,
-    braid_order,
+    braid_witnesses,
     enumerate_group,
     reflections,
     subgroup_closure,
@@ -87,24 +87,10 @@ def braid_check(d: OrbitDatum) -> list[BraidViolation]:
 
     Returns the list of failing pairs, each with a witness orbit.
     """
-    rs = d.root_system
     table = action_table(d)
-    out = []
-    for a in range(1, rs.rank + 1):
-        for b in range(a + 1, rs.rank + 1):
-            m = braid_order(rs, a - 1, b - 1)
-            witness = None
-            for oid in d.orbit_ids():
-                x = oid
-                for _ in range(m):
-                    x = table[a][table[b][x]]
-                if x != oid:
-                    witness = oid
-                    break
-            if witness is not None:
-                out.append(BraidViolation(alpha=a, beta=b, order=m,
-                                          witness=witness))
-    return out
+    return [BraidViolation(*v) for v in braid_witnesses(
+        d.root_system, sorted(table), [(oid, oid) for oid in d.orbit_ids()],
+        lambda alpha, x: table[alpha][x])]
 
 
 def orbit_of_open(d: OrbitDatum) -> tuple[str, ...]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -499,6 +500,23 @@ def braid_order(rs: RootSystem, i: int, j: int) -> int:
             return k
         acc = mat_mul(acc, m)
     raise RootSystemError("braid order did not terminate; system is not finite")
+
+
+def braid_witnesses(rs: RootSystem, alphas, points, step) -> list[tuple[int, int, int, str]]:
+    """(a, b, m, name) for each pair a < b of sorted 1-based simple roots
+    where (step_a step_b)^m, m the braid order, moves one of the (name,
+    value) points, name the first; step(alpha, x) acts on a value."""
+    out = []
+    for a, b in combinations(alphas, 2):
+        m = braid_order(rs, a - 1, b - 1)
+        for name, start in points:
+            x = start
+            for _ in range(m):
+                x = step(a, step(b, x))
+            if x != start:
+                out.append((a, b, m, name))
+                break
+    return out
 
 
 _ENUM_CACHE: dict[tuple, list[WeylElement]] = {}

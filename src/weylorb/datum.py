@@ -18,7 +18,8 @@ as data instead of raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .coxeter import (
@@ -71,12 +72,6 @@ class RaiseCell:
 
     def members(self) -> tuple[str, ...]:
         return tuple(getattr(self, role) for role in ROLES[self.kind])
-
-    def role_of(self, orbit_id: str) -> str:
-        for role in ROLES[self.kind]:
-            if getattr(self, role) == orbit_id:
-                return role
-        raise KeyError(orbit_id)
 
     def sigma(self, orbit_id: str) -> str:
         """Image of orbit_id under the cell involution."""
@@ -161,14 +156,25 @@ class OrbitDatum:
             raise DatumFormatError(f"expected exactly one open orbit, got {len(opens)}")
         return opens[0]
 
+    @cached_property
+    def membership(self) -> dict[tuple[int, str], tuple[RaiseCell, str]]:
+        """Index (alpha, orbit id) -> (cell, role), first hit if the partition
+        is defective; built on first use, so loading a datum does not pay."""
+        index: dict[tuple[int, str], tuple[RaiseCell, str]] = {}
+        for alpha, cells in self.cells.items():
+            for cell in cells:
+                for role, oid in zip(ROLES[cell.kind], cell.members()):
+                    index.setdefault((alpha, oid), (cell, role))
+        return index
+
     def cell_of(self, alpha: int, orbit_id: str) -> RaiseCell:
         """The unique alpha-cell containing orbit_id (first hit if the
         partition is defective; validate reports such defects)."""
-        for cell in self.cells.get(alpha, ()):
-            if orbit_id in cell.members():
-                return cell
-        raise DatumFormatError(
-            f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
+        hit = self.membership.get((alpha, orbit_id))
+        if hit is None:
+            raise DatumFormatError(
+                f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
+        return hit[0]
 
     def sigma(self, alpha: int, orbit_id: str) -> str:
         """Involution of the orbit set attached to the simple root alpha."""

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import WeylElement, braid_order, enumerate_group
+from .action import BraidViolation
+from .coxeter import WeylElement, braid_witnesses, enumerate_group
 from .datum import OrbitDatum
 
 
@@ -20,13 +21,7 @@ class HeckeError(RuntimeError):
     """The module data is internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class HeckeBraidViolation:
-    alpha: int
-    beta: int
-    order: int
-    witness: str
-
+class HeckeBraidViolation(BraidViolation):
     def line(self) -> str:
         return (f"VIOLATION hecke-braid at alpha {self.alpha}, beta {self.beta}: "
                 f"(T_{self.alpha} T_{self.beta})^{self.order} moves basis vector "
@@ -115,25 +110,10 @@ def leading_term(module: HeckeModule, alpha: int, orbit_id: str) -> str:
 
 def braid_check_module(module: HeckeModule) -> list[HeckeBraidViolation]:
     """Check (T_a T_b)^m = id on every basis vector, m the braid order."""
-    rs = module.datum.root_system
-    out = []
-    for a in sorted(module.columns):
-        for b in sorted(module.columns):
-            if b <= a:
-                continue
-            m = braid_order(rs, a - 1, b - 1)
-            witness = None
-            for oid in module.basis:
-                vec = module.unit(oid)
-                for _ in range(m):
-                    vec = apply(module, a, apply(module, b, vec))
-                if vec != module.unit(oid):
-                    witness = oid
-                    break
-            if witness is not None:
-                out.append(HeckeBraidViolation(alpha=a, beta=b, order=m,
-                                               witness=witness))
-    return out
+    return [HeckeBraidViolation(*v) for v in braid_witnesses(
+        module.datum.root_system, sorted(module.columns),
+        [(oid, 1 << i) for i, oid in enumerate(module.basis)],
+        lambda alpha, vec: apply(module, alpha, vec))]
 
 
 def _span_dimension(vectors: list[int]) -> int:

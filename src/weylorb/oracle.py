@@ -13,9 +13,10 @@ flagged, never silently resolved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
+from heapq import heappop, heappush
 from itertools import product as iproduct
 
 import numpy as np
@@ -99,13 +100,16 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
     missing = required - set(obj)
     if missing:
         raise OracleError(f"missing spec fields: {sorted(missing)}")
+    dim = int(obj["dimension"])
+    if dim * q * q >= 2**63:
+        raise OracleError(f"q = {q} is too large for dimension {dim}: "
+                          "products mod q would overflow 64-bit integers")
     if not _is_prime(q):
         raise OracleError(f"q = {q} is not prime")
     pinned = obj["q"]
     if pinned is not None and int(pinned) != q:
         raise OracleError(
             f"spec {obj['name']!r} is pinned to q = {pinned}, cannot load at q = {q}")
-    dim = int(obj["dimension"])
     gens = obj["generators"]
     unknown = set(gens) - {"G", "B", "H", "P"}
     if unknown:
@@ -135,19 +139,24 @@ def load_spec(text: str, q: int) -> MatGroupSpec:
     return spec_from_obj(json.loads(text), q)
 
 
+def _keys(mats: np.ndarray, q: int):
+    """Per matrix of residues mod q, its entries as big-endian integers wide
+    enough for q - 1, so keys compare as the row-major entry sequences do."""
+    flat = mats.astype(np.uint8 if q <= 256 else ">u4").reshape(len(mats), -1)
+    return map(np.ndarray.tobytes, flat)  # lazy: no list of a whole closure
+
+
 def _closure(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
     """All products of the generators, BFS order from the identity."""
     k = gens.shape[1]
     layers = [np.eye(k, dtype=np.int64)[None, :, :]]
-    seen = {layers[0][0].astype(np.uint8).tobytes()}
+    seen = set(_keys(layers[0], q))
     frontier = layers[0]
     while frontier.shape[0]:
         prods = np.einsum("aij,bjk->abik", frontier, gens) % q
         prods = prods.reshape(-1, k, k)
-        flat = prods.astype(np.uint8).reshape(-1, k * k)
         fresh = []
-        for i in range(flat.shape[0]):
-            b = flat[i].tobytes()
+        for i, b in enumerate(_keys(prods, q)):
             if b not in seen:
                 seen.add(b)
                 fresh.append(prods[i])
@@ -158,12 +167,6 @@ def _closure(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
         frontier = np.stack(fresh)
         layers.append(frontier)
     return np.concatenate(layers)
-
-
-def _byte_set(arr: np.ndarray) -> set[bytes]:
-    k = arr.shape[1]
-    flat = arr.astype(np.uint8).reshape(-1, k * k)
-    return {flat[i].tobytes() for i in range(flat.shape[0])}
 
 
 class _UnionFind:
@@ -250,15 +253,15 @@ def enumerate_orbits(spec: MatGroupSpec,
     h_arr = np.array(spec.h_gens, dtype=np.int64)
 
     g_all = _closure(g_arr, q, cap, "G")
-    g_bytes = _byte_set(g_all)
+    g_bytes = set(_keys(g_all, q))
     h_all = _closure(h_arr, q, cap, "H")
-    if not _byte_set(h_all) <= g_bytes:
+    if not g_bytes.issuperset(_keys(h_all, q)):
         raise OracleError("H is not contained in the group generated by G")
-    if not _byte_set(_closure(b_arr, q, cap, "B")) <= g_bytes:
+    if not g_bytes.issuperset(_keys(_closure(b_arr, q, cap, "B"), q)):
         raise OracleError("B is not contained in the group generated by G")
     for alpha, mats in spec.parabolics.items():
         p_arr = np.array(mats, dtype=np.int64)
-        if not _byte_set(_closure(p_arr, q, cap, f"P_{alpha}")) <= g_bytes:
+        if not g_bytes.issuperset(_keys(_closure(p_arr, q, cap, f"P_{alpha}"), q)):
             raise OracleError(f"P_{alpha} is not contained in the group generated by G")
 
     group_order = g_all.shape[0]
@@ -271,7 +274,7 @@ def enumerate_orbits(spec: MatGroupSpec,
         prods = np.einsum("ij,njk->nik", mat, h_all) % q
         flat = prods.reshape(-1, k * k)
         best = int(np.lexsort(flat[:, ::-1].T)[0])
-        return flat[best].astype(np.uint8).tobytes(), prods[best]
+        return next(_keys(prods[best:best + 1], q)), prods[best]
 
     ident = np.eye(k, dtype=np.int64)
     key0, label0 = canon(ident)
@@ -308,16 +311,15 @@ def enumerate_orbits(spec: MatGroupSpec,
     for i in range(len(labels)):
         classes.setdefault(buf.find(i), []).append(i)
 
-    def rep_key(members: list[int]) -> bytes:
-        return min(labels[i].astype(np.uint8).tobytes() for i in members)
-
-    ordered = sorted(classes.values(), key=lambda m: (len(m), rep_key(m)))
+    label_keys = list(index)  # insertion order is label order
+    ordered = sorted(classes.values(),
+                     key=lambda m: (len(m), min(label_keys[i] for i in m)))
     orbit_of_coset = {}
     infos = []
     for oi, members in enumerate(ordered):
         for i in members:
             orbit_of_coset[i] = oi
-        best = min(members, key=lambda i: labels[i].astype(np.uint8).tobytes())
+        best = min(members, key=label_keys.__getitem__)
         infos.append(OrbitInfo(representative=_fmt_matrix(labels[best]),
                                size=len(members)))
     total = sum(o.size for o in infos)
@@ -343,15 +345,6 @@ def enumerate_orbits(spec: MatGroupSpec,
                         subgroup_order=subgroup_order,
                         point_count=expected_points,
                         orbits=tuple(infos), merges=merges)
-
-
-def merge_structure(spec: MatGroupSpec, alpha: int,
-                    cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
-    """Partition of B-orbit indices into common P_alpha-orbit classes."""
-    report = enumerate_orbits(spec, cap=cap)
-    if alpha not in report.merges:
-        raise OracleError(f"spec has no P_{alpha} generators")
-    return report.merges[alpha]
 
 
 def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | None:
@@ -398,49 +391,96 @@ class InferredDatum:
         }
 
 
+def _match(colours_a, blocks_a, colours_b, blocks_b) -> list[int] | None:
+    """Bijection f (f[v] the image of node v) keeping colours and mapping
+    each block (label, groups of nodes; one label, one group count) of side
+    a onto a block of side b, group by group as sets; None if none.  Runs
+    an iterative DFS in block-adjacency order; a node's candidates come
+    from the image of a block shared with an earlier node, and a block is
+    checked once fully mapped."""
+    n = len(colours_a)
+    if (Counter(colours_a) != Counter(colours_b)
+            or Counter(b[0] for b in blocks_a) != Counter(b[0] for b in blocks_b)):
+        return None
+
+    def image(f, label, groups):
+        return label, tuple(frozenset(f[v] for v in g) for g in groups)
+
+    def incidence(blocks):  # node -> (label, its group index, groups)
+        out = defaultdict(list)
+        for label, groups in blocks:
+            for gi, group in enumerate(groups):
+                for v in group:
+                    out[v].append((label, gi, groups))
+        return out
+
+    targets = {image(range(n), *block) for block in blocks_b}
+    mates, mates_b = incidence(blocks_a), incidence(blocks_b)
+    # smallest reachable node first; anchor[u] = (label, gm, m, gu): m reached u
+    order, anchor, seen = [], [None] * n, [False] * n
+    for root in range(n):
+        heap = [] if seen[root] else [root]
+        seen[root] = True
+        while heap:
+            v = heappop(heap)
+            order.append(v)
+            for label, gv, groups in mates[v]:
+                for gu, group in enumerate(groups):
+                    for u in group:
+                        if not seen[u]:
+                            seen[u] = True
+                            anchor[u] = (label, gv, v, gu)
+                            heappush(heap, u)
+
+    f, used = [-1] * n, set()
+
+    def options(v: int):
+        pool = range(n)
+        if anchor[v]:
+            label, gm, m, gv = anchor[v]
+            pool = sorted({w for lb, gb, groups in mates_b[f[m]]
+                           if (lb, gb) == (label, gm) for w in groups[gv]})
+        return iter([w for w in pool if w not in used and colours_b[w] == colours_a[v]])
+
+    stack = [options(order[0])] if n else []
+    while stack:
+        v = order[len(stack) - 1]
+        used.discard(f[v])
+        for f[v] in stack[-1]:
+            if all(image(f, label, groups) in targets for label, _, groups in mates[v]
+                   if all(f[u] >= 0 for g in groups for u in g)):
+                break
+        else:
+            f[v] = -1
+            stack.pop()
+            continue
+        used.add(f[v])
+        if len(stack) == n:
+            return f
+        stack.append(options(order[len(stack)]))
+    return None if n else f
+
+
 def align_reports(reports: list[OracleReport]) -> list[OracleReport]:
     """Permute orbit indices within equal-size ties so merge partitions
     agree with the first report; refuse if no alignment exists."""
+    def blocks(report: OracleReport) -> list:
+        return [(alpha, (block,)) for alpha, classes in report.merges.items()
+                for block in classes]
+
     base = reports[0]
     out = [base]
     for rep in reports[1:]:
-        groups: dict[int, list[int]] = {}
-        for i, o in enumerate(rep.orbits):
-            groups.setdefault(o.size, []).append(i)
-
-        def candidates():
-            keys = sorted(groups)
-            pools = [list(permutations(groups[kk])) for kk in keys]
-            for combo in iproduct(*pools):
-                perm = {}
-                for kk, arrangement in zip(keys, combo):
-                    for src, dst in zip(groups[kk], arrangement):
-                        perm[src] = dst
-                yield perm
-
-        aligned = None
-        for perm in candidates():
-            remapped = {a: tuple(sorted(tuple(sorted(perm[i] for i in block))
-                                        for block in blocks))
-                        for a, blocks in rep.merges.items()}
-            if remapped == base.merges:
-                order = [perm[i] for i in range(len(rep.orbits))]
-                inverse = [0] * len(order)
-                for src, dst in enumerate(order):
-                    inverse[dst] = src
-                new_orbits = tuple(rep.orbits[inverse[i]]
-                                   for i in range(len(rep.orbits)))
-                aligned = OracleReport(
-                    spec_name=rep.spec_name, root_system=rep.root_system,
-                    q=rep.q, group_order=rep.group_order,
-                    subgroup_order=rep.subgroup_order,
-                    point_count=rep.point_count,
-                    orbits=new_orbits, merges=remapped)
-                break
-        if aligned is None:
+        sizes = [o.size for o in rep.orbits]
+        perm = (_match(sizes, blocks(rep), sizes, blocks(base))
+                if rep.orbit_count == base.orbit_count else None)
+        if perm is None:
             raise OracleError(
                 f"merge structure at q = {rep.q} is not isomorphic to q = {base.q}")
-        out.append(aligned)
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)
+        # perm carries the merge classes of rep onto those of base
+        out.append(replace(rep, orbits=tuple(rep.orbits[i] for i in inverse),
+                           merges=base.merges))
     return out
 
 
@@ -573,16 +613,26 @@ class CompareReport:
 def _signature(d: OrbitDatum, oid: str):
     sig = []
     for alpha in sorted(d.cells):
-        here = []
-        for cell in d.cells[alpha]:
-            if oid not in cell.members():
-                continue
-            role = cell.role_of(oid)
-            if cell.kind == "RT" and role in ("z1", "z2"):
-                role = "z"
-            here.append((_kindclass(cell.kind), role))
-        sig.append((alpha, tuple(sorted(here))))
+        hit = d.membership.get((alpha, oid))
+        if hit is not None:
+            cell, role = hit
+            hit = (_kindclass(cell.kind),
+                   "z" if cell.kind == "RT" and role != "y" else role)
+        sig.append((alpha, hit))
     return tuple(sig)
+
+
+def _cell_blocks(d: OrbitDatum) -> list:
+    """Cells as blocks over orbit positions: one group per role but RT's z pair."""
+    pos = {oid: i for i, oid in enumerate(d.orbit_ids())}
+    out = []
+    for alpha, cells in d.cells.items():
+        for cell in cells:
+            ids = [pos[m] for m in cell.members()]
+            groups = (((ids[0],), tuple(ids[1:])) if cell.kind == "RT"
+                      else tuple((i,) for i in ids))
+            out.append(((alpha, _kindclass(cell.kind)), groups))
+    return out
 
 
 def compare(reference: OrbitDatum, candidate: OrbitDatum) -> CompareReport:
@@ -611,59 +661,19 @@ def compare(reference: OrbitDatum, candidate: OrbitDatum) -> CompareReport:
     if lines:
         return CompareReport(match=False, lines=tuple(lines))
 
-    b_cells = {}
-    for alpha, cells in candidate.cells.items():
-        for cell in cells:
-            b_cells[(alpha, frozenset(cell.members()))] = cell
-
-    sig_a = {oid: (_signature(reference, oid), reference.orbit(oid).open)
-             for oid in a_ids}
-    sig_b = {oid: (_signature(candidate, oid), candidate.orbit(oid).open)
-             for oid in b_ids}
-
-    def cells_ok(mapping: dict[str, str]) -> bool:
-        for alpha, cells in reference.cells.items():
-            for cell in cells:
-                mapped = frozenset(mapping[m] for m in cell.members())
-                other = b_cells.get((alpha, mapped))
-                if other is None or _kindclass(other.kind) != _kindclass(cell.kind):
-                    return False
-                if other.role_of(mapping[cell.y]) != "y":
-                    return False
-                if cell.kind == "TU":
-                    if mapping[cell.z1] != other.z1 or mapping[cell.z2] != other.z2:
-                        return False
-        return True
-
-    found: dict[str, str] | None = None
-
-    def backtrack(i: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if i == len(a_ids):
-            return cells_ok(mapping)
-        src = a_ids[i]
-        for dst in b_ids:
-            if dst in used or sig_b[dst] != sig_a[src]:
-                continue
-            mapping[src] = dst
-            used.add(dst)
-            if backtrack(i + 1, mapping, used):
-                return True
-            used.discard(dst)
-            del mapping[src]
-        return False
-
-    mapping: dict[str, str] = {}
-    if backtrack(0, mapping, set()):
-        found = dict(mapping)
-    if found is None:
+    perm = _match([(_signature(reference, o.id), o.open) for o in reference.orbits],
+                  _cell_blocks(reference),
+                  [(_signature(candidate, o.id), o.open) for o in candidate.orbits],
+                  _cell_blocks(candidate))
+    if perm is None:
         lines.append("no structure-preserving bijection of orbits exists")
         return CompareReport(match=False, lines=tuple(lines))
 
-    for src in a_ids:
-        ra, rb = reference.orbit(src), candidate.orbit(found[src])
+    for ra, dst in zip(reference.orbits, perm):
+        rb = candidate.orbits[dst]
         for field in ("dim", "rk", "c", "s"):
             va, vb = getattr(ra, field), getattr(rb, field)
             if va != vb:
-                lines.append(f"invariant mismatch: {field}({src}) = {va} "
-                             f"vs {field}({found[src]}) = {vb}")
+                lines.append(f"invariant mismatch: {field}({ra.id}) = {va} "
+                             f"vs {field}({rb.id}) = {vb}")
     return CompareReport(match=not lines, lines=tuple(lines))

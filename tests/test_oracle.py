@@ -3,24 +3,33 @@
 from __future__ import annotations
 
 import json
+import random
+import time
+from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorb.bundled import bundled_datum, oracle_spec_text
 from weylorb.coxeter import build_root_system
-from weylorb.datum import validate
+from weylorb.datum import ROLES, OrbitDatum, RaiseCell, generate_flag_datum, validate
 from weylorb.oracle import (
     DEFAULT_Q_LIST,
     OracleError,
     OracleReport,
     OrbitInfo,
+    _closure,
+    _match,
+    align_reports,
     compare,
     enumerate_orbits,
     fit_monomial,
     infer_datum,
     load_spec,
-    merge_structure,
     spec_from_obj,
 )
 
@@ -85,13 +94,6 @@ def test_report_serialization_keys():
     assert any("2 B-orbits" in line for line in lines)
 
 
-def test_merge_structure_wrapper():
-    spec = load_spec(oracle_spec_text("torus"), 5)
-    assert merge_structure(spec, 1) == ((0, 1, 2),)
-    with pytest.raises(OracleError, match="no P_2"):
-        merge_structure(spec, 2)
-
-
 def test_spec_pinned_q_refuses_retarget():
     with pytest.raises(OracleError, match="pinned"):
         load_spec(oracle_spec_text("product_diag_q5"), 7)
@@ -105,6 +107,18 @@ def test_spec_rejects_nonprime_and_bad_fields():
     obj2["surprise"] = 1
     with pytest.raises(OracleError, match="unknown spec fields"):
         spec_from_obj(obj2, 5)
+
+
+def test_closure_keys_wide_enough_past_q_256():
+    unipotent = np.array([[[1, 1], [0, 1]]], dtype=np.int64)
+    assert len(_closure(unipotent, 257, 10**4, "U")) == 257
+    assert len(_closure(unipotent, 251, 10**4, "U")) == 251
+
+
+def test_spec_rejects_q_overflowing_int64():
+    obj = json.loads(oracle_spec_text("torus"))
+    with pytest.raises(OracleError, match="too large"):
+        spec_from_obj(obj, 2147483659)  # prime, and 2 q^2 >= 2^63
 
 
 def test_spec_rejects_singular_generator():
@@ -278,3 +292,122 @@ def test_compare_different_systems():
     rep = compare(bundled_datum("rank1_u"), bundled_datum("product_a1a1"))
     assert not rep.match
     assert any("root system mismatch" in line for line in rep.lines)
+
+
+def _relabelled(d: OrbitDatum, seed: int) -> OrbitDatum:
+    ids = list(d.orbit_ids())
+    fresh = [f"x{i}" for i in range(len(ids))]
+    random.Random(seed).shuffle(fresh)
+    new = dict(zip(ids, fresh))
+    cells = {alpha: tuple(RaiseCell(alpha, c.kind,
+                                    **{r: new[getattr(c, r)] for r in ROLES[c.kind]})
+                          for c in cs)
+             for alpha, cs in d.cells.items()}
+    return OrbitDatum(d.root_system, tuple(replace(o, id=new[o.id]) for o in d.orbits),
+                      cells)
+
+
+def test_compare_relabelled_flag_datum():
+    d = generate_flag_datum(build_root_system("B3"))
+    e = _relabelled(d, 3)
+    start = time.perf_counter()
+    assert compare(d, e).match
+    first, *rest = e.cells[2]
+    swapped = dict(e.cells)
+    swapped[2] = (RaiseCell(2, "U", y=first.z, z=first.y), *rest)
+    rep = compare(d, OrbitDatum(e.root_system, e.orbits, swapped))
+    assert time.perf_counter() - start < 5
+    assert not rep.match
+    assert rep.lines == ("no structure-preserving bijection of orbits exists",)
+
+
+def _bruhat_report(q: int, seed: int) -> OracleReport:
+    """Orbits of size q^l(w) for w in S4, shuffled inside each length, with
+    the merge classes {w, s_a w} of the Bruhat cells."""
+    d = generate_flag_datum(build_root_system("A3"))
+    ids = list(d.orbit_ids())
+    random.Random(seed).shuffle(ids)
+    ids.sort(key=lambda oid: d.orbit(oid).dim)
+    at = {oid: i for i, oid in enumerate(ids)}
+    merges = {alpha: tuple(sorted(tuple(sorted((at[c.y], at[c.z]))) for c in cs))
+              for alpha, cs in d.cells.items()}
+    orbits = tuple(OrbitInfo(representative=oid, size=q ** d.orbit(oid).dim)
+                   for oid in ids)
+    return OracleReport(spec_name="bruhat", root_system="A3", q=q, group_order=1,
+                        subgroup_order=1, point_count=sum(o.size for o in orbits),
+                        orbits=orbits, merges=merges)
+
+
+def test_align_reports_tie_heavy():
+    base, other = _bruhat_report(5, 1), _bruhat_report(7, 2)
+    ties = [sum(o.size == 7**k for o in other.orbits) for k in range(7)]
+    assert ties == [1, 3, 5, 6, 5, 3, 1]
+    start = time.perf_counter()
+    aligned = align_reports([base, other])
+    assert time.perf_counter() - start < 5
+    # left multiplication labels the merges, so the alignment is unique
+    assert ([o.representative for o in aligned[1].orbits]
+            == [o.representative for o in base.orbits])
+    assert aligned[1].merges == base.merges
+    assert [o.size for o in aligned[1].orbits] == [o.size for o in other.orbits]
+
+
+def _image(f, block):
+    label, groups = block
+    return label, tuple(frozenset(f[v] for v in g) for g in groups)
+
+
+def _brute_force_match(ca, ba, cb, bb):
+    """Reference: the first permutation that keeps colours, label counts
+    and maps every block of side a onto a block of side b."""
+    if sorted(label for label, _ in ba) != sorted(label for label, _ in bb):
+        return None
+    targets = {_image(range(len(cb)), b) for b in bb}
+    for f in permutations(range(len(ca))):
+        if (all(cb[f[v]] == c for v, c in enumerate(ca))
+                and all(_image(f, b) in targets for b in ba)):
+            return f
+    return None
+
+
+@st.composite
+def _structures(draw):
+    """Two coloured block structures on at most 7 nodes; side b is often a
+    relabelled copy of side a, sometimes with one block redrawn.  A
+    block's label fixes its number of groups, as _match requires."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+
+    def block():
+        label = draw(st.integers(0, 2))
+        groups = draw(st.lists(st.lists(node, min_size=1, max_size=2).map(tuple),
+                               min_size=label + 1, max_size=label + 1))
+        return label, tuple(groups)
+
+    ca = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    ba = [block() for _ in range(draw(st.integers(0, 6)))]
+    f = draw(st.permutations(range(n)))
+    cb = [0] * n
+    for v, c in enumerate(ca):
+        cb[f[v]] = c
+    bb = [_image(f, b) for b in ba]
+    bb = [(label, tuple(tuple(sorted(g)) for g in groups)) for label, groups in bb]
+    bb = draw(st.permutations(bb))
+    if bb and draw(st.booleans()):
+        i = draw(st.integers(0, len(bb) - 1))
+        bb[i] = block()
+    return ca, ba, cb, bb
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structures())
+def test_matcher_agrees_with_brute_force(structure):
+    ca, ba, cb, bb = structure
+    found = _match(ca, ba, cb, bb)
+    expected = _brute_force_match(ca, ba, cb, bb)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert sorted(found) == list(range(len(ca)))
+        assert all(cb[found[v]] == c for v, c in enumerate(ca))
+        targets = {_image(range(len(cb)), b) for b in bb}
+        assert all(_image(found, b) in targets for b in ba)
