@@ -59,8 +59,12 @@ class SubgroupDescription:
 class GeneratorTheoremResult:
     holds: bool
     generating_set: tuple[WeylElement, ...]
-    stabilizer_order: int
+    stabilizer: SubgroupDescription
     generated_order: int
+
+    @property
+    def stabilizer_order(self) -> int:
+        return self.stabilizer.order
 
 
 def action_table(d: OrbitDatum) -> dict[int, dict[str, str]]:
@@ -121,8 +125,9 @@ def stabilizer_open(d: OrbitDatum,
 
     Computed by orbit-stabilizer: a breadth-first transversal of the open
     orbit gives Schreier generators u_y^-1 s_alpha u_x, whose closure is
-    the full stabilizer.  Refuses to run if the braid relations fail,
-    since the group action would be ill-defined.
+    the full stabilizer.  Each u_y^-1 is built alongside u_y as the
+    reversed product, so no matrix is inverted.  Refuses to run if the
+    braid relations fail, since the group action would be ill-defined.
     """
     violations = braid_check(d)
     if violations:
@@ -135,6 +140,7 @@ def stabilizer_open(d: OrbitDatum,
 
     start = d.open_orbit().id
     transversal: dict[str, WeylElement] = {start: rs.identity_element()}
+    inv = dict(transversal)
     order: list[str] = [start]
     frontier = [start]
     while frontier:
@@ -144,6 +150,7 @@ def stabilizer_open(d: OrbitDatum,
                 y = table[alpha][x]
                 if y not in transversal:
                     transversal[y] = gens[alpha] * transversal[x]
+                    inv[y] = inv[x] * gens[alpha]
                     order.append(y)
                     nxt.append(y)
         frontier = nxt
@@ -153,7 +160,7 @@ def stabilizer_open(d: OrbitDatum,
     for x in order:
         for alpha in sorted(table):
             y = table[alpha][x]
-            g = transversal[y].inverse() * gens[alpha] * transversal[x]
+            g = inv[y] * gens[alpha] * transversal[x]
             if g.matrix not in seen_mats:
                 seen_mats.add(g.matrix)
                 if not g.is_identity():
@@ -213,6 +220,6 @@ def check_generator_theorem(d: OrbitDatum,
     return GeneratorTheoremResult(
         holds=generated_mats == stab_mats,
         generating_set=tuple(gens),
-        stabilizer_order=stab.order,
+        stabilizer=stab,
         generated_order=len(generated_mats),
     )

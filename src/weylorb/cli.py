@@ -20,7 +20,6 @@ from .action import (
     act_word,
     braid_check,
     check_generator_theorem,
-    stabilizer_open,
 )
 from .coxeter import CapExceeded, RootSystemError, build_root_system, word_name
 from .datum import (
@@ -161,10 +160,10 @@ def _cmd_braid(args) -> tuple[int, str]:
 def _cmd_stabilizer(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
     try:
-        desc = stabilizer_open(d)
         theorem = check_generator_theorem(d)
     except BraidObstruction as exc:
         return 1, f"VIOLATION {exc}\n"
+    desc = theorem.stabilizer
     gen_names = sorted(word_name(w.word) for w in theorem.generating_set)
     if args.json:
         return (0 if theorem.holds else 1), _json_body({
@@ -209,14 +208,13 @@ def _cmd_hecke(args) -> tuple[int, str]:
                     f"sigma gives [{d.sigma(alpha, oid)}]")
                 lead_ok = False
 
-    braid_violations = braid_check_module(module)
+    # the regular-representation check runs the module braid check itself
+    regular = verify_regular_representation(d) if "e" in module.basis else None
+    braid_violations = (regular.braid_violations if regular
+                        else braid_check_module(module))
     problems.extend(v.line() for v in braid_violations)
-
-    regular = None
-    if "e" in module.basis:
-        regular = verify_regular_representation(d)
-        if not regular.ok:
-            problems.append("regular representation check failed")
+    if regular and not regular.ok:
+        problems.append("regular representation check failed")
 
     columns = {
         str(alpha): {oid: module.terms(module.columns[alpha][i])

@@ -409,9 +409,10 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
     """The full flag datum: one orbit per Weyl group element.
 
     Orbit ids are canonical reduced words; dim(w) is the sum of the raise
-    dims over the inversion lines of w; every cell is a U cell pairing w
-    with its raise partner; all c, rk, s are 0 and the longest element is
-    the open orbit.
+    dims over the letters of that word, which equals the sum over the
+    inversion lines of w, as raise dims are constant on W-orbits of lines;
+    every cell is a U cell pairing w with its raise partner; all c, rk, s
+    are 0 and the longest element is the open orbit.
 
     >>> d = generate_flag_datum(build_root_system("A", 1, raise_dims=[3]))
     >>> sorted(o.dim for o in d.orbits)
@@ -420,16 +421,7 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
     group = enumerate_group(rs)
     by_matrix = {w.matrix: w for w in group}
     ids = {w.matrix: word_name(w.word) for w in group}
-
-    def dim_of(w) -> int:
-        total = 0
-        for line in rs.positive_lines:
-            img = w.apply(line)
-            if all(x <= 0 for x in img):
-                total += rs.raise_dim_of_line(line)
-        return total
-
-    dims = {ids[w.matrix]: dim_of(w) for w in group}
+    dims = {ids[w.matrix]: sum(rs.raise_dims[i] for i in w.word) for w in group}
     top = max(dims.values())
     orbits = tuple(
         Orbit(id=ids[w.matrix], dim=dims[ids[w.matrix]], c=0, rk=0, s=0,

@@ -11,6 +11,7 @@ leading term of each column recovering sigma itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .action import BraidViolation
 from .coxeter import WeylElement, braid_witnesses, enumerate_group
@@ -34,15 +35,24 @@ class HeckeModule:
     basis: tuple[str, ...]
     columns: dict[int, tuple[int, ...]]
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {oid: i for i, oid in enumerate(self.basis)}
+
     def index(self, orbit_id: str) -> int:
-        return self.basis.index(orbit_id)
+        return self._position[orbit_id]
 
     def unit(self, orbit_id: str) -> int:
         return 1 << self.index(orbit_id)
 
     def terms(self, vec: int) -> list[str]:
         """Basis orbits with a set bit, in basis order."""
-        return [oid for i, oid in enumerate(self.basis) if vec >> i & 1]
+        out = []
+        while vec:
+            low = vec & -vec
+            out.append(self.basis[low.bit_length() - 1])
+            vec ^= low
+        return out
 
 
 def build_module(d: OrbitDatum) -> HeckeModule:
@@ -69,15 +79,13 @@ def build_module(d: OrbitDatum) -> HeckeModule:
 
 
 def apply(module: HeckeModule, alpha: int, vec: int) -> int:
-    """T_alpha applied to a packed vector."""
+    """T_alpha applied to a packed vector; costs one XOR per set bit."""
     col = module.columns[alpha]
     out = 0
-    i = 0
     while vec:
-        if vec & 1:
-            out ^= col[i]
-        vec >>= 1
-        i += 1
+        low = vec & -vec
+        out ^= col[low.bit_length() - 1]
+        vec ^= low
     return out
 
 
@@ -118,12 +126,12 @@ def braid_check_module(module: HeckeModule) -> list[HeckeBraidViolation]:
 
 def _span_dimension(vectors: list[int]) -> int:
     """F2 rank of a list of packed vectors."""
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> reduced vector
     for v in vectors:
-        for p in pivots:
-            v = min(v, v ^ p)
+        while v and (p := pivots.get(v.bit_length())):
+            v ^= p
         if v:
-            pivots.append(v)
+            pivots[v.bit_length()] = v
     return len(pivots)
 
 

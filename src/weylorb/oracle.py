@@ -45,15 +45,20 @@ def _is_prime(n: int) -> bool:
 
 
 def _det_mod(mat: tuple[tuple[int, ...], ...], q: int) -> int:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0] % q
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in mat[1:])
-        term = mat[0][j] * _det_mod(minor, q)
-        total += -term if j % 2 else term
-    return total % q
+    """Determinant mod the prime q by elimination: a pivot row with a
+    nonzero first entry clears that column from the other rows."""
+    rows = [[x % q for x in row] for row in mat]
+    det = 1
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        pivot = rows.pop(i)
+        det = det * pivot[0] * (-1) ** i % q
+        inv = pow(pivot[0], -1, q)
+        rows = [[(x - row[0] * inv * y) % q for x, y in zip(row[1:], pivot[1:])]
+                for row in rows]
+    return det
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from weylorb.action import (
     orbit_of_open,
     stabilizer_open,
 )
-from weylorb.bundled import bundled_datum
+from weylorb.bundled import DATUM_NAMES, bundled_datum
 from weylorb.coxeter import build_root_system, enumerate_group, word_name
 from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum, validate
 
@@ -148,6 +148,20 @@ def test_generator_theorem_flag(token):
     res = check_generator_theorem(generate_flag_datum(build_root_system(token)))
     assert res.holds
     assert res.stabilizer_order == 1
+
+
+@pytest.mark.parametrize(
+    "d", [bundled_datum(n) for n in DATUM_NAMES]
+    + [generate_flag_datum(build_root_system(t)) for t in FLAG_TOKENS],
+    ids=lambda d: d.root_system.to_text())
+def test_generator_theorem_carries_stabilizer_open(d):
+    got = check_generator_theorem(d).stabilizer
+    want = stabilizer_open(d)
+    assert got.elements == want.elements
+    assert ({(w.matrix, w.word) for w in got.elements}
+            == {(w.matrix, w.word) for w in want.elements})
+    assert ([(g.matrix, g.word) for g in got.generators]
+            == [(g.matrix, g.word) for g in want.generators])
 
 
 def test_action_table_involutions():

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from weylorb.coxeter import build_root_system
+from weylorb.coxeter import build_root_system, enumerate_group, word_name
 from weylorb.datum import (
     DatumFormatError,
     Orbit,
@@ -98,6 +99,38 @@ def test_flag_orbit_count_matches_group():
                     "G2": 12, "A1xA1": 4}[token]
         assert len(d.orbits) == expected
         assert validate(d).ok
+
+
+def inversion_line_dims(rs) -> dict[str, int]:
+    """dim(w) as the sum of raise dims over the positive lines w negates."""
+    return {word_name(w.word): sum(rs.raise_dim_of_line(line)
+                                   for line in rs.positive_lines
+                                   if all(x <= 0 for x in w.apply(line)))
+            for w in enumerate_group(rs)}
+
+
+def seeded_dims(classes: list[list[int]], seed: int) -> list[int]:
+    """One random raise dim per class of conjugate simple roots (1-based)."""
+    rng = random.Random(seed)
+    dims = [0] * sum(len(c) for c in classes)
+    for cls in classes:
+        n = rng.randint(1, 9)
+        for i in cls:
+            dims[i - 1] = n
+    return dims
+
+
+@pytest.mark.parametrize("token,dims", [
+    *[(t, None) for t in ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")],
+    ("BC3", seeded_dims([[1, 2], [3]], 1)),
+    ("G2", seeded_dims([[1], [2]], 2)),
+    ("F4", seeded_dims([[1, 2], [3, 4]], 3)),
+    ("B2xG2", seeded_dims([[1], [2], [3], [4]], 4)),
+], ids=str)
+def test_flag_dims_are_inversion_line_sums(token, dims):
+    rs = build_root_system(token, raise_dims=dims)
+    d = generate_flag_datum(rs)
+    assert {o.id: o.dim for o in d.orbits} == inversion_line_dims(rs)
 
 
 def test_flag_ids_are_canonical_words():

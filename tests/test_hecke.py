@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylorb.bundled import DATUM_NAMES, bundled_datum
 from weylorb.coxeter import build_root_system, enumerate_group
 from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum
 from weylorb.hecke import (
     HeckeError,
+    _span_dimension,
     apply,
     apply_word,
     braid_check_module,
@@ -116,7 +122,7 @@ def test_leading_term_tie_raises():
 
 @pytest.mark.parametrize("token,order", [("A1", 2), ("A2", 6), ("A3", 24),
                                          ("B2", 8), ("BC2", 8), ("G2", 12),
-                                         ("A1xA1", 4)])
+                                         ("A1xA1", 4), ("F4", 1152), ("B4", 384)])
 def test_flag_regular_representation(token, order):
     d = generate_flag_datum(build_root_system(token))
     report = verify_regular_representation(d)
@@ -181,3 +187,80 @@ def test_hecke_braid_violation_has_witness():
     assert len(violations) == 1
     assert (violations[0].alpha, violations[0].beta) == (1, 2)
     assert "hecke-braid" in violations[0].line()
+
+
+# -- the set-bit kernels against one-bit-per-step references -----------------
+
+def apply_reference(module, alpha, vec):
+    """T_alpha by shifting the vector one bit at a time."""
+    out = 0
+    i = 0
+    while vec:
+        if vec & 1:
+            out ^= module.columns[alpha][i]
+        vec >>= 1
+        i += 1
+    return out
+
+
+def terms_reference(module, vec):
+    return [oid for i, oid in enumerate(module.basis) if vec >> i & 1]
+
+
+def span_dimension_reference(vectors):
+    """F2 rank by reducing each vector against every pivot in turn."""
+    pivots = []
+    for v in vectors:
+        for p in pivots:
+            v = min(v, v ^ p)
+        if v:
+            pivots.append(v)
+    return len(pivots)
+
+
+RANDOM_MODULE_BASES = {t: build_module(generate_flag_datum(build_root_system(t)))
+                       for t in ("A1", "A3", "B3", "F4")}
+
+
+@st.composite
+def random_module_and_vector(draw):
+    """A flag module with random dense columns, and a packed vector whose
+    bits include ones near the top of the basis."""
+    m = RANDOM_MODULE_BASES[draw(st.sampled_from(sorted(RANDOM_MODULE_BASES)))]
+    n = len(m.basis)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = replace(m, columns={a: tuple(rng.getrandbits(n) for _ in range(n))
+                            for a in m.columns})
+    low = draw(st.sets(st.integers(0, n - 1), max_size=12))
+    high = draw(st.sets(st.integers(max(0, n - 3), n - 1), max_size=3))
+    return m, sum(1 << i for i in low | high)
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_module_and_vector())
+def test_apply_and_terms_match_bitwise_reference(case):
+    m, vec = case
+    assert m.terms(vec) == terms_reference(m, vec)
+    for alpha in m.columns:
+        assert apply(m, alpha, vec) == apply_reference(m, alpha, vec)
+
+
+def test_index_and_unit_follow_basis_order():
+    m = RANDOM_MODULE_BASES["B3"]
+    for i, oid in enumerate(m.basis):
+        assert m.index(oid) == i
+        assert m.unit(oid) == 1 << i
+        assert m.terms(m.unit(oid)) == [oid]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 90), st.lists(st.integers(0, 2**90), max_size=40),
+       st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10))
+def test_span_dimension_matches_reference(bits, vectors, pairs):
+    vectors = [v % (1 << bits) for v in vectors]
+    # append sums of earlier vectors so that dependent inputs occur
+    for i, j in pairs:
+        if i < len(vectors) and j < len(vectors):
+            vectors.append(vectors[i] ^ vectors[j])
+    vectors.append(1 << (bits - 1))
+    assert _span_dimension(vectors) == span_dimension_reference(vectors)

@@ -23,6 +23,7 @@ from weylorb.oracle import (
     OracleReport,
     OrbitInfo,
     _closure,
+    _det_mod,
     _match,
     align_reports,
     compare,
@@ -119,6 +120,38 @@ def test_spec_rejects_q_overflowing_int64():
     obj = json.loads(oracle_spec_text("torus"))
     with pytest.raises(OracleError, match="too large"):
         spec_from_obj(obj, 2147483659)  # prime, and 2 q^2 >= 2^63
+
+
+def det_laplace(mat, q: int) -> int:
+    """Determinant mod q by cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0] % q
+    return sum((-1) ** j * mat[0][j]
+               * det_laplace([row[:j] + row[j + 1:] for row in mat[1:]], q)
+               for j in range(len(mat))) % q
+
+
+@st.composite
+def _square_matrices(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 257]))
+    k = draw(st.integers(1, 4))
+    entry = st.integers(-600, 600)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        # make one row a multiple of another, so the matrix is singular
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(entry)
+        rows[j] = [c * x for x in rows[i]]
+    return tuple(tuple(row) for row in rows), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_det_mod_matches_laplace(case):
+    mat, q = case
+    assert _det_mod(mat, q) == det_laplace(mat, q)
 
 
 def test_spec_rejects_singular_generator():
