@@ -91,7 +91,10 @@ def braid_check(d: OrbitDatum) -> list[BraidViolation]:
 
     Returns the list of failing pairs, each with a witness orbit.
     """
-    table = action_table(d)
+    return _braid_violations(d, action_table(d))
+
+
+def _braid_violations(d: OrbitDatum, table) -> list[BraidViolation]:
     return [BraidViolation(*v) for v in braid_witnesses(
         d.root_system, sorted(table), [(oid, oid) for oid in d.orbit_ids()],
         lambda alpha, x: table[alpha][x])]
@@ -129,19 +132,20 @@ def stabilizer_open(d: OrbitDatum,
     reversed product, so no matrix is inverted.  Refuses to run if the
     braid relations fail, since the group action would be ill-defined.
     """
-    violations = braid_check(d)
+    table = action_table(d)
+    violations = _braid_violations(d, table)
     if violations:
         raise BraidObstruction(
             "sigma does not satisfy the braid relations: "
             + "; ".join(v.line() for v in violations))
     rs = d.root_system
-    table = action_table(d)
     gens = {a: rs.simple_reflection(a - 1) for a in table}
 
     start = d.open_orbit().id
     transversal: dict[str, WeylElement] = {start: rs.identity_element()}
     inv = dict(transversal)
     order: list[str] = [start]
+    tree = set()  # BFS tree edges, both ways (sigma and s_alpha are involutions)
     frontier = [start]
     while frontier:
         nxt = []
@@ -151,6 +155,7 @@ def stabilizer_open(d: OrbitDatum,
                 if y not in transversal:
                     transversal[y] = gens[alpha] * transversal[x]
                     inv[y] = inv[x] * gens[alpha]
+                    tree.update({(x, alpha), (y, alpha)})
                     order.append(y)
                     nxt.append(y)
         frontier = nxt
@@ -158,7 +163,7 @@ def stabilizer_open(d: OrbitDatum,
     schreier: list[WeylElement] = []
     seen_mats = set()
     for x in order:
-        for alpha in sorted(table):
+        for alpha in (a for a in sorted(table) if (x, a) not in tree):
             y = table[alpha][x]
             g = inv[y] * gens[alpha] * transversal[x]
             if g.matrix not in seen_mats:

@@ -2,12 +2,14 @@
 
 Ground truth for the combinatorial layer.  Points of G/H are canonical
 coset labels (the lexicographically smallest matrix in the coset under
-row-major order), orbits come from union-find over generator actions,
-and merge structure under each subminimal parabolic P_alpha is read off
-the same way.  Orbit sizes fitted to c * q^a * (q-1)^b across several
-primes give dimension and rank proxies from which a candidate datum is
-inferred; RI and N stay indistinguishable to point counts and are
-flagged, never silently resolved.
+row-major order), computed in batches; orbits come from union-find over
+generator actions, and merge structure under each subminimal parabolic
+P_alpha is read off the same way.  G itself is never enumerated: |G| and
+the containments B, H, P_alpha <= G are certified by orbit-stabilizer
+with Schreier generators.  Orbit sizes fitted to c * q^a * (q-1)^b
+across several primes give dimension and rank proxies from which a
+candidate datum is inferred; RI and N stay indistinguishable to point
+counts and are flagged, never silently resolved.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ def _det_mod(mat: tuple[tuple[int, ...], ...], q: int) -> int:
         rows = [[(x - row[0] * inv * y) % q for x, y in zip(row[1:], pivot[1:])]
                 for row in rows]
     return det
+
+
+def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> np.ndarray:
+    """Inverse of a nonsingular matrix mod the prime q: the adjugate over
+    the determinant, each cofactor a determinant by elimination."""
+    k, scale = len(mat), pow(_det_mod(mat, q), -1, q)
+    return np.array([[(-1) ** (i + j) * scale * _det_mod(
+        [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j], q) % q
+        for j in range(k)] for i in range(k)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -154,24 +165,42 @@ def _keys(mats: np.ndarray, q: int):
 def _closure(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
     """All products of the generators, BFS order from the identity."""
     k = gens.shape[1]
-    layers = [np.eye(k, dtype=np.int64)[None, :, :]]
+    layers = [np.eye(k, dtype=np.int64)[None]]
     seen = set(_keys(layers[0], q))
-    frontier = layers[0]
-    while frontier.shape[0]:
-        prods = np.einsum("aij,bjk->abik", frontier, gens) % q
-        prods = prods.reshape(-1, k, k)
+    while len(layers[-1]):
+        prods = (np.matmul(layers[-1][:, None], gens[None]) % q).reshape(-1, k, k)
         fresh = []
-        for i, b in enumerate(_keys(prods, q)):
-            if b not in seen:
-                seen.add(b)
-                fresh.append(prods[i])
+        for i, key in enumerate(_keys(prods, q)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
         if len(seen) > cap:
-            raise OracleError(f"{what} closure exceeds cap {cap}")
-        if not fresh:
-            break
-        frontier = np.stack(fresh)
-        layers.append(frontier)
+            raise OracleError(
+                f"{what} closure exceeds cap {cap}: reached {len(seen)} elements")
+        layers.append(prods[fresh])
     return np.concatenate(layers)
+
+
+def _canon(mats: np.ndarray, h_all: np.ndarray, q: int, chunk: int = 2**18) -> np.ndarray:
+    """For each matrix m of the stack, the lex-minimal (row-major) element
+    of the coset m·H.  The (0, 0) entries of all m·h are formed at once,
+    about `chunk` of them per block; each later entry only for the pairs
+    (m, h) still minimal, which are then filtered by that entry."""
+    n, k = mats.shape[:2]
+    h_col = h_all[:, :, 0].T  # m[0] @ h_col: the (0, 0) entries of all m·h
+    step = max(1, chunk // len(h_all))
+    out = np.empty_like(mats)
+    for s in range(0, n, step):
+        block = mats[s:s + step]
+        first = block[:, 0] @ h_col % q
+        ni, hi = np.nonzero(first == first.min(axis=1, keepdims=True))  # by m
+        for r, c in [(r, c) for r in range(k) for c in range(k)][1:]:
+            entry = np.einsum("aj,aj->a", block[ni, r], h_all[hi, :, c]) % q
+            starts = np.flatnonzero(np.diff(ni, prepend=-1))
+            keep = entry == np.minimum.reduceat(entry, starts)[ni]
+            ni, hi = ni[keep], hi[keep]
+        out[s:s + step] = block @ h_all[hi[np.flatnonzero(np.diff(ni, prepend=-1))]] % q
+    return out
 
 
 class _UnionFind:
@@ -249,69 +278,72 @@ def enumerate_orbits(spec: MatGroupSpec,
                      cap: int = DEFAULT_POINT_CAP) -> OracleReport:
     """Enumerate B-orbits on G/H over F_q with canonical coset labels.
 
+    G is never enumerated: the Schreier generators t_y^-1 g t_x of the
+    coset BFS (t_x in G, t_x H = x) must lie in H and generate G ∩ H, so
+    H <= G iff |G ∩ H| = |H|, |G| = points * |H|, and b in B or P_alpha
+    is in G iff b·H is a point y with t_y^-1 b in G ∩ H.  The cap bounds
+    |H| and, while the BFS grows, points * |H|.
+
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
     """
     q, k = spec.q, spec.dimension
     g_arr = np.array(spec.g_gens, dtype=np.int64)
-    b_arr = np.array(spec.b_gens, dtype=np.int64)
-    h_arr = np.array(spec.h_gens, dtype=np.int64)
+    g_inv = [_inv_mod(g, q) for g in spec.g_gens]
+    h_all = _closure(np.array(spec.h_gens, dtype=np.int64), q, cap, "H")
+    h_keys = set(_keys(h_all, q))
 
-    g_all = _closure(g_arr, q, cap, "G")
-    g_bytes = set(_keys(g_all, q))
-    h_all = _closure(h_arr, q, cap, "H")
-    if not g_bytes.issuperset(_keys(h_all, q)):
-        raise OracleError("H is not contained in the group generated by G")
-    if not g_bytes.issuperset(_keys(_closure(b_arr, q, cap, "B"), q)):
-        raise OracleError("B is not contained in the group generated by G")
-    for alpha, mats in spec.parabolics.items():
-        p_arr = np.array(mats, dtype=np.int64)
-        if not g_bytes.issuperset(_keys(_closure(p_arr, q, cap, f"P_{alpha}"), q)):
-            raise OracleError(f"P_{alpha} is not contained in the group generated by G")
-
-    group_order = g_all.shape[0]
-    subgroup_order = h_all.shape[0]
-    if group_order % subgroup_order:
-        raise OracleError("|H| does not divide |G|")
-    expected_points = group_order // subgroup_order
-
-    def canon(mat: np.ndarray) -> tuple[bytes, np.ndarray]:
-        prods = np.einsum("ij,njk->nik", mat, h_all) % q
-        flat = prods.reshape(-1, k * k)
-        best = int(np.lexsort(flat[:, ::-1].T)[0])
-        return next(_keys(prods[best:best + 1], q)), prods[best]
+    def moved(gens: np.ndarray, mats) -> np.ndarray:  # row i |gens| + j: g_j m_i
+        return (np.matmul(gens[None], np.stack(mats)[:, None]) % q).reshape(-1, k, k)
 
     ident = np.eye(k, dtype=np.int64)
-    key0, label0 = canon(ident)
-    labels = [label0]
-    index = {key0: 0}
-    frontier = [0]
+    labels = list(_canon(ident[None], h_all, q))
+    index = {next(_keys(labels[0][None], q)): 0}
+    trans, tinv = [ident], [ident]
+    stab_gens, stab_keys = [], set(_keys(ident[None], q))
+    frontier = range(1)
     while frontier:
-        nxt = []
-        for i in frontier:
-            for g in g_arr:
-                key, label = canon(g @ labels[i] % q)
-                if key not in index:
-                    if len(index) + 1 > cap:
-                        raise OracleError(f"coset count exceeds cap {cap}")
-                    index[key] = len(labels)
-                    labels.append(label)
-                    nxt.append(index[key])
-        frontier = nxt
-    if len(labels) != expected_points:
-        raise OracleError(
-            f"coset enumeration found {len(labels)} points, "
-            f"expected |G|/|H| = {expected_points}")
+        prods = moved(g_arr, [trans[x] for x in frontier])
+        canon = _canon(prods, h_all, q)
+        for e, key in enumerate(_keys(canon, q)):
+            x, j = frontier[e // len(g_arr)], e % len(g_arr)
+            y = index.setdefault(key, len(labels))
+            if y == len(labels):  # a tree edge: its Schreier generator is 1
+                if (y + 1) * len(h_all) > cap:
+                    raise OracleError(f"G exceeds cap {cap}: points x |H| "
+                                      f"reached {(y + 1) * len(h_all)}")
+                labels.append(canon[e])
+                trans.append(prods[e])
+                tinv.append(tinv[x] @ g_inv[j] % q)
+                continue
+            gen = tinv[y] @ prods[e] % q
+            gen_key = next(_keys(gen[None], q))
+            if gen_key not in h_keys:
+                raise OracleError(
+                    f"Schreier generator {_fmt_matrix(gen)} at point "
+                    f"{_fmt_matrix(labels[x])}, G generator {j}, is not in H")
+            if gen_key not in stab_keys:
+                stab_gens.append(gen)
+                stab_keys = set(_keys(_closure(np.stack(stab_gens), q, cap, "G & H"), q))
+        frontier = range(frontier.stop, len(labels))
+    if len(stab_keys) != len(h_all):
+        raise OracleError("H is not contained in the group generated by G")
+
+    blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
+    for name, mats in blocks:  # b in G iff b·H = t_y H with t_y^-1 b in G ∩ H
+        mats = np.array(mats, dtype=np.int64)
+        ys = [index.get(key) for key in _keys(_canon(mats, h_all, q), q)]
+        if None in ys or not stab_keys.issuperset(
+                _keys(np.matmul(np.stack([tinv[y] for y in ys]), mats) % q, q)):
+            raise OracleError(f"{name} is not contained in the group generated by G")
 
     def partition_under(gen_arr: np.ndarray) -> _UnionFind:
         uf = _UnionFind(len(labels))
-        for i, lab in enumerate(labels):
-            for g in gen_arr:
-                key, _ = canon(g @ lab % q)
-                uf.union(i, index[key])
+        for e, key in enumerate(_keys(_canon(moved(gen_arr, labels), h_all, q), q)):
+            uf.union(e // len(gen_arr), index[key])
         return uf
 
-    buf = partition_under(b_arr)
+    buf = partition_under(np.array(spec.b_gens, dtype=np.int64))
     classes: dict[int, list[int]] = {}
     for i in range(len(labels)):
         classes.setdefault(buf.find(i), []).append(i)
@@ -328,8 +360,8 @@ def enumerate_orbits(spec: MatGroupSpec,
         infos.append(OrbitInfo(representative=_fmt_matrix(labels[best]),
                                size=len(members)))
     total = sum(o.size for o in infos)
-    if total != expected_points:
-        raise OracleError(f"orbit sizes sum to {total}, not {expected_points}")
+    if total != len(labels):
+        raise OracleError(f"orbit sizes sum to {total}, not {len(labels)}")
 
     merges: dict[int, tuple[tuple[int, ...], ...]] = {}
     for alpha, mats in sorted(spec.parabolics.items()):
@@ -337,18 +369,15 @@ def enumerate_orbits(spec: MatGroupSpec,
         pclasses: dict[int, set[int]] = {}
         for i in range(len(labels)):
             pclasses.setdefault(puf.find(i), set()).add(orbit_of_coset[i])
+        sizes = Counter(map(puf.find, range(len(labels))))
         for root, orbset in pclasses.items():
-            covered = sum(infos[oi].size for oi in orbset)
-            members = [i for i in range(len(labels)) if puf.find(i) == root]
-            if covered != len(members):
-                raise OracleError(
-                    f"P_{alpha} class is not a union of B-orbits")
+            if sum(infos[oi].size for oi in orbset) != sizes[root]:
+                raise OracleError(f"P_{alpha} class is not a union of B-orbits")
         blocks = sorted(tuple(sorted(s)) for s in pclasses.values())
         merges[alpha] = tuple(blocks)
     return OracleReport(spec_name=spec.name, root_system=spec.root_system,
-                        q=q, group_order=group_order,
-                        subgroup_order=subgroup_order,
-                        point_count=expected_points,
+                        q=q, group_order=len(labels) * len(stab_keys),
+                        subgroup_order=len(h_all), point_count=len(labels),
                         orbits=tuple(infos), merges=merges)
 
 

@@ -11,20 +11,27 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylorb.bundled import bundled_datum, oracle_spec_text
+from weylorb import oracle
+from weylorb.bundled import ORACLE_SPEC_NAMES, bundled_datum, oracle_spec_text
 from weylorb.coxeter import build_root_system
 from weylorb.datum import ROLES, OrbitDatum, RaiseCell, generate_flag_datum, validate
 from weylorb.oracle import (
     DEFAULT_Q_LIST,
+    MatGroupSpec,
     OracleError,
     OracleReport,
     OrbitInfo,
+    _canon,
     _closure,
     _det_mod,
+    _fmt_matrix,
+    _inv_mod,
+    _keys,
     _match,
+    _UnionFind,
     align_reports,
     compare,
     enumerate_orbits,
@@ -177,6 +184,295 @@ def test_cap_enforced():
     spec = load_spec(oracle_spec_text("torus"), 5)
     with pytest.raises(OracleError, match="cap"):
         enumerate_orbits(spec, cap=100)
+
+
+# -- differential: the enumeration that builds all of G, kept as reference --
+
+def _closure_reference(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
+    """All products of the generators, BFS order from the identity, one
+    einsum layer at a time."""
+    k = gens.shape[1]
+    layers = [np.eye(k, dtype=np.int64)[None, :, :]]
+    seen = set(_keys(layers[0], q))
+    frontier = layers[0]
+    while frontier.shape[0]:
+        prods = np.einsum("aij,bjk->abik", frontier, gens) % q
+        prods = prods.reshape(-1, k, k)
+        fresh = []
+        for i, b in enumerate(_keys(prods, q)):
+            if b not in seen:
+                seen.add(b)
+                fresh.append(prods[i])
+        if len(seen) > cap:
+            raise OracleError(f"{what} closure exceeds cap {cap}")
+        if not fresh:
+            break
+        frontier = np.stack(fresh)
+        layers.append(frontier)
+    return np.concatenate(layers)
+
+
+def _canon_reference(mat: np.ndarray, h_all: np.ndarray, q: int) -> np.ndarray:
+    """The lex-minimal element of mat·H by one lexsort over all of it."""
+    prods = np.einsum("ij,njk->nik", mat, h_all) % q
+    flat = prods.reshape(len(h_all), -1)
+    return prods[int(np.lexsort(flat[:, ::-1].T)[0])]
+
+
+def enumerate_orbits_reference(spec: MatGroupSpec, cap: int = 10**7) -> OracleReport:
+    """B-orbits on G/H with G, B, H and every P_alpha enumerated in full,
+    containment by key sets, points checked against |G|/|H|, and one
+    scalar canonicalisation per coset product."""
+    q, k = spec.q, spec.dimension
+    g_arr, b_arr, h_arr = (np.array(m, dtype=np.int64)
+                           for m in (spec.g_gens, spec.b_gens, spec.h_gens))
+    g_all = _closure_reference(g_arr, q, cap, "G")
+    g_bytes = set(_keys(g_all, q))
+    h_all = _closure_reference(h_arr, q, cap, "H")
+    if not g_bytes.issuperset(_keys(h_all, q)):
+        raise OracleError("H is not contained in the group generated by G")
+    if not g_bytes.issuperset(_keys(_closure_reference(b_arr, q, cap, "B"), q)):
+        raise OracleError("B is not contained in the group generated by G")
+    for alpha, mats in spec.parabolics.items():
+        p_all = _closure_reference(np.array(mats, dtype=np.int64), q, cap, f"P_{alpha}")
+        if not g_bytes.issuperset(_keys(p_all, q)):
+            raise OracleError(f"P_{alpha} is not contained in the group generated by G")
+    assert len(g_all) % len(h_all) == 0
+    points = len(g_all) // len(h_all)
+
+    def canon(mat):
+        label = _canon_reference(mat, h_all, q)
+        return next(_keys(label[None], q)), label
+
+    key0, label0 = canon(np.eye(k, dtype=np.int64))
+    labels, index, frontier = [label0], {key0: 0}, [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g in g_arr:
+                key, label = canon(g @ labels[i] % q)
+                if key not in index:
+                    index[key] = len(labels)
+                    labels.append(label)
+                    nxt.append(index[key])
+        frontier = nxt
+    assert len(labels) == points
+
+    def partition_under(gen_arr):
+        uf = _UnionFind(len(labels))
+        for i, lab in enumerate(labels):
+            for g in gen_arr:
+                uf.union(i, index[canon(g @ lab % q)[0]])
+        return uf
+
+    buf = partition_under(b_arr)
+    classes: dict[int, list[int]] = {}
+    for i in range(len(labels)):
+        classes.setdefault(buf.find(i), []).append(i)
+    label_keys = list(index)
+    ordered = sorted(classes.values(),
+                     key=lambda m: (len(m), min(label_keys[i] for i in m)))
+    orbit_of_coset, infos = {}, []
+    for oi, members in enumerate(ordered):
+        for i in members:
+            orbit_of_coset[i] = oi
+        best = min(members, key=label_keys.__getitem__)
+        infos.append(OrbitInfo(representative=_fmt_matrix(labels[best]),
+                               size=len(members)))
+    merges = {}
+    for alpha, mats in sorted(spec.parabolics.items()):
+        puf = partition_under(np.array(mats, dtype=np.int64))
+        pclasses: dict[int, set[int]] = {}
+        for i in range(len(labels)):
+            pclasses.setdefault(puf.find(i), set()).add(orbit_of_coset[i])
+        merges[alpha] = tuple(sorted(tuple(sorted(c)) for c in pclasses.values()))
+    return OracleReport(spec_name=spec.name, root_system=spec.root_system, q=q,
+                        group_order=len(g_all), subgroup_order=len(h_all),
+                        point_count=points, orbits=tuple(infos), merges=merges)
+
+
+def _mul(a, b, q: int):
+    return tuple(map(tuple, (np.array(a, dtype=np.int64) @ np.array(b) % q).tolist()))
+
+
+def _conjugated(obj: dict, g, q: int) -> dict:
+    """The spec with every generator M replaced by g M g^-1 mod q, pinned to q."""
+    g_inv = _inv_mod(g, q)
+
+    def conj(mats):
+        return [_mul(_mul(g, m, q), g_inv, q) for m in mats]
+
+    gens = obj["generators"]
+    return {**obj, "q": q, "generators": {
+        **{block: conj(gens[block]) for block in ("G", "B", "H")},
+        "P": {a: conj(mats) for a, mats in gens.get("P", {}).items()}}}
+
+
+def _elementary(k: int, i: int, j: int, c: int = 1):
+    return tuple(tuple(int(r == s) + c * ((r, s) == (i, j)) for s in range(k))
+                 for r in range(k))
+
+
+def _diagonal(k: int, i: int, t: int):
+    return tuple(tuple((t if r == i else 1) * (r == s) for s in range(k)) for r in range(k))
+
+
+def _bruhat_obj(k: int, q: int, root: int) -> dict:
+    """G = GL_k(F_q) and H = B upper triangular, root a primitive root mod q."""
+    upper = [_elementary(k, i, i + 1) for i in range(k - 1)]
+    lower = [_elementary(k, i + 1, i) for i in range(k - 1)]
+    borel = [_diagonal(k, i, root) for i in range(k)] + upper
+    return {"name": f"bruhat_gl{k}", "root_system": f"A{k - 1}", "q": q,
+            "dimension": k,
+            "generators": {"G": upper + lower + [_diagonal(k, 0, root)],
+                           "B": borel, "H": borel,
+                           "P": {str(a + 1): borel + [lower[a]] for a in range(k - 1)}}}
+
+
+def _bundled_cases():
+    for name in ORACLE_SPEC_NAMES:
+        pinned = json.loads(oracle_spec_text(name))["q"]
+        for q in (5, 7) if pinned is None else (pinned,):
+            yield name, q
+
+
+@pytest.mark.parametrize("name,q", list(_bundled_cases()), ids=str)
+def test_enumeration_matches_reference_on_bundled(name, q):
+    spec = load_spec(oracle_spec_text(name), q)
+    assert run(name, q).to_obj() == enumerate_orbits_reference(spec).to_obj()
+    h = np.array(spec.h_gens, dtype=np.int64)
+    assert np.array_equal(_closure(h, q, 10**6, "H"), _closure_reference(h, q, 10**6, "H"))
+
+
+@pytest.mark.parametrize("obj,q", [
+    (_conjugated(_bruhat_obj(2, 11, 2), ((3, 7), (5, 1)), 11), 11),
+    (_bruhat_obj(3, 3, 2), 3),
+], ids=["gl2-B-conjugated-q11", "gl3-B-q3"])
+def test_enumeration_matches_reference_on_bruhat(obj, q):
+    spec = spec_from_obj(obj, q)
+    rep = enumerate_orbits(spec)
+    assert rep.to_obj() == enumerate_orbits_reference(spec).to_obj()
+    sizes = sorted(o.size for o in rep.orbits)
+    assert sizes == sorted(q ** length for length in
+                           ((0, 1) if spec.dimension == 2 else (0, 1, 1, 2, 2, 3)))
+
+
+@st.composite
+def _invertible(draw, qs=(2, 3, 5, 7, 257), ks=(1, 2, 3, 4)):
+    q = draw(st.sampled_from(qs))
+    k = draw(st.sampled_from(ks))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    mat = tuple(map(tuple, rows))
+    assume(_det_mod(mat, q) != 0)
+    return mat, q
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["torus", "torus_normalizer", "horospherical"]),
+       _invertible(qs=(5, 7), ks=(2,)))
+def test_enumeration_matches_reference_on_conjugates(name, case):
+    g, q = case
+    spec = spec_from_obj(_conjugated(json.loads(oracle_spec_text(name)), g, q), q)
+    assert enumerate_orbits(spec).to_obj() == enumerate_orbits_reference(spec).to_obj()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invertible())
+def test_inv_mod_is_inverse(case):
+    mat, q = case
+    inv = _inv_mod(mat, q)
+    eye = np.eye(len(mat), dtype=np.int64)
+    assert np.array_equal(np.array(mat) @ inv % q, eye)
+    assert np.array_equal(inv @ np.array(mat) % q, eye)
+
+
+@st.composite
+def _canon_cases(draw):
+    """A subgroup H of small order (signed permutations, one unipotent or
+    one diagonal generator, conjugated by a random g) and random matrices,
+    singular ones included, with a chunk size small enough that the
+    matrices are split over several blocks."""
+    g, q = draw(_invertible(ks=(1, 2, 3)))
+    k = len(g)
+    kind = draw(st.sampled_from(["signed", "unipotent", "diagonal"]))
+    if kind == "signed" or k == 1:
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            perm = draw(st.permutations(range(k)))
+            signs = draw(st.lists(st.sampled_from([1, q - 1]), min_size=k, max_size=k))
+            gens.append(tuple(tuple(signs[r] * (perm[r] == c) for c in range(k))
+                              for r in range(k)))
+    elif kind == "unipotent":
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        gens = [_elementary(k, i, j, draw(st.integers(1, q - 1)))]
+    else:
+        gens = [_diagonal(k, draw(st.integers(0, k - 1)), draw(st.integers(1, q - 1)))]
+    g_inv = _inv_mod(g, q)
+    h_gens = np.array([_mul(_mul(g, m, q), g_inv, q) for m in gens], dtype=np.int64)
+    h_all = _closure(h_gens, q, 10**4, "H")
+    n = draw(st.integers(1, 12))
+    mats = np.array(draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k * k,
+                                           max_size=k * k),
+                                  min_size=n, max_size=n)),
+                    dtype=np.int64).reshape(n, k, k)
+    chunk = draw(st.integers(1, 4 * len(h_all) * k))
+    return mats, h_all, q, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(_canon_cases())
+def test_batched_canon_matches_lexsort(case):
+    mats, h_all, q, chunk = case
+    got = _canon(mats, h_all, q, chunk=chunk)
+    want = np.stack([_canon_reference(m, h_all, q) for m in mats])
+    assert np.array_equal(got, want)
+
+
+def _outside_obj(block: str) -> dict:
+    """G and H the upper unipotent group, with one lower unipotent
+    generator put into B or into P_1."""
+    upper, lower = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+    gens = {"G": [upper], "B": [upper], "H": [upper], "P": {"1": [upper]}}
+    if block == "B":
+        gens["B"] = [upper, lower]
+    else:
+        gens["P"] = {"1": [upper, lower]}
+    return {"name": "bad", "root_system": "A1", "q": None, "dimension": 2,
+            "generators": gens}
+
+
+@pytest.mark.parametrize("block,message", [
+    ("B", "B is not contained in the group generated by G"),
+    ("P", "P_1 is not contained in the group generated by G"),
+])
+def test_generator_outside_g_refused(block, message):
+    spec = spec_from_obj(_outside_obj(block), 5)
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        enumerate_orbits(spec)
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        enumerate_orbits_reference(spec)
+
+
+def test_cap_messages_name_cap_and_value():
+    spec = load_spec(oracle_spec_text("torus"), 5)  # |G| = 480, |H| = 16
+    assert enumerate_orbits(spec, cap=480).group_order == 480
+    with pytest.raises(OracleError) as err:
+        enumerate_orbits(spec, cap=479)
+    assert str(err.value) == "G exceeds cap 479: points x |H| reached 480"
+    with pytest.raises(OracleError) as err:  # stops at the first BFS layer past 10
+        enumerate_orbits(spec, cap=10)
+    assert str(err.value) == "H closure exceeds cap 10: reached 11 elements"
+
+
+def test_schreier_generator_outside_h_is_named(monkeypatch):
+    # a canonicalisation that sends every coset to H itself
+    monkeypatch.setattr(oracle, "_canon", lambda mats, h_all, q: np.broadcast_to(
+        np.eye(mats.shape[1], dtype=np.int64), mats.shape).copy())
+    with pytest.raises(OracleError) as err:
+        enumerate_orbits(load_spec(oracle_spec_text("torus"), 5))
+    assert str(err.value) == ("Schreier generator [[1,1],[0,1]] at point "
+                              "[[1,0],[0,1]], G generator 0, is not in H")
 
 
 def test_fit_monomial_frozen_cases():
