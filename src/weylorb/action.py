@@ -15,12 +15,18 @@ from .coxeter import (
     DEFAULT_GROUP_CAP,
     WeylElement,
     braid_witnesses,
-    enumerate_group,
     reflections,
     subgroup_closure,
+    weyl_group,
     word_name,
 )
 from .datum import OrbitDatum
+
+__all__ = [
+    "BraidObstruction", "BraidViolation", "GeneratorTheoremResult",
+    "SubgroupDescription", "act_word", "action_table", "braid_check",
+    "check_generator_theorem", "orbit_of_open", "stabilizer_open",
+]
 
 
 class BraidObstruction(RuntimeError):
@@ -128,9 +134,10 @@ def stabilizer_open(d: OrbitDatum,
 
     Computed by orbit-stabilizer: a breadth-first transversal of the open
     orbit gives Schreier generators u_y^-1 s_alpha u_x, whose closure is
-    the full stabilizer.  Each u_y^-1 is built alongside u_y as the
-    reversed product, so no matrix is inverted.  Refuses to run if the
-    braid relations fail, since the group action would be ill-defined.
+    the full stabilizer.  The u_x, their inverses and the generators are
+    ids read off the Weyl group's tables, so no matrix is multiplied or
+    inverted.  Refuses to run if the braid relations fail, since the
+    group action would be ill-defined.
     """
     table = action_table(d)
     violations = _braid_violations(d, table)
@@ -139,11 +146,10 @@ def stabilizer_open(d: OrbitDatum,
             "sigma does not satisfy the braid relations: "
             + "; ".join(v.line() for v in violations))
     rs = d.root_system
-    gens = {a: rs.simple_reflection(a - 1) for a in table}
+    group = weyl_group(rs, cap=cap)
 
     start = d.open_orbit().id
-    transversal: dict[str, WeylElement] = {start: rs.identity_element()}
-    inv = dict(transversal)
+    transversal = {start: 0}  # orbit id -> id of u_x in the group tables
     order: list[str] = [start]
     tree = set()  # BFS tree edges, both ways (sigma and s_alpha are involutions)
     frontier = [start]
@@ -153,39 +159,32 @@ def stabilizer_open(d: OrbitDatum,
             for alpha in sorted(table):
                 y = table[alpha][x]
                 if y not in transversal:
-                    transversal[y] = gens[alpha] * transversal[x]
-                    inv[y] = inv[x] * gens[alpha]
+                    transversal[y] = group.left[transversal[x]][alpha - 1]
                     tree.update({(x, alpha), (y, alpha)})
                     order.append(y)
                     nxt.append(y)
         frontier = nxt
 
-    schreier: list[WeylElement] = []
-    seen_mats = set()
+    schreier: dict[int, None] = {}  # ids in discovery order
     for x in order:
         for alpha in (a for a in sorted(table) if (x, a) not in tree):
-            y = table[alpha][x]
-            g = inv[y] * gens[alpha] * transversal[x]
-            if g.matrix not in seen_mats:
-                seen_mats.add(g.matrix)
-                if not g.is_identity():
-                    schreier.append(g)
+            u_y = transversal[table[alpha][x]]
+            s_u_x = group.left[transversal[x]][alpha - 1]
+            if s_u_x != u_y:  # else u_y^-1 s_alpha u_x is the identity
+                schreier.setdefault(group.product(group.inv[u_y], s_u_x))
 
-    if schreier:
-        elements = frozenset(subgroup_closure(schreier, cap=cap))
+    generators = [group.element(rs, g) for g in schreier]
+    if generators:
+        elements = frozenset(group.element(rs, group.id_of(w.matrix))
+                             for w in subgroup_closure(generators, cap=cap))
     else:
         elements = frozenset({rs.identity_element()})
 
-    group_order = len(enumerate_group(rs, cap=cap))
-    if len(elements) * len(transversal) != group_order:
+    if len(elements) * len(transversal) != len(group):
         raise BraidObstruction(
             f"orbit-stabilizer mismatch: |orbit| {len(transversal)} x "
-            f"|stab| {len(elements)} != |W| {group_order}")
-    # re-express elements through canonical reduced words for stable output
-    canonical = {w.matrix: w for w in enumerate_group(rs, cap=cap)}
-    elements = frozenset(canonical[w.matrix] for w in elements)
-    schreier = [canonical[g.matrix] for g in schreier]
-    return SubgroupDescription(generators=tuple(schreier), elements=elements)
+            f"|stab| {len(elements)} != |W| {len(group)}")
+    return SubgroupDescription(generators=tuple(generators), elements=elements)
 
 
 def check_generator_theorem(d: OrbitDatum,
@@ -196,13 +195,11 @@ def check_generator_theorem(d: OrbitDatum,
     """
     rs = d.root_system
     stab = stabilizer_open(d, cap=cap)
-    stab_mats = {w.matrix for w in stab.elements}
-    refl = reflections(rs)
+    group = weyl_group(rs, cap=cap)
+    refl = [group.id_of(w.matrix) for w in reflections(rs)]
+    stab_ids = {group.id_of(w.matrix) for w in stab.elements}
 
-    gens: list[WeylElement] = []
-    for w in refl:
-        if w.matrix in stab_mats:
-            gens.append(w)
+    gens = [w for w in refl if w in stab_ids]
     lines = rs.positive_lines
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -211,20 +208,18 @@ def check_generator_theorem(d: OrbitDatum,
                 continue
             if rs.is_root(tuple(x + y for x, y in zip(a, b))):
                 continue
-            prod = refl[i] * refl[j]
-            if prod.matrix in stab_mats:
+            prod = group.product(refl[i], refl[j])
+            if prod in stab_ids:
                 gens.append(prod)
 
     if gens:
-        generated = subgroup_closure(gens, cap=cap)
-        generated_mats = {w.matrix for w in generated}
+        generated = {group.id_of(w.matrix) for w in subgroup_closure(
+            [group.element(rs, g) for g in gens], cap=cap)}
     else:
-        generated_mats = {rs.identity_element().matrix}
-    canonical = {w.matrix: w for w in enumerate_group(rs, cap=cap)}
-    gens = [canonical[g.matrix] for g in gens]
+        generated = {0}
     return GeneratorTheoremResult(
-        holds=generated_mats == stab_mats,
-        generating_set=tuple(gens),
+        holds=generated == stab_ids,
+        generating_set=tuple(group.element(rs, g) for g in gens),
         stabilizer=stab,
-        generated_order=len(generated_mats),
+        generated_order=len(generated),
     )

@@ -6,6 +6,10 @@ from importlib import resources
 
 from .datum import OrbitDatum, loads
 
+__all__ = [
+    "DATUM_NAMES", "ORACLE_SPEC_NAMES", "bundled_datum", "oracle_spec_text",
+]
+
 #: Rank-1 kind suite plus the two worked multi-root examples.
 DATUM_NAMES = (
     "rank1_u", "rank1_tu", "rank1_a", "rank1_rt", "rank1_ri", "rank1_n",

@@ -17,7 +17,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+
+__all__ = [
+    "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
+    "WeylElement", "braid_order", "build_root_system", "canonical_word",
+    "enumerate_group", "reflections", "subgroup_closure", "word_name",
+]
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -519,7 +526,108 @@ def braid_witnesses(rs: RootSystem, alphas, points, step) -> list[tuple[int, int
     return out
 
 
-_ENUM_CACHE: dict[tuple, list[WeylElement]] = {}
+class WeylGroup:
+    """The Weyl group of one Cartan matrix as tables over element ids.
+
+    Ids are positions in shortlex BFS order from the identity (id 0), the
+    order :func:`enumerate_group` lists; ``words[w]`` is the canonical
+    reduced word of w, ``mul[w][i]`` the id of w·s_i, ``left[w][i]`` that
+    of s_i·w and ``inv[w]`` that of w^-1.  The BFS keys w by the vector
+    w^-1(2 rho), 2 rho the sum of the positive lines: 2 rho is regular, so
+    the keys are distinct, and the key of w·s_i is s_i applied to the key
+    of w, one simple reflection of a vector instead of a matrix product.
+    Matrices and the matrix -> id index are built on first use.
+
+    >>> g = weyl_group(build_root_system("A", 2))
+    >>> len(g), g.words[g.mul[1][1]], g.words[g.left[1][1]], g.inv[3] == 4
+    (6, (0, 1), (1, 0), True)
+    """
+
+    def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
+        self.rank, self.cartan = rs.rank, rs.cartan
+        two_rho = tuple(map(sum, zip(*rs.positive_lines)))
+        ids = {two_rho: 0}
+        keys = [two_rho]
+        words: list[tuple[int, ...]] = [()]
+        mul: list[list[int | None]] = [[None] * self.rank]
+        for w, v in enumerate(keys):  # keys grows as the BFS discovers elements
+            row = mul[w]
+            for i, c in enumerate(self.cartan):
+                if row[i] is not None:  # set from x = w·s_i, as x·s_i = w
+                    continue
+                # s_i(v) = v - <v, alpha_i-vee> alpha_i changes coordinate i only
+                u = v[:i] + (v[i] - sum(map(int.__mul__, c, v)),) + v[i + 1:]
+                x = ids.get(u)
+                if x is None:
+                    if len(ids) >= cap:
+                        raise CapExceeded(
+                            f"Weyl group exceeds cap {cap}: reached {cap + 1} elements")
+                    x = ids[u] = len(keys)
+                    keys.append(u)
+                    words.append(words[w] + (i,))
+                    mul.append([None] * self.rank)
+                row[i] = x
+                mul[x][i] = w
+        # w = s_j t with t the element of words[w][1:]: t = tail(parent)·s_i
+        # and w^-1 = t^-1 s_j, both known since t and the parent are shorter.
+        tail = [0] * len(words)
+        inv = [0] * len(words)
+        for w in range(1, len(words)):
+            i = words[w][-1]
+            parent = mul[w][i]
+            tail[w] = mul[tail[parent]][i] if parent else 0
+            inv[w] = mul[inv[tail[w]]][words[w][0]]
+        self.words = tuple(words)
+        self.mul = tuple(map(tuple, mul))
+        self.inv = tuple(inv)
+        self.left = tuple(tuple(inv[x] for x in mul[inv[w]]) for w in range(len(words)))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    @cached_property
+    def matrices(self) -> tuple[Matrix, ...]:
+        """Each element's matrix from its BFS parent's: M·s_i subtracts
+        C[i][j] times column i from column j."""
+        out = [mat_identity(self.rank)]
+        for w in range(1, len(self)):
+            i = self.words[w][-1]
+            c = self.cartan[i]
+            out.append(tuple(tuple(x - cj * row[i] for x, cj in zip(row, c))
+                             for row in out[self.mul[w][i]]))
+        return tuple(out)
+
+    @cached_property
+    def index(self) -> dict[Matrix, int]:
+        return {m: w for w, m in enumerate(self.matrices)}
+
+    def id_of(self, matrix: Matrix) -> int:
+        w = self.index.get(matrix)
+        if w is None:
+            raise RootSystemError("element does not belong to its Weyl group")
+        return w
+
+    def product(self, a: int, b: int) -> int:
+        """The id of a·b, by b's word through the right table."""
+        for i in self.words[b]:
+            a = self.mul[a][i]
+        return a
+
+    def element(self, rs: RootSystem, w: int) -> WeylElement:
+        """Element w over rs, with its matrix and canonical word."""
+        return WeylElement(rs, self.matrices[w], self.words[w])
+
+
+_GROUPS: dict[tuple[str, int], WeylGroup] = {}
+
+
+def weyl_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
+    """The indexed Weyl group of rs, built once per Cartan type (family,
+    rank) and shared by every choice of raise dims."""
+    group = _GROUPS.get((rs.family, rs.rank))
+    if group is None or len(group) > cap:  # the latter BFS stops at the cap
+        group = _GROUPS[rs.family, rs.rank] = WeylGroup(rs, cap)
+    return group
 
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> list[WeylElement]:
@@ -528,30 +636,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> list[WeylEl
     Each element carries a canonical reduced word (shortlex from the BFS),
     so ids and output derived from this list are deterministic.
     """
-    cached = _ENUM_CACHE.get(rs.key)
-    if cached is not None and len(cached) <= cap:
-        return list(cached)
-    gens = [rs.simple_reflection(i) for i in range(rs.rank)]
-    e = rs.identity_element()
-    seen: dict[Matrix, WeylElement] = {e.matrix: e}
-    order: list[WeylElement] = [e]
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                m = mat_mul(w.matrix, g.matrix)
-                if m not in seen:
-                    if len(seen) + 1 > cap:
-                        raise CapExceeded(
-                            f"Weyl group exceeds cap {cap}; raise the cap")
-                    nw = WeylElement(rs, m, w.word + g.word)
-                    seen[m] = nw
-                    order.append(nw)
-                    nxt.append(nw)
-        frontier = nxt
-    _ENUM_CACHE[rs.key] = list(order)
-    return order
+    group = weyl_group(rs, cap)
+    return [WeylElement(rs, m, word) for m, word in zip(group.matrices, group.words)]
 
 
 def subgroup_closure(gens: list[WeylElement],
@@ -574,7 +660,8 @@ def subgroup_closure(gens: list[WeylElement],
                 m = mat_mul(g.matrix, w.matrix)
                 if m not in elements:
                     if len(elements) + 1 > cap:
-                        raise CapExceeded(f"subgroup closure exceeds cap {cap}")
+                        raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
+                                          f"reached {cap + 1} elements")
                     nw = WeylElement(rs, m, g.word + w.word)
                     elements[m] = nw
                     nxt.append(nw)
@@ -585,23 +672,20 @@ def subgroup_closure(gens: list[WeylElement],
 def reflections(rs: RootSystem) -> list[WeylElement]:
     """All reflections of the Weyl group, one per positive root line,
     sorted by line for determinism.  Words are canonical reduced words."""
-    by_matrix = {w.matrix: w for w in enumerate_group(rs)}
+    group = weyl_group(rs)
     out = []
     for line in rs.positive_lines:
-        m = rs.reflection_in_root(line)
-        w = by_matrix.get(m)
+        w = group.index.get(rs.reflection_in_root(line))
         if w is None:
             raise RootSystemError(f"reflection in {line} is not in the group")
-        out.append(w)
+        out.append(group.element(rs, w))
     return out
 
 
 def canonical_word(w: WeylElement) -> tuple[int, ...]:
     """Canonical reduced word for w from the group enumeration."""
-    for v in enumerate_group(w.system):
-        if v.matrix == w.matrix:
-            return v.word
-    raise RootSystemError("element does not belong to its Weyl group")
+    group = weyl_group(w.system)
+    return group.words[group.id_of(w.matrix)]
 
 
 def word_name(word: tuple[int, ...]) -> str:

@@ -26,9 +26,16 @@ from .coxeter import (
     RootSystem,
     RootSystemError,
     build_root_system,
-    enumerate_group,
+    weyl_group,
     word_name,
 )
+
+__all__ = [
+    "KINDS", "DatumFormatError", "Orbit", "OrbitDatum", "RaiseCell",
+    "ValidationReport", "Violation", "check_lattices", "datum_from_obj",
+    "datum_to_obj", "dumps", "export_dot", "generate_flag_datum",
+    "load_path", "loads", "validate",
+]
 
 KINDS = ("U", "TU", "A", "RT", "RI", "N")
 
@@ -418,31 +425,21 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
     >>> sorted(o.dim for o in d.orbits)
     [0, 3]
     """
-    group = enumerate_group(rs)
-    by_matrix = {w.matrix: w for w in group}
-    ids = {w.matrix: word_name(w.word) for w in group}
-    dims = {ids[w.matrix]: sum(rs.raise_dims[i] for i in w.word) for w in group}
-    top = max(dims.values())
-    orbits = tuple(
-        Orbit(id=ids[w.matrix], dim=dims[ids[w.matrix]], c=0, rk=0, s=0,
-              open=dims[ids[w.matrix]] == top)
-        for w in group
-    )
+    group = weyl_group(rs)
+    ids = [word_name(word) for word in group.words]
+    dims = [sum(rs.raise_dims[i] for i in word) for word in group.words]
+    top = max(dims)
+    orbits = tuple(Orbit(id=oid, dim=dim, c=0, rk=0, s=0, open=dim == top)
+                   for oid, dim in zip(ids, dims))
 
     cells: dict[int, tuple[RaiseCell, ...]] = {}
     for i in range(rs.rank):
-        s_i = rs.simple_reflection(i)
-        done: set[str] = set()
         cs = []
-        for w in group:
-            wid = ids[w.matrix]
-            if wid in done:
-                continue
-            partner = by_matrix[(s_i * w).matrix]
-            pid = ids[partner.matrix]
-            y, z = (wid, pid) if dims[wid] > dims[pid] else (pid, wid)
-            cs.append(RaiseCell(alpha=i + 1, kind="U", y=y, z=z))
-            done.update((wid, pid))
+        for w, row in enumerate(group.left):
+            p = row[i]  # s_i·w; each pair once, from its first member in BFS order
+            if p > w:
+                y, z = (w, p) if dims[w] > dims[p] else (p, w)
+                cs.append(RaiseCell(alpha=i + 1, kind="U", y=ids[y], z=ids[z]))
         cells[i + 1] = tuple(cs)
     return OrbitDatum(root_system=rs, orbits=orbits, cells=cells)
 

@@ -17,6 +17,12 @@ from .action import BraidViolation
 from .coxeter import WeylElement, braid_witnesses, enumerate_group
 from .datum import OrbitDatum
 
+__all__ = [
+    "HeckeBraidViolation", "HeckeError", "HeckeModule", "RegularRepReport",
+    "apply_word", "braid_check_module", "build_module", "leading_term",
+    "verify_regular_representation",
+]
+
 
 class HeckeError(RuntimeError):
     """The module data is internally inconsistent."""

@@ -20,11 +20,22 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product as iproduct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coxeter import RootSystem, build_root_system
 from .datum import Orbit, OrbitDatum, RaiseCell, datum_to_obj, validate
+
+# numpy is imported inside the functions that compute with it: weylorb and
+# weylorb.cli import this module, and the Weyl-layer commands never load numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = [
+    "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
+    "OracleError", "OracleReport", "OrbitInfo", "align_reports", "compare",
+    "enumerate_orbits", "fit_monomial", "infer_datum", "load_spec",
+    "spec_from_obj",
+]
 
 DEFAULT_POINT_CAP = 10**7
 DEFAULT_Q_LIST = (5, 7)
@@ -66,6 +77,7 @@ def _det_mod(mat: tuple[tuple[int, ...], ...], q: int) -> int:
 def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> np.ndarray:
     """Inverse of a nonsingular matrix mod the prime q: the adjugate over
     the determinant, each cofactor a determinant by elimination."""
+    import numpy as np
     k, scale = len(mat), pow(_det_mod(mat, q), -1, q)
     return np.array([[(-1) ** (i + j) * scale * _det_mod(
         [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j], q) % q
@@ -158,12 +170,14 @@ def load_spec(text: str, q: int) -> MatGroupSpec:
 def _keys(mats: np.ndarray, q: int):
     """Per matrix of residues mod q, its entries as big-endian integers wide
     enough for q - 1, so keys compare as the row-major entry sequences do."""
+    import numpy as np
     flat = mats.astype(np.uint8 if q <= 256 else ">u4").reshape(len(mats), -1)
     return map(np.ndarray.tobytes, flat)  # lazy: no list of a whole closure
 
 
 def _closure(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
     """All products of the generators, BFS order from the identity."""
+    import numpy as np
     k = gens.shape[1]
     layers = [np.eye(k, dtype=np.int64)[None]]
     seen = set(_keys(layers[0], q))
@@ -186,6 +200,7 @@ def _canon(mats: np.ndarray, h_all: np.ndarray, q: int, chunk: int = 2**18) -> n
     of the coset m·H.  The (0, 0) entries of all m·h are formed at once,
     about `chunk` of them per block; each later entry only for the pairs
     (m, h) still minimal, which are then filtered by that entry."""
+    import numpy as np
     n, k = mats.shape[:2]
     h_col = h_all[:, :, 0].T  # m[0] @ h_col: the (0, 0) entries of all m·h
     step = max(1, chunk // len(h_all))
@@ -287,6 +302,7 @@ def enumerate_orbits(spec: MatGroupSpec,
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
     """
+    import numpy as np
     q, k = spec.q, spec.dimension
     g_arr = np.array(spec.g_gens, dtype=np.int64)
     g_inv = [_inv_mod(g, q) for g in spec.g_gens]

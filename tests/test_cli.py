@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylorb
 from weylorb.bundled import bundled_path, datum_text
 from weylorb.cli import main
 from weylorb.datum import loads
@@ -220,3 +225,43 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_bundled_path_usable_as_argument(capsys):
     code, out, _ = run(capsys, "validate", bundled_path("sl3_so12"))
     assert (code, out) == (0, "OK\n")
+
+
+def test_gen_flag_past_group_cap_is_refused(capsys):
+    # |W(A8)| = 9! = 362880 > DEFAULT_GROUP_CAP
+    code, out, err = run(capsys, "gen-flag", "A8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Weyl group exceeds cap 51840: reached 51841 elements\n"
+
+
+_WEYL_COMMANDS_WITHOUT_NUMPY = """
+import contextlib, io, sys
+from weylorb.cli import main
+
+flag = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["gen-flag", "A2", "--out", flag])]
+    codes += [main([cmd, flag]) for cmd in ("validate", "braid", "hecke", "stabilizer")]
+    try:
+        main(["--help"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+assert codes == [0] * 6, codes
+assert "numpy" not in sys.modules
+assert "weylorb.oracle" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["oracle", "enumerate", "torus", "--q-list", "5"])
+assert code == 0 and out.getvalue().startswith("spec "), out.getvalue()
+assert "numpy" in sys.modules
+"""
+
+
+def test_weyl_commands_do_not_load_numpy(tmp_path):
+    src = Path(weylorb.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WEYL_COMMANDS_WITHOUT_NUMPY, str(tmp_path / "flag.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -18,13 +18,16 @@ from weylorb.coxeter import (
     DEFAULT_GROUP_CAP,
     RootSystemError,
     WeylElement,
+    WeylGroup,
     braid_order,
     build_root_system,
     canonical_word,
     enumerate_group,
     mat_identity,
+    mat_mul,
     reflections,
     subgroup_closure,
+    weyl_group,
     word_name,
 )
 
@@ -180,8 +183,14 @@ def test_cartan_pairing_integrality():
 
 def test_enumeration_cap():
     rs = build_root_system("A", 3)
-    with pytest.raises(CapExceeded):
-        enumerate_group(rs, cap=5)
+    message = "Weyl group exceeds cap 5: reached 6 elements"
+    with pytest.raises(CapExceeded) as err:
+        WeylGroup(rs, cap=5)  # the BFS stops at the first element past the cap
+    assert str(err.value) == message
+    assert len(enumerate_group(rs)) == 24
+    with pytest.raises(CapExceeded) as err:
+        enumerate_group(rs, cap=5)  # the cached group refuses the same way
+    assert str(err.value) == message
     assert DEFAULT_GROUP_CAP == 51840
 
 
@@ -194,8 +203,9 @@ def test_subgroup_closure():
     assert rs.identity_element() in sub
     assert len(subgroup_closure([rs.identity_element()])) == 1
     assert len(subgroup_closure([s0, s1])) == 6
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as err:
         subgroup_closure([s0, s1], cap=3)
+    assert str(err.value) == "subgroup closure exceeds cap 3: reached 4 elements"
 
 
 def test_mixed_systems_rejected():
@@ -269,3 +279,72 @@ def test_braid_relation_holds(token):
         acc = acc * prod
     assert acc.is_identity()
     assert mat_identity(rs.rank) == acc.matrix
+
+
+# -- the indexed Weyl group against the matrix BFS it replaced --------------
+
+
+def _matrix_bfs(rs) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Reference enumeration: (matrix, word) in shortlex BFS order, each
+    element found as a tuple-matrix product w * s_i."""
+    gens = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
+    e = mat_identity(rs.rank)
+    seen = {e}
+    order = [(e, ())]
+    for m, word in order:
+        for i, g in enumerate(gens):
+            p = mat_mul(m, g)
+            if p not in seen:
+                seen.add(p)
+                order.append((p, word + (i,)))
+    return order
+
+
+INDEXED_CASES = ["A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1", "BC3", "F4",
+                 "B3xG2", "B5"]
+
+
+@pytest.mark.parametrize("token", INDEXED_CASES)
+def test_indexed_group_matches_matrix_bfs(token):
+    rs = build_root_system(token)
+    ref = _matrix_bfs(rs)
+    mats = [m for m, _ in ref]
+    group = weyl_group(rs)
+    assert list(group.words) == [w for _, w in ref]
+    assert list(group.matrices) == mats
+    assert [(w.matrix, w.word) for w in enumerate_group(rs)] == ref
+
+    simple = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
+    ident = mat_identity(rs.rank)
+    for w, m in enumerate(mats):
+        assert [mats[x] for x in group.mul[w]] == [mat_mul(m, s) for s in simple]
+        assert [mats[x] for x in group.left[w]] == [mat_mul(s, m) for s in simple]
+        assert mat_mul(m, mats[group.inv[w]]) == ident
+
+    by_matrix = dict(ref)
+    assert [w.word for w in reflections(rs)] == [
+        by_matrix[rs.reflection_in_root(line)] for line in rs.positive_lines]
+    for m, word in ref:
+        assert canonical_word(WeylElement(rs, m, ())) == word
+
+
+def test_canonical_word_rejects_foreign_matrix():
+    rs = build_root_system("A", 2)
+    with pytest.raises(RootSystemError):
+        canonical_word(WeylElement(rs, ((2, 0), (0, 1)), ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["F4", "B3xG2", "BC3"]), st.data())
+def test_table_product_equals_matrix_product(token, data):
+    rs = build_root_system(token)
+    group = weyl_group(rs)
+    letters = st.lists(st.integers(min_value=0, max_value=rs.rank - 1), max_size=12)
+    ids, mats = [], []
+    for word in (data.draw(letters), data.draw(letters)):
+        w, m = 0, mat_identity(rs.rank)
+        for i in word:
+            w, m = group.mul[w][i], mat_mul(m, rs.simple_reflection(i).matrix)
+        ids.append(w)
+        mats.append(m)
+    assert group.matrices[group.product(*ids)] == mat_mul(*mats)

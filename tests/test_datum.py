@@ -101,6 +101,17 @@ def test_flag_orbit_count_matches_group():
         assert validate(d).ok
 
 
+def test_rank6_flag_data_are_reachable():
+    # |W(B6)| = 2^6 6! and |W(D6)| = 2^5 6!; the open orbit is the longest
+    # element, whose dim with unit raise dims is the 36 positive roots of B6
+    b6 = generate_flag_datum(build_root_system("B6"))
+    assert len(b6.orbits) == 46080
+    assert [o.dim for o in b6.orbits if o.open] == [36]
+    d6 = generate_flag_datum(build_root_system("D6"))
+    assert len(d6.orbits) == 23040
+    assert validate(d6).ok
+
+
 def inversion_line_dims(rs) -> dict[str, int]:
     """dim(w) as the sum of raise dims over the positive lines w negates."""
     return {word_name(w.word): sum(rs.raise_dim_of_line(line)

@@ -1,0 +1,37 @@
+"""Package surface: the names ``weylorb`` exports."""
+
+from __future__ import annotations
+
+import weylorb
+
+EXPORTED = {
+    "BraidObstruction", "BraidViolation", "GeneratorTheoremResult",
+    "SubgroupDescription", "act_word", "action_table", "braid_check",
+    "check_generator_theorem", "orbit_of_open", "stabilizer_open",
+    "DATUM_NAMES", "ORACLE_SPEC_NAMES", "bundled_datum", "oracle_spec_text",
+    "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
+    "WeylElement", "braid_order", "build_root_system", "canonical_word",
+    "enumerate_group", "reflections", "subgroup_closure", "word_name",
+    "KINDS", "DatumFormatError", "Orbit", "OrbitDatum", "RaiseCell",
+    "ValidationReport", "Violation", "check_lattices", "datum_from_obj",
+    "datum_to_obj", "dumps", "export_dot", "generate_flag_datum",
+    "load_path", "loads", "validate",
+    "HeckeBraidViolation", "HeckeError", "HeckeModule", "RegularRepReport",
+    "apply_word", "braid_check_module", "build_module", "leading_term",
+    "verify_regular_representation",
+    "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
+    "OracleError", "OracleReport", "OrbitInfo", "align_reports", "compare",
+    "enumerate_orbits", "fit_monomial", "infer_datum", "load_spec",
+    "spec_from_obj",
+    "__version__",
+}
+
+
+def test_exported_names_are_unchanged_and_resolve():
+    assert len(weylorb.__all__) == len(set(weylorb.__all__))
+    assert set(weylorb.__all__) == EXPORTED
+    for name in weylorb.__all__:
+        assert getattr(weylorb, name) is not None, name
+    namespace: dict = {}
+    exec("from weylorb import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED
