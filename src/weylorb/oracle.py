@@ -1,34 +1,32 @@
 """Finite-field brute force: B(F_q)-orbits on G/H for small matrix groups.
 
-Ground truth for the combinatorial layer.  Points of G/H are canonical
-coset labels (the lexicographically smallest matrix in the coset under
-row-major order), computed in batches; orbits come from union-find over
-generator actions, and merge structure under each subminimal parabolic
-P_alpha is read off the same way.  G itself is never enumerated: |G| and
-the containments B, H, P_alpha <= G are certified by orbit-stabilizer
-with Schreier generators.  Orbit sizes fitted to c * q^a * (q-1)^b
-across several primes give dimension and rank proxies from which a
-candidate datum is inferred; RI and N stay indistinguishable to point
-counts and are flagged, never silently resolved.
+Ground truth for the combinatorial layer, in exact pure-Python arithmetic
+on flat row-major tuples.  Points of G/H are canonical coset labels (the
+lexicographically smallest matrix in the coset under row-major order),
+found through H's pointwise row-stabilizer chain; orbits come from a
+search over generator actions, and merge structure under each subminimal
+parabolic P_alpha is read off the same way.  G itself is never
+enumerated: |G| and the containments B, H, P_alpha <= G are certified by
+orbit-stabilizer with Schreier generators.  Orbit sizes fitted to
+c * q^a * (q-1)^b across several primes give dimension and rank proxies
+from which a candidate datum is inferred; RI and N stay indistinguishable
+to point counts and are flagged, never silently resolved.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 from itertools import product as iproduct
-from typing import TYPE_CHECKING
+from math import inf, isqrt
 
 from .coxeter import RootSystem, build_root_system
 from .datum import Orbit, OrbitDatum, RaiseCell, datum_to_obj, validate
-
-# numpy is imported inside the functions that compute with it: weylorb and
-# weylorb.cli import this module, and the Weyl-layer commands never load numpy.
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
@@ -47,14 +45,7 @@ class OracleError(RuntimeError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _det_mod(mat: tuple[tuple[int, ...], ...], q: int) -> int:
@@ -74,14 +65,35 @@ def _det_mod(mat: tuple[tuple[int, ...], ...], q: int) -> int:
     return det
 
 
-def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> np.ndarray:
-    """Inverse of a nonsingular matrix mod the prime q: the adjugate over
-    the determinant, each cofactor a determinant by elimination."""
-    import numpy as np
+def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
+    """Inverse of a nonsingular matrix mod the prime q, flat row-major: the
+    adjugate over the determinant, each cofactor a determinant by elimination."""
     k, scale = len(mat), pow(_det_mod(mat, q), -1, q)
-    return np.array([[(-1) ** (i + j) * scale * _det_mod(
+    return tuple((-1) ** (i + j) * scale * _det_mod(
         [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j], q) % q
-        for j in range(k)] for i in range(k)], dtype=np.int64)
+        for i in range(k) for j in range(k))
+
+
+_Arith = namedtuple("_Arith", "k eye mul vmul")
+
+
+@lru_cache(maxsize=None)
+def _arith(k: int, q: int) -> _Arith:
+    """Products mod q on flat row-major k x k tuples: mul(a, b) = a·b and
+    vmul(v, b) = v·b for a row vector v.  Each body is unrolled and compiled
+    once per (k, q), as namedtuple compiles its methods: several times
+    faster than a loop of sum() calls."""
+    code = ""
+    for name, rows in ("mul", k), ("vmul", 1):  # vmul: a is one row vector
+        dots = (" + ".join(f"a{i * k + t}*b{t * k + j}" for t in range(k))
+                for i in range(rows) for j in range(k))
+        code += (f"def {name}(a, b):\n {''.join(f'a{i}, ' for i in range(rows * k))}= a\n"
+                 f" {''.join(f'b{i}, ' for i in range(k * k))}= b\n"
+                 f" return ({''.join(f'({d}) % {q}, ' for d in dots)})\n")
+    space: dict = {}
+    exec(code, space)  # the source is built from the integers k and q alone
+    eye = tuple(int(i == j) for i in range(k) for j in range(k))
+    return _Arith(k, eye, space["mul"], space["vmul"])
 
 
 @dataclass(frozen=True)
@@ -167,71 +179,88 @@ def load_spec(text: str, q: int) -> MatGroupSpec:
     return spec_from_obj(json.loads(text), q)
 
 
-def _keys(mats: np.ndarray, q: int):
-    """Per matrix of residues mod q, its entries as big-endian integers wide
-    enough for q - 1, so keys compare as the row-major entry sequences do."""
-    import numpy as np
-    flat = mats.astype(np.uint8 if q <= 256 else ">u4").reshape(len(mats), -1)
-    return map(np.ndarray.tobytes, flat)  # lazy: no list of a whole closure
-
-
-def _closure(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
-    """All products of the generators, BFS order from the identity."""
-    import numpy as np
-    k = gens.shape[1]
-    layers = [np.eye(k, dtype=np.int64)[None]]
-    seen = set(_keys(layers[0], q))
-    while len(layers[-1]):
-        prods = (np.matmul(layers[-1][:, None], gens[None]) % q).reshape(-1, k, k)
+def _close(group: dict, new: list, gens: list, mul, cap=inf, what="") -> dict:
+    """Close the ordered set `group` under right multiplication by gens, in
+    BFS layers from the elements `new`; every other element of group must
+    already have its products in it."""
+    while new:
         fresh = []
-        for i, key in enumerate(_keys(prods, q)):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        if len(seen) > cap:
+        for x in new:
+            for g in gens:
+                y = mul(x, g)
+                if y not in group:
+                    group[y] = None
+                    fresh.append(y)
+        if len(group) > cap:
             raise OracleError(
-                f"{what} closure exceeds cap {cap}: reached {len(seen)} elements")
-        layers.append(prods[fresh])
-    return np.concatenate(layers)
+                f"{what} closure exceeds cap {cap}: reached {len(group)} elements")
+        new = fresh
+    return group
 
 
-def _canon(mats: np.ndarray, h_all: np.ndarray, q: int, chunk: int = 2**18) -> np.ndarray:
-    """For each matrix m of the stack, the lex-minimal (row-major) element
-    of the coset m·H.  The (0, 0) entries of all m·h are formed at once,
-    about `chunk` of them per block; each later entry only for the pairs
-    (m, h) still minimal, which are then filtered by that entry."""
-    import numpy as np
-    n, k = mats.shape[:2]
-    h_col = h_all[:, :, 0].T  # m[0] @ h_col: the (0, 0) entries of all m·h
-    step = max(1, chunk // len(h_all))
-    out = np.empty_like(mats)
-    for s in range(0, n, step):
-        block = mats[s:s + step]
-        first = block[:, 0] @ h_col % q
-        ni, hi = np.nonzero(first == first.min(axis=1, keepdims=True))  # by m
-        for r, c in [(r, c) for r in range(k) for c in range(k)][1:]:
-            entry = np.einsum("aj,aj->a", block[ni, r], h_all[hi, :, c]) % q
-            starts = np.flatnonzero(np.diff(ni, prepend=-1))
-            keep = entry == np.minimum.reduceat(entry, starts)[ni]
-            ni, hi = ni[keep], hi[keep]
-        out[s:s + step] = block @ h_all[hi[np.flatnonzero(np.diff(ni, prepend=-1))]] % q
-    return out
+def _adjoin(group: dict, gens: list, gen, mul) -> dict:
+    """Add gen to gens and extend group, the closure of the old gens, to
+    the closure of all of them without redoing the old products."""
+    gens.append(gen)
+    new = [y for y in dict.fromkeys(mul(x, gen) for x in group) if y not in group]
+    group.update(dict.fromkeys(new))
+    return _close(group, new, gens, mul)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+class _Level:
+    """One level L of H's pointwise row-stabilizer chain: generators, their
+    inverses and |L|, with every L-orbit of row vectors met so far and,
+    under its minimum, the level of that minimum's stabilizer."""
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
+    def __init__(self, gens: list, invs: list, order: int, arith: _Arith):
+        self.gens, self.invs, self.order, self.arith = gens, invs, order, arith
+        self.orbit: dict = {}  # w -> (mu, u): mu its orbit minimum, u in L, w·u = mu
+        self.below: dict = {}  # mu -> the _Level of Stab_L(mu)
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    def reduce(self, v: tuple) -> tuple:
+        """(mu, u): the minimum mu of v's L-orbit and u in L with v·u = mu.
+        A new orbit is searched from v for mu, then from mu with the inverse
+        generators for u and u^-1; the Schreier generators u_w^-1·h·u_{w·h}
+        of Stab_L(mu) are adjoined until its order is |L| / |orbit|."""
+        if v not in self.orbit:
+            _, eye, mul, vmul = self.arith
+            mu = min(_close({v: None}, [v], self.gens, vmul))
+            members, trans = [mu], {mu: (eye, eye)}  # w -> (u, u^-1), w·u = mu
+            for x in members:
+                u, r = trans[x]
+                for g, g_inv in zip(self.gens, self.invs):
+                    w = vmul(x, g_inv)
+                    if w not in trans:
+                        trans[w] = mul(g, u), mul(r, g_inv)
+                        members.append(w)
+            self.orbit.update((w, (mu, u)) for w, (u, _) in trans.items())
+            below, order = self, self.order // len(members)
+            if order < self.order:
+                group, gens, invs = {eye: None}, [], []
+                for w, (h, h_inv) in iproduct(members, zip(self.gens, self.invs)):
+                    if len(group) == order:
+                        break
+                    (u, r), (ux, rx) = trans[w], trans[vmul(w, h)]
+                    s = mul(mul(r, h), ux)
+                    if s not in group:
+                        invs.append(mul(mul(rx, h_inv), u))
+                        _adjoin(group, gens, s, mul)
+                below = _Level(gens, invs, order, self.arith)
+            self.below[mu] = below
+        return self.orbit[v]
+
+
+def _canon(m: tuple, level: _Level) -> tuple:
+    """The lex-minimal (row-major) element of the coset m·H, level the top
+    of H's chain.  Row i goes to the minimum of its orbit under the level
+    L_i fixing rows 0..i-1, by u in L_i, which leaves those rows fixed."""
+    k, mul = level.arith.k, level.arith.mul
+    for i in range(0, k * k, k):
+        if level.order == 1:
+            break
+        mu, u = level.reduce(m[i:i + k])
+        m, level = mul(m, u), level.below[mu]
+    return m
 
 
 @dataclass(frozen=True)
@@ -284,9 +313,13 @@ class OracleReport:
         return out
 
 
-def _fmt_matrix(mat: np.ndarray) -> str:
-    return "[" + ",".join(
-        "[" + ",".join(str(int(x)) for x in row) + "]" for row in mat) + "]"
+def _flat(mats) -> list[tuple[int, ...]]:
+    return [tuple(chain.from_iterable(m)) for m in mats]
+
+
+def _fmt_matrix(mat: tuple[int, ...], k: int) -> str:
+    return "[" + ",".join("[" + ",".join(map(str, mat[i:i + k])) + "]"
+                          for i in range(0, k * k, k)) + "]"
 
 
 def enumerate_orbits(spec: MatGroupSpec,
@@ -297,102 +330,82 @@ def enumerate_orbits(spec: MatGroupSpec,
     coset BFS (t_x in G, t_x H = x) must lie in H and generate G ∩ H, so
     H <= G iff |G ∩ H| = |H|, |G| = points * |H|, and b in B or P_alpha
     is in G iff b·H is a point y with t_y^-1 b in G ∩ H.  The cap bounds
-    |H| and, while the BFS grows, points * |H|.
+    |H|, hence every level of H's chain, and, while the BFS grows,
+    points * |H|.
 
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
     """
-    import numpy as np
     q, k = spec.q, spec.dimension
-    g_arr = np.array(spec.g_gens, dtype=np.int64)
+    arith = _arith(k, q)
+    eye, mul = arith.eye, arith.mul
+    g_gens, h_gens = _flat(spec.g_gens), _flat(spec.h_gens)
     g_inv = [_inv_mod(g, q) for g in spec.g_gens]
-    h_all = _closure(np.array(spec.h_gens, dtype=np.int64), q, cap, "H")
-    h_keys = set(_keys(h_all, q))
+    h_all = _close({eye: None}, [eye], h_gens, mul, cap, "H")
+    top = _Level(h_gens, [_inv_mod(h, q) for h in spec.h_gens], len(h_all), arith)
 
-    def moved(gens: np.ndarray, mats) -> np.ndarray:  # row i |gens| + j: g_j m_i
-        return (np.matmul(gens[None], np.stack(mats)[:, None]) % q).reshape(-1, k, k)
-
-    ident = np.eye(k, dtype=np.int64)
-    labels = list(_canon(ident[None], h_all, q))
-    index = {next(_keys(labels[0][None], q)): 0}
-    trans, tinv = [ident], [ident]
-    stab_gens, stab_keys = [], set(_keys(ident[None], q))
+    labels, trans, tinv = [_canon(eye, top)], [eye], [eye]
+    index = {labels[0]: 0}
+    stab, stab_gens = {eye: None}, []
     frontier = range(1)
     while frontier:
-        prods = moved(g_arr, [trans[x] for x in frontier])
-        canon = _canon(prods, h_all, q)
-        for e, key in enumerate(_keys(canon, q)):
-            x, j = frontier[e // len(g_arr)], e % len(g_arr)
-            y = index.setdefault(key, len(labels))
+        for x, (j, g) in iproduct(frontier, enumerate(g_gens)):
+            prod = mul(g, trans[x])
+            label = _canon(prod, top)
+            y = index.setdefault(label, len(labels))
             if y == len(labels):  # a tree edge: its Schreier generator is 1
                 if (y + 1) * len(h_all) > cap:
                     raise OracleError(f"G exceeds cap {cap}: points x |H| "
                                       f"reached {(y + 1) * len(h_all)}")
-                labels.append(canon[e])
-                trans.append(prods[e])
-                tinv.append(tinv[x] @ g_inv[j] % q)
+                labels.append(label)
+                trans.append(prod)
+                tinv.append(mul(tinv[x], g_inv[j]))
                 continue
-            gen = tinv[y] @ prods[e] % q
-            gen_key = next(_keys(gen[None], q))
-            if gen_key not in h_keys:
+            gen = mul(tinv[y], prod)
+            if gen not in h_all:
                 raise OracleError(
-                    f"Schreier generator {_fmt_matrix(gen)} at point "
-                    f"{_fmt_matrix(labels[x])}, G generator {j}, is not in H")
-            if gen_key not in stab_keys:
-                stab_gens.append(gen)
-                stab_keys = set(_keys(_closure(np.stack(stab_gens), q, cap, "G & H"), q))
+                    f"Schreier generator {_fmt_matrix(gen, k)} at point "
+                    f"{_fmt_matrix(labels[x], k)}, G generator {j}, is not in H")
+            if gen not in stab:
+                _adjoin(stab, stab_gens, gen, mul)
         frontier = range(frontier.stop, len(labels))
-    if len(stab_keys) != len(h_all):
+    if len(stab) != len(h_all):
         raise OracleError("H is not contained in the group generated by G")
 
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
     for name, mats in blocks:  # b in G iff b·H = t_y H with t_y^-1 b in G ∩ H
-        mats = np.array(mats, dtype=np.int64)
-        ys = [index.get(key) for key in _keys(_canon(mats, h_all, q), q)]
-        if None in ys or not stab_keys.issuperset(
-                _keys(np.matmul(np.stack([tinv[y] for y in ys]), mats) % q, q)):
-            raise OracleError(f"{name} is not contained in the group generated by G")
+        for b in _flat(mats):
+            y = index.get(_canon(b, top))
+            if y is None or mul(tinv[y], b) not in stab:
+                raise OracleError(f"{name} is not contained in the group generated by G")
 
-    def partition_under(gen_arr: np.ndarray) -> _UnionFind:
-        uf = _UnionFind(len(labels))
-        for e, key in enumerate(_keys(_canon(moved(gen_arr, labels), h_all, q), q)):
-            uf.union(e // len(gen_arr), index[key])
-        return uf
+    def act(x: int, g: tuple) -> int:  # the point g·x
+        return index[_canon(mul(g, labels[x]), top)]
 
-    buf = partition_under(np.array(spec.b_gens, dtype=np.int64))
-    classes: dict[int, list[int]] = {}
-    for i in range(len(labels)):
-        classes.setdefault(buf.find(i), []).append(i)
+    def orbits_under(mats) -> list[list[int]]:
+        gens, seen, out = _flat(mats), set(), []
+        for i in range(len(labels)):
+            if i not in seen:
+                out.append(list(_close({i: None}, [i], gens, act)))
+                seen.update(out[-1])
+        return out
 
-    label_keys = list(index)  # insertion order is label order
-    ordered = sorted(classes.values(),
-                     key=lambda m: (len(m), min(label_keys[i] for i in m)))
-    orbit_of_coset = {}
-    infos = []
-    for oi, members in enumerate(ordered):
-        for i in members:
-            orbit_of_coset[i] = oi
-        best = min(members, key=label_keys.__getitem__)
-        infos.append(OrbitInfo(representative=_fmt_matrix(labels[best]),
-                               size=len(members)))
-    total = sum(o.size for o in infos)
-    if total != len(labels):
-        raise OracleError(f"orbit sizes sum to {total}, not {len(labels)}")
-
+    ordered = sorted(orbits_under(spec.b_gens),
+                     key=lambda m: (len(m), min(labels[i] for i in m)))
+    orbit_of_coset = {i: oi for oi, members in enumerate(ordered) for i in members}
+    infos = [OrbitInfo(representative=_fmt_matrix(min(labels[i] for i in m), k),
+                       size=len(m)) for m in ordered]
     merges: dict[int, tuple[tuple[int, ...], ...]] = {}
     for alpha, mats in sorted(spec.parabolics.items()):
-        puf = partition_under(np.array(mats, dtype=np.int64))
-        pclasses: dict[int, set[int]] = {}
-        for i in range(len(labels)):
-            pclasses.setdefault(puf.find(i), set()).add(orbit_of_coset[i])
-        sizes = Counter(map(puf.find, range(len(labels))))
-        for root, orbset in pclasses.items():
-            if sum(infos[oi].size for oi in orbset) != sizes[root]:
+        blocks = []
+        for members in orbits_under(mats):
+            block = sorted({orbit_of_coset[i] for i in members})
+            if sum(infos[oi].size for oi in block) != len(members):
                 raise OracleError(f"P_{alpha} class is not a union of B-orbits")
-        blocks = sorted(tuple(sorted(s)) for s in pclasses.values())
-        merges[alpha] = tuple(blocks)
+            blocks.append(tuple(block))
+        merges[alpha] = tuple(sorted(blocks))
     return OracleReport(spec_name=spec.name, root_system=spec.root_system,
-                        q=q, group_order=len(labels) * len(stab_keys),
+                        q=q, group_order=len(labels) * len(stab),
                         subgroup_order=len(h_all), point_count=len(labels),
                         orbits=tuple(infos), merges=merges)
 
@@ -406,14 +419,10 @@ def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | N
     if len(points) < 2:
         raise OracleError("monomial fit needs at least two primes")
     q0, s0 = points[0]
-    hits = []
-    for a, b in iproduct(range(_FIT_EXPONENT_BOUND), repeat=2):
-        denom = q0**a * (q0 - 1) ** b
-        c = Fraction(s0, denom)
-        if c <= 0:
-            continue
-        if all(c * q**a * (q - 1) ** b == s for q, s in points[1:]):
-            hits.append((a, b, c))
+    hits = [(a, b, Fraction(s0, q0**a * (q0 - 1) ** b))
+            for a, b in iproduct(range(_FIT_EXPONENT_BOUND), repeat=2)]
+    hits = [(a, b, c) for a, b, c in hits
+            if c > 0 and all(c * q**a * (q - 1) ** b == s for q, s in points[1:])]
     if not hits:
         return None
     if len(hits) > 1:
@@ -563,15 +572,10 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
     n = reports[0].orbit_count
 
     notes = ["c and s are invisible to point counts; both set to 0"]
-    fits: list[tuple[int, int, Fraction] | None] = []
-    for i in range(n):
-        points = [(r.q, r.orbits[i].size) for r in reports]
-        fits.append(fit_monomial(points))
-
-    if any(f is None for f in fits):
-        bad = [i for i, f in enumerate(fits) if f is None]
-        for i in bad:
-            notes.append(f"orbit {i} unclassified: no monomial size fit")
+    fits = [fit_monomial([(r.q, r.orbits[i].size) for r in reports]) for i in range(n)]
+    if None in fits:
+        notes += [f"orbit {i} unclassified: no monomial size fit"
+                  for i, f in enumerate(fits) if f is None]
         return InferredDatum(datum=None, notes=tuple(notes),
                              point_counts=(), fits=())
 
@@ -597,8 +601,7 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
             ids = [name_of[i] for i in members]
             if len(block) == 1:
                 row.append(RaiseCell(alpha, "A", y=ids[0]))
-                continue
-            if len(block) == 2:
+            elif len(block) == 2:
                 hi, lo = members
                 if dims[hi] == dims[lo]:
                     raise OracleError(
@@ -615,8 +618,7 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                 else:
                     raise OracleError(
                         f"P_{alpha} pair {ids}: rank proxies differ by {bh - bl}")
-                continue
-            if len(block) == 3:
+            elif len(block) == 3:
                 y, z1, z2 = members
                 if dims[z1] == dims[z2]:
                     row.append(RaiseCell(alpha, "RT", y=ids[0],
@@ -628,9 +630,9 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                     raise OracleError(
                         f"P_{alpha} triple {ids}: dims {dims[y]},{dims[z1]},"
                         f"{dims[z2]} fit neither RT nor TU")
-                continue
-            raise OracleError(
-                f"P_{alpha} class with {len(block)} B-orbits is out of scope")
+            else:
+                raise OracleError(
+                    f"P_{alpha} class with {len(block)} B-orbits is out of scope")
         cells[alpha] = row
 
     datum = OrbitDatum(rs, tuple(orbits),
@@ -647,11 +649,8 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                          point_counts=point_counts, fits=fit_rows)
 
 
-_KINDCLASS = {"RI": "RI|N", "N": "RI|N"}
-
-
 def _kindclass(kind: str) -> str:
-    return _KINDCLASS.get(kind, kind)
+    return "RI|N" if kind in ("RI", "N") else kind
 
 
 @dataclass(frozen=True)

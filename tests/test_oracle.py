@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -24,14 +25,15 @@ from weylorb.oracle import (
     OracleError,
     OracleReport,
     OrbitInfo,
+    _adjoin,
+    _arith,
     _canon,
-    _closure,
+    _close,
     _det_mod,
     _fmt_matrix,
     _inv_mod,
-    _keys,
+    _Level,
     _match,
-    _UnionFind,
     align_reports,
     compare,
     enumerate_orbits,
@@ -117,10 +119,22 @@ def test_spec_rejects_nonprime_and_bad_fields():
         spec_from_obj(obj2, 5)
 
 
+def _closure(gens, q: int, cap: int = 10**6) -> dict:
+    """The pure closure of flat generators, as enumerate_orbits forms H."""
+    arith = _arith(isqrt(len(gens[0])), q)
+    return _close({arith.eye: None}, [arith.eye], list(gens), arith.mul, cap, "H")
+
+
+def _chain_top(h_gens, q: int, order: int) -> _Level:
+    """The top level of H's chain, as enumerate_orbits builds it."""
+    flat = [tuple(x for row in h for x in row) for h in h_gens]
+    return _Level(flat, [_inv_mod(h, q) for h in h_gens], order, _arith(len(h_gens[0]), q))
+
+
 def test_closure_keys_wide_enough_past_q_256():
-    unipotent = np.array([[[1, 1], [0, 1]]], dtype=np.int64)
-    assert len(_closure(unipotent, 257, 10**4, "U")) == 257
-    assert len(_closure(unipotent, 251, 10**4, "U")) == 251
+    unipotent = [(1, 1, 0, 1)]
+    assert len(_closure(unipotent, 257, 10**4)) == 257
+    assert len(_closure(unipotent, 251, 10**4)) == 251
 
 
 def test_spec_rejects_q_overflowing_int64():
@@ -187,6 +201,29 @@ def test_cap_enforced():
 
 
 # -- differential: the enumeration that builds all of G, kept as reference --
+
+def _keys(mats: np.ndarray, q: int):
+    """Per matrix of residues mod q, its entries as big-endian integers wide
+    enough for q - 1, so keys compare as the row-major entry sequences do."""
+    flat = mats.astype(np.uint8 if q <= 256 else ">u4").reshape(len(mats), -1)
+    return map(np.ndarray.tobytes, flat)
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
 
 def _closure_reference(gens: np.ndarray, q: int, cap: int, what: str) -> np.ndarray:
     """All products of the generators, BFS order from the identity, one
@@ -277,7 +314,7 @@ def enumerate_orbits_reference(spec: MatGroupSpec, cap: int = 10**7) -> OracleRe
         for i in members:
             orbit_of_coset[i] = oi
         best = min(members, key=label_keys.__getitem__)
-        infos.append(OrbitInfo(representative=_fmt_matrix(labels[best]),
+        infos.append(OrbitInfo(representative=_fmt_matrix(labels[best].ravel().tolist(), k),
                                size=len(members)))
     merges = {}
     for alpha, mats in sorted(spec.parabolics.items()):
@@ -295,9 +332,14 @@ def _mul(a, b, q: int):
     return tuple(map(tuple, (np.array(a, dtype=np.int64) @ np.array(b) % q).tolist()))
 
 
+def _inverse(g, q: int):
+    """The inverse mod q as a tuple of rows."""
+    return tuple(map(tuple, np.array(_inv_mod(g, q)).reshape(len(g), -1).tolist()))
+
+
 def _conjugated(obj: dict, g, q: int) -> dict:
     """The spec with every generator M replaced by g M g^-1 mod q, pinned to q."""
-    g_inv = _inv_mod(g, q)
+    g_inv = _inverse(g, q)
 
     def conj(mats):
         return [_mul(_mul(g, m, q), g_inv, q) for m in mats]
@@ -341,20 +383,59 @@ def test_enumeration_matches_reference_on_bundled(name, q):
     spec = load_spec(oracle_spec_text(name), q)
     assert run(name, q).to_obj() == enumerate_orbits_reference(spec).to_obj()
     h = np.array(spec.h_gens, dtype=np.int64)
-    assert np.array_equal(_closure(h, q, 10**6, "H"), _closure_reference(h, q, 10**6, "H"))
+    want = [tuple(m.ravel().tolist()) for m in _closure_reference(h, q, 10**6, "H")]
+    assert list(_closure([tuple(m.ravel().tolist()) for m in h], q)) == want  # BFS order
+
+
+_GL3_LENGTHS = (0, 1, 1, 2, 2, 3)  # l(w) for w in S_3
 
 
 @pytest.mark.parametrize("obj,q", [
     (_conjugated(_bruhat_obj(2, 11, 2), ((3, 7), (5, 1)), 11), 11),
     (_bruhat_obj(3, 3, 2), 3),
-], ids=["gl2-B-conjugated-q11", "gl3-B-q3"])
+    (_conjugated(_bruhat_obj(3, 3, 2), ((1, 2, 0), (0, 1, 1), (2, 0, 1)), 3), 3),
+], ids=["gl2-B-conjugated-q11", "gl3-B-q3", "gl3-B-conjugated-q3"])
 def test_enumeration_matches_reference_on_bruhat(obj, q):
     spec = spec_from_obj(obj, q)
     rep = enumerate_orbits(spec)
     assert rep.to_obj() == enumerate_orbits_reference(spec).to_obj()
     sizes = sorted(o.size for o in rep.orbits)
     assert sizes == sorted(q ** length for length in
-                           ((0, 1) if spec.dimension == 2 else (0, 1, 1, 2, 2, 3)))
+                           ((0, 1) if spec.dimension == 2 else _GL3_LENGTHS))
+
+
+def test_bruhat_gl3_at_q5_and_q7_matches_gen_flag_a2():
+    """GL3/B with a primitive-root torus: six B-orbits of sizes q^l(w) at
+    q = 5 and 7, and the inferred datum matches gen-flag A2.  Closing all
+    of G, as enumerate_orbits_reference does, takes 35 s and 0.9 GB at
+    q = 5, so the conjugated spec there is checked against the plain one,
+    and its labels against the lexsort over all of H, instead."""
+    start = time.perf_counter()
+    reports = []
+    for q, root in ((5, 2), (7, 3)):
+        reports.append(enumerate_orbits(spec_from_obj(_bruhat_obj(3, q, root), q),
+                                        cap=10**8))
+        assert sorted(o.size for o in reports[-1].orbits) == [q**n for n in _GL3_LENGTHS]
+    assert time.perf_counter() - start < 10  # scanning all of H per coset: 24-38 s
+    inferred = infer_datum(reports, build_root_system("A2"))
+    assert compare(generate_flag_datum(build_root_system("A2")), inferred.datum).match
+
+    obj = _conjugated(_bruhat_obj(3, 5, 2), ((1, 2, 0), (0, 1, 3), (1, 0, 1)), 5)
+    spec = spec_from_obj(obj, 5)
+    conj = enumerate_orbits(spec)
+    plain, aligned = align_reports([reports[0], conj])
+    assert (aligned.group_order, aligned.subgroup_order, aligned.point_count) == (
+        plain.group_order, plain.subgroup_order, plain.point_count)
+    assert [o.size for o in aligned.orbits] == [o.size for o in plain.orbits]
+    h_ref = _closure_reference(np.array(spec.h_gens, dtype=np.int64), 5, 10**5, "H")
+    top = _chain_top(spec.h_gens, 5, len(h_ref))
+    for orbit in conj.orbits:
+        rep = np.array(json.loads(orbit.representative))
+        assert np.array_equal(_canon_reference(rep, h_ref, 5), rep)
+        for g in np.array(spec.g_gens):  # labels of the neighbouring cosets
+            want = _canon_reference(g @ rep % 5, h_ref, 5)
+            assert _canon(tuple((g @ rep % 5).ravel().tolist()), top) == tuple(
+                want.ravel().tolist())
 
 
 @st.composite
@@ -381,22 +462,39 @@ def test_enumeration_matches_reference_on_conjugates(name, case):
 @given(_invertible())
 def test_inv_mod_is_inverse(case):
     mat, q = case
-    inv = _inv_mod(mat, q)
-    eye = np.eye(len(mat), dtype=np.int64)
+    k = len(mat)
+    inv = np.array(_inv_mod(mat, q)).reshape(k, k)
+    eye = np.eye(k, dtype=np.int64)
     assert np.array_equal(np.array(mat) @ inv % q, eye)
     assert np.array_equal(inv @ np.array(mat) % q, eye)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 7, 257, 65537]), st.integers(1, 6), st.randoms())
+def test_unrolled_products_match_matmul(q, k, rnd):
+    a, b = (np.array([rnd.randrange(q) for _ in range(k * k)]).reshape(k, k)
+            for _ in range(2))
+    arith = _arith(k, q)
+    flat_a, flat_b = (tuple(m.ravel().tolist()) for m in (a, b))
+    assert arith.mul(flat_a, flat_b) == tuple((a @ b % q).ravel().tolist())
+    assert arith.vmul(flat_a[:k], flat_b) == tuple((a[0] @ b % q).tolist())
+    assert arith.eye == tuple(np.eye(k, dtype=int).ravel().tolist())
+
+
 @st.composite
 def _canon_cases(draw):
-    """A subgroup H of small order (signed permutations, one unipotent or
-    one diagonal generator, conjugated by a random g) and random matrices,
-    singular ones included, with a chunk size small enough that the
-    matrices are split over several blocks."""
-    g, q = draw(_invertible(ks=(1, 2, 3)))
+    """Generators of a subgroup H, conjugated by a random g, and random
+    matrices, singular ones included.  H is trivial, generated by signed
+    permutations, one unipotent or one diagonal matrix, or an upper
+    triangular group (unipotent part and one or two diagonal matrices,
+    q <= 7), whose row-stabilizer chain is non-trivial for several levels."""
+    kind = draw(st.sampled_from(["trivial", "signed", "unipotent", "diagonal", "upper"]))
+    g, q = draw(_invertible(qs=(2, 3, 5, 7) if kind == "upper" else (2, 3, 5, 7, 257),
+                            ks=(1, 2, 3)))
     k = len(g)
-    kind = draw(st.sampled_from(["signed", "unipotent", "diagonal"]))
-    if kind == "signed" or k == 1:
+    if kind == "trivial":
+        gens = [_diagonal(k, 0, 1)]
+    elif kind == "signed" or k == 1:
         gens = []
         for _ in range(draw(st.integers(1, 3))):
             perm = draw(st.permutations(range(k)))
@@ -406,27 +504,40 @@ def _canon_cases(draw):
     elif kind == "unipotent":
         i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
         gens = [_elementary(k, i, j, draw(st.integers(1, q - 1)))]
-    else:
+    elif kind == "diagonal":
         gens = [_diagonal(k, draw(st.integers(0, k - 1)), draw(st.integers(1, q - 1)))]
-    g_inv = _inv_mod(g, q)
-    h_gens = np.array([_mul(_mul(g, m, q), g_inv, q) for m in gens], dtype=np.int64)
-    h_all = _closure(h_gens, q, 10**4, "H")
+    else:
+        gens = [_elementary(k, i, i + 1, draw(st.integers(1, q - 1))) for i in range(k - 1)]
+        gens += [_diagonal(k, draw(st.integers(0, k - 1)), draw(st.integers(1, q - 1)))
+                 for _ in range(draw(st.integers(1, 2)))]
+    g_inv = _inverse(g, q)
+    h_gens = [_mul(_mul(g, m, q), g_inv, q) for m in gens]
     n = draw(st.integers(1, 12))
-    mats = np.array(draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k * k,
-                                           max_size=k * k),
-                                  min_size=n, max_size=n)),
-                    dtype=np.int64).reshape(n, k, k)
-    chunk = draw(st.integers(1, 4 * len(h_all) * k))
-    return mats, h_all, q, chunk
+    mats = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k * k, max_size=k * k),
+                         min_size=n, max_size=n))
+    if k > 1 and draw(st.booleans()):  # one matrix with a repeated row
+        mats[0][k:2 * k] = mats[0][:k]
+    return h_gens, [tuple(m) for m in mats], q
 
 
 @settings(max_examples=200, deadline=None)
 @given(_canon_cases())
-def test_batched_canon_matches_lexsort(case):
-    mats, h_all, q, chunk = case
-    got = _canon(mats, h_all, q, chunk=chunk)
-    want = np.stack([_canon_reference(m, h_all, q) for m in mats])
-    assert np.array_equal(got, want)
+def test_chain_canon_matches_lexsort(case):
+    h_gens, mats, q = case
+    k = len(h_gens[0])
+    flat = [tuple(x for row in h for x in row) for h in h_gens]
+    h_all = _closure(flat, q, 10**5)
+    h_ref = _closure_reference(np.array(h_gens, dtype=np.int64), q, 10**5, "H")
+    assert list(h_all) == [tuple(m.ravel().tolist()) for m in h_ref]  # BFS order
+    arith = _arith(k, q)
+    grown, gens = {arith.eye: None}, []
+    for h in flat:  # adjoined one at a time: the same group
+        _adjoin(grown, gens, h, arith.mul)
+    assert set(grown) == set(h_all)
+    top = _chain_top(h_gens, q, len(h_all))
+    for m in mats:  # one chain for all: later matrices reuse its orbits
+        want = _canon_reference(np.array(m).reshape(k, k), h_ref, q)
+        assert _canon(m, top) == tuple(want.ravel().tolist())
 
 
 def _outside_obj(block: str) -> dict:
@@ -463,12 +574,25 @@ def test_cap_messages_name_cap_and_value():
     with pytest.raises(OracleError) as err:  # stops at the first BFS layer past 10
         enumerate_orbits(spec, cap=10)
     assert str(err.value) == "H closure exceeds cap 10: reached 11 elements"
+    upper = [[1, 1], [0, 1]]  # G = H = B, of order 5: the H cap is met exactly
+    spec = spec_from_obj({"name": "u", "root_system": "A1", "q": None, "dimension": 2,
+                          "generators": {"G": [upper], "B": [upper], "H": [upper]}}, 5)
+    assert enumerate_orbits(spec, cap=5).subgroup_order == 5
+    with pytest.raises(OracleError) as err:
+        enumerate_orbits(spec, cap=4)
+    assert str(err.value) == "H closure exceeds cap 4: reached 5 elements"
+
+
+def test_parabolic_class_not_union_of_b_orbits_refused():
+    obj = json.loads(oracle_spec_text("torus"))
+    obj["generators"]["P"] = {"1": obj["generators"]["H"][:1]}  # a torus, not a parabolic
+    with pytest.raises(OracleError, match="^P_1 class is not a union of B-orbits$"):
+        enumerate_orbits(spec_from_obj(obj, 5))
 
 
 def test_schreier_generator_outside_h_is_named(monkeypatch):
     # a canonicalisation that sends every coset to H itself
-    monkeypatch.setattr(oracle, "_canon", lambda mats, h_all, q: np.broadcast_to(
-        np.eye(mats.shape[1], dtype=np.int64), mats.shape).copy())
+    monkeypatch.setattr(oracle, "_canon", lambda m, level: level.arith.eye)
     with pytest.raises(OracleError) as err:
         enumerate_orbits(load_spec(oracle_spec_text("torus"), 5))
     assert str(err.value) == ("Schreier generator [[1,1],[0,1]] at point "
