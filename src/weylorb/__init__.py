@@ -7,17 +7,42 @@ module, and a finite-field brute-force oracle that infers orbit data
 from point counts over several primes.
 
 Each module names what the package re-exports in its own ``__all__``.
+Every layer module is placed in ``sys.modules`` on import, but its source
+is compiled and executed only on first attribute access, so a command
+pays only for the layers it runs.
 """
 
-from . import action, bundled, coxeter, datum, hecke, oracle
-from .action import *
-from .bundled import *
-from .coxeter import *
-from .datum import *
-from .hecke import *
-from .oracle import *
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [*action.__all__, *bundled.__all__, *coxeter.__all__, *datum.__all__,
-           *hecke.__all__, *oracle.__all__, "__version__"]
+#: Layer modules, each after the layers it imports from: ``__getattr__``
+#: searches them in this order, so a lookup runs few layers beyond its own.
+_LAYERS = ("coxeter", "datum", "bundled", "action", "hecke", "oracle")
+
+
+def _lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+coxeter, datum, bundled, action, hecke, oracle = map(_lazy, _LAYERS)
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        return [n for layer in _LAYERS for n in globals()[layer].__all__] + ["__version__"]
+    for layer in _LAYERS:
+        module = globals()[layer]
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

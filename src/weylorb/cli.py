@@ -12,15 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 from pathlib import Path
 
-from . import bundled
-from .action import (
-    BraidObstruction,
-    act_word,
-    braid_check,
-    check_generator_theorem,
-)
+# action, bundled, hecke and oracle execute on first attribute access
+from . import action, bundled, hecke, oracle
 from .coxeter import CapExceeded, RootSystemError, build_root_system, word_name
 from .datum import (
     DatumFormatError,
@@ -32,19 +28,6 @@ from .datum import (
     load_path,
     loads,
     validate,
-)
-from .hecke import HeckeError, build_module, leading_term, verify_regular_representation
-from .hecke import apply as hecke_apply
-from .hecke import braid_check_module
-from .oracle import (
-    DEFAULT_POINT_CAP,
-    DEFAULT_Q_LIST,
-    OracleError,
-    align_reports,
-    compare,
-    enumerate_orbits,
-    infer_datum,
-    spec_from_obj,
 )
 
 
@@ -135,7 +118,7 @@ def _cmd_act(args) -> tuple[int, str]:
     word = _parse_word(args.word, d.root_system.rank)
     if args.orbit not in d.orbit_ids():
         raise UsageError(f"no orbit {args.orbit!r} in the datum")
-    result = act_word(d, word, args.orbit)
+    result = action.act_word(d, word, args.orbit)
     if args.json:
         return 0, _json_body({"word": args.word, "start": args.orbit,
                               "result": result})
@@ -144,7 +127,7 @@ def _cmd_act(args) -> tuple[int, str]:
 
 def _cmd_braid(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
-    violations = braid_check(d)
+    violations = action.braid_check(d)
     if args.json:
         return (1 if violations else 0), _json_body({
             "ok": not violations,
@@ -160,8 +143,8 @@ def _cmd_braid(args) -> tuple[int, str]:
 def _cmd_stabilizer(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
     try:
-        theorem = check_generator_theorem(d)
-    except BraidObstruction as exc:
+        theorem = action.check_generator_theorem(d)
+    except action.BraidObstruction as exc:
         return 1, f"VIOLATION {exc}\n"
     desc = theorem.stabilizer
     gen_names = sorted(word_name(w.word) for w in theorem.generating_set)
@@ -184,21 +167,21 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
 
 def _cmd_hecke(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
-    module = build_module(d)
+    module = hecke.build_module(d)
     problems: list[str] = []
 
     for alpha in sorted(module.columns):
         for oid in module.basis:
             v = module.unit(oid)
-            if hecke_apply(module, alpha, hecke_apply(module, alpha, v)) != v:
+            if hecke.apply(module, alpha, hecke.apply(module, alpha, v)) != v:
                 problems.append(f"T_{alpha} is not an involution at [{oid}]")
 
     lead_ok = True
     for alpha in sorted(module.columns):
         for oid in module.basis:
             try:
-                lead = leading_term(module, alpha, oid)
-            except HeckeError as exc:
+                lead = hecke.leading_term(module, alpha, oid)
+            except hecke.HeckeError as exc:
                 problems.append(str(exc))
                 lead_ok = False
                 continue
@@ -209,9 +192,9 @@ def _cmd_hecke(args) -> tuple[int, str]:
                 lead_ok = False
 
     # the regular-representation check runs the module braid check itself
-    regular = verify_regular_representation(d) if "e" in module.basis else None
+    regular = hecke.verify_regular_representation(d) if "e" in module.basis else None
     braid_violations = (regular.braid_violations if regular
-                        else braid_check_module(module))
+                        else hecke.braid_check_module(module))
     problems.extend(v.line() for v in braid_violations)
     if regular and not regular.ok:
         problems.append("regular representation check failed")
@@ -276,25 +259,25 @@ def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
         else:
             run_qs = list(qs)
         for q in run_qs:
-            reports.append(enumerate_orbits(spec_from_obj(obj, q), cap=cap))
+            reports.append(oracle.enumerate_orbits(oracle.spec_from_obj(obj, q), cap=cap))
     reports.sort(key=lambda r: (r.spec_name, r.q))
     return reports
 
 
 def _cmd_oracle(args) -> tuple[int, str]:
-    qs = _parse_q_list(args.q_list)
-    cap = args.cap
+    qs = oracle.DEFAULT_Q_LIST if args.q_list is None else _parse_q_list(args.q_list)
+    cap = oracle.DEFAULT_POINT_CAP if args.cap is None else args.cap
     if args.mode == "enumerate":
         reports = _oracle_specs(args.paths, qs, cap)
         aligned_counts = None
         if len({r.q for r in reports}) > 1 and len({r.spec_name
                                                     for r in reports}) == 1:
             try:
-                aligned = align_reports(reports)
+                aligned = oracle.align_reports(reports)
                 aligned_counts = [
                     {str(r.q): r.orbits[i].size for r in aligned}
                     for i in range(aligned[0].orbit_count)]
-            except OracleError:
+            except oracle.OracleError:
                 aligned_counts = None
         if args.json:
             return 0, _json_body({
@@ -313,7 +296,7 @@ def _cmd_oracle(args) -> tuple[int, str]:
     if args.mode == "infer":
         reports = _oracle_specs(args.paths, qs, cap)
         rs = build_root_system(reports[0].root_system)
-        inferred = infer_datum(reports, rs)
+        inferred = oracle.infer_datum(reports, rs)
         code = 0 if inferred.datum is not None else 1
         return code, _json_body(inferred.to_obj())
 
@@ -322,10 +305,10 @@ def _cmd_oracle(args) -> tuple[int, str]:
             raise UsageError("compare needs oracle spec(s) followed by a datum")
         reference = _load_datum(args.paths[-1])
         reports = _oracle_specs(args.paths[:-1], qs, cap)
-        inferred = infer_datum(reports, reference.root_system)
+        inferred = oracle.infer_datum(reports, reference.root_system)
         if inferred.datum is None:
             return 1, "\n".join(inferred.notes) + "\n"
-        result = compare(reference, inferred.datum)
+        result = oracle.compare(reference, inferred.datum)
         if args.json:
             return (0 if result.match else 1), _json_body({
                 "match": result.match,
@@ -393,8 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+",
                    help="oracle spec files; for compare, the last "
                         "argument is the datum to compare against")
-    p.add_argument("--q-list", default=",".join(str(q) for q in DEFAULT_Q_LIST))
-    p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP)
+    # defaults resolved in _cmd_oracle, so that building the parser
+    # does not execute the oracle
+    p.add_argument("--q-list", default=None)
+    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
@@ -407,25 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """Exceptions that mean bad input or arguments (exit code 2).
+
+    OracleError and HeckeError are named only once their layer has run: a
+    layer still lazy cannot have raised, and naming its class would run it.
+    """
+    errors = [UsageError, DatumFormatError, RootSystemError, CapExceeded,
+              OSError, json.JSONDecodeError]
+    for module, name in ((oracle, "OracleError"), (hecke, "HeckeError")):
+        if type(module) is types.ModuleType:
+            errors.append(getattr(module, name))
+    return tuple(errors)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code, body = args.func(args)
-    except UsageError as exc:
+        if args.out:
+            Path(args.out).write_text(body, encoding="utf-8")
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DatumFormatError, RootSystemError, OracleError, HeckeError,
-            CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(body, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(body)
     return code
 

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .coxeter import (
     RootSystem,
@@ -492,9 +493,48 @@ def datum_to_obj(d: OrbitDatum) -> dict:
     return obj
 
 
+def _block(items, indent: int, brackets: str = "[]") -> str:
+    """A JSON array, or with brackets "{}" an object, of already encoded
+    items (values, or "key": value members), laid out as indent=2 does."""
+    pad = "\n" + " " * (indent + 2)
+    body = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{body}\n{' ' * indent}{brackets[1]}" if body else brackets
+
+
+# Each template lists its record's keys in the order sort_keys gives them.
+_ORBIT = ('{\n      "c": %d,\n      "dim": %d,\n      "id": %s,\n%s'
+          '      "open": %s,\n      "rk": %d,\n      "s": %d\n    }')
+_CELL = {kind: '{\n        "kind": "%s"' % kind
+         + "".join(f',\n        "{role}": %s' for role in roles) + "\n      }"
+         for kind, roles in ROLES.items()}
+
+
 def dumps(d: OrbitDatum) -> str:
-    """Deterministic serialization: sorted keys, sorted orbit lists."""
-    return json.dumps(datum_to_obj(d), indent=2, sort_keys=True) + "\n"
+    """Deterministic serialization: sorted keys, sorted orbit lists.
+
+    The bytes of ``json.dumps(datum_to_obj(d), indent=2, sort_keys=True)``
+    and a newline, written record by record from fixed templates.
+    """
+    q = encode_basestring_ascii
+    orbits = [_ORBIT % (
+        o.c, o.dim, q(o.id),
+        "" if o.lattice is None else '      "lattice": %s,\n' % _block(
+            [_block(map(str, row), 8) for row in o.lattice], 6),
+        "true" if o.open else "false", o.rk, o.s) for o in d.orbits]
+    # sort_keys orders the cell keys as strings: "10" before "2"
+    cells = [f'"{alpha}": ' + _block([_CELL[c.kind] % tuple(map(q, c.members()))
+                                      for c in cs], 4)
+             for alpha, cs in sorted(d.cells.items(), key=lambda kv: str(kv[0]))]
+    rs = d.root_system
+    top = [f'"cells": {_block(cells, 2, "{}")}']
+    if d.notes:
+        top.append(f'"notes": {_block(map(q, d.notes), 2)}')
+    top.append(f'"orbits": {_block(orbits, 2)}')
+    top.append('"root_system": ' + _block(
+        [f'"family": {q(rs.family)}',
+         f'"raise_dims": {_block(map(str, rs.raise_dims), 4)}',
+         f'"rank": {rs.rank}'], 2, "{}"))
+    return _block(top, 0, "{}") + "\n"
 
 
 def datum_from_obj(obj: dict) -> OrbitDatum:

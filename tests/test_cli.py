@@ -14,7 +14,8 @@ import pytest
 import weylorb
 from weylorb.bundled import bundled_path, datum_text
 from weylorb.cli import main
-from weylorb.datum import loads
+from weylorb.coxeter import build_root_system
+from weylorb.datum import dumps, generate_flag_datum, loads
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -236,7 +237,7 @@ def test_gen_flag_past_group_cap_is_refused(capsys):
 
 
 _WEYL_COMMANDS_WITHOUT_NUMPY = """
-import contextlib, io, sys
+import contextlib, io, sys, types
 from weylorb.cli import main
 
 flag = sys.argv[1]
@@ -249,19 +250,77 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes.append(exc.code)
 assert codes == [0] * 6, codes
 assert "numpy" not in sys.modules
-assert "weylorb.oracle" in sys.modules
+# registered for lazy loading, but not executed
+assert type(sys.modules["weylorb.oracle"]) is not types.ModuleType
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["oracle", "enumerate", "torus", "--q-list", "5"])
 assert code == 0 and out.getvalue().startswith("spec "), out.getvalue()
+assert type(sys.modules["weylorb.oracle"]) is types.ModuleType
 assert "numpy" not in sys.modules
 """
 
 
-def test_weyl_commands_do_not_load_numpy(tmp_path):
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter that imports this weylorb."""
     src = Path(weylorb.__file__).resolve().parent.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _WEYL_COMMANDS_WITHOUT_NUMPY, str(tmp_path / "flag.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_weyl_commands_do_not_load_numpy(tmp_path):
+    proc = _fresh_python(_WEYL_COMMANDS_WITHOUT_NUMPY, str(tmp_path / "flag.json"))
     assert proc.returncode == 0, proc.stderr
+
+
+# A layer not yet executed is still a LazyLoader stub, whose type is a
+# subclass of types.ModuleType until its first attribute access.
+_EXECUTED_LAYERS = """
+import contextlib, io, json, sys, types
+from weylorb.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, [name for name in ("action", "bundled", "hecke", "oracle")
+                         if type(sys.modules["weylorb." + name]) is types.ModuleType]]))
+"""
+
+
+@pytest.mark.parametrize("argv,executes,skips,want", [
+    (["gen-flag", "A2"], set(), {"action", "hecke", "oracle"}, 0),
+    (["validate", "{flag}"], set(), {"action", "hecke", "oracle"}, 0),
+    (["validate", "{flag}", "--json"], set(), {"action", "hecke", "oracle"}, 0),
+    (["export-dot", "{flag}"], set(), {"action", "hecke", "oracle"}, 0),
+    (["--help"], set(), {"action", "hecke", "oracle"}, 0),
+    (["braid", "{flag}"], {"action"}, {"hecke", "oracle"}, 0),
+    (["stabilizer", "{flag}"], {"action"}, {"hecke", "oracle"}, 0),
+    (["act", "{flag}", "1.2", "e"], {"action"}, {"hecke", "oracle"}, 0),
+    (["hecke", "{flag}"], {"hecke"}, {"oracle"}, 0),
+    (["oracle", "enumerate", "torus", "--q-list", "5"], {"oracle"}, set(), 0),
+    # refusals: an OracleError from the freshly loaded oracle, and an
+    # empty q-list refused before the oracle runs
+    (["oracle", "enumerate", "torus", "--q-list", "6"], {"oracle"}, set(), 2),
+    (["oracle", "enumerate", "torus", "--q-list", ""], set(), {"oracle"}, 2),
+])
+def test_commands_execute_only_the_layers_they_run(tmp_path, argv, executes, skips, want):
+    flag = tmp_path / "flag.json"
+    flag.write_text(dumps(generate_flag_datum(build_root_system("A2"))), encoding="utf-8")
+    proc = _fresh_python(_EXECUTED_LAYERS, *(a.format(flag=flag) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    code, executed = json.loads(proc.stdout)
+    assert code == want
+    assert executes <= set(executed) and not skips & set(executed), executed
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-flag", "A2", "--out", "{tmp}/missing/dir/a2.json"],
+    ["validate", "sl3_so12", "--out", "{tmp}"],
+])
+def test_failed_out_write_is_an_input_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err

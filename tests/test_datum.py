@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylorb.bundled import DATUM_NAMES, ORACLE_SPEC_NAMES, bundled_datum, oracle_spec_text
 from weylorb.coxeter import build_root_system, enumerate_group, word_name
 from weylorb.datum import (
+    KINDS,
+    ROLES,
     DatumFormatError,
     Orbit,
     OrbitDatum,
     RaiseCell,
     check_lattices,
+    datum_to_obj,
     dumps,
     export_dot,
     generate_flag_datum,
@@ -428,6 +435,67 @@ def test_parse_errors():
 
     with pytest.raises(DatumFormatError, match="JSON"):
         loads("not json {")
+
+
+def reference_dumps(d: OrbitDatum) -> str:
+    """The layout dumps writes from templates, by the json module."""
+    return json.dumps(datum_to_obj(d), indent=2, sort_keys=True) + "\n"
+
+
+# ids and notes with quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(st.sampled_from('ab1.e"\\\n\x7fé€😀'), min_size=1, max_size=5)
+_INT = st.integers(0, 10**6)
+_LATTICE = st.none() | st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3)
+
+
+@st.composite
+def _data(draw) -> OrbitDatum:
+    rank = draw(st.sampled_from((1, 2, 10, 11)))
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=6, unique=True))
+    orbits = [Orbit(oid, draw(_INT), draw(_INT), draw(_INT), draw(_INT),
+                    open=draw(st.booleans()),
+                    lattice=None if (lat := draw(_LATTICE)) is None
+                    else tuple(map(tuple, lat)))
+              for oid in ids]
+    cells = {}
+    for alpha in draw(st.sets(st.integers(1, rank), max_size=4)):
+        kinds = draw(st.lists(st.sampled_from(KINDS), max_size=3))
+        cells[alpha] = tuple(
+            RaiseCell(alpha, kind, **{role: draw(st.sampled_from(ids))
+                                      for role in ROLES[kind]})
+            for kind in kinds)
+    notes = tuple(draw(st.lists(_TEXT, max_size=2)))
+    return OrbitDatum(_rank_a(rank), tuple(orbits), cells, notes)
+
+
+_rank_a = functools.cache(lambda rank: build_root_system("A", rank))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_data())
+def test_dumps_matches_json_module(d):
+    assert dumps(d) == reference_dumps(d)
+
+
+def test_dumps_matches_json_module_on_every_producer():
+    from weylorb.oracle import enumerate_orbits, infer_datum, load_spec
+
+    produced = [generate_flag_datum(build_root_system(token, raise_dims=dims))
+                for token, dims in [("A1", None), ("A3", None), ("BC2", [2, 1]),
+                                    ("G2", None), ("F4", None), ("B3xG2", None),
+                                    ("B5", [2, 2, 2, 2, 3])]]
+    produced += [bundled_datum(name) for name in DATUM_NAMES]
+    runs = [(("torus", "torus"), "A1"), (("torus_normalizer",) * 2, "A1"),
+            (("horospherical",) * 2, "A1"),
+            (("product_diag_q5", "product_diag_q7"), "A1xA1")]
+    assert {name for names, _ in runs for name in names} == set(ORACLE_SPEC_NAMES)
+    for names, token in runs:
+        reports = [enumerate_orbits(load_spec(oracle_spec_text(name), q))
+                   for name, q in zip(names, (5, 7))]
+        produced.append(infer_datum(reports, build_root_system(token)).datum)
+    assert all(d is not None for d in produced)
+    for d in produced:
+        assert dumps(d) == reference_dumps(d)
 
 
 # -- DOT ---------------------------------------------------------------------

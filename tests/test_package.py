@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import weylorb
 
 EXPORTED = {
@@ -30,8 +35,38 @@ EXPORTED = {
 def test_exported_names_are_unchanged_and_resolve():
     assert len(weylorb.__all__) == len(set(weylorb.__all__))
     assert set(weylorb.__all__) == EXPORTED
+    assert EXPORTED <= set(dir(weylorb))
     for name in weylorb.__all__:
         assert getattr(weylorb, name) is not None, name
     namespace: dict = {}
     exec("from weylorb import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTED
+
+
+# benchmark/shim.py wraps these names right after ``import weylorb.cli``,
+# before any command runs, so each layer must already be in sys.modules.
+_SHIM_TARGETS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import layers
+import weylorb.cli
+
+for module, attr, _ in layers.TARGETS:
+    obj = sys.modules["weylorb." + module]
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj), (module, attr)
+print(len(layers.TARGETS))
+"""
+
+
+def test_benchmark_targets_resolve_after_importing_the_cli():
+    root = Path(weylorb.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHIM_TARGETS, str(root / "benchmark")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
