@@ -3,20 +3,21 @@
 The free product of the rank-1 involutions sigma(alpha, .) always acts;
 the action factors through the Weyl group exactly when the braid
 relations hold, which :func:`braid_check` verifies pairwise.  On a clean
-datum the stabilizer of the open orbit is computed by orbit-stabilizer
-with Schreier generators and closed up inside the full group.
+datum the stabilizer of the open orbit is read off one pass over the
+Weyl group's tables, and the generator theorem closes its candidate
+generators with :meth:`WeylGroup.closure`, all on element ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .coxeter import (
     DEFAULT_GROUP_CAP,
     WeylElement,
     braid_witnesses,
     reflections,
-    subgroup_closure,
     weyl_group,
     word_name,
 )
@@ -48,9 +49,9 @@ class BraidViolation:
 
 @dataclass(frozen=True)
 class SubgroupDescription:
-    """A subgroup of the Weyl group with Schreier generators as witnesses."""
+    """A subgroup of the Weyl group, as ids into its tables and as elements."""
 
-    generators: tuple[WeylElement, ...]
+    ids: frozenset[int]
     elements: frozenset[WeylElement]
 
     @property
@@ -132,12 +133,11 @@ def stabilizer_open(d: OrbitDatum,
                     cap: int = DEFAULT_GROUP_CAP) -> SubgroupDescription:
     """Stabilizer of the open orbit in the Weyl group.
 
-    Computed by orbit-stabilizer: a breadth-first transversal of the open
-    orbit gives Schreier generators u_y^-1 s_alpha u_x, whose closure is
-    the full stabilizer.  The u_x, their inverses and the generators are
-    ids read off the Weyl group's tables, so no matrix is multiplied or
-    inverted.  Refuses to run if the braid relations fail, since the
-    group action would be ill-defined.
+    Refuses to run unless every sigma is an involution and the braid
+    relations hold, since only then does the action factor through W.
+    One pass over the group in table order then sends each element w to
+    w^-1 applied to the open orbit, from its BFS parent w·s_i; the
+    stabilizer is the set of w whose image is the open orbit.
     """
     table = action_table(d)
     violations = _braid_violations(d, table)
@@ -145,46 +145,28 @@ def stabilizer_open(d: OrbitDatum,
         raise BraidObstruction(
             "sigma does not satisfy the braid relations: "
             + "; ".join(v.line() for v in violations))
+    for alpha, perm in table.items():
+        for x, y in perm.items():
+            if perm[y] != x:
+                raise BraidObstruction(
+                    f"sigma_{alpha} is not an involution: it sends {x} to {y} "
+                    f"and {y} to {perm[y]}")
     rs = d.root_system
     group = weyl_group(rs, cap=cap)
 
     start = d.open_orbit().id
-    transversal = {start: 0}  # orbit id -> id of u_x in the group tables
-    order: list[str] = [start]
-    tree = set()  # BFS tree edges, both ways (sigma and s_alpha are involutions)
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for alpha in sorted(table):
-                y = table[alpha][x]
-                if y not in transversal:
-                    transversal[y] = group.left[transversal[x]][alpha - 1]
-                    tree.update({(x, alpha), (y, alpha)})
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    image = [start]  # image[w] = w^-1 applied to the open orbit
+    for w in range(1, len(group)):
+        i = group.words[w][-1]  # w^-1 = s_i·parent^-1 with parent = w·s_i
+        image.append(table[i + 1][image[group.mul[w][i]]])
+    ids = frozenset(w for w, x in enumerate(image) if x == start)
 
-    schreier: dict[int, None] = {}  # ids in discovery order
-    for x in order:
-        for alpha in (a for a in sorted(table) if (x, a) not in tree):
-            u_y = transversal[table[alpha][x]]
-            s_u_x = group.left[transversal[x]][alpha - 1]
-            if s_u_x != u_y:  # else u_y^-1 s_alpha u_x is the identity
-                schreier.setdefault(group.product(group.inv[u_y], s_u_x))
-
-    generators = [group.element(rs, g) for g in schreier]
-    if generators:
-        elements = frozenset(group.element(rs, group.id_of(w.matrix))
-                             for w in subgroup_closure(generators, cap=cap))
-    else:
-        elements = frozenset({rs.identity_element()})
-
-    if len(elements) * len(transversal) != len(group):
+    orbit = len(set(image))
+    if len(ids) * orbit != len(group):
         raise BraidObstruction(
-            f"orbit-stabilizer mismatch: |orbit| {len(transversal)} x "
-            f"|stab| {len(elements)} != |W| {len(group)}")
-    return SubgroupDescription(generators=tuple(generators), elements=elements)
+            f"orbit-stabilizer mismatch: |orbit| {orbit} x "
+            f"|stab| {len(ids)} != |W| {len(group)}")
+    return SubgroupDescription(ids, frozenset(group.element(rs, w) for w in ids))
 
 
 def check_generator_theorem(d: OrbitDatum,
@@ -197,28 +179,17 @@ def check_generator_theorem(d: OrbitDatum,
     stab = stabilizer_open(d, cap=cap)
     group = weyl_group(rs, cap=cap)
     refl = [group.id_of(w.matrix) for w in reflections(rs)]
-    stab_ids = {group.id_of(w.matrix) for w in stab.elements}
 
-    gens = [w for w in refl if w in stab_ids]
-    lines = rs.positive_lines
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a, b = lines[i], lines[j]
-            if rs.form(a, b) != 0:
-                continue
-            if rs.is_root(tuple(x + y for x, y in zip(a, b))):
-                continue
+    gens = [w for w in refl if w in stab.ids]
+    for (i, a), (j, b) in combinations(enumerate(rs.positive_lines), 2):
+        if rs.form(a, b) == 0 and not rs.is_root(tuple(x + y for x, y in zip(a, b))):
             prod = group.product(refl[i], refl[j])
-            if prod in stab_ids:
+            if prod in stab.ids:
                 gens.append(prod)
 
-    if gens:
-        generated = {group.id_of(w.matrix) for w in subgroup_closure(
-            [group.element(rs, g) for g in gens], cap=cap)}
-    else:
-        generated = {0}
+    generated = group.closure(gens, cap)
     return GeneratorTheoremResult(
-        holds=generated == stab_ids,
+        holds=generated == stab.ids,
         generating_set=tuple(group.element(rs, g) for g in gens),
         stabilizer=stab,
         generated_order=len(generated),

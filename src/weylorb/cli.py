@@ -170,11 +170,13 @@ def _cmd_hecke(args) -> tuple[int, str]:
     module = hecke.build_module(d)
     problems: list[str] = []
 
+    involutions_ok = True
     for alpha in sorted(module.columns):
         for oid in module.basis:
             v = module.unit(oid)
             if hecke.apply(module, alpha, hecke.apply(module, alpha, v)) != v:
                 problems.append(f"T_{alpha} is not an involution at [{oid}]")
+                involutions_ok = False
 
     lead_ok = True
     for alpha in sorted(module.columns):
@@ -210,7 +212,7 @@ def _cmd_hecke(args) -> tuple[int, str]:
             "ok": ok,
             "basis": list(module.basis),
             "columns": columns,
-            "involutions": not any("involution" in p for p in problems),
+            "involutions": involutions_ok,
             "leading_terms_match_sigma": lead_ok,
             "module_braid_ok": not braid_violations,
             "regular_representation": None if regular is None else {
@@ -226,8 +228,7 @@ def _cmd_hecke(args) -> tuple[int, str]:
         for i, oid in enumerate(module.basis):
             terms = module.terms(module.columns[alpha][i])
             lines.append(f"T_{alpha}[{oid}] = " + " + ".join(terms))
-    lines.append("involutions: " + ("OK" if not any("involution" in p
-                                                    for p in problems) else "FAIL"))
+    lines.append("involutions: " + ("OK" if involutions_ok else "FAIL"))
     lines.append("leading terms match sigma: " + ("OK" if lead_ok else "FAIL"))
     lines.append("module braid: " + ("OK" if not braid_violations else "FAIL"))
     if regular is None:
@@ -335,40 +336,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rank", nargs="?", type=int, default=None)
     p.add_argument("--raise-dims", default=None,
                    help="comma-separated raise dimension per simple root")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen_flag)
 
     p = sub.add_parser("validate", help="structure and lattice checks")
     p.add_argument("datum", nargs="?", default="-")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("act", help="apply a word in the sigma involutions")
     p.add_argument("datum")
     p.add_argument("word", help="e or dotted 1-based indices like 1.2.1")
     p.add_argument("orbit")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("braid", help="check the braid relations of the action")
     p.add_argument("datum", nargs="?", default="-")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_braid)
 
     p = sub.add_parser("stabilizer",
                        help="stabilizer of the open orbit and generator theorem")
     p.add_argument("datum", nargs="?", default="-")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_stabilizer)
 
     p = sub.add_parser("hecke", help="build and check the mod-2 Hecke module")
     p.add_argument("datum", nargs="?", default="-")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("oracle", help="finite-field brute-force checks")
@@ -380,15 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     # does not execute the oracle
     p.add_argument("--q-list", default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("export-dot", help="raise structure as a DOT graph")
     p.add_argument("datum", nargs="?", default="-")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export_dot)
 
+    # appended last, so every subcommand's own arguments keep their order
+    for name, p in sub.choices.items():
+        if name not in ("gen-flag", "export-dot"):
+            p.add_argument("--json", action="store_true")
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -613,6 +613,27 @@ class WeylGroup:
             a = self.mul[a][i]
         return a
 
+    def closure(self, ids: list[int], cap: int = DEFAULT_GROUP_CAP) -> set[int]:
+        """Ids of the subgroup generated by ids, breadth-first from the
+        identity by right multiplication through the tables.
+
+        >>> g = weyl_group(build_root_system("A", 2))
+        >>> sorted(g.words[w] for w in g.closure([g.product(1, 2)]))
+        [(), (0, 1), (1, 0)]
+        """
+        seen = {0}
+        order = [0]
+        for w in order:  # order grows as the BFS discovers elements
+            for g in ids:
+                x = self.product(w, g)
+                if x not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
+                                          f"reached {cap + 1} elements")
+                    seen.add(x)
+                    order.append(x)
+        return seen
+
     def element(self, rs: RootSystem, w: int) -> WeylElement:
         """Element w over rs, with its matrix and canonical word."""
         return WeylElement(rs, self.matrices[w], self.words[w])
@@ -642,31 +663,17 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> list[WeylEl
 
 def subgroup_closure(gens: list[WeylElement],
                      cap: int = DEFAULT_GROUP_CAP) -> set[WeylElement]:
-    """Smallest subgroup containing gens, by breadth-first closure."""
+    """Smallest subgroup containing gens, closed over the Weyl group's
+    tables (:meth:`WeylGroup.closure`); words are canonical.  W itself is
+    built under the larger of cap and the default cap."""
     if not gens:
         raise RootSystemError("subgroup_closure needs at least one element")
     rs = gens[0].system
     if any(g.system != rs for g in gens):
         raise RootSystemError("generators come from different root systems")
-    e = rs.identity_element()
-    elements: dict[Matrix, WeylElement] = {e.matrix: e}
-    for g in gens:
-        elements.setdefault(g.matrix, g)
-    frontier = list(elements.values())
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                m = mat_mul(g.matrix, w.matrix)
-                if m not in elements:
-                    if len(elements) + 1 > cap:
-                        raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
-                                          f"reached {cap + 1} elements")
-                    nw = WeylElement(rs, m, g.word + w.word)
-                    elements[m] = nw
-                    nxt.append(nw)
-        frontier = nxt
-    return set(elements.values())
+    group = weyl_group(rs, max(cap, DEFAULT_GROUP_CAP))
+    return {group.element(rs, w)
+            for w in group.closure([group.id_of(g.matrix) for g in gens], cap)}
 
 
 def reflections(rs: RootSystem) -> list[WeylElement]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .action import BraidViolation
-from .coxeter import WeylElement, braid_witnesses, enumerate_group
+from .coxeter import DEFAULT_GROUP_CAP, braid_witnesses, enumerate_group
 from .datum import OrbitDatum
 
 __all__ = [
@@ -158,7 +158,7 @@ class RegularRepReport:
         return out
 
 
-def verify_regular_representation(d: OrbitDatum, cap: int | None = None,
+def verify_regular_representation(d: OrbitDatum, cap: int = DEFAULT_GROUP_CAP,
                                   ) -> RegularRepReport:
     """Check that w -> T_w [e] realizes the regular representation.
 
@@ -169,23 +169,20 @@ def verify_regular_representation(d: OrbitDatum, cap: int | None = None,
     by [e] is everything.
     """
     module = build_module(d)
-    violations = tuple(braid_check_module(module))
-    kwargs = {} if cap is None else {"cap": cap}
-    group = enumerate_group(d.root_system, **kwargs)
     if "e" not in module.basis:
         raise HeckeError("no identity orbit \"e\"; regular representation "
                          "check needs a flag-shaped datum")
+    violations = tuple(braid_check_module(module))
+    # through enumerate_group: the benchmark's traced run reads |W| there
+    words = [w.word for w in enumerate_group(d.root_system, cap)]
     start = module.unit("e")
-    images: dict[int, WeylElement] = {}
-    vectors = []
-    for w in group:
-        vec = apply_word(module, tuple(a + 1 for a in w.word), start)
-        vectors.append(vec)
-        images.setdefault(vec, w)
+    vectors = [apply_word(module, tuple(a + 1 for a in word), start)
+               for word in words]
+    images = set(vectors)
     span = _span_dimension(vectors)
-    ok = (not violations and len(images) == len(group)
-          and span == len(module.basis) and len(group) == len(module.basis))
-    return RegularRepReport(ok=ok, group_order=len(group),
+    ok = (not violations and len(images) == len(words)
+          and span == len(module.basis) and len(words) == len(module.basis))
+    return RegularRepReport(ok=ok, group_order=len(words),
                             distinct_images=len(images),
                             span_dimension=span,
                             braid_violations=violations)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from weylorb.action import (
     stabilizer_open,
 )
 from weylorb.bundled import DATUM_NAMES, bundled_datum
-from weylorb.coxeter import build_root_system, enumerate_group, word_name
+from weylorb.coxeter import build_root_system, enumerate_group, mat_mul, weyl_group, word_name
 from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum, validate
 
 FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
@@ -84,7 +86,6 @@ def test_flag_stabilizer_trivial(token):
     desc = stabilizer_open(d)
     assert desc.order == 1
     assert desc.element_names() == ["e"]
-    assert desc.generators == ()
 
 
 def test_stabilizer_sl3_full_group():
@@ -110,13 +111,112 @@ def test_stabilizer_refuses_braid_violation():
         stabilizer_open(braid_breaker())
 
 
-def test_schreier_generators_generate():
-    from weylorb.coxeter import subgroup_closure
+def non_involution() -> OrbitDatum:
+    """A1 datum whose open orbit sits in two U cells, so sigma_1 sends
+    w to y and y to z: not an involution, with no braid pair to notice."""
+    rs = build_root_system("A1")
+    orbits = (Orbit("y", 1, 0, 0, 0, open=True),
+              Orbit("z", 0, 0, 0, 0),
+              Orbit("w", 0, 0, 0, 0))
+    cells = {1: (RaiseCell(1, "U", y="y", z="z"), RaiseCell(1, "U", y="y", z="w"))}
+    return OrbitDatum(rs, orbits, cells)
 
-    for name in ("sl3_so12", "product_a1a1", "rank1_rt"):
-        desc = stabilizer_open(bundled_datum(name))
-        assert desc.generators
-        assert set(subgroup_closure(list(desc.generators))) == set(desc.elements)
+
+def test_stabilizer_refuses_non_involution():
+    d = non_involution()
+    assert braid_check(d) == []
+    with pytest.raises(BraidObstruction) as err:
+        stabilizer_open(d)
+    assert str(err.value) == "sigma_1 is not an involution: it sends w to y and y to z"
+    with pytest.raises(BraidObstruction):
+        check_generator_theorem(d)
+
+
+def schreier_stabilizer(d: OrbitDatum) -> frozenset:
+    """Reference stabilizer of the open orbit, by orbit-stabilizer.
+
+    A breadth-first transversal of the open orbit gives Schreier
+    generators u_y^-1 s_alpha u_x, closed up by matrix products.
+    """
+    table = action_table(d)
+    rs = d.root_system
+    group = weyl_group(rs)
+
+    start = d.open_orbit().id
+    transversal = {start: 0}  # orbit id -> id of u_x in the group tables
+    order: list[str] = [start]
+    tree = set()  # BFS tree edges, both ways (sigma and s_alpha are involutions)
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for alpha in sorted(table):
+                y = table[alpha][x]
+                if y not in transversal:
+                    transversal[y] = group.left[transversal[x]][alpha - 1]
+                    tree.update({(x, alpha), (y, alpha)})
+                    order.append(y)
+                    nxt.append(y)
+        frontier = nxt
+
+    schreier: dict[int, None] = {}  # ids in discovery order
+    for x in order:
+        for alpha in (a for a in sorted(table) if (x, a) not in tree):
+            u_y = transversal[table[alpha][x]]
+            s_u_x = group.left[transversal[x]][alpha - 1]
+            if s_u_x != u_y:  # else u_y^-1 s_alpha u_x is the identity
+                schreier.setdefault(group.product(group.inv[u_y], s_u_x))
+
+    generators = [group.matrices[g] for g in schreier]
+    closed = {rs.identity_element().matrix}
+    frontier = list(closed)
+    while frontier:  # breadth-first by tuple-matrix products g·w
+        frontier = [m for m in {mat_mul(g, w) for w in frontier for g in generators}
+                    if m not in closed]
+        closed.update(frontier)
+    assert len(closed) * len(transversal) == len(group)
+    return frozenset(group.element(rs, group.id_of(m)) for m in closed)
+
+
+def renamed(d: OrbitDatum, names: dict[str, str]) -> OrbitDatum:
+    """A copy of d with every orbit id x renamed to names[x]."""
+    def cell(c: RaiseCell) -> RaiseCell:
+        return replace(c, **{role: names[getattr(c, role)]
+                             for role in ("y", "z", "z1", "z2")
+                             if getattr(c, role) is not None})
+    return OrbitDatum(d.root_system,
+                      tuple(replace(o, id=names[o.id]) for o in d.orbits),
+                      {a: tuple(cell(c) for c in cs) for a, cs in d.cells.items()})
+
+
+STABILIZER_CASES = ([bundled_datum(n) for n in DATUM_NAMES]
+                    + [generate_flag_datum(build_root_system(t))
+                       for t in FLAG_TOKENS + ("F4", "B3xG2")])
+
+
+def assert_matches_reference(d: OrbitDatum) -> None:
+    got = stabilizer_open(d).elements
+    want = schreier_stabilizer(d)
+    assert got == want
+    assert ({(w.matrix, w.word) for w in got}
+            == {(w.matrix, w.word) for w in want})
+
+
+@pytest.mark.parametrize("d", STABILIZER_CASES, ids=lambda d: d.root_system.to_text())
+def test_stabilizer_matches_schreier_reference(d):
+    assert_matches_reference(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([d for d in STABILIZER_CASES if len(d.orbits) <= 48]),
+       st.data())
+def test_stabilizer_matches_reference_under_renaming(d, data):
+    ids = d.orbit_ids()
+    fresh = data.draw(st.lists(st.text("abcxyz01.", min_size=1, max_size=4),
+                               min_size=len(ids), max_size=len(ids), unique=True))
+    copy = renamed(d, dict(zip(ids, fresh)))
+    assert_matches_reference(copy)
+    assert stabilizer_open(copy).element_names() == stabilizer_open(d).element_names()
 
 
 def test_generator_theorem_product_needs_the_pair():
@@ -160,8 +260,6 @@ def test_generator_theorem_carries_stabilizer_open(d):
     assert got.elements == want.elements
     assert ({(w.matrix, w.word) for w in got.elements}
             == {(w.matrix, w.word) for w in want.elements})
-    assert ([(g.matrix, g.word) for g in got.generators]
-            == [(g.matrix, g.word) for g in want.generators])
 
 
 def test_action_table_involutions():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import weylorb
 from weylorb.bundled import bundled_path, datum_text
-from weylorb.cli import main
+from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
 from weylorb.datum import dumps, generate_flag_datum, loads
 
@@ -148,6 +149,53 @@ def test_hecke_text_and_json(capsys):
     assert obj["columns"]["1"]["z1"] == ["z2", "y"]
 
 
+def test_stabilizer_refuses_non_involution(tmp_path, capsys):
+    obj = {
+        "root_system": {"family": "A1", "rank": 1, "raise_dims": [1]},
+        "orbits": [
+            {"id": "y", "dim": 1, "c": 0, "rk": 0, "s": 0, "open": True},
+            {"id": "z", "dim": 0, "c": 0, "rk": 0, "s": 0, "open": False},
+            {"id": "w", "dim": 0, "c": 0, "rk": 0, "s": 0, "open": False},
+        ],
+        "cells": {"1": [{"kind": "U", "y": "y", "z": "z"},
+                        {"kind": "U", "y": "y", "z": "w"}]},
+    }
+    bad = tmp_path / "twou.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    for extra in ([], ["--json"]):
+        code, out, _ = run(capsys, "stabilizer", str(bad), *extra)
+        assert (code, out) == (
+            1, "VIOLATION sigma_1 is not an involution: it sends w to y and y to z\n")
+
+
+def test_hecke_involutions_verdict_ignores_orbit_names(tmp_path, capsys):
+    # every T_alpha is an involution; only the braid relation fails, at an
+    # orbit whose id contains the word "involution"
+    obj = {
+        "root_system": {"family": "A1xA1", "rank": 2, "raise_dims": [1, 1]},
+        "orbits": [
+            {"id": "p", "dim": 3, "c": 0, "rk": 0, "s": 0, "open": True},
+            {"id": "q", "dim": 2, "c": 0, "rk": 0, "s": 0, "open": False},
+            {"id": "involution", "dim": 1, "c": 0, "rk": 0, "s": 0, "open": False},
+        ],
+        "cells": {
+            "1": [{"kind": "U", "y": "p", "z": "q"}, {"kind": "A", "y": "involution"}],
+            "2": [{"kind": "U", "y": "q", "z": "involution"}, {"kind": "A", "y": "p"}],
+        },
+    }
+    bad = tmp_path / "braidbad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, _ = run(capsys, "hecke", str(bad))
+    assert code == 1
+    assert "involutions: OK\n" in out
+    assert "module braid: FAIL\n" in out
+    code, out, _ = run(capsys, "hecke", str(bad), "--json")
+    obj = json.loads(out)
+    assert code == 1
+    assert obj["involutions"] is True
+    assert obj["module_braid_ok"] is False
+
+
 def test_hecke_flag_regular_rep(capsys, tmp_path):
     target = tmp_path / "a2.json"
     run(capsys, "gen-flag", "A", "2", "--out", str(target))
@@ -209,6 +257,25 @@ def test_oracle_compare_match_and_mismatch(capsys):
 def test_oracle_compare_needs_datum(capsys):
     code, _, err = run(capsys, "oracle", "compare", "torus")
     assert code == 2
+
+
+def test_subcommand_arguments_in_order():
+    # --json and --out are declared once for all subcommands and come last
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [a.option_strings[-1] if a.option_strings else a.dest
+                  for a in p._actions]
+           for name, p in sub.choices.items()}
+    assert got == {
+        "gen-flag": ["--help", "family", "rank", "--raise-dims", "--out"],
+        "validate": ["--help", "datum", "--json", "--out"],
+        "act": ["--help", "datum", "word", "orbit", "--json", "--out"],
+        "braid": ["--help", "datum", "--json", "--out"],
+        "stabilizer": ["--help", "datum", "--json", "--out"],
+        "hecke": ["--help", "datum", "--json", "--out"],
+        "oracle": ["--help", "mode", "paths", "--q-list", "--cap", "--json", "--out"],
+        "export-dot": ["--help", "datum", "--out"],
+    }
 
 
 def test_missing_file_is_usage_error(capsys):

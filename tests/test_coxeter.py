@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylorb import coxeter
 from weylorb.coxeter import (
     CapExceeded,
     DEFAULT_GROUP_CAP,
@@ -206,6 +207,21 @@ def test_subgroup_closure():
     with pytest.raises(CapExceeded) as err:
         subgroup_closure([s0, s1], cap=3)
     assert str(err.value) == "subgroup closure exceeds cap 3: reached 4 elements"
+    # the closure runs over W's tables, so a W past the default cap is refused
+    a8 = build_root_system("A8")
+    with pytest.raises(CapExceeded) as err:
+        subgroup_closure([a8.simple_reflection(0)])
+    assert str(err.value) == "Weyl group exceeds cap 51840: reached 51841 elements"
+    # a cap above the default lifts it for W too: |W(F4xB3)| = 55296
+    f4b3 = build_root_system("F4xB3")
+    s = f4b3.simple_reflection(0)
+    with pytest.raises(CapExceeded) as err:
+        subgroup_closure([s])
+    assert str(err.value) == "Weyl group exceeds cap 51840: reached 51841 elements"
+    try:
+        assert subgroup_closure([s], cap=55296) == {f4b3.identity_element(), s}
+    finally:  # do not keep a 55296-element group cached for later tests
+        coxeter._GROUPS.pop((f4b3.family, f4b3.rank), None)
 
 
 def test_mixed_systems_rejected():
@@ -348,3 +364,71 @@ def test_table_product_equals_matrix_product(token, data):
         ids.append(w)
         mats.append(m)
     assert group.matrices[group.product(*ids)] == mat_mul(*mats)
+
+
+# -- the id closure against the matrix BFS it replaced ----------------------
+
+
+def matrix_subgroup_closure(gens: list[WeylElement],
+                            cap: int = DEFAULT_GROUP_CAP) -> set[WeylElement]:
+    """Reference closure: breadth-first by tuple-matrix products g·w.
+
+    Only elements the BFS adds count against the cap, not the identity
+    and generators it starts from.
+    """
+    rs = gens[0].system
+    e = rs.identity_element()
+    elements = {e.matrix: e}
+    for g in gens:
+        elements.setdefault(g.matrix, g)
+    frontier = list(elements.values())
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                m = mat_mul(g.matrix, w.matrix)
+                if m not in elements:
+                    if len(elements) + 1 > cap:
+                        raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
+                                          f"reached {cap + 1} elements")
+                    nw = WeylElement(rs, m, g.word + w.word)
+                    elements[m] = nw
+                    nxt.append(nw)
+        frontier = nxt
+    return set(elements.values())
+
+
+@pytest.mark.parametrize("token", ["A3", "BC3", "G2", "F4", "B3xG2"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_id_closure_matches_matrix_closure(token, data):
+    rs = build_root_system(token)
+    group = weyl_group(rs)
+    words = data.draw(st.lists(st.lists(st.integers(0, rs.rank - 1), max_size=6),
+                               min_size=1, max_size=3))
+    gens = []
+    for word in words:
+        w = rs.identity_element()
+        for i in word:
+            w = w * rs.simple_reflection(i)
+        gens.append(w)
+    want = matrix_subgroup_closure(gens)
+    ids = group.closure([group.id_of(g.matrix) for g in gens])
+    got = subgroup_closure(gens)
+    assert got == want == {group.element(rs, w) for w in ids}
+    assert all(w.word == group.words[group.id_of(w.matrix)] for w in got)
+
+    order = len(want)
+    assert group.closure([group.id_of(g.matrix) for g in gens], order) == ids
+    assert matrix_subgroup_closure(gens, order) == want
+    if order == 1:
+        return
+    message = f"subgroup closure exceeds cap {order - 1}: reached {order} elements"
+    with pytest.raises(CapExceeded) as err:
+        subgroup_closure(gens, order - 1)
+    assert str(err.value) == message
+    seeds = {rs.identity_element()} | set(gens)
+    if len(seeds) < order:  # else the reference adds nothing to count
+        with pytest.raises(CapExceeded) as err:
+            matrix_subgroup_closure(gens, order - 1)
+        assert str(err.value) == message
