@@ -10,8 +10,8 @@ generators with :meth:`WeylGroup.closure`, all on element ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .coxeter import (
     DEFAULT_GROUP_CAP,
@@ -34,8 +34,7 @@ class BraidObstruction(RuntimeError):
     """The sigma action does not satisfy a braid relation."""
 
 
-@dataclass(frozen=True)
-class BraidViolation:
+class BraidViolation(NamedTuple):
     alpha: int
     beta: int
     order: int
@@ -47,8 +46,7 @@ class BraidViolation:
                 f"{self.witness}")
 
 
-@dataclass(frozen=True)
-class SubgroupDescription:
+class SubgroupDescription(NamedTuple):
     """A subgroup of the Weyl group, as ids into its tables and as elements."""
 
     ids: frozenset[int]
@@ -62,8 +60,7 @@ class SubgroupDescription:
         return sorted(word_name(w.word) for w in self.elements)
 
 
-@dataclass(frozen=True)
-class GeneratorTheoremResult:
+class GeneratorTheoremResult(NamedTuple):
     holds: bool
     generating_set: tuple[WeylElement, ...]
     stabilizer: SubgroupDescription
@@ -96,15 +93,25 @@ def act_word(d: OrbitDatum, word: tuple[int, ...], orbit_id: str) -> str:
 def braid_check(d: OrbitDatum) -> list[BraidViolation]:
     """Check (sigma_a sigma_b)^m = id for every pair of simple roots.
 
-    Returns the list of failing pairs, each with a witness orbit.
+    Returns the list of failing pairs, each with a witness orbit.  If
+    none fails, raises BraidObstruction when some sigma_alpha is not an
+    involution, as then the action cannot factor through W either.
     """
     return _braid_violations(d, action_table(d))
 
 
 def _braid_violations(d: OrbitDatum, table) -> list[BraidViolation]:
-    return [BraidViolation(*v) for v in braid_witnesses(
+    out = [BraidViolation(*v) for v in braid_witnesses(
         d.root_system, sorted(table), [(oid, oid) for oid in d.orbit_ids()],
         lambda alpha, x: table[alpha][x])]
+    if not out:  # the relations hold; each sigma must also square to 1
+        for alpha, perm in table.items():
+            for x, y in perm.items():
+                if perm[y] != x:
+                    raise BraidObstruction(
+                        f"sigma_{alpha} is not an involution: it sends {x} to {y} "
+                        f"and {y} to {perm[y]}")
+    return out
 
 
 def orbit_of_open(d: OrbitDatum) -> tuple[str, ...]:
@@ -145,12 +152,6 @@ def stabilizer_open(d: OrbitDatum,
         raise BraidObstruction(
             "sigma does not satisfy the braid relations: "
             + "; ".join(v.line() for v in violations))
-    for alpha, perm in table.items():
-        for x, y in perm.items():
-            if perm[y] != x:
-                raise BraidObstruction(
-                    f"sigma_{alpha} is not an involution: it sends {x} to {y} "
-                    f"and {y} to {perm[y]}")
     rs = d.root_system
     group = weyl_group(rs, cap=cap)
 

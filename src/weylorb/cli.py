@@ -127,13 +127,14 @@ def _cmd_act(args) -> tuple[int, str]:
 
 def _cmd_braid(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
-    violations = action.braid_check(d)
+    try:
+        violations = action.braid_check(d)
+    except action.BraidObstruction as exc:
+        return 1, f"VIOLATION {exc}\n"
     if args.json:
         return (1 if violations else 0), _json_body({
             "ok": not violations,
-            "violations": [{"alpha": v.alpha, "beta": v.beta,
-                            "order": v.order, "witness": v.witness}
-                           for v in violations],
+            "violations": [v._asdict() for v in violations],
         })
     if not violations:
         return 0, "OK\n"
@@ -309,7 +310,7 @@ def _cmd_oracle(args) -> tuple[int, str]:
         inferred = oracle.infer_datum(reports, reference.root_system)
         if inferred.datum is None:
             return 1, "\n".join(inferred.notes) + "\n"
-        result = oracle.compare(reference, inferred.datum)
+        result = oracle.compare(reference, inferred.datum, inferred.fits)
         if args.json:
             return (0 if result.match else 1), _json_body({
                 "match": result.match,

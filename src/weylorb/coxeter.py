@@ -15,7 +15,6 @@ their component tokens joined with "x".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -165,21 +164,34 @@ def _parse_component(token: str) -> tuple[str, int]:
     return fam, int(digits)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    """A finite (possibly non-reduced, possibly reducible) restricted root
-    system with per-simple-root raise dimensions n_alpha."""
+class _Frozen:
+    """Base of the plain value classes, whose slots ``__init__`` sets once."""
 
-    family: str
-    rank: int
-    cartan: Matrix
-    lengths: tuple[int, ...]
-    simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
-    positive_lines: tuple[Vector, ...]
-    raise_dims: tuple[int, ...]
-    gram: Matrix
-    line_raise: tuple[tuple[Vector, int], ...]
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+    __delattr__ = __setattr__
+
+
+class RootSystem(_Frozen):
+    """A finite (possibly non-reduced, possibly reducible) restricted root
+    system with per-simple-root raise dimensions n_alpha.  Equality and
+    hashing use :attr:`key` only."""
+
+    __slots__ = ("family", "rank", "cartan", "lengths", "simple_roots",
+                 "positive_roots", "positive_lines", "raise_dims", "gram", "line_raise")
+
+    def __init__(self, family: str, rank: int, cartan: Matrix, lengths: tuple[int, ...],
+                 simple_roots: tuple[Vector, ...], positive_roots: tuple[Vector, ...],
+                 positive_lines: tuple[Vector, ...], raise_dims: tuple[int, ...],
+                 gram: Matrix, line_raise: tuple[tuple[Vector, int], ...]) -> None:
+        self._set(family, rank, cartan, lengths, simple_roots, positive_roots,
+                  positive_lines, raise_dims, gram, line_raise)
 
     @property
     def key(self) -> tuple:
@@ -440,14 +452,14 @@ def _assign_line_raises(rs: RootSystem) -> tuple[tuple[Vector, int], ...]:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True, eq=False)
-class WeylElement:
+class WeylElement(_Frozen):
     """A Weyl group element: an exact integer matrix plus a witnessing word
     in simple reflections.  Equality and hashing use the matrix only."""
 
-    system: RootSystem
-    matrix: Matrix
-    word: tuple[int, ...]
+    __slots__ = ("system", "matrix", "word")
+
+    def __init__(self, system: RootSystem, matrix: Matrix, word: tuple[int, ...]) -> None:
+        self._set(system, matrix, word)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, WeylElement)

@@ -18,10 +18,10 @@ as data instead of raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .coxeter import (
     RootSystem,
@@ -55,8 +55,7 @@ class DatumFormatError(ValueError):
     """Structurally malformed datum input (parse-level rejection)."""
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     id: str
     dim: int
     c: int
@@ -69,8 +68,7 @@ class Orbit:
         return (self.c, self.rk, self.s)
 
 
-@dataclass(frozen=True)
-class RaiseCell:
+class RaiseCell(NamedTuple):
     alpha: int  # 1-based simple root index
     kind: str
     y: str
@@ -79,7 +77,10 @@ class RaiseCell:
     z2: str | None = None
 
     def members(self) -> tuple[str, ...]:
-        return tuple(getattr(self, role) for role in ROLES[self.kind])
+        """The member ids, in the order of ``ROLES[self.kind]``."""
+        if self.kind in ("TU", "RT"):
+            return (self.y, self.z1, self.z2)
+        return (self.y,) if self.kind == "A" else (self.y, self.z)
 
     def sigma(self, orbit_id: str) -> str:
         """Image of orbit_id under the cell involution."""
@@ -94,8 +95,7 @@ class RaiseCell:
         return orbit_id  # A, RI, N fix everything
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     where: str
     message: str
@@ -104,8 +104,7 @@ class Violation:
         return f"VIOLATION {self.code} at {self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -120,24 +119,20 @@ class ValidationReport:
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
-            "violations": [
-                {"code": v.code, "where": v.where, "message": v.message}
-                for v in self.violations
-            ],
+            "violations": [v._asdict() for v in self.violations],
         }
 
 
-@dataclass
 class OrbitDatum:
-    root_system: RootSystem
-    orbits: tuple[Orbit, ...]
-    cells: dict[int, tuple[RaiseCell, ...]]
-    notes: tuple[str, ...] = ()
+    """Orbits sorted by (dim, id), and per simple root its cells sorted by y."""
 
-    def __post_init__(self) -> None:
-        self.orbits = tuple(sorted(self.orbits, key=lambda o: (o.dim, o.id)))
+    def __init__(self, root_system: RootSystem, orbits: tuple[Orbit, ...],
+                 cells: dict[int, tuple[RaiseCell, ...]],
+                 notes: tuple[str, ...] = ()) -> None:
+        self.root_system, self.notes = root_system, notes
+        self.orbits = tuple(sorted(orbits, key=lambda o: (o.dim, o.id)))
         self.cells = {a: tuple(sorted(cs, key=lambda c: c.y))
-                      for a, cs in sorted(self.cells.items())}
+                      for a, cs in sorted(cells.items())}
         self._by_id = {o.id: o for o in self.orbits}
         if len(self._by_id) != len(self.orbits):
             raise DatumFormatError("duplicate orbit ids")

@@ -10,11 +10,10 @@ leading term of each column recovering sigma itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .action import BraidViolation
-from .coxeter import DEFAULT_GROUP_CAP, braid_witnesses, enumerate_group
+from .coxeter import DEFAULT_GROUP_CAP, _Frozen, braid_witnesses, enumerate_group
 from .datum import OrbitDatum
 
 __all__ = [
@@ -35,15 +34,19 @@ class HeckeBraidViolation(BraidViolation):
                 f"[{self.witness}]")
 
 
-@dataclass(frozen=True)
-class HeckeModule:
-    datum: OrbitDatum
-    basis: tuple[str, ...]
-    columns: dict[int, tuple[int, ...]]
+class HeckeModule(_Frozen):
+    """T_alpha per simple root as columns: the packed images of the basis."""
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {oid: i for i, oid in enumerate(self.basis)}
+    __slots__ = ("datum", "basis", "columns", "_position")
+
+    def __init__(self, datum: OrbitDatum, basis: tuple[str, ...],
+                 columns: dict[int, tuple[int, ...]]) -> None:
+        self._set(datum, basis, columns, {oid: i for i, oid in enumerate(basis)})
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, HeckeModule)
+                and (self.datum, self.basis, self.columns)
+                == (other.datum, other.basis, other.columns))
 
     def index(self, orbit_id: str) -> int:
         return self._position[orbit_id]
@@ -141,8 +144,7 @@ def _span_dimension(vectors: list[int]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class RegularRepReport:
+class RegularRepReport(NamedTuple):
     ok: bool
     group_order: int
     distinct_images: int

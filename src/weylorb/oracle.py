@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from itertools import product as iproduct
 from math import inf, isqrt
+from typing import NamedTuple
 
 from .coxeter import RootSystem, build_root_system
 from .datum import Orbit, OrbitDatum, RaiseCell, datum_to_obj, validate
@@ -96,8 +96,7 @@ def _arith(k: int, q: int) -> _Arith:
     return _Arith(k, eye, space["mul"], space["vmul"])
 
 
-@dataclass(frozen=True)
-class MatGroupSpec:
+class MatGroupSpec(NamedTuple):
     """Generators over F_q for G, its Borel B, the subgroup H, and the
     subminimal parabolics, all as integer matrices taken mod q."""
 
@@ -263,14 +262,12 @@ def _canon(m: tuple, level: _Level) -> tuple:
     return m
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     representative: str
     size: int
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """One enumeration run at one prime."""
 
     spec_name: str
@@ -295,8 +292,7 @@ class OracleReport:
             "subgroupOrder": self.subgroup_order,
             "pointCount": self.point_count,
             "orbitCount": self.orbit_count,
-            "orbits": [{"representative": o.representative, "size": o.size}
-                       for o in self.orbits],
+            "orbits": [o._asdict() for o in self.orbits],
             "merges": {str(a): [list(block) for block in blocks]
                        for a, blocks in sorted(self.merges.items())},
         }
@@ -430,8 +426,7 @@ def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | N
     return hits[0]
 
 
-@dataclass(frozen=True)
-class InferredDatum:
+class InferredDatum(NamedTuple):
     """Candidate datum plus everything point counts could not decide."""
 
     datum: OrbitDatum | None
@@ -538,8 +533,8 @@ def align_reports(reports: list[OracleReport]) -> list[OracleReport]:
                 f"merge structure at q = {rep.q} is not isomorphic to q = {base.q}")
         inverse = sorted(range(len(perm)), key=perm.__getitem__)
         # perm carries the merge classes of rep onto those of base
-        out.append(replace(rep, orbits=tuple(rep.orbits[i] for i in inverse),
-                           merges=base.merges))
+        out.append(rep._replace(orbits=tuple(rep.orbits[i] for i in inverse),
+                                merges=base.merges))
     return out
 
 
@@ -653,8 +648,7 @@ def _kindclass(kind: str) -> str:
     return "RI|N" if kind in ("RI", "N") else kind
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     match: bool
     lines: tuple[str, ...]
 
@@ -684,13 +678,31 @@ def _cell_blocks(d: OrbitDatum) -> list:
     return out
 
 
-def compare(reference: OrbitDatum, candidate: OrbitDatum) -> CompareReport:
+def _unmatched(reference: OrbitDatum, candidate: OrbitDatum, fits: dict) -> list[str]:
+    """Per side, the orbits left over once those of equal (dim, rk) are
+    paired in (dim, id) order, with a candidate orbit's fitted size."""
+    lines = []
+    for side, d, other, sizes in (("reference", reference, candidate, {}),
+                                  ("candidate", candidate, reference, fits)):
+        spare = Counter((o.dim, o.rk) for o in other.orbits)
+        for o in d.orbits:
+            spare[o.dim, o.rk] -= 1
+            if spare[o.dim, o.rk] < 0:
+                size = sizes.get(o.id)
+                lines.append(f"unmatched {side} orbit {o.id}: dim {o.dim}, rk {o.rk}" + (
+                    "" if size is None else ", size(q) = {2} * q^{0} * (q-1)^{1}".format(*size)))
+    return lines
+
+
+def compare(reference: OrbitDatum, candidate: OrbitDatum, fits=()) -> CompareReport:
     """Isomorphism test of the cell-labeled raise structures.
 
     Kinds are compared up to the RI|N ambiguity; orbit ids may differ.
     A structure-preserving bijection is searched for, then dim/rk/c/s
     are checked through it.  Lattice data is outside what the oracle
-    can see and is not compared.
+    can see and is not compared.  On an orbit-count mismatch it lists the
+    orbits left unpaired by (dim, rk), with a candidate's fitted size from
+    ``fits``, pairs (id, (a, b, c)) as in :attr:`InferredDatum.fits`.
     """
     lines: list[str] = []
     if reference.root_system.key != candidate.root_system.key:
@@ -700,6 +712,7 @@ def compare(reference: OrbitDatum, candidate: OrbitDatum) -> CompareReport:
     a_ids, b_ids = reference.orbit_ids(), candidate.orbit_ids()
     if len(a_ids) != len(b_ids):
         lines.append(f"orbit count mismatch: {len(a_ids)} vs {len(b_ids)}")
+        lines += _unmatched(reference, candidate, dict(fits))
         return CompareReport(match=False, lines=tuple(lines))
     for alpha in sorted(reference.cells):
         ka = sorted(_kindclass(c.kind) for c in reference.cells.get(alpha, ()))

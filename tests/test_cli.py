@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -162,8 +163,8 @@ def test_stabilizer_refuses_non_involution(tmp_path, capsys):
     }
     bad = tmp_path / "twou.json"
     bad.write_text(json.dumps(obj), encoding="utf-8")
-    for extra in ([], ["--json"]):
-        code, out, _ = run(capsys, "stabilizer", str(bad), *extra)
+    for command, extra in product(("stabilizer", "braid"), ([], ["--json"])):
+        code, out, _ = run(capsys, command, str(bad), *extra)
         assert (code, out) == (
             1, "VIOLATION sigma_1 is not an involution: it sends w to y and y to z\n")
 
@@ -338,6 +339,32 @@ def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
 
 def test_weyl_commands_do_not_load_numpy(tmp_path):
     proc = _fresh_python(_WEYL_COMMANDS_WITHOUT_NUMPY, str(tmp_path / "flag.json"))
+    assert proc.returncode == 0, proc.stderr
+
+
+# Importing dataclasses costs every process about 10 ms (it pulls in inspect,
+# ast, dis and tokenize), and each frozen dataclass about 1 ms more to build.
+_NO_DATACLASSES = """
+import contextlib, io, sys
+sys.modules.pop("dataclasses", None)  # in case the interpreter's start-up loaded it
+from weylorb.cli import main
+
+for argv in map(str.split, sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (argv, code)
+    assert "dataclasses" not in sys.modules, argv
+"""
+
+
+def test_no_command_imports_dataclasses():
+    proc = _fresh_python(_NO_DATACLASSES, "--help", "gen-flag A2", *(
+        f"{command} sl3_so12" for command in ("validate", "braid", "stabilizer", "hecke")),
+        "oracle enumerate torus --q-list 5",
+        "oracle compare product_diag_q5 product_diag_q7 product_a1a1")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +66,7 @@ def rank1_datum(kind: str, with_lattices: bool = False) -> OrbitDatum:
 
 
 def with_orbit(d: OrbitDatum, orbit_id: str, **changes) -> OrbitDatum:
-    orbits = tuple(replace(o, **changes) if o.id == orbit_id else o
+    orbits = tuple(o._replace(**changes) if o.id == orbit_id else o
                    for o in d.orbits)
     return OrbitDatum(d.root_system, orbits, dict(d.cells), d.notes)
 
@@ -517,3 +516,17 @@ def test_export_dot_kinds():
     assert "// a1 A {y}" in a
     tu = export_dot(rank1_datum("TU"))
     assert '"y" -> "z1"' in tu and '"z1" -> "z2"' in tu
+
+
+def roles_members(cell: RaiseCell) -> tuple[str, ...]:
+    """Reference for RaiseCell.members: the role fields read through ROLES."""
+    return tuple(getattr(cell, role) for role in ROLES[cell.kind])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=50, deadline=None)
+@given(y=st.sampled_from("yzw"), rest=st.lists(st.none() | st.sampled_from("yzw"),
+                                               min_size=3, max_size=3))
+def test_members_match_roles_reference(kind, y, rest):
+    cell = RaiseCell(1, kind, y, *rest)
+    assert cell.members() == roles_members(cell)

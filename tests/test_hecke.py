@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from weylorb.coxeter import build_root_system, enumerate_group
 from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum
 from weylorb.hecke import (
     HeckeError,
+    HeckeModule,
     _span_dimension,
     apply,
     apply_word,
@@ -229,8 +229,8 @@ def random_module_and_vector(draw):
     m = RANDOM_MODULE_BASES[draw(st.sampled_from(sorted(RANDOM_MODULE_BASES)))]
     n = len(m.basis)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    m = replace(m, columns={a: tuple(rng.getrandbits(n) for _ in range(n))
-                            for a in m.columns})
+    m = HeckeModule(m.datum, m.basis, {a: tuple(rng.getrandbits(n) for _ in range(n))
+                                       for a in m.columns})
     low = draw(st.sets(st.integers(0, n - 1), max_size=12))
     high = draw(st.sets(st.integers(max(0, n - 3), n - 1), max_size=3))
     return m, sum(1 << i for i in low | high)

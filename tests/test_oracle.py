@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from weylorb import oracle
 from weylorb.bundled import ORACLE_SPEC_NAMES, bundled_datum, oracle_spec_text
+from weylorb.cli import main
 from weylorb.coxeter import build_root_system
 from weylorb.datum import ROLES, OrbitDatum, RaiseCell, generate_flag_datum, validate
 from weylorb.oracle import (
@@ -736,6 +736,32 @@ def test_compare_counts_mismatch():
     assert any("orbit count mismatch" in line for line in rep.lines)
 
 
+TORUS_VS_RANK1_U = [
+    "orbit count mismatch: 2 vs 3",
+    "unmatched reference orbit z: dim 1, rk 1",
+    "unmatched candidate orbit o2: dim 1, rk 0, size(q) = 1 * q^1 * (q-1)^0",
+    "unmatched candidate orbit o3: dim 1, rk 0, size(q) = 1 * q^1 * (q-1)^0",
+]
+
+
+def test_compare_count_mismatch_names_unmatched_orbits(capsys):
+    reference = bundled_datum("rank1_u")
+    inferred = infer_datum([run("torus", 5), run("torus", 7)], reference.root_system)
+    rep = compare(reference, inferred.datum, inferred.fits)
+    assert (rep.match, list(rep.lines)) == (False, TORUS_VS_RANK1_U)
+    # without fits the candidate's orbits are named by dim and rk alone
+    assert [line.split(", size")[0] for line in TORUS_VS_RANK1_U] == list(
+        compare(reference, inferred.datum).lines)
+    # the reference's y pairs with o1; the same orbits, seen from the other side
+    assert list(compare(inferred.datum, reference).lines) == [
+        "orbit count mismatch: 3 vs 2",
+        "unmatched reference orbit o2: dim 1, rk 0",
+        "unmatched reference orbit o3: dim 1, rk 0",
+        "unmatched candidate orbit z: dim 1, rk 1"]
+    assert main(["oracle", "compare", "torus", "rank1_u"]) == 1
+    assert capsys.readouterr().out == "\n".join(TORUS_VS_RANK1_U) + "\n"
+
+
 def test_compare_ri_n_identified():
     rep = compare(bundled_datum("rank1_ri"), bundled_datum("rank1_n"))
     assert rep.match
@@ -756,7 +782,7 @@ def _relabelled(d: OrbitDatum, seed: int) -> OrbitDatum:
                                     **{r: new[getattr(c, r)] for r in ROLES[c.kind]})
                           for c in cs)
              for alpha, cs in d.cells.items()}
-    return OrbitDatum(d.root_system, tuple(replace(o, id=new[o.id]) for o in d.orbits),
+    return OrbitDatum(d.root_system, tuple(o._replace(id=new[o.id]) for o in d.orbits),
                       cells)
 
 
