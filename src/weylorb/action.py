@@ -17,7 +17,6 @@ from .coxeter import (
     DEFAULT_GROUP_CAP,
     WeylElement,
     braid_witnesses,
-    reflections,
     weyl_group,
     word_name,
 )
@@ -179,7 +178,7 @@ def check_generator_theorem(d: OrbitDatum,
     rs = d.root_system
     stab = stabilizer_open(d, cap=cap)
     group = weyl_group(rs, cap=cap)
-    refl = [group.id_of(w.matrix) for w in reflections(rs)]
+    refl = group.reflections
 
     gens = [w for w in refl if w in stab.ids]
     for (i, a), (j, b) in combinations(enumerate(rs.positive_lines), 2):

@@ -125,12 +125,18 @@ def _cmd_act(args) -> tuple[int, str]:
     return 0, result + "\n"
 
 
+def _obstruction(args, exc: Exception) -> str:
+    if args.json:
+        return _json_body({"ok": False, "obstruction": str(exc)})
+    return f"VIOLATION {exc}\n"
+
+
 def _cmd_braid(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
     try:
         violations = action.braid_check(d)
     except action.BraidObstruction as exc:
-        return 1, f"VIOLATION {exc}\n"
+        return 1, _obstruction(args, exc)
     if args.json:
         return (1 if violations else 0), _json_body({
             "ok": not violations,
@@ -146,7 +152,7 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
     try:
         theorem = action.check_generator_theorem(d)
     except action.BraidObstruction as exc:
-        return 1, f"VIOLATION {exc}\n"
+        return 1, _obstruction(args, exc)
     desc = theorem.stabilizer
     gen_names = sorted(word_name(w.word) for w in theorem.generating_set)
     if args.json:

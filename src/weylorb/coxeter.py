@@ -184,14 +184,14 @@ class RootSystem(_Frozen):
     hashing use :attr:`key` only."""
 
     __slots__ = ("family", "rank", "cartan", "lengths", "simple_roots",
-                 "positive_roots", "positive_lines", "raise_dims", "gram", "line_raise")
+                 "positive_roots", "positive_lines", "raise_dims", "gram")
 
     def __init__(self, family: str, rank: int, cartan: Matrix, lengths: tuple[int, ...],
                  simple_roots: tuple[Vector, ...], positive_roots: tuple[Vector, ...],
                  positive_lines: tuple[Vector, ...], raise_dims: tuple[int, ...],
-                 gram: Matrix, line_raise: tuple[tuple[Vector, int], ...]) -> None:
+                 gram: Matrix) -> None:
         self._set(family, rank, cartan, lengths, simple_roots, positive_roots,
-                  positive_lines, raise_dims, gram, line_raise)
+                  positive_lines, raise_dims, gram)
 
     @property
     def key(self) -> tuple:
@@ -209,10 +209,6 @@ class RootSystem(_Frozen):
         """Weyl-invariant inner product (u, v) in simple-root coordinates."""
         return sum(u[i] * self.gram[i][j] * v[j]
                    for i in range(self.rank) for j in range(self.rank))
-
-    def pairing(self, v: Vector, root: Vector) -> Fraction:
-        """Exact <v, root-vee> = 2 (v, root) / (root, root)."""
-        return Fraction(2 * self.form(v, root), self.form(root, root))
 
     def cartan_pairing(self, beta: Vector, i: int) -> int:
         """<beta, alpha_i-vee> for the i-th simple root (0-based), an integer."""
@@ -251,51 +247,11 @@ class RootSystem(_Frozen):
         )
         return WeylElement(self, mat, (i,))
 
-    def reflection_in_root(self, root: Vector) -> Matrix:
-        """Matrix of the reflection fixing the hyperplane (., root) = 0."""
-        den = self.form(root, root)
-        cols = []
-        for j in range(self.rank):
-            e_j = tuple(int(k == j) for k in range(self.rank))
-            coeff = Fraction(2 * self.form(e_j, root), den)
-            col = [Fraction(int(k == j)) - coeff * root[k] for k in range(self.rank)]
-            cols.append(col)
-        rows = []
-        for r in range(self.rank):
-            row = []
-            for j in range(self.rank):
-                x = cols[j][r]
-                if x.denominator != 1:
-                    raise RootSystemError("reflection is not integral; not a root")
-                row.append(int(x))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def raise_dim_of_line(self, line: Vector) -> int:
-        for rep, n in self.line_raise:
-            if rep == line:
-                return n
-        raise RootSystemError(f"{line} is not a positive root line")
-
     # -- text record ------------------------------------------------------
 
     def to_text(self) -> str:
         """Serialize as e.g. ``A 2 n=[1,1]``."""
         return f"{self.family} {self.rank} n=[{','.join(str(n) for n in self.raise_dims)}]"
-
-    @staticmethod
-    def from_text(text: str) -> "RootSystem":
-        parts = text.split()
-        if len(parts) not in (2, 3):
-            raise RootSystemError(f"bad root-system record {text!r}")
-        fam, rank = parts[0], int(parts[1])
-        dims = None
-        if len(parts) == 3:
-            m = re.match(r"^n=\[([0-9,]*)\]$", parts[2])
-            if not m:
-                raise RootSystemError(f"bad raise-dim record {parts[2]!r}")
-            dims = [int(x) for x in m.group(1).split(",") if x]
-        return build_root_system(fam, rank, raise_dims=dims)
 
 
 def build_root_system(family: str, rank: int | None = None,
@@ -381,12 +337,13 @@ def build_root_system(family: str, rank: int | None = None,
                 f"raise_dims has {len(dims)} entries for rank {total}")
         if any(n < 1 for n in dims):
             raise RootSystemError("raise dims must be >= 1")
+        _check_raise_dims(cartan, dims)
 
     cartan_t = tuple(tuple(row) for row in cartan)
     gram = tuple(tuple(lengths[i] * cartan[i][j] for j in range(total))
                  for i in range(total))
 
-    rs = RootSystem(
+    return RootSystem(
         family=token,
         rank=total,
         cartan=cartan_t,
@@ -397,59 +354,32 @@ def build_root_system(family: str, rank: int | None = None,
         positive_lines=lines,
         raise_dims=dims,
         gram=gram,
-        line_raise=(),
     )
-    object.__setattr__(rs, "line_raise", _assign_line_raises(rs))
-    return rs
 
 
-def _assign_line_raises(rs: RootSystem) -> tuple[tuple[Vector, int], ...]:
-    """Extend raise dims from simple roots to all positive lines by Weyl
-    invariance; reject data that differ within one Weyl orbit of lines."""
-    mats = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
-    line_set = set(rs.positive_lines)
+def _check_raise_dims(cartan: list[list[int]], dims: tuple[int, ...]) -> None:
+    """Refuse raise dims that differ on Weyl-conjugate simple roots.
 
-    def to_line(v: Vector) -> Vector:
-        if not _is_nonneg(v):
-            v = tuple(-x for x in v)
-        if v not in line_set and all(x % 2 == 0 for x in v):
-            v = tuple(x // 2 for x in v)
-        return v
-
-    classes: dict[Vector, set[Vector]] = {}
-    assigned: dict[Vector, Vector] = {}
-    for line in rs.positive_lines:
-        if line in assigned:
+    Simple roots are conjugate exactly when a chain of single bonds
+    (a_ij a_ji = 1) joins them.  A class is named by its least positive
+    line, which is its simple root of largest index, and the classes are
+    checked in the order of those lines.
+    """
+    rank = len(dims)
+    seen: set[int] = set()
+    for top in reversed(range(rank)):
+        if top in seen:
             continue
-        orbit = {line}
-        frontier = [line]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for m in mats:
-                    w = to_line(mat_apply(m, v))
-                    if w not in orbit:
-                        orbit.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        classes[line] = orbit
-        for v in orbit:
-            assigned[v] = line
-
-    out: dict[Vector, int] = {}
-    for rep, orbit in classes.items():
-        ns = {rs.raise_dims[i] for i, sr in enumerate(rs.simple_roots)
-              if sr in orbit}
-        if not ns:
-            raise RootSystemError("root line orbit without a simple root")
+        cls = [top]
+        for i in cls:  # cls grows as the search finds single bonds
+            cls.extend(j for j in range(rank) if j not in cls
+                       and cartan[i][j] * cartan[j][i] == 1)
+        seen.update(cls)
+        ns = sorted({dims[i] for i in cls})
         if len(ns) > 1:
             raise RootSystemError(
-                "raise dims must agree on Weyl-conjugate simple roots; "
-                f"conflict {sorted(ns)} in the orbit of {rep}")
-        n = ns.pop()
-        for v in orbit:
-            out[v] = n
-    return tuple(sorted(out.items()))
+                "raise dims must agree on Weyl-conjugate simple roots; conflict "
+                f"{ns} in the orbit of {tuple(int(i == top) for i in range(rank))}")
 
 
 class WeylElement(_Frozen):
@@ -505,20 +435,18 @@ class WeylElement(_Frozen):
 
 
 def braid_order(rs: RootSystem, i: int, j: int) -> int:
-    """Order m(alpha_i, alpha_j) of s_i s_j; 2, 3, 4 or 6 in finite type.
+    """Order m(alpha_i, alpha_j) of s_i s_j: 2, 3, 4 or 6 as a_ij a_ji is
+    0, 1, 2 or 3.
 
     >>> braid_order(build_root_system("G2"), 0, 1)
     6
     """
     if i == j:
         raise RootSystemError("braid order needs two distinct simple roots")
-    m = mat_mul(rs.simple_reflection(i).matrix, rs.simple_reflection(j).matrix)
-    acc = m
-    for k in range(1, 1000):
-        if acc == mat_identity(rs.rank):
-            return k
-        acc = mat_mul(acc, m)
-    raise RootSystemError("braid order did not terminate; system is not finite")
+    for k in (i, j):
+        if not 0 <= k < rs.rank:
+            raise RootSystemError(f"simple root index {k} out of range")
+    return (2, 3, 4, 6)[rs.cartan[i][j] * rs.cartan[j][i]]
 
 
 def braid_witnesses(rs: RootSystem, alphas, points, step) -> list[tuple[int, int, int, str]]:
@@ -556,8 +484,8 @@ class WeylGroup:
     """
 
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
-        self.rank, self.cartan = rs.rank, rs.cartan
-        two_rho = tuple(map(sum, zip(*rs.positive_lines)))
+        self.rank, self.cartan, self.lines = rs.rank, rs.cartan, rs.positive_lines
+        two_rho = tuple(map(sum, zip(*self.lines)))
         ids = {two_rho: 0}
         keys = [two_rho]
         words: list[tuple[int, ...]] = [()]
@@ -608,6 +536,31 @@ class WeylGroup:
             out.append(tuple(tuple(x - cj * row[i] for x, cj in zip(row, c))
                              for row in out[self.mul[w][i]]))
         return tuple(out)
+
+    @cached_property
+    def reflections(self) -> tuple[int, ...]:
+        """Id of the reflection in each positive line, in line order.
+
+        If r is the reflection in beta, then s_j·r·s_j, the id
+        ``left[mul[r][j]][j]``, is the reflection in s_j(beta).  Every
+        positive line is reached from a simple root by simple reflections
+        that keep it positive, and s_j turns only alpha_j negative.
+
+        >>> g = weyl_group(build_root_system("A", 2))
+        >>> [g.words[w] for w in g.reflections]
+        [(1,), (0,), (0, 1, 0)]
+        """
+        order = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        found = {beta: self.mul[0][i] for i, beta in enumerate(order)}
+        for beta in order:  # order grows as conjugation reaches new lines
+            r = found[beta]
+            for j, c in enumerate(self.cartan):
+                x = beta[j] - sum(map(int.__mul__, c, beta))
+                gamma = beta[:j] + (x,) + beta[j + 1:]
+                if x >= 0 and gamma not in found:  # x < 0 only for beta = alpha_j
+                    found[gamma] = self.left[self.mul[r][j]][j]
+                    order.append(gamma)
+        return tuple(found[line] for line in self.lines)
 
     @cached_property
     def index(self) -> dict[Matrix, int]:
@@ -692,13 +645,7 @@ def reflections(rs: RootSystem) -> list[WeylElement]:
     """All reflections of the Weyl group, one per positive root line,
     sorted by line for determinism.  Words are canonical reduced words."""
     group = weyl_group(rs)
-    out = []
-    for line in rs.positive_lines:
-        w = group.index.get(rs.reflection_in_root(line))
-        if w is None:
-            raise RootSystemError(f"reflection in {line} is not in the group")
-        out.append(group.element(rs, w))
-    return out
+    return [group.element(rs, w) for w in group.reflections]
 
 
 def canonical_word(w: WeylElement) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ under test.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from weylorb.coxeter import (
     build_root_system,
     canonical_word,
     enumerate_group,
+    mat_apply,
     mat_identity,
     mat_mul,
     reflections,
@@ -164,9 +166,7 @@ def test_reflection_count_is_line_count(family, rank):
 
 def test_reflection_negates_its_root_and_fixes_orthogonals():
     rs = build_root_system("B", 2)
-    for line in rs.positive_lines:
-        m = rs.reflection_in_root(line)
-        w = WeylElement(rs, m, ())
+    for line, w in zip(rs.positive_lines, reflections(rs)):
         assert w.apply(line) == tuple(-x for x in line)
         for other in rs.positive_lines:
             if rs.form(line, other) == 0:
@@ -177,7 +177,8 @@ def test_cartan_pairing_integrality():
     rs = build_root_system("G2")
     for beta in rs.positive_roots:
         for i in range(rs.rank):
-            p = rs.pairing(beta, rs.simple_roots[i])
+            alpha = rs.simple_roots[i]
+            p = Fraction(2 * rs.form(beta, alpha), rs.form(alpha, alpha))
             assert p.denominator == 1
             assert int(p) == rs.cartan_pairing(beta, i)
 
@@ -237,13 +238,11 @@ def test_raise_dims_consistency():
         build_root_system("A", 2, raise_dims=[1, 2])
     # distinct orbits may differ
     rs = build_root_system("A1xA1", raise_dims=[1, 3])
-    assert rs.raise_dim_of_line((1, 0)) == 1
-    assert rs.raise_dim_of_line((0, 1)) == 3
+    assert line_raises(rs) == {(1, 0): 1, (0, 1): 3}
     b2 = build_root_system("B", 2, raise_dims=[2, 1])
-    assert b2.raise_dim_of_line((1, 0)) == 2
-    assert b2.raise_dim_of_line((0, 1)) == 1
-    # the long positive root alpha1 + alpha2... lines inherit orbit dims
-    assert b2.raise_dim_of_line((1, 1)) == 1 or b2.raise_dim_of_line((1, 1)) == 2
+    # the short root alpha1 + alpha2 is conjugate to alpha2, the long
+    # alpha1 + 2 alpha2 to alpha1
+    assert line_raises(b2) == {(1, 0): 2, (1, 2): 2, (0, 1): 1, (1, 1): 1}
 
 
 def test_invalid_families_rejected():
@@ -254,13 +253,12 @@ def test_invalid_families_rejected():
         build_root_system("A")
 
 
-def test_text_record_round_trip():
-    for token, rank, dims in [("A", 2, None), ("BC", 2, None),
-                              ("A1xA1", 2, [1, 3]), ("G2", 2, None)]:
-        rs = build_root_system(token, rank, raise_dims=dims)
-        again = type(rs).from_text(rs.to_text())
-        assert again == rs
-        assert again.to_text() == rs.to_text()
+def test_text_record():
+    for token, rank, dims, text in [("A", 2, None, "A 2 n=[1,1]"),
+                                    ("BC", 2, None, "BC 2 n=[1,1]"),
+                                    ("A1xA1", 2, [1, 3], "A1xA1 2 n=[1,3]"),
+                                    ("G2", 2, None, "G2 2 n=[1,1]")]:
+        assert build_root_system(token, rank, raise_dims=dims).to_text() == text
 
 
 def test_canonical_words_and_names():
@@ -339,7 +337,7 @@ def test_indexed_group_matches_matrix_bfs(token):
 
     by_matrix = dict(ref)
     assert [w.word for w in reflections(rs)] == [
-        by_matrix[rs.reflection_in_root(line)] for line in rs.positive_lines]
+        by_matrix[reflection_matrix(rs, line)] for line in rs.positive_lines]
     for m, word in ref:
         assert canonical_word(WeylElement(rs, m, ())) == word
 
@@ -432,3 +430,141 @@ def test_id_closure_matches_matrix_closure(token, data):
         with pytest.raises(CapExceeded) as err:
             matrix_subgroup_closure(gens, order - 1)
         assert str(err.value) == message
+
+
+# -- readings of the Cartan matrix against the matrix code they replaced ----
+
+
+def is_nonneg(v) -> bool:
+    return all(x >= 0 for x in v) and any(x != 0 for x in v)
+
+
+def line_raises(rs, dims=None) -> dict[tuple, int]:
+    """Reference: raise dims extended from the simple roots to every
+    positive line by a breadth-first search over each Weyl orbit of lines,
+    refusing dims (rs.raise_dims by default) that differ within an orbit."""
+    dims = rs.raise_dims if dims is None else dims
+    mats = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
+    line_set = set(rs.positive_lines)
+
+    def to_line(v):
+        if not is_nonneg(v):
+            v = tuple(-x for x in v)
+        if v not in line_set and all(x % 2 == 0 for x in v):
+            v = tuple(x // 2 for x in v)
+        return v
+
+    classes: dict[tuple, set[tuple]] = {}
+    assigned: dict[tuple, tuple] = {}
+    for line in rs.positive_lines:
+        if line in assigned:
+            continue
+        orbit = {line}
+        frontier = [line]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for m in mats:
+                    w = to_line(mat_apply(m, v))
+                    if w not in orbit:
+                        orbit.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        classes[line] = orbit
+        for v in orbit:
+            assigned[v] = line
+
+    out: dict[tuple, int] = {}
+    for rep, orbit in classes.items():
+        ns = {dims[i] for i, sr in enumerate(rs.simple_roots) if sr in orbit}
+        if not ns:
+            raise RootSystemError("root line orbit without a simple root")
+        if len(ns) > 1:
+            raise RootSystemError(
+                "raise dims must agree on Weyl-conjugate simple roots; "
+                f"conflict {sorted(ns)} in the orbit of {rep}")
+        n = ns.pop()
+        for v in orbit:
+            out[v] = n
+    return out
+
+
+def reflection_matrix(rs, root) -> tuple:
+    """Reference: matrix of the reflection fixing (., root) = 0, exactly."""
+    den = rs.form(root, root)
+    cols = []
+    for j in range(rs.rank):
+        e_j = tuple(int(k == j) for k in range(rs.rank))
+        coeff = Fraction(2 * rs.form(e_j, root), den)
+        cols.append([Fraction(int(k == j)) - coeff * root[k] for k in range(rs.rank)])
+    rows = []
+    for r in range(rs.rank):
+        row = []
+        for j in range(rs.rank):
+            x = cols[j][r]
+            if x.denominator != 1:
+                raise RootSystemError("reflection is not integral; not a root")
+            row.append(int(x))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def matrix_braid_order(rs, i: int, j: int) -> int:
+    """Reference: the least k with (s_i s_j)^k = 1, by matrix powers."""
+    m = mat_mul(rs.simple_reflection(i).matrix, rs.simple_reflection(j).matrix)
+    acc = m
+    for k in range(1, 1000):
+        if acc == mat_identity(rs.rank):
+            return k
+        acc = mat_mul(acc, m)
+    raise RootSystemError("braid order did not terminate; system is not finite")
+
+
+components = st.one_of(
+    st.tuples(st.sampled_from(["A", "B", "C", "BC"]), st.integers(1, 5)).map(
+        lambda t: f"{t[0]}{t[1]}"),
+    st.integers(2, 5).map(lambda r: f"D{r}"),
+    st.sampled_from(["G2", "F4"]),
+)
+tokens = st.lists(components, min_size=1, max_size=3).map("x".join).filter(
+    lambda t: build_root_system(t).rank <= 10)
+
+
+def _verdict(build):
+    try:
+        return "accepted", build()
+    except RootSystemError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens, st.data())
+def test_raise_dim_check_matches_line_orbit_bfs(token, data):
+    rank = build_root_system(token).rank
+    if data.draw(st.booleans()):
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    else:  # one value per component, so that more data are accepted
+        parts = [build_root_system(t).rank for t in token.split("x")]
+        dims = [n for r in parts for n in [data.draw(st.integers(1, 3))] * r]
+    got = _verdict(lambda: build_root_system(token, raise_dims=dims))
+    want = _verdict(lambda: line_raises(build_root_system(token), dims))
+    assert got[0] == want[0]
+    if got[0] == "refused":
+        assert got[1] == want[1]
+    else:
+        assert got[1].raise_dims == tuple(dims)
+        assert want[1] == line_raises(got[1])
+
+
+@pytest.mark.parametrize("token", INDEXED_CASES + ["C3", "D4", "BC1", "A1xG2xB2"])
+def test_braid_order_matches_matrix_powers(token):
+    rs = build_root_system(token)
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            if i != j:
+                assert braid_order(rs, i, j) == matrix_braid_order(rs, i, j)
+        for bad in (-1, rs.rank):
+            with pytest.raises(RootSystemError):
+                braid_order(rs, i, bad)
+            with pytest.raises(RootSystemError):
+                braid_order(rs, bad, i)

@@ -29,6 +29,8 @@ from weylorb.datum import (
     validate,
 )
 
+from test_coxeter import line_raises  # the line-orbit reference for raise dims
+
 
 def rank1_datum(kind: str, with_lattices: bool = False) -> OrbitDatum:
     """A hand-built valid rank-1 datum of the requested cell kind."""
@@ -120,7 +122,8 @@ def test_rank6_flag_data_are_reachable():
 
 def inversion_line_dims(rs) -> dict[str, int]:
     """dim(w) as the sum of raise dims over the positive lines w negates."""
-    return {word_name(w.word): sum(rs.raise_dim_of_line(line)
+    raises = line_raises(rs)
+    return {word_name(w.word): sum(raises[line]
                                    for line in rs.positive_lines
                                    if all(x <= 0 for x in w.apply(line)))
             for w in enumerate_group(rs)}

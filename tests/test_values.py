@@ -47,7 +47,6 @@ class RefRootSystem:
     positive_lines: tuple
     raise_dims: tuple
     gram: tuple
-    line_raise: tuple
 
     @property
     def key(self) -> tuple:
@@ -341,7 +340,6 @@ def test_value_semantics_match_the_dataclass_reference(type_name, data):
 def test_root_system_and_weyl_element_compare_by_key_and_matrix():
     rs = build_root_system("B2")
     fields = [getattr(rs, f) for f in RS_FIELDS]
-    fields[RS_FIELDS.index("line_raise")] = ()
     assert RootSystem(*fields) == rs and hash(RootSystem(*fields)) == hash(rs)
     assert rs != build_root_system("B2", raise_dims=[2, 1])
     s = rs.simple_reflection(0)
