@@ -70,12 +70,21 @@ class GeneratorTheoremResult(NamedTuple):
         return self.stabilizer.order
 
 
+def _involutions(d: OrbitDatum) -> dict[int, list[int]]:
+    """sigma_alpha over orbit positions per simple root alpha; refuses the
+    first orbit, alpha by alpha in basis order, that no alpha-cell covers."""
+    perms = {alpha: d.involutions[alpha] for alpha in range(1, d.root_system.rank + 1)}
+    for alpha, perm in perms.items():
+        if None in perm:
+            d.sigma(alpha, d.orbits[perm.index(None)].id)  # raises
+    return perms
+
+
 def action_table(d: OrbitDatum) -> dict[int, dict[str, str]]:
     """Per simple root, the sigma involution as an explicit permutation."""
-    out: dict[int, dict[str, str]] = {}
-    for alpha in range(1, d.root_system.rank + 1):
-        out[alpha] = {oid: d.sigma(alpha, oid) for oid in d.orbit_ids()}
-    return out
+    ids = d.orbit_ids()
+    return {alpha: {ids[i]: ids[j] for i, j in enumerate(perm)}
+            for alpha, perm in _involutions(d).items()}
 
 
 def act_word(d: OrbitDatum, word: tuple[int, ...], orbit_id: str) -> str:
@@ -96,20 +105,21 @@ def braid_check(d: OrbitDatum) -> list[BraidViolation]:
     none fails, raises BraidObstruction when some sigma_alpha is not an
     involution, as then the action cannot factor through W either.
     """
-    return _braid_violations(d, action_table(d))
+    return _braid_violations(d, _involutions(d))
 
 
-def _braid_violations(d: OrbitDatum, table) -> list[BraidViolation]:
+def _braid_violations(d: OrbitDatum, perms: dict[int, list[int]]) -> list[BraidViolation]:
+    ids = d.orbit_ids()
     out = [BraidViolation(*v) for v in braid_witnesses(
-        d.root_system, sorted(table), [(oid, oid) for oid in d.orbit_ids()],
-        lambda alpha, x: table[alpha][x])]
+        d.root_system, sorted(perms), [(oid, i) for i, oid in enumerate(ids)],
+        lambda alpha, x: perms[alpha][x])]
     if not out:  # the relations hold; each sigma must also square to 1
-        for alpha, perm in table.items():
-            for x, y in perm.items():
+        for alpha, perm in perms.items():
+            for x, y in enumerate(perm):
                 if perm[y] != x:
                     raise BraidObstruction(
-                        f"sigma_{alpha} is not an involution: it sends {x} to {y} "
-                        f"and {y} to {perm[y]}")
+                        f"sigma_{alpha} is not an involution: it sends {ids[x]} to "
+                        f"{ids[y]} and {ids[y]} to {ids[perm[y]]}")
     return out
 
 
@@ -119,20 +129,14 @@ def orbit_of_open(d: OrbitDatum) -> tuple[str, ...]:
     If braid_check fails this is still the orbit under the free product
     of the involutions; callers wanting a group orbit should check first.
     """
-    table = action_table(d)
-    start = d.open_orbit().id
-    seen = {start}
-    frontier = [start]
+    perms = list(_involutions(d).values())
+    seen = {d.position[d.open_orbit().id]}
+    frontier = list(seen)
     while frontier:
-        nxt = []
-        for x in frontier:
-            for alpha in table:
-                y = table[alpha][x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+        frontier = [y for y in {perm[x] for x in frontier for perm in perms}
+                    if y not in seen]
+        seen.update(frontier)
+    return tuple(sorted(d.orbits[x].id for x in seen))
 
 
 def stabilizer_open(d: OrbitDatum,
@@ -145,8 +149,8 @@ def stabilizer_open(d: OrbitDatum,
     w^-1 applied to the open orbit, from its BFS parent w·s_i; the
     stabilizer is the set of w whose image is the open orbit.
     """
-    table = action_table(d)
-    violations = _braid_violations(d, table)
+    perms = _involutions(d)
+    violations = _braid_violations(d, perms)
     if violations:
         raise BraidObstruction(
             "sigma does not satisfy the braid relations: "
@@ -154,11 +158,11 @@ def stabilizer_open(d: OrbitDatum,
     rs = d.root_system
     group = weyl_group(rs, cap=cap)
 
-    start = d.open_orbit().id
+    start = d.position[d.open_orbit().id]
     image = [start]  # image[w] = w^-1 applied to the open orbit
     for w in range(1, len(group)):
         i = group.words[w][-1]  # w^-1 = s_i·parent^-1 with parent = w·s_i
-        image.append(table[i + 1][image[group.mul[w][i]]])
+        image.append(perms[i + 1][image[group.mul[w][i]]])
     ids = frozenset(w for w, x in enumerate(image) if x == start)
 
     orbit = len(set(image))

@@ -525,16 +525,18 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.words)
 
+    def _times_simple(self, m: Matrix, i: int) -> Matrix:
+        """M·s_i: subtract C[i][j] times column i from column j."""
+        c = self.cartan[i]
+        return tuple(tuple(x - cj * row[i] for x, cj in zip(row, c)) for row in m)
+
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
-        """Each element's matrix from its BFS parent's: M·s_i subtracts
-        C[i][j] times column i from column j."""
+        """Each element's matrix from its BFS parent's."""
         out = [mat_identity(self.rank)]
         for w in range(1, len(self)):
             i = self.words[w][-1]
-            c = self.cartan[i]
-            out.append(tuple(tuple(x - cj * row[i] for x, cj in zip(row, c))
-                             for row in out[self.mul[w][i]]))
+            out.append(self._times_simple(out[self.mul[w][i]], i))
         return tuple(out)
 
     @cached_property
@@ -600,8 +602,12 @@ class WeylGroup:
         return seen
 
     def element(self, rs: RootSystem, w: int) -> WeylElement:
-        """Element w over rs, with its matrix and canonical word."""
-        return WeylElement(rs, self.matrices[w], self.words[w])
+        """Element w over rs, with its canonical word and the matrix built
+        along it, so that one element does not build all of ``matrices``."""
+        m = mat_identity(self.rank)
+        for i in self.words[w]:
+            m = self._times_simple(m, i)
+        return WeylElement(rs, m, self.words[w])
 
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}

@@ -82,18 +82,6 @@ class RaiseCell(NamedTuple):
             return (self.y, self.z1, self.z2)
         return (self.y,) if self.kind == "A" else (self.y, self.z)
 
-    def sigma(self, orbit_id: str) -> str:
-        """Image of orbit_id under the cell involution."""
-        if self.kind == "U":
-            return self.z if orbit_id == self.y else self.y
-        if self.kind in ("TU", "RT"):
-            if orbit_id == self.z1:
-                return self.z2
-            if orbit_id == self.z2:
-                return self.z1
-            return orbit_id
-        return orbit_id  # A, RI, N fix everything
-
 
 class Violation(NamedTuple):
     code: str
@@ -160,29 +148,37 @@ class OrbitDatum:
         return opens[0]
 
     @cached_property
-    def membership(self) -> dict[tuple[int, str], tuple[RaiseCell, str]]:
-        """Index (alpha, orbit id) -> (cell, role), first hit if the partition
-        is defective; built on first use, so loading a datum does not pay."""
-        index: dict[tuple[int, str], tuple[RaiseCell, str]] = {}
-        for alpha, cells in self.cells.items():
-            for cell in cells:
-                for role, oid in zip(ROLES[cell.kind], cell.members()):
-                    index.setdefault((alpha, oid), (cell, role))
-        return index
+    def position(self) -> dict[str, int]:
+        """Orbit id -> its index in ``orbit_ids()`` order."""
+        return {o.id: i for i, o in enumerate(self.orbits)}
 
-    def cell_of(self, alpha: int, orbit_id: str) -> RaiseCell:
-        """The unique alpha-cell containing orbit_id (first hit if the
-        partition is defective; validate reports such defects)."""
-        hit = self.membership.get((alpha, orbit_id))
-        if hit is None:
-            raise DatumFormatError(
-                f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
-        return hit[0]
+    @cached_property
+    def involutions(self) -> dict[int, list[int | None]]:
+        """Per simple root, and per other key of ``cells``, sigma_alpha over
+        positions, None where no alpha-cell covers the orbit; the first cell
+        wins on a defective partition.  Built on first use, with position."""
+        pos = self.position
+        out = {}
+        for alpha in sorted({*range(1, self.root_system.rank + 1), *self.cells}):
+            perm: list[int | None] = [None] * len(self.orbits)
+            for cell in self.cells.get(alpha, ()):
+                # U swaps y and z, TU and RT swap z1 and z2, the rest fix all
+                a, b = (cell.y, cell.z) if cell.kind == "U" else (cell.z1, cell.z2)
+                for m in cell.members():
+                    if perm[pos[m]] is None:
+                        perm[pos[m]] = pos[b if m == a else a if m == b else m]
+            out[alpha] = perm
+        return out
 
     def sigma(self, alpha: int, orbit_id: str) -> str:
         """Involution of the orbit set attached to the simple root alpha."""
-        self.orbit(orbit_id)
-        return self.cell_of(alpha, orbit_id).sigma(orbit_id)
+        self.orbit(orbit_id)  # an unknown id raises
+        perm = self.involutions.get(alpha)
+        j = None if perm is None else perm[self.position[orbit_id]]
+        if j is None:
+            raise DatumFormatError(
+                f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
+        return self.orbits[j].id
 
 
 # -- exact linear algebra over Q --------------------------------------------
@@ -601,6 +597,10 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
         if not 1 <= alpha <= rs.rank:
             raise DatumFormatError(
                 f"cells: simple root index {alpha} out of range 1..{rs.rank}")
+        if alpha in cells:
+            first = next(k for k in cells_obj if int(k) == alpha)
+            raise DatumFormatError(
+                f"cells: keys {first!r} and {key!r} both name simple root {alpha}")
         if not isinstance(raw_cells, list):
             raise DatumFormatError(f"cells[{key}] must be a list")
         parsed = []

@@ -68,21 +68,21 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     """Assemble the T_alpha operators from the raise cells.
 
     U cells swap their two basis vectors.  TU and RT cells fix [y] and
-    send [z1] to [y] + [z2] and back.  A, RI and N cells act as the
-    identity on their members.
+    send [z1] to [y] + [z2] and back.  A, RI and N cells, and a simple
+    root with no cells, act as the identity.
     """
     basis = d.orbit_ids()
-    idx = {oid: i for i, oid in enumerate(basis)}
+    at = d.position
     columns: dict[int, tuple[int, ...]] = {}
-    for alpha, cells in sorted(d.cells.items()):
+    for alpha in d.involutions:
         col = [1 << i for i in range(len(basis))]
-        for cell in cells:
+        for cell in d.cells.get(alpha, ()):
             if cell.kind == "U":
-                col[idx[cell.y]] = 1 << idx[cell.z]
-                col[idx[cell.z]] = 1 << idx[cell.y]
+                col[at[cell.y]] = 1 << at[cell.z]
+                col[at[cell.z]] = 1 << at[cell.y]
             elif cell.kind in ("TU", "RT"):
-                col[idx[cell.z1]] = (1 << idx[cell.y]) | (1 << idx[cell.z2])
-                col[idx[cell.z2]] = (1 << idx[cell.y]) | (1 << idx[cell.z1])
+                col[at[cell.z1]] = (1 << at[cell.y]) | (1 << at[cell.z2])
+                col[at[cell.z2]] = (1 << at[cell.y]) | (1 << at[cell.z1])
         columns[alpha] = tuple(col)
     return HeckeModule(datum=d, basis=basis, columns=columns)
 

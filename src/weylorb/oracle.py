@@ -26,7 +26,7 @@ from math import inf, isqrt
 from typing import NamedTuple
 
 from .coxeter import RootSystem, build_root_system
-from .datum import Orbit, OrbitDatum, RaiseCell, datum_to_obj, validate
+from .datum import ROLES, Orbit, OrbitDatum, RaiseCell, datum_to_obj, validate
 
 __all__ = [
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
@@ -653,29 +653,22 @@ class CompareReport(NamedTuple):
     lines: tuple[str, ...]
 
 
-def _signature(d: OrbitDatum, oid: str):
-    sig = []
-    for alpha in sorted(d.cells):
-        hit = d.membership.get((alpha, oid))
-        if hit is not None:
-            cell, role = hit
-            hit = (_kindclass(cell.kind),
-                   "z" if cell.kind == "RT" and role != "y" else role)
-        sig.append((alpha, hit))
-    return tuple(sig)
-
-
-def _cell_blocks(d: OrbitDatum) -> list:
-    """Cells as blocks over orbit positions: one group per role but RT's z pair."""
-    pos = {oid: i for i, oid in enumerate(d.orbit_ids())}
-    out = []
-    for alpha, cells in d.cells.items():
+def _structure(d: OrbitDatum) -> tuple[list, list]:
+    """One pass over the cells.  Per orbit its colour: its signature (per
+    alpha with cells, the kind class and role, RT's z1 and z2 as one "z",
+    of its first alpha-cell, or None) and its open flag.  And the cells as
+    blocks over orbit positions: one group per role but RT's z pair."""
+    rows = [[(alpha, None) for alpha in d.cells] for _ in d.orbits]
+    blocks = []
+    for k, (alpha, cells) in enumerate(d.cells.items()):
         for cell in cells:
-            ids = [pos[m] for m in cell.members()]
-            groups = (((ids[0],), tuple(ids[1:])) if cell.kind == "RT"
-                      else tuple((i,) for i in ids))
-            out.append(((alpha, _kindclass(cell.kind)), groups))
-    return out
+            kind, ids = _kindclass(cell.kind), [d.position[m] for m in cell.members()]
+            for role, i in zip(ROLES[cell.kind], ids):
+                if rows[i][k][1] is None:
+                    rows[i][k] = (alpha, (kind, "z" if kind == "RT" and role != "y" else role))
+            blocks.append(((alpha, kind), ((ids[0],), tuple(ids[1:])) if kind == "RT"
+                           else tuple((i,) for i in ids)))
+    return [(tuple(row), o.open) for row, o in zip(rows, d.orbits)], blocks
 
 
 def _unmatched(reference: OrbitDatum, candidate: OrbitDatum, fits: dict) -> list[str]:
@@ -723,10 +716,7 @@ def compare(reference: OrbitDatum, candidate: OrbitDatum, fits=()) -> CompareRep
     if lines:
         return CompareReport(match=False, lines=tuple(lines))
 
-    perm = _match([(_signature(reference, o.id), o.open) for o in reference.orbits],
-                  _cell_blocks(reference),
-                  [(_signature(candidate, o.id), o.open) for o in candidate.orbits],
-                  _cell_blocks(candidate))
+    perm = _match(*_structure(reference), *_structure(candidate))
     if perm is None:
         lines.append("no structure-preserving bijection of orbits exists")
         return CompareReport(match=False, lines=tuple(lines))

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylorb import coxeter
 from weylorb.action import (
     BraidObstruction,
+    BraidViolation,
     act_word,
     action_table,
     braid_check,
@@ -16,8 +20,23 @@ from weylorb.action import (
     stabilizer_open,
 )
 from weylorb.bundled import DATUM_NAMES, bundled_datum
-from weylorb.coxeter import build_root_system, enumerate_group, mat_mul, weyl_group, word_name
-from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum, validate
+from weylorb.coxeter import (
+    braid_order,
+    build_root_system,
+    enumerate_group,
+    mat_mul,
+    weyl_group,
+    word_name,
+)
+from weylorb.datum import (
+    ROLES,
+    DatumFormatError,
+    Orbit,
+    OrbitDatum,
+    RaiseCell,
+    generate_flag_datum,
+    validate,
+)
 
 FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
 
@@ -131,13 +150,139 @@ def test_stabilizer_refuses_non_involution():
         check_generator_theorem(d)
 
 
+# -- reference: the string-keyed sigma path the int tables replaced ----------
+
+
+def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell, str]]:
+    """(alpha, orbit id) -> (cell, role), the first hit on a defective partition."""
+    index: dict[tuple[int, str], tuple[RaiseCell, str]] = {}
+    for alpha, cells in d.cells.items():
+        for cell in cells:
+            for role, oid in zip(ROLES[cell.kind], cell.members()):
+                index.setdefault((alpha, oid), (cell, role))
+    return index
+
+
+def reference_cell_sigma(cell: RaiseCell, orbit_id: str) -> str:
+    """Image of orbit_id under the cell involution."""
+    if cell.kind == "U":
+        return cell.z if orbit_id == cell.y else cell.y
+    if cell.kind in ("TU", "RT"):
+        if orbit_id == cell.z1:
+            return cell.z2
+        if orbit_id == cell.z2:
+            return cell.z1
+    return orbit_id  # A, RI, N fix everything
+
+
+def reference_sigma(d: OrbitDatum, alpha: int, orbit_id: str, membership=None) -> str:
+    d.orbit(orbit_id)
+    hit = (membership or reference_membership(d)).get((alpha, orbit_id))
+    if hit is None:
+        raise DatumFormatError(
+            f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
+    return reference_cell_sigma(hit[0], orbit_id)
+
+
+def reference_table(d: OrbitDatum) -> dict[int, dict[str, str]]:
+    """Per simple root, sigma by one string-keyed call per orbit id."""
+    membership = reference_membership(d)
+    return {alpha: {oid: reference_sigma(d, alpha, oid, membership)
+                    for oid in d.orbit_ids()}
+            for alpha in range(1, d.root_system.rank + 1)}
+
+
+def reference_braid_check(d: OrbitDatum) -> list[BraidViolation]:
+    table = reference_table(d)
+    out = []
+    for a, b in combinations(sorted(table), 2):
+        m = braid_order(d.root_system, a - 1, b - 1)
+        for x in d.orbit_ids():
+            y = x
+            for _ in range(m):
+                y = table[a][table[b][y]]
+            if y != x:
+                out.append(BraidViolation(a, b, m, x))
+                break
+    if not out:
+        for alpha, perm in table.items():
+            for x, y in perm.items():
+                if perm[y] != x:
+                    raise BraidObstruction(
+                        f"sigma_{alpha} is not an involution: it sends {x} to {y} "
+                        f"and {y} to {perm[y]}")
+    return out
+
+
+def reference_orbit_of_open(d: OrbitDatum) -> tuple[str, ...]:
+    table = reference_table(d)
+    seen = {d.open_orbit().id}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {table[a][x] for x in frontier for a in table}
+                    if y not in seen]
+        seen.update(frontier)
+    return tuple(sorted(seen))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the refusal it raises."""
+    try:
+        return "ok", f(*args)
+    except (DatumFormatError, BraidObstruction) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def partly_covered() -> OrbitDatum:
+    """A1xA1 datum whose alpha-2 cells leave z uncovered."""
+    return OrbitDatum(build_root_system("A1xA1"),
+                      (Orbit("y", 1, 0, 0, 0, open=True), Orbit("z", 0, 0, 0, 0)),
+                      {1: (RaiseCell(1, "U", y="y", z="z"),),
+                       2: (RaiseCell(2, "A", y="y"),)})
+
+
+def missing_alpha() -> OrbitDatum:
+    """A1xA1 datum with no cells at all for alpha 2."""
+    return OrbitDatum(build_root_system("A1xA1"),
+                      (Orbit("y", 1, 0, 0, 0, open=True), Orbit("z", 0, 0, 0, 0)),
+                      {1: (RaiseCell(1, "U", y="y", z="z"),)})
+
+
+def tu_y_is_z1() -> OrbitDatum:
+    """A1 datum with a TU cell whose y is also its z1: sigma reads the ids,
+    so q goes to r although q's first role is y."""
+    return OrbitDatum(build_root_system("A1"),
+                      (Orbit("y", 2, 0, 0, 0, open=True), Orbit("q", 1, 0, 0, 0),
+                       Orbit("r", 0, 0, 0, 0)),
+                      {1: (RaiseCell(1, "TU", y="q", z1="q", z2="r"),
+                           RaiseCell(1, "A", y="y"))})
+
+
+#: A double-covered orbit, a partly covered alpha, a missing alpha, a
+#: degenerate TU cell and a braid violation.
+DEFECTIVE_CASES = [non_involution(), partly_covered(), missing_alpha(), tu_y_is_z1(),
+                   braid_breaker()]
+
+
+def assert_sigma_paths_match_reference(d: OrbitDatum) -> None:
+    membership = reference_membership(d)
+    for alpha in range(d.root_system.rank + 2):  # 0 and rank + 1 name no root
+        for oid in d.orbit_ids() + ("nope",):
+            assert (outcome(d.sigma, alpha, oid)
+                    == outcome(reference_sigma, d, alpha, oid, membership))
+    for got, want in ((action_table, reference_table),
+                      (braid_check, reference_braid_check),
+                      (orbit_of_open, reference_orbit_of_open)):
+        assert outcome(got, d) == outcome(want, d), got.__name__
+
+
 def schreier_stabilizer(d: OrbitDatum) -> frozenset:
     """Reference stabilizer of the open orbit, by orbit-stabilizer.
 
     A breadth-first transversal of the open orbit gives Schreier
     generators u_y^-1 s_alpha u_x, closed up by matrix products.
     """
-    table = action_table(d)
+    table = reference_table(d)
     rs = d.root_system
     group = weyl_group(rs)
 
@@ -191,6 +336,23 @@ def renamed(d: OrbitDatum, names: dict[str, str]) -> OrbitDatum:
 STABILIZER_CASES = ([bundled_datum(n) for n in DATUM_NAMES]
                     + [generate_flag_datum(build_root_system(t))
                        for t in FLAG_TOKENS + ("F4", "B3xG2")])
+
+
+@pytest.mark.parametrize("d", STABILIZER_CASES + DEFECTIVE_CASES,
+                         ids=lambda d: d.root_system.to_text())
+def test_sigma_paths_match_reference(d):
+    assert_sigma_paths_match_reference(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([d for d in STABILIZER_CASES + DEFECTIVE_CASES
+                        if len(d.orbits) <= 48]),
+       st.data())
+def test_sigma_paths_match_reference_under_renaming(d, data):
+    ids = d.orbit_ids()
+    fresh = data.draw(st.lists(st.text("abcxyz01.", min_size=1, max_size=4),
+                               min_size=len(ids), max_size=len(ids), unique=True))
+    assert_sigma_paths_match_reference(renamed(d, dict(zip(ids, fresh))))
 
 
 def assert_matches_reference(d: OrbitDatum) -> None:
@@ -247,6 +409,13 @@ def test_generator_theorem_flag(token):
     res = check_generator_theorem(generate_flag_datum(build_root_system(token)))
     assert res.holds
     assert res.stabilizer_order == 1
+
+
+def test_generator_theorem_builds_no_group_matrices(monkeypatch):
+    monkeypatch.setattr(coxeter, "_GROUPS", {})  # a fresh F4 group
+    rs = build_root_system("F4")
+    assert check_generator_theorem(generate_flag_datum(rs)).holds
+    assert "matrices" not in weyl_group(rs).__dict__
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,42 @@ from weylorb.datum import dumps, generate_flag_datum, loads
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
+    if "--json" in argv and "--out" not in argv:
+        assert_json_contract(code, captured.out, captured.err)
     return code, captured.out, captured.err
+
+
+def assert_json_contract(code: int, out: str, err: str) -> None:
+    """Under --json, exit 0 or 1 prints one JSON object; exit 2 prints
+    nothing and one error: line on stderr."""
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code in (0, 1) and isinstance(json.loads(out), dict), (code, out)
+
+
+def _orbit(oid: str, dim: int, is_open: bool = False) -> dict:
+    return {"id": oid, "dim": dim, "c": 0, "rk": 0, "s": 0, "open": is_open}
+
+
+#: A1xA1 data over orbits y (open) and z: no cell for alpha 2 at all, and
+#: alpha-2 cells that leave z uncovered.
+MISSING_ALPHA = {"root_system": {"family": "A1xA1", "rank": 2, "raise_dims": [1, 1]},
+                 "orbits": [_orbit("y", 1, True), _orbit("z", 0)],
+                 "cells": {"1": [{"kind": "U", "y": "y", "z": "z"}]}}
+PARTLY_COVERED = {**MISSING_ALPHA, "cells": {**MISSING_ALPHA["cells"],
+                                             "2": [{"kind": "A", "y": "y"}]}}
+#: A1 with "1" and "01" both naming the one simple root.
+REPEATED_KEY = {"root_system": {"family": "A1", "rank": 1, "raise_dims": [1]},
+                "orbits": [_orbit("y", 1, True), _orbit("z", 0)],
+                "cells": {"1": [{"kind": "U", "y": "y", "z": "y"}],
+                          "01": [{"kind": "U", "y": "y", "z": "z"}]}}
+
+
+def write_datum(tmp_path: Path, name: str, obj: dict) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
 
 
 def test_gen_flag_validate_pipeline(capsys, monkeypatch):
@@ -195,6 +230,45 @@ def test_hecke_involutions_verdict_ignores_orbit_names(tmp_path, capsys):
     assert code == 1
     assert obj["involutions"] is True
     assert obj["module_braid_ok"] is False
+
+
+@pytest.mark.parametrize("obj", [MISSING_ALPHA, PARTLY_COVERED], ids=["missing", "partial"])
+def test_uncovered_orbit_is_refused(tmp_path, capsys, obj):
+    path = write_datum(tmp_path, "uncovered", obj)
+    refusal = (2, "", "error: orbit 'z' is not covered by any cell for alpha 2\n")
+    for command in ("hecke", "braid", "stabilizer"):
+        assert run(capsys, command, path) == refusal
+        assert run(capsys, command, path, "--json") == refusal
+    assert run(capsys, "act", path, "2", "z") == refusal
+    # letters whose cells cover the orbit still act
+    assert run(capsys, "act", path, "1.1.1", "z") == (0, "y\n", "")
+
+
+def test_repeated_simple_root_key_is_refused(tmp_path, capsys):
+    path = write_datum(tmp_path, "repeated", REPEATED_KEY)
+    assert run(capsys, "validate", path) == (
+        2, "", "error: cells: keys '1' and '01' both name simple root 1\n")
+
+
+def test_every_json_command_prints_one_object_or_refuses(tmp_path, capsys):
+    bad = {name: write_datum(tmp_path, name, obj) for name, obj in (
+        ("missing", MISSING_ALPHA), ("partial", PARTLY_COVERED),
+        ("repeated", REPEATED_KEY))}
+    twou = {**REPEATED_KEY, "orbits": [*REPEATED_KEY["orbits"], _orbit("w", 0)],
+            "cells": {"1": [{"kind": "U", "y": "y", "z": "z"},
+                            {"kind": "U", "y": "y", "z": "w"}]}}
+    data = ["sl3_so12", "rank1_tu", "product_a1a1", write_datum(tmp_path, "twou", twou),
+            "no_such_datum", *bad.values()]
+    codes = set()
+    for d in data:
+        for argv in (["validate", d], ["braid", d], ["stabilizer", d], ["hecke", d],
+                     ["act", d, "1", "y"], ["act", d, "1.9", "y"]):
+            codes.add(run(capsys, *argv, "--json")[0])  # run checks the contract
+    for argv in (["enumerate", "torus"], ["enumerate", "torus", "--q-list", "6"],
+                 ["infer", "torus"], ["compare", "torus", "rank1_rt"],
+                 ["compare", "torus", "rank1_u"], ["compare", "torus", bad["missing"]]):
+        codes.add(run(capsys, "oracle", *argv, "--json")[0])
+    assert codes == {0, 1, 2}
 
 
 def test_hecke_flag_regular_rep(capsys, tmp_path):

@@ -342,6 +342,15 @@ def test_indexed_group_matches_matrix_bfs(token):
         assert canonical_word(WeylElement(rs, m, ())) == word
 
 
+@pytest.mark.parametrize("token", ["A3", "B3", "BC2", "G2", "F4", "A1xA1"])
+def test_element_builds_one_matrix_along_its_word(token):
+    rs = build_root_system(token)
+    group = WeylGroup(rs)  # a fresh group: matrices not yet built
+    got = [group.element(rs, w) for w in range(len(group))]
+    assert "matrices" not in group.__dict__
+    assert [(e.matrix, e.word) for e in got] == list(zip(group.matrices, group.words))
+
+
 def test_canonical_word_rejects_foreign_matrix():
     rs = build_root_system("A", 2)
     with pytest.raises(RootSystemError):

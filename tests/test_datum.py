@@ -403,6 +403,20 @@ def test_unknown_fields_rejected():
         loads(json.dumps(obj))
 
 
+def test_repeated_simple_root_key_is_refused():
+    obj = json.loads(dumps(rank1_datum("U")))
+    one = obj["cells"]["1"]
+    obj["cells"] = {"1": [{"kind": "U", "y": "y", "z": "y"}], "01": one}
+    with pytest.raises(DatumFormatError,
+                       match="cells: keys '1' and '01' both name simple root 1"):
+        loads(json.dumps(obj))
+    obj["cells"] = {"1": one, " 1": one}
+    with pytest.raises(DatumFormatError, match="keys '1' and ' 1'"):
+        loads(json.dumps(obj))
+    obj["cells"] = {"01": one}  # one non-canonical key still loads
+    assert loads(json.dumps(obj)) == rank1_datum("U")
+
+
 def test_parse_errors():
     d = rank1_datum("U")
     obj = json.loads(dumps(d))

@@ -43,6 +43,8 @@ from weylorb.oracle import (
     spec_from_obj,
 )
 
+from test_action import DEFECTIVE_CASES, reference_membership  # the sigma reference
+
 _CACHE: dict[tuple[str, int], OracleReport] = {}
 
 
@@ -771,6 +773,30 @@ def test_compare_different_systems():
     rep = compare(bundled_datum("rank1_u"), bundled_datum("product_a1a1"))
     assert not rep.match
     assert any("root system mismatch" in line for line in rep.lines)
+
+
+def reference_signature(d: OrbitDatum, oid: str) -> tuple:
+    """Per alpha with cells, the kind class and role of oid's first alpha-cell,
+    by one membership probe per orbit and alpha."""
+    sig = []
+    for alpha in sorted(d.cells):
+        hit = reference_membership(d).get((alpha, oid))
+        if hit is not None:
+            cell, role = hit
+            hit = (oracle._kindclass(cell.kind),
+                   "z" if cell.kind == "RT" and role != "y" else role)
+        sig.append((alpha, hit))
+    return tuple(sig)
+
+
+@pytest.mark.parametrize(
+    "d", [bundled_datum(n) for n in ("rank1_tu", "rank1_rt", "rank1_ri", "sl3_so12",
+                                     "product_a1a1")]
+    + [generate_flag_datum(build_root_system("A2"))] + DEFECTIVE_CASES,
+    ids=lambda d: d.root_system.to_text())
+def test_compare_colours_match_reference_signatures(d):
+    assert oracle._structure(d)[0] == [(reference_signature(d, o.id), o.open)
+                                       for o in d.orbits]
 
 
 def _relabelled(d: OrbitDatum, seed: int) -> OrbitDatum:
