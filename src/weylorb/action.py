@@ -110,16 +110,18 @@ def braid_check(d: OrbitDatum) -> list[BraidViolation]:
 
 def _braid_violations(d: OrbitDatum, perms: dict[int, list[int]]) -> list[BraidViolation]:
     ids = d.orbit_ids()
-    out = [BraidViolation(*v) for v in braid_witnesses(
-        d.root_system, sorted(perms), [(oid, i) for i, oid in enumerate(ids)],
-        lambda alpha, x: perms[alpha][x])]
+    identity = list(range(len(ids)))
+    out = [BraidViolation(a, b, m, ids[i]) for a, b, m, i in braid_witnesses(
+        d.root_system, perms, identity, lambda p, q: [p[x] for x in q])]
     if not out:  # the relations hold; each sigma must also square to 1
         for alpha, perm in perms.items():
-            for x, y in enumerate(perm):
-                if perm[y] != x:
-                    raise BraidObstruction(
-                        f"sigma_{alpha} is not an involution: it sends {ids[x]} to "
-                        f"{ids[y]} and {ids[y]} to {ids[perm[y]]}")
+            square = [perm[y] for y in perm]
+            if square != identity:
+                x = next(x for x in identity if square[x] != x)
+                y = perm[x]
+                raise BraidObstruction(
+                    f"sigma_{alpha} is not an involution: it sends {ids[x]} to "
+                    f"{ids[y]} and {ids[y]} to {ids[perm[y]]}")
     return out
 
 

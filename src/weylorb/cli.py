@@ -177,42 +177,39 @@ def _cmd_hecke(args) -> tuple[int, str]:
     module = hecke.build_module(d)
     problems: list[str] = []
 
-    involutions_ok = True
-    for alpha in sorted(module.columns):
-        for oid in module.basis:
-            v = module.unit(oid)
-            if hecke.apply(module, alpha, hecke.apply(module, alpha, v)) != v:
+    involutions_ok = lead_ok = True
+    for alpha, col in sorted(module.columns.items()):
+        for i, oid in enumerate(module.basis):
+            if hecke.apply(module, alpha, col[i]) != 1 << i:
                 problems.append(f"T_{alpha} is not an involution at [{oid}]")
                 involutions_ok = False
-
-    lead_ok = True
+    dims = [o.dim for o in d.orbits]  # the basis is d.orbit_ids()
     for alpha in sorted(module.columns):
-        for oid in module.basis:
+        sigma = d.involutions[alpha]
+        for i, oid in enumerate(module.basis):
             try:
-                lead = hecke.leading_term(module, alpha, oid)
+                lead = hecke.leading_position(module, alpha, i, dims.__getitem__)
             except hecke.HeckeError as exc:
                 problems.append(str(exc))
                 lead_ok = False
                 continue
-            if lead != d.sigma(alpha, oid):
+            if lead != sigma[i]:  # None, uncovered: d.sigma raises below
                 problems.append(
-                    f"leading term of T_{alpha}[{oid}] is [{lead}], "
+                    f"leading term of T_{alpha}[{oid}] is [{module.basis[lead]}], "
                     f"sigma gives [{d.sigma(alpha, oid)}]")
                 lead_ok = False
 
     # the regular-representation check runs the module braid check itself
-    regular = hecke.verify_regular_representation(d) if "e" in module.basis else None
+    regular = (hecke.verify_regular_representation(module) if "e" in module.basis
+               else None)
     braid_violations = (regular.braid_violations if regular
                         else hecke.braid_check_module(module))
     problems.extend(v.line() for v in braid_violations)
     if regular and not regular.ok:
         problems.append("regular representation check failed")
 
-    columns = {
-        str(alpha): {oid: module.terms(module.columns[alpha][i])
-                     for i, oid in enumerate(module.basis)}
-        for alpha in sorted(module.columns)
-    }
+    columns = {str(alpha): {oid: module.terms(col[i]) for i, oid in enumerate(module.basis)}
+               for alpha, col in sorted(module.columns.items())}
     ok = not problems
     if args.json:
         return (0 if ok else 1), _json_body({
@@ -231,10 +228,9 @@ def _cmd_hecke(args) -> tuple[int, str]:
             "problems": problems,
         })
     lines = ["basis: " + " ".join(module.basis)]
-    for alpha in sorted(module.columns):
-        for i, oid in enumerate(module.basis):
-            terms = module.terms(module.columns[alpha][i])
-            lines.append(f"T_{alpha}[{oid}] = " + " + ".join(terms))
+    for alpha, images in columns.items():
+        lines.extend(f"T_{alpha}[{oid}] = " + " + ".join(terms)
+                     for oid, terms in images.items())
     lines.append("involutions: " + ("OK" if involutions_ok else "FAIL"))
     lines.append("leading terms match sigma: " + ("OK" if lead_ok else "FAIL"))
     lines.append("module braid: " + ("OK" if not braid_violations else "FAIL"))

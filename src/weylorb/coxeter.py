@@ -15,7 +15,6 @@ their component tokens joined with "x".
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -60,6 +59,7 @@ def mat_apply(m: Matrix, v: Vector) -> Vector:
 
 def mat_inverse(m: Matrix) -> Matrix:
     """Exact inverse of an integer matrix that is invertible over Z."""
+    from fractions import Fraction  # only inverses make fractions
     n = len(m)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(m)]
@@ -449,20 +449,22 @@ def braid_order(rs: RootSystem, i: int, j: int) -> int:
     return (2, 3, 4, 6)[rs.cartan[i][j] * rs.cartan[j][i]]
 
 
-def braid_witnesses(rs: RootSystem, alphas, points, step) -> list[tuple[int, int, int, str]]:
-    """(a, b, m, name) for each pair a < b of sorted 1-based simple roots
-    where (step_a step_b)^m, m the braid order, moves one of the (name,
-    value) points, name the first; step(alpha, x) acts on a value."""
+def braid_witnesses(rs: RootSystem, tables: dict, identity: list,
+                    compose) -> list[tuple[int, int, int, int]]:
+    """(a, b, m, i) for each pair a < b of the sorted 1-based simple roots
+    keying tables where pi^m, pi = t_a t_b and m the braid order, moves a
+    point, i the first such point.  tables[alpha][i] is the image of point
+    i and identity[i] is point i; compose(p, q) is the table of p after q,
+    so each pair costs m compositions of whole tables."""
     out = []
-    for a, b in combinations(alphas, 2):
+    for a, b in combinations(sorted(tables), 2):
         m = braid_order(rs, a - 1, b - 1)
-        for name, start in points:
-            x = start
-            for _ in range(m):
-                x = step(a, step(b, x))
-            if x != start:
-                out.append((a, b, m, name))
-                break
+        pi = power = compose(tables[a], tables[b])
+        for _ in range(m - 1):
+            power = compose(pi, power)
+        if power != identity:
+            out.append((a, b, m, next(i for i, (x, e) in enumerate(zip(power, identity))
+                                      if x != e)))
     return out
 
 
@@ -490,13 +492,19 @@ class WeylGroup:
         keys = [two_rho]
         words: list[tuple[int, ...]] = [()]
         mul: list[list[int | None]] = [[None] * self.rank]
+        # s_i(v) = v - <v, alpha_i-vee> alpha_i: -v_i - sum C[i][j] v_j over bonded j
+        bonds = [[(j, c) for j, c in enumerate(row) if c and j != i]
+                 for i, row in enumerate(self.cartan)]
         for w, v in enumerate(keys):  # keys grows as the BFS discovers elements
             row = mul[w]
-            for i, c in enumerate(self.cartan):
+            for i, bond in enumerate(bonds):
                 if row[i] is not None:  # set from x = w·s_i, as x·s_i = w
                     continue
-                # s_i(v) = v - <v, alpha_i-vee> alpha_i changes coordinate i only
-                u = v[:i] + (v[i] - sum(map(int.__mul__, c, v)),) + v[i + 1:]
+                u = list(v)  # s_i(v) changes coordinate i only
+                u[i] = -v[i]
+                for j, c in bond:
+                    u[i] -= c * v[j]
+                u = tuple(u)
                 x = ids.get(u)
                 if x is None:
                     if len(ids) >= cap:
@@ -520,7 +528,7 @@ class WeylGroup:
         self.words = tuple(words)
         self.mul = tuple(map(tuple, mul))
         self.inv = tuple(inv)
-        self.left = tuple(tuple(inv[x] for x in mul[inv[w]]) for w in range(len(words)))
+        self.left = tuple([tuple([inv[x] for x in mul[y]]) for y in inv])
 
     def __len__(self) -> int:
         return len(self.words)
@@ -528,7 +536,8 @@ class WeylGroup:
     def _times_simple(self, m: Matrix, i: int) -> Matrix:
         """M·s_i: subtract C[i][j] times column i from column j."""
         c = self.cartan[i]
-        return tuple(tuple(x - cj * row[i] for x, cj in zip(row, c)) for row in m)
+        return tuple(tuple([x - cj * row[i] for x, cj in zip(row, c)]) if row[i] else row
+                     for row in m)
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:

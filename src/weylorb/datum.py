@@ -18,9 +18,11 @@ as data instead of raising.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cached_property
-from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NamedTuple
 
 from .coxeter import (
@@ -28,7 +30,6 @@ from .coxeter import (
     RootSystemError,
     build_root_system,
     weyl_group,
-    word_name,
 )
 
 __all__ = [
@@ -49,6 +50,9 @@ ROLES = {
     "RI": ("y", "z"),
     "N": ("y", "z"),
 }
+
+
+_new = tuple.__new__  #: a record from all its fields, as NamedTuple._make minus a Python call
 
 
 class DatumFormatError(ValueError):
@@ -118,8 +122,8 @@ class OrbitDatum:
                  cells: dict[int, tuple[RaiseCell, ...]],
                  notes: tuple[str, ...] = ()) -> None:
         self.root_system, self.notes = root_system, notes
-        self.orbits = tuple(sorted(orbits, key=lambda o: (o.dim, o.id)))
-        self.cells = {a: tuple(sorted(cs, key=lambda c: c.y))
+        self.orbits = tuple(sorted(orbits, key=attrgetter("dim", "id")))
+        self.cells = {a: tuple(sorted(cs, key=attrgetter("y")))
                       for a, cs in sorted(cells.items())}
         self._by_id = {o.id: o for o in self.orbits}
         if len(self._by_id) != len(self.orbits):
@@ -184,7 +188,7 @@ class OrbitDatum:
 # -- exact linear algebra over Q --------------------------------------------
 
 
-def _rref(rows: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
+def _rref(rows: list[tuple]) -> tuple[tuple, ...]:
     """Reduced row echelon form over Q; canonical for span comparison."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
@@ -205,19 +209,18 @@ def _rref(rows: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def lattice_rank(lattice: tuple[tuple[int, ...], ...]) -> int:
-    return len(_rref([tuple(Fraction(x) for x in row) for row in lattice]))
+    return len(_span(lattice))
 
 
-def _span_after(matrix, lattice) -> tuple[tuple[Fraction, ...], ...]:
-    rows = []
-    for row in lattice:
-        rows.append(tuple(Fraction(sum(matrix[i][j] * row[j] for j in range(len(row))))
-                          for i in range(len(matrix))))
-    return _rref(list(rows))
+def _span_after(matrix, lattice) -> tuple[tuple, ...]:
+    return _span([[sum(m_i[j] * row[j] for j in range(len(row))) for m_i in matrix]
+                  for row in lattice])
 
 
-def _span(lattice) -> tuple[tuple[Fraction, ...], ...]:
-    return _rref([tuple(Fraction(x) for x in row) for row in lattice])
+def _span(lattice) -> tuple[tuple, ...]:
+    """The row span of an integer lattice, as an exact rational RREF."""
+    from fractions import Fraction  # only lattice data make fractions
+    return _rref([tuple(map(Fraction, row)) for row in lattice])
 
 
 # -- validation --------------------------------------------------------------
@@ -243,14 +246,13 @@ def validate(d: OrbitDatum) -> ValidationReport:
                     "open-orbit", o.id,
                     f"dim {o.dim} not strictly below open orbit dim {open_orbit.dim}"))
 
-    ids = set(d.orbit_ids())
+    ids = d.orbit_ids()
     for alpha in range(1, rank + 1):
-        seen: dict[str, int] = {}
-        for cell in d.cells.get(alpha, ()):
-            for m in cell.members():
-                seen[m] = seen.get(m, 0) + 1
-        missing = sorted(ids - set(seen))
-        extra = sorted(m for m, k in seen.items() if k > 1)
+        members = list(chain.from_iterable(map(RaiseCell.members, d.cells.get(alpha, ()))))
+        seen = set(members)
+        missing = sorted(set(ids) - seen)
+        extra = (sorted(m for m, k in Counter(members).items() if k > 1)
+                 if len(seen) < len(members) else [])
         if missing:
             out.append(Violation("partition-defect", f"alpha {alpha}",
                                  f"orbits not covered: {', '.join(missing)}"))
@@ -262,69 +264,54 @@ def validate(d: OrbitDatum) -> ValidationReport:
             out.append(Violation("partition-defect", f"alpha {alpha}",
                                  f"no simple root with index {alpha} (rank {rank})"))
 
+    def bad(code: str, message: str) -> None:  # where: the current alpha and cell
+        out.append(Violation(code, f"alpha {alpha} cell y={cell.y}", message))
+
+    pos = d.position
+    dim, rk, s = ([getattr(o, f) for o in d.orbits] for f in ("dim", "rk", "s"))
     for alpha, cells in d.cells.items():
         if not 1 <= alpha <= len(d.root_system.raise_dims):
             continue
         n_alpha = d.root_system.raise_dims[alpha - 1]
         for cell in cells:
-            where = f"alpha {alpha} cell y={cell.y}"
             try:
-                members = [d.orbit(m) for m in cell.members()]
-            except DatumFormatError:
-                out.append(Violation("partition-defect", where,
-                                     "cell references an unknown orbit id"))
+                y, *zs = [pos[m] for m in cell.members()]
+            except KeyError:
+                bad("partition-defect", "cell references an unknown orbit id")
                 continue
-            y = members[0]
-            for m in members[1:]:
-                if m.dim >= y.dim:
-                    out.append(Violation(
-                        "cell-y-not-max", where,
-                        f"{m.id} has dim {m.dim} >= y dim {y.dim}"))
-            if cell.kind == "U":
-                z = d.orbit(cell.z)
-                if z.rk != y.rk:
-                    out.append(Violation("cell-U-rank", where,
-                                         f"rk(z)={z.rk} != rk(y)={y.rk}"))
-                if z.s != y.s:
-                    out.append(Violation("cell-U-s", where,
-                                         f"s(z)={z.s} != s(y)={y.s}"))
-                if y.dim != z.dim + n_alpha:
-                    out.append(Violation(
-                        "cell-U-dim", where,
-                        f"dim(y)={y.dim} != dim(z)+n_alpha={z.dim}+{n_alpha}"))
-            elif cell.kind == "TU":
-                z1, z2 = d.orbit(cell.z1), d.orbit(cell.z2)
-                if not (z1.rk == z2.rk == y.rk - 1):
-                    out.append(Violation(
-                        "cell-TU-rank", where,
-                        f"rk(z1)={z1.rk}, rk(z2)={z2.rk}, expected rk(y)-1={y.rk - 1}"))
-                if z1.s != z2.s:
-                    out.append(Violation("cell-TU-s", where,
-                                         f"s(z1)={z1.s} != s(z2)={z2.s}"))
-                if not (y.dim > z1.dim > z2.dim):
-                    out.append(Violation(
-                        "cell-TU-dim", where,
-                        f"need dim(y) > dim(z1) > dim(z2), got {y.dim}, {z1.dim}, {z2.dim}"))
-            elif cell.kind == "RT":
-                z1, z2 = d.orbit(cell.z1), d.orbit(cell.z2)
-                if not (z1.rk == z2.rk == y.rk - 1):
-                    out.append(Violation(
-                        "cell-RT-rank", where,
-                        f"rk(z1)={z1.rk}, rk(z2)={z2.rk}, expected rk(y)-1={y.rk - 1}"))
-                if z1.dim != z2.dim:
-                    out.append(Violation("cell-RT-dim", where,
-                                         f"dim(z1)={z1.dim} != dim(z2)={z2.dim}"))
-            elif cell.kind in ("RI", "N"):
-                z = d.orbit(cell.z)
-                if z.rk != y.rk - 1:
-                    out.append(Violation(
-                        f"cell-{cell.kind}-rank", where,
-                        f"rk(z)={z.rk} != rk(y)-1={y.rk - 1}"))
+            for m in zs:
+                if dim[m] >= dim[y]:
+                    bad("cell-y-not-max", f"{ids[m]} has dim {dim[m]} >= y dim {dim[y]}")
+            kind = cell.kind
+            if kind == "U":
+                z = zs[0]
+                if rk[z] != rk[y]:
+                    bad("cell-U-rank", f"rk(z)={rk[z]} != rk(y)={rk[y]}")
+                if s[z] != s[y]:
+                    bad("cell-U-s", f"s(z)={s[z]} != s(y)={s[y]}")
+                if dim[y] != dim[z] + n_alpha:
+                    bad("cell-U-dim",
+                        f"dim(y)={dim[y]} != dim(z)+n_alpha={dim[z]}+{n_alpha}")
+            elif kind in ("TU", "RT"):
+                z1, z2 = zs
+                if not (rk[z1] == rk[z2] == rk[y] - 1):
+                    bad(f"cell-{kind}-rank", f"rk(z1)={rk[z1]}, rk(z2)={rk[z2]}, "
+                                             f"expected rk(y)-1={rk[y] - 1}")
+                if kind == "TU" and s[z1] != s[z2]:
+                    bad("cell-TU-s", f"s(z1)={s[z1]} != s(z2)={s[z2]}")
+                if kind == "TU" and not (dim[y] > dim[z1] > dim[z2]):
+                    bad("cell-TU-dim", "need dim(y) > dim(z1) > dim(z2), "
+                                       f"got {dim[y]}, {dim[z1]}, {dim[z2]}")
+                if kind == "RT" and dim[z1] != dim[z2]:
+                    bad("cell-RT-dim", f"dim(z1)={dim[z1]} != dim(z2)={dim[z2]}")
+            elif kind in ("RI", "N"):
+                if rk[zs[0]] != rk[y] - 1:
+                    bad(f"cell-{kind}-rank", f"rk(z)={rk[zs[0]]} != rk(y)-1={rk[y] - 1}")
 
     if open_orbit is not None:
         top = open_orbit.invariants()
         for o in d.orbits:
-            if o.invariants() > top:
+            if (o.c, o.rk, o.s) > top:
                 out.append(Violation(
                     "lex-dominance", o.id,
                     f"(c,rk,s)={o.invariants()} exceeds open orbit {top}"))
@@ -353,7 +340,8 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
     Rules per kind: U moves span(y) to span(z); TU and RT fix span(y) and
     swap the z spans; A fixes span(y); RI and N fix both spans.  Cells
     with no lattice data are skipped; cells with partial data are
-    reported.
+    reported.  A cell of a simple root that names an unknown orbit id
+    raises, lattices or not.
     """
     out: list[Violation] = []
     rank = d.root_system.rank
@@ -361,43 +349,39 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
         if o.lattice is not None and any(len(row) != rank for row in o.lattice):
             raise DatumFormatError(
                 f"orbit {o.id}: lattice ambient dimension differs from rank {rank}")
+    cells = [(alpha, cell) for alpha, cs in sorted(d.cells.items()) if 1 <= alpha <= rank
+             for cell in cs]
+    pos = d.position
+    for m in chain.from_iterable(cell.members() for _, cell in cells):
+        if m not in pos:
+            d.orbit(m)  # raises
+    if all(o.lattice is None for o in d.orbits):
+        return ValidationReport(())
 
-    for alpha, cells in sorted(d.cells.items()):
-        if not 1 <= alpha <= rank:
-            continue
+    for alpha, cell in cells:
         s_mat = d.root_system.simple_reflection(alpha - 1).matrix
-        for cell in cells:
-            where = f"alpha {alpha} cell y={cell.y}"
-            members = [d.orbit(m) for m in cell.members()]
-            have = [o for o in members if o.lattice is not None]
-            if not have:
-                continue
-            if len(have) != len(members):
-                out.append(Violation("lattice-partial", where,
-                                     "partial lattice data in cell"))
-                continue
-            lat = {o.id: o.lattice for o in members}
-            y = cell.y
-
-            def moved(i):
-                return _span_after(s_mat, lat[i])
-
-            checks: list[tuple[str, str, str]] = []
-            if cell.kind == "U":
-                checks.append(("U", y, cell.z))
-            elif cell.kind in ("TU", "RT"):
-                checks.append((cell.kind, y, y))
-                checks.append((cell.kind, cell.z1, cell.z2))
-            elif cell.kind == "A":
-                checks.append(("A", y, y))
-            else:  # RI, N
-                checks.append((cell.kind, y, y))
-                checks.append((cell.kind, cell.z, cell.z))
-            for kind, src, dst in checks:
-                if moved(src) != _span(lat[dst]):
-                    out.append(Violation(
-                        f"lattice-span-{kind}", where,
-                        f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))
+        where = f"alpha {alpha} cell y={cell.y}"
+        members = [d.orbit(m) for m in cell.members()]
+        have = [o for o in members if o.lattice is not None]
+        if not have:
+            continue
+        if len(have) != len(members):
+            out.append(Violation("lattice-partial", where,
+                                 "partial lattice data in cell"))
+            continue
+        lat = {o.id: o.lattice for o in members}
+        y = cell.y
+        if cell.kind == "U":
+            checks = [(y, cell.z)]
+        elif cell.kind in ("TU", "RT"):
+            checks = [(y, y), (cell.z1, cell.z2)]
+        else:  # A fixes y; RI and N fix y and z
+            checks = [(y, y)] if cell.kind == "A" else [(y, y), (cell.z, cell.z)]
+        for src, dst in checks:
+            if _span_after(s_mat, lat[src]) != _span(lat[dst]):
+                out.append(Violation(
+                    f"lattice-span-{cell.kind}", where,
+                    f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))
     return ValidationReport(tuple(out))
 
 
@@ -418,11 +402,15 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
     [0, 3]
     """
     group = weyl_group(rs)
-    ids = [word_name(word) for word in group.words]
-    dims = [sum(rs.raise_dims[i] for i in word) for word in group.words]
+    ids, dims = ["e"], [0]
+    for w in range(1, len(group)):  # from the BFS parent p = w·s_i, word words[w][:-1]
+        i = group.words[w][-1]
+        p = group.mul[w][i]
+        ids.append(f"{ids[p]}.{i + 1}" if p else str(i + 1))
+        dims.append(dims[p] + rs.raise_dims[i])
     top = max(dims)
-    orbits = tuple(Orbit(id=oid, dim=dim, c=0, rk=0, s=0, open=dim == top)
-                   for oid, dim in zip(ids, dims))
+    orbits = [_new(Orbit, (oid, dim, 0, 0, 0, dim == top, None))
+              for oid, dim in zip(ids, dims)]
 
     cells: dict[int, tuple[RaiseCell, ...]] = {}
     for i in range(rs.rank):
@@ -431,7 +419,7 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
             p = row[i]  # s_i·w; each pair once, from its first member in BFS order
             if p > w:
                 y, z = (w, p) if dims[w] > dims[p] else (p, w)
-                cs.append(RaiseCell(alpha=i + 1, kind="U", y=ids[y], z=ids[z]))
+                cs.append(_new(RaiseCell, (i + 1, "U", ids[y], ids[z], None, None)))
         cells[i + 1] = tuple(cs)
     return OrbitDatum(root_system=rs, orbits=orbits, cells=cells)
 
@@ -439,21 +427,14 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
 # -- serialization -----------------------------------------------------------
 
 _ORBIT_KEYS = {"id", "dim", "c", "rk", "s", "open", "lattice"}
+_CELL_KEYS = {kind: {"kind", *roles} for kind, roles in ROLES.items()}
 _TOP_KEYS = {"root_system", "orbits", "cells", "notes"}
 _RS_KEYS = {"family", "rank", "raise_dims"}
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise DatumFormatError(f"{where}: unknown field(s) {', '.join(unknown)}")
-
-
-def _int_field(obj: dict, key: str, where: str, minimum: int = 0) -> int:
-    v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise DatumFormatError(f"{where}: field {key!r} must be an integer >= {minimum}")
-    return v
+def _unknown_fields(obj: dict, allowed: set[str], where: str) -> DatumFormatError:
+    unknown = ", ".join(sorted(set(obj) - allowed))
+    return DatumFormatError(f"{where}: unknown field(s) {unknown}")
 
 
 def datum_to_obj(d: OrbitDatum) -> dict:
@@ -529,9 +510,14 @@ def dumps(d: OrbitDatum) -> str:
 
 
 def datum_from_obj(obj: dict) -> OrbitDatum:
+    """The datum of a parsed JSON object, refusing the first malformed field.
+
+    Each orbit and cell record is checked with one key-set comparison and
+    exact type tests; the error text names the record and field."""
     if not isinstance(obj, dict):
         raise DatumFormatError("datum must be a JSON object")
-    _require_keys(obj, _TOP_KEYS, "datum")
+    if not obj.keys() <= _TOP_KEYS:
+        raise _unknown_fields(obj, _TOP_KEYS, "datum")
     for key in ("root_system", "orbits", "cells"):
         if key not in obj:
             raise DatumFormatError(f"datum: missing field {key!r}")
@@ -539,13 +525,17 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
     rs_obj = obj["root_system"]
     if not isinstance(rs_obj, dict):
         raise DatumFormatError("root_system must be an object")
-    _require_keys(rs_obj, _RS_KEYS, "root_system")
+    if not rs_obj.keys() <= _RS_KEYS:
+        raise _unknown_fields(rs_obj, _RS_KEYS, "root_system")
+    family, rank, dims = rs_obj.get("family", ""), rs_obj.get("rank"), rs_obj.get("raise_dims")
+    if type(family) is not str:
+        raise DatumFormatError("root_system: family must be a non-empty string")
+    if rank is not None and type(rank) is not int:
+        raise DatumFormatError("root_system: rank must be an integer")
+    if dims is not None and (type(dims) is not list or any(type(n) is not int for n in dims)):
+        raise DatumFormatError("root_system: raise_dims must be a list of integers >= 1")
     try:
-        rs = build_root_system(
-            rs_obj.get("family", ""),
-            rs_obj.get("rank"),
-            raise_dims=rs_obj.get("raise_dims"),
-        )
+        rs = build_root_system(family, rank, raise_dims=dims)
     except RootSystemError as exc:
         raise DatumFormatError(f"root_system: {exc}") from exc
 
@@ -553,34 +543,30 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
         raise DatumFormatError("orbits must be a non-empty list")
     orbits = []
     for i, entry in enumerate(obj["orbits"]):
-        where = f"orbits[{i}]"
-        if not isinstance(entry, dict):
-            raise DatumFormatError(f"{where}: must be an object")
-        _require_keys(entry, _ORBIT_KEYS, where)
+        if type(entry) is not dict:
+            raise DatumFormatError(f"orbits[{i}]: must be an object")
+        if not entry.keys() <= _ORBIT_KEYS:
+            raise _unknown_fields(entry, _ORBIT_KEYS, f"orbits[{i}]")
         oid = entry.get("id")
-        if not isinstance(oid, str) or not oid:
-            raise DatumFormatError(f"{where}: id must be a non-empty string")
+        if type(oid) is not str or not oid:
+            raise DatumFormatError(f"orbits[{i}]: id must be a non-empty string")
         lattice = None
         if "lattice" in entry:
             raw = entry["lattice"]
-            if (not isinstance(raw, list)
-                    or any(not isinstance(row, list) for row in raw)
-                    or any(not isinstance(x, int) or isinstance(x, bool)
-                           for row in raw for x in row)):
-                raise DatumFormatError(f"{where}: lattice must be a list of integer rows")
-            lattice = tuple(tuple(row) for row in raw)
+            if (type(raw) is not list or any(type(row) is not list for row in raw)
+                    or any(type(x) is not int for row in raw for x in row)):
+                raise DatumFormatError(f"orbits[{i}]: lattice must be a list of integer rows")
+            lattice = tuple(map(tuple, raw))
         is_open = entry.get("open", False)
-        if not isinstance(is_open, bool):
-            raise DatumFormatError(f"{where}: open must be a boolean")
-        orbits.append(Orbit(
-            id=oid,
-            dim=_int_field(entry, "dim", where),
-            c=_int_field(entry, "c", where),
-            rk=_int_field(entry, "rk", where),
-            s=_int_field(entry, "s", where),
-            open=is_open,
-            lattice=lattice,
-        ))
+        if type(is_open) is not bool:
+            raise DatumFormatError(f"orbits[{i}]: open must be a boolean")
+        dim, c, rk, s = entry.get("dim"), entry.get("c"), entry.get("rk"), entry.get("s")
+        if not (type(dim) is type(c) is type(rk) is type(s) is int
+                and dim >= 0 and c >= 0 and rk >= 0 and s >= 0):
+            key = next(k for k in ("dim", "c", "rk", "s")
+                       if type(entry.get(k)) is not int or entry[k] < 0)
+            raise DatumFormatError(f"orbits[{i}]: field {key!r} must be an integer >= 0")
+        orbits.append(_new(Orbit, (oid, dim, c, rk, s, is_open, lattice)))
     ids = {o.id for o in orbits}
     if len(ids) != len(orbits):
         raise DatumFormatError("orbits: duplicate ids")
@@ -605,22 +591,29 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
             raise DatumFormatError(f"cells[{key}] must be a list")
         parsed = []
         for j, c in enumerate(raw_cells):
-            where = f"cells[{key}][{j}]"
-            if not isinstance(c, dict):
-                raise DatumFormatError(f"{where}: must be an object")
+            if type(c) is not dict:
+                raise DatumFormatError(f"cells[{key}][{j}]: must be an object")
             kind = c.get("kind")
-            if kind not in KINDS:
-                raise DatumFormatError(f"{where}: unknown kind {kind!r}")
-            _require_keys(c, {"kind", *ROLES[kind]}, where)
-            roles = {}
-            for role in ROLES[kind]:
-                v = c.get(role)
-                if not isinstance(v, str):
-                    raise DatumFormatError(f"{where}: missing role {role!r}")
-                if v not in ids:
-                    raise DatumFormatError(f"{where}: unknown orbit id {v!r}")
-                roles[role] = v
-            parsed.append(RaiseCell(alpha=alpha, kind=kind, **roles))
+            roles = ROLES.get(kind) if type(kind) is str else None
+            if roles is None:
+                raise DatumFormatError(f"cells[{key}][{j}]: unknown kind {kind!r}")
+            if not c.keys() <= _CELL_KEYS[kind]:
+                raise _unknown_fields(c, _CELL_KEYS[kind], f"cells[{key}][{j}]")
+            members = list(map(c.get, roles))
+            try:
+                known = ids.issuperset(members)
+            except TypeError:  # an unhashable role value
+                known = False
+            if not known:
+                role, v = next((r, v) for r, v in zip(roles, members)
+                               if type(v) is not str or v not in ids)
+                raise DatumFormatError(f"cells[{key}][{j}]: missing role {role!r}"
+                                       if type(v) is not str else
+                                       f"cells[{key}][{j}]: unknown orbit id {v!r}")
+            if len(members) == 3:  # TU and RT: y, z1, z2 with no z
+                members.insert(1, None)
+            members += [None] * (4 - len(members))
+            parsed.append(_new(RaiseCell, (alpha, kind, *members)))
         cells[alpha] = tuple(parsed)
 
     notes = obj.get("notes", [])

@@ -13,7 +13,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .action import BraidViolation
-from .coxeter import DEFAULT_GROUP_CAP, _Frozen, braid_witnesses, enumerate_group
+from .coxeter import (
+    DEFAULT_GROUP_CAP,
+    _Frozen,
+    braid_witnesses,
+    enumerate_group,
+    weyl_group,
+)
 from .datum import OrbitDatum
 
 __all__ = [
@@ -87,15 +93,20 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     return HeckeModule(datum=d, basis=basis, columns=columns)
 
 
-def apply(module: HeckeModule, alpha: int, vec: int) -> int:
-    """T_alpha applied to a packed vector; costs one XOR per set bit."""
-    col = module.columns[alpha]
+def _image(col, vec: int) -> int:
+    """The operator with columns col applied to a packed vector; costs one
+    XOR per set bit."""
     out = 0
     while vec:
         low = vec & -vec
         out ^= col[low.bit_length() - 1]
         vec ^= low
     return out
+
+
+def apply(module: HeckeModule, alpha: int, vec: int) -> int:
+    """T_alpha applied to a packed vector; costs one XOR per set bit."""
+    return _image(module.columns[alpha], vec)
 
 
 def apply_word(module: HeckeModule, word: tuple[int, ...], vec: int) -> int:
@@ -105,32 +116,48 @@ def apply_word(module: HeckeModule, word: tuple[int, ...], vec: int) -> int:
     return vec
 
 
-def leading_term(module: HeckeModule, alpha: int, orbit_id: str) -> str:
-    """The unique minimum-dimension orbit in T_alpha [orbit_id].
+def leading_position(module: HeckeModule, alpha: int, i: int, dim) -> int:
+    """Basis position of the unique minimum-dimension term of T_alpha on
+    basis vector i, dim(j) being the dimension of basis orbit j.
 
-    A tie in the minimum dimension means the datum the module was built
-    from is corrupt, so that raises instead of picking arbitrarily.
+    A zero column, or a tie in the minimum dimension, means the datum the
+    module was built from is corrupt, so that raises instead of picking
+    arbitrarily.
     """
-    d = module.datum
-    terms = module.terms(apply(module, alpha, module.unit(orbit_id)))
+    vec, terms = module.columns[alpha][i], []
+    while vec:
+        low = vec & -vec
+        terms.append(low.bit_length() - 1)
+        vec ^= low
+    if len(terms) == 1:
+        return terms[0]
     if not terms:
-        raise HeckeError(f"T_{alpha} [{orbit_id}] is zero")
-    dims = [d.orbit(t).dim for t in terms]
-    low = min(dims)
-    lead = [t for t, dim in zip(terms, dims) if dim == low]
+        raise HeckeError(f"T_{alpha} [{module.basis[i]}] is zero")
+    low = min(map(dim, terms))
+    lead = [j for j in terms if dim(j) == low]
     if len(lead) != 1:
         raise HeckeError(
-            f"leading-term tie in T_{alpha} [{orbit_id}]: "
-            + ", ".join(f"[{t}]" for t in lead))
+            f"leading-term tie in T_{alpha} [{module.basis[i]}]: "
+            + ", ".join(f"[{module.basis[j]}]" for j in lead))
     return lead[0]
+
+
+def leading_term(module: HeckeModule, alpha: int, orbit_id: str) -> str:
+    """The unique minimum-dimension orbit in T_alpha [orbit_id]; see
+    :func:`leading_position`."""
+    d = module.datum
+    return module.basis[leading_position(module, alpha, module.index(orbit_id),
+                                         lambda j: d.orbit(module.basis[j]).dim)]
 
 
 def braid_check_module(module: HeckeModule) -> list[HeckeBraidViolation]:
     """Check (T_a T_b)^m = id on every basis vector, m the braid order."""
-    return [HeckeBraidViolation(*v) for v in braid_witnesses(
-        module.datum.root_system, sorted(module.columns),
-        [(oid, 1 << i) for i, oid in enumerate(module.basis)],
-        lambda alpha, vec: apply(module, alpha, vec))]
+    return [HeckeBraidViolation(a, b, m, module.basis[i]) for a, b, m, i in braid_witnesses(
+        module.datum.root_system, module.columns,
+        [1 << i for i in range(len(module.basis))],
+        # a unit vector, as every column of a flag datum's module is, picks one column
+        lambda p, q: [p[v.bit_length() - 1] if v and not v & (v - 1) else _image(p, v)
+                      for v in q])]
 
 
 def _span_dimension(vectors: list[int]) -> int:
@@ -160,31 +187,41 @@ class RegularRepReport(NamedTuple):
         return out
 
 
-def verify_regular_representation(d: OrbitDatum, cap: int = DEFAULT_GROUP_CAP,
-                                  ) -> RegularRepReport:
+def verify_regular_representation(d: OrbitDatum | HeckeModule,
+                                  cap: int = DEFAULT_GROUP_CAP) -> RegularRepReport:
     """Check that w -> T_w [e] realizes the regular representation.
 
-    Requires a datum whose orbit ids are canonical reduced words (as the
-    flag datum produces), so that the identity orbit "e" exists.  Passes
-    when the module braid relations hold, the map w -> T_w [e] is
-    injective over the whole group, and the cyclic submodule generated
-    by [e] is everything.
+    d is a datum, or the module already built from one.  Requires orbit
+    ids that are canonical reduced words (as the flag datum produces), so
+    that the identity orbit "e" exists.  Passes when the module braid
+    relations hold, the map w -> T_w [e] is injective over the whole
+    group, and the cyclic submodule generated by [e] is everything.
+
+    T_w [e] is computed in the group's BFS order by the recurrence
+    T_w [e] = T_a (T_{s_a w} [e]), with a = words[w][0] and s_a w =
+    left[w][a], one apply per element.  Shortlex BFS words are
+    suffix-closed: the word of s_a w is words[w][1:].  So the recurrence
+    applies the same letters in the same order as apply_word on words[w],
+    whether or not the braid relations hold.
     """
-    module = build_module(d)
+    module = d if isinstance(d, HeckeModule) else build_module(d)
     if "e" not in module.basis:
         raise HeckeError("no identity orbit \"e\"; regular representation "
                          "check needs a flag-shaped datum")
     violations = tuple(braid_check_module(module))
+    rs = module.datum.root_system
     # through enumerate_group: the benchmark's traced run reads |W| there
-    words = [w.word for w in enumerate_group(d.root_system, cap)]
-    start = module.unit("e")
-    vectors = [apply_word(module, tuple(a + 1 for a in word), start)
-               for word in words]
+    order = len(enumerate_group(rs, cap))
+    group = weyl_group(rs, cap)
+    vectors = [module.unit("e")]
+    for w in range(1, order):
+        a = group.words[w][0]
+        vectors.append(apply(module, a + 1, vectors[group.left[w][a]]))
     images = set(vectors)
     span = _span_dimension(vectors)
-    ok = (not violations and len(images) == len(words)
-          and span == len(module.basis) and len(words) == len(module.basis))
-    return RegularRepReport(ok=ok, group_order=len(words),
+    ok = (not violations and len(images) == order
+          and span == len(module.basis) and order == len(module.basis))
+    return RegularRepReport(ok=ok, group_order=order,
                             distinct_images=len(images),
                             span_dimension=span,
                             braid_violations=violations)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
@@ -412,6 +411,7 @@ def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | N
     Returns None when no monomial matches all (q, size) pairs; raises
     when several monomials do (not enough primes to pin one down).
     """
+    from fractions import Fraction  # only fits make fractions
     if len(points) < 2:
         raise OracleError("monomial fit needs at least two primes")
     q0, s0 = points[0]

@@ -29,27 +29,20 @@ from weylorb.coxeter import (
     word_name,
 )
 from weylorb.datum import (
-    ROLES,
     DatumFormatError,
-    Orbit,
     OrbitDatum,
     RaiseCell,
     generate_flag_datum,
     validate,
 )
 
-FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
-
-
-def braid_breaker() -> OrbitDatum:
-    """A1xA1 datum whose sigmas generate a 3-cycle, violating m = 2."""
-    rs = build_root_system("A1xA1")
-    orbits = (Orbit("p", 3, 0, 0, 0, open=True),
-              Orbit("q", 2, 0, 0, 0),
-              Orbit("r", 1, 0, 0, 0))
-    cells = {1: (RaiseCell(1, "U", y="p", z="q"), RaiseCell(1, "A", y="r")),
-             2: (RaiseCell(2, "U", y="q", z="r"), RaiseCell(2, "A", y="p"))}
-    return OrbitDatum(rs, orbits, cells)
+from references import (
+    DEFECTIVE_CASES,
+    FLAG_TOKENS,
+    braid_breaker,
+    non_involution,
+    reference_membership,
+)
 
 
 def test_act_word_a1_example():
@@ -128,17 +121,6 @@ def test_stabilizer_refuses_braid_violation():
         stabilizer_open(braid_breaker())
 
 
-def non_involution() -> OrbitDatum:
-    """A1 datum whose open orbit sits in two U cells, so sigma_1 sends
-    w to y and y to z: not an involution, with no braid pair to notice."""
-    rs = build_root_system("A1")
-    orbits = (Orbit("y", 1, 0, 0, 0, open=True),
-              Orbit("z", 0, 0, 0, 0),
-              Orbit("w", 0, 0, 0, 0))
-    cells = {1: (RaiseCell(1, "U", y="y", z="z"), RaiseCell(1, "U", y="y", z="w"))}
-    return OrbitDatum(rs, orbits, cells)
-
-
 def test_stabilizer_refuses_non_involution():
     d = non_involution()
     # braid_check and stabilizer_open share the one involution check
@@ -151,16 +133,6 @@ def test_stabilizer_refuses_non_involution():
 
 
 # -- reference: the string-keyed sigma path the int tables replaced ----------
-
-
-def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell, str]]:
-    """(alpha, orbit id) -> (cell, role), the first hit on a defective partition."""
-    index: dict[tuple[int, str], tuple[RaiseCell, str]] = {}
-    for alpha, cells in d.cells.items():
-        for cell in cells:
-            for role, oid in zip(ROLES[cell.kind], cell.members()):
-                index.setdefault((alpha, oid), (cell, role))
-    return index
 
 
 def reference_cell_sigma(cell: RaiseCell, orbit_id: str) -> str:
@@ -231,37 +203,6 @@ def outcome(f, *args):
         return "ok", f(*args)
     except (DatumFormatError, BraidObstruction) as exc:
         return type(exc).__name__, str(exc)
-
-
-def partly_covered() -> OrbitDatum:
-    """A1xA1 datum whose alpha-2 cells leave z uncovered."""
-    return OrbitDatum(build_root_system("A1xA1"),
-                      (Orbit("y", 1, 0, 0, 0, open=True), Orbit("z", 0, 0, 0, 0)),
-                      {1: (RaiseCell(1, "U", y="y", z="z"),),
-                       2: (RaiseCell(2, "A", y="y"),)})
-
-
-def missing_alpha() -> OrbitDatum:
-    """A1xA1 datum with no cells at all for alpha 2."""
-    return OrbitDatum(build_root_system("A1xA1"),
-                      (Orbit("y", 1, 0, 0, 0, open=True), Orbit("z", 0, 0, 0, 0)),
-                      {1: (RaiseCell(1, "U", y="y", z="z"),)})
-
-
-def tu_y_is_z1() -> OrbitDatum:
-    """A1 datum with a TU cell whose y is also its z1: sigma reads the ids,
-    so q goes to r although q's first role is y."""
-    return OrbitDatum(build_root_system("A1"),
-                      (Orbit("y", 2, 0, 0, 0, open=True), Orbit("q", 1, 0, 0, 0),
-                       Orbit("r", 0, 0, 0, 0)),
-                      {1: (RaiseCell(1, "TU", y="q", z1="q", z2="r"),
-                           RaiseCell(1, "A", y="y"))})
-
-
-#: A double-covered orbit, a partly covered alpha, a missing alpha, a
-#: degenerate TU cell and a braid violation.
-DEFECTIVE_CASES = [non_involution(), partly_covered(), missing_alpha(), tu_y_is_z1(),
-                   braid_breaker()]
 
 
 def assert_sigma_paths_match_reference(d: OrbitDatum) -> None:

@@ -244,6 +244,18 @@ def test_uncovered_orbit_is_refused(tmp_path, capsys, obj):
     assert run(capsys, "act", path, "1.1.1", "z") == (0, "y\n", "")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("raise_dims", [1.9]), ("raise_dims", [True]), ("raise_dims", 1),
+    ("rank", True), ("rank", 1.0), ("family", 5)])
+def test_malformed_root_system_is_refused(tmp_path, capsys, field, value):
+    obj = {**REPEATED_KEY, "cells": {"1": [{"kind": "U", "y": "y", "z": "z"}]}}
+    obj["root_system"] = {**obj["root_system"], field: value}
+    path = write_datum(tmp_path, "bad", obj)
+    for argv in (["validate", path], ["validate", path, "--json"], ["hecke", path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: root_system: "), err
+
+
 def test_repeated_simple_root_key_is_refused(tmp_path, capsys):
     path = write_datum(tmp_path, "repeated", REPEATED_KEY)
     assert run(capsys, "validate", path) == (
@@ -417,28 +429,39 @@ def test_weyl_commands_do_not_load_numpy(tmp_path):
 
 
 # Importing dataclasses costs every process about 10 ms (it pulls in inspect,
-# ast, dis and tokenize), and each frozen dataclass about 1 ms more to build.
-_NO_DATACLASSES = """
+# ast, dis and tokenize), and each frozen dataclass about 1 ms more to build;
+# fractions pulls in decimal and numbers, about 4 ms.
+_NOT_IMPORTED = """
 import contextlib, io, sys
-sys.modules.pop("dataclasses", None)  # in case the interpreter's start-up loaded it
+module = sys.argv[1]
+sys.modules.pop(module, None)  # in case the interpreter's start-up loaded it
 from weylorb.cli import main
 
-for argv in map(str.split, sys.argv[1:]):
+for argv in map(str.split, sys.argv[2:]):
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code == 0, (argv, code)
-    assert "dataclasses" not in sys.modules, argv
+    assert module not in sys.modules, argv
 """
 
 
 def test_no_command_imports_dataclasses():
-    proc = _fresh_python(_NO_DATACLASSES, "--help", "gen-flag A2", *(
+    proc = _fresh_python(_NOT_IMPORTED, "dataclasses", "--help", "gen-flag A2", *(
         f"{command} sl3_so12" for command in ("validate", "braid", "stabilizer", "hecke")),
         "oracle enumerate torus --q-list 5",
         "oracle compare product_diag_q5 product_diag_q7 product_a1a1")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lattice_free_commands_do_not_import_fractions(tmp_path):
+    flag = tmp_path / "a2.json"
+    proc = _fresh_python(_NOT_IMPORTED, "fractions", "--help", f"gen-flag A2 --out {flag}", *(
+        f"{command} {datum}" for datum in (flag, "sl3_so12")
+        for command in ("validate", "braid", "stabilizer", "hecke", "export-dot")),
+        f"act {flag} 1.2 e", "oracle enumerate torus --q-list 5")
     assert proc.returncode == 0, proc.stderr
 
 

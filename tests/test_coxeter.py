@@ -8,7 +8,9 @@ under test.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,10 @@ from weylorb.coxeter import (
     WeylElement,
     WeylGroup,
     braid_order,
+    braid_witnesses,
     build_root_system,
     canonical_word,
     enumerate_group,
-    mat_apply,
     mat_identity,
     mat_mul,
     reflections,
@@ -33,6 +35,8 @@ from weylorb.coxeter import (
     weyl_group,
     word_name,
 )
+
+from references import line_raises
 
 
 def weyl_order(family: str, rank: int) -> int:
@@ -444,60 +448,6 @@ def test_id_closure_matches_matrix_closure(token, data):
 # -- readings of the Cartan matrix against the matrix code they replaced ----
 
 
-def is_nonneg(v) -> bool:
-    return all(x >= 0 for x in v) and any(x != 0 for x in v)
-
-
-def line_raises(rs, dims=None) -> dict[tuple, int]:
-    """Reference: raise dims extended from the simple roots to every
-    positive line by a breadth-first search over each Weyl orbit of lines,
-    refusing dims (rs.raise_dims by default) that differ within an orbit."""
-    dims = rs.raise_dims if dims is None else dims
-    mats = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
-    line_set = set(rs.positive_lines)
-
-    def to_line(v):
-        if not is_nonneg(v):
-            v = tuple(-x for x in v)
-        if v not in line_set and all(x % 2 == 0 for x in v):
-            v = tuple(x // 2 for x in v)
-        return v
-
-    classes: dict[tuple, set[tuple]] = {}
-    assigned: dict[tuple, tuple] = {}
-    for line in rs.positive_lines:
-        if line in assigned:
-            continue
-        orbit = {line}
-        frontier = [line]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for m in mats:
-                    w = to_line(mat_apply(m, v))
-                    if w not in orbit:
-                        orbit.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        classes[line] = orbit
-        for v in orbit:
-            assigned[v] = line
-
-    out: dict[tuple, int] = {}
-    for rep, orbit in classes.items():
-        ns = {dims[i] for i, sr in enumerate(rs.simple_roots) if sr in orbit}
-        if not ns:
-            raise RootSystemError("root line orbit without a simple root")
-        if len(ns) > 1:
-            raise RootSystemError(
-                "raise dims must agree on Weyl-conjugate simple roots; "
-                f"conflict {sorted(ns)} in the orbit of {rep}")
-        n = ns.pop()
-        for v in orbit:
-            out[v] = n
-    return out
-
-
 def reflection_matrix(rs, root) -> tuple:
     """Reference: matrix of the reflection fixing (., root) = 0, exactly."""
     den = rs.form(root, root)
@@ -577,3 +527,61 @@ def test_braid_order_matches_matrix_powers(token):
                 braid_order(rs, i, bad)
             with pytest.raises(RootSystemError):
                 braid_order(rs, bad, i)
+
+
+# -- suffix closure, and the braid check by whole tables ---------------------
+
+
+def _largest_ranks(family: str, first: int):
+    """Ranks first, first + 1, ... of a family while |W| stays within the cap."""
+    rank = first
+    while weyl_order(family, rank) <= DEFAULT_GROUP_CAP:
+        yield f"{family}{rank}"
+        rank += 1
+
+
+@pytest.mark.parametrize("token", [*_largest_ranks("A", 1), *_largest_ranks("B", 2),
+                                   *_largest_ranks("C", 3), *_largest_ranks("D", 4),
+                                   *_largest_ranks("BC", 1), "G2", "F4", "A1xB2xG2"])
+def test_shortlex_words_are_suffix_closed(token):
+    """s_a·w, a the first letter of w, has the word of w without that letter:
+    the recurrence of the regular-representation check rests on this."""
+    g = weyl_group(build_root_system(token))
+    for w in range(1, len(g)):
+        a = g.words[w][0]
+        assert g.words[g.left[w][a]] == g.words[w][1:]
+
+
+def step_witnesses(rs, tables):
+    """The braid witnesses by 2m single steps from every point in turn."""
+    out = []
+    for a, b in combinations(sorted(tables), 2):
+        m = braid_order(rs, a - 1, b - 1)
+        for x in range(len(tables[a])):
+            y = x
+            for _ in range(m):
+                y = tables[a][tables[b][y]]
+            if y != x:
+                out.append((a, b, m, x))
+                break
+    return out
+
+
+@pytest.mark.parametrize("token", ["A1xA1", "A2", "B2", "G2", "A3", "B3", "A1xG2"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 12), involutive=st.booleans())
+def test_braid_witnesses_match_step_reference(token, seed, n, involutive):
+    rs = build_root_system(token)
+    rng = random.Random(seed)
+    tables = {}
+    for alpha in range(1, rs.rank + 1):
+        perm = list(range(n))
+        if involutive:  # disjoint transpositions, as sigma is on a clean datum
+            points = rng.sample(range(n), 2 * rng.randint(0, n // 2))
+            for x, y in zip(points[::2], points[1::2]):
+                perm[x], perm[y] = y, x
+        else:
+            rng.shuffle(perm)
+        tables[alpha] = perm
+    got = braid_witnesses(rs, tables, list(range(n)), lambda p, q: [p[x] for x in q])
+    assert got == step_witnesses(rs, tables)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import random
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylorb.bundled import DATUM_NAMES, ORACLE_SPEC_NAMES, bundled_datum, oracle_spec_text
+from weylorb.bundled import (
+    DATUM_NAMES,
+    ORACLE_SPEC_NAMES,
+    bundled_datum,
+    datum_text,
+    oracle_spec_text,
+)
 from weylorb.coxeter import build_root_system, enumerate_group, word_name
 from weylorb.datum import (
     KINDS,
@@ -20,6 +27,7 @@ from weylorb.datum import (
     OrbitDatum,
     RaiseCell,
     check_lattices,
+    datum_from_obj,
     datum_to_obj,
     dumps,
     export_dot,
@@ -29,7 +37,14 @@ from weylorb.datum import (
     validate,
 )
 
-from test_coxeter import line_raises  # the line-orbit reference for raise dims
+from references import (
+    DEFECTIVE_CASES,
+    FLAG_TOKENS,
+    line_raises,
+    reference_check_lattices,
+    reference_datum_from_obj,
+    reference_validate,
+)
 
 
 def rank1_datum(kind: str, with_lattices: bool = False) -> OrbitDatum:
@@ -547,3 +562,164 @@ def roles_members(cell: RaiseCell) -> tuple[str, ...]:
 def test_members_match_roles_reference(kind, y, rest):
     cell = RaiseCell(1, kind, y, *rest)
     assert cell.members() == roles_members(cell)
+
+
+# -- malformed root systems --------------------------------------------------
+
+@pytest.mark.parametrize("field,value,message", [
+    ("raise_dims", [1.9], "raise_dims must be a list of integers >= 1"),
+    ("raise_dims", [True], "raise_dims must be a list of integers >= 1"),
+    ("raise_dims", 1, "raise_dims must be a list of integers >= 1"),
+    ("raise_dims", "1", "raise_dims must be a list of integers >= 1"),
+    ("rank", True, "rank must be an integer"),
+    ("rank", 1.0, "rank must be an integer"),
+    ("rank", "1", "rank must be an integer"),
+    ("family", 5, "family must be a non-empty string"),
+    ("family", None, "family must be a non-empty string"),
+    # well typed but out of range: the root-system builder's own refusals
+    ("raise_dims", [0], "raise dims must be >= 1"),
+    ("family", "", "unknown family ''"),
+])
+def test_malformed_root_system_is_refused(field, value, message):
+    obj = json.loads(dumps(rank1_datum("U")))
+    obj["root_system"][field] = value
+    with pytest.raises(DatumFormatError) as err:
+        datum_from_obj(obj)
+    assert str(err.value) == f"root_system: {message}"
+
+
+def test_root_system_defaults_still_apply():
+    obj = json.loads(dumps(rank1_datum("U")))
+    del obj["root_system"]["raise_dims"]
+    obj["root_system"].update(family="A1", rank=None)
+    assert datum_from_obj(obj) == rank1_datum("U")
+
+
+# -- the one-pass loader and validator against their per-field references ----
+
+def outcome(f, *args):
+    """f(*args), or the text of the DatumFormatError it raises."""
+    try:
+        return f(*args)
+    except DatumFormatError as exc:
+        return f"DatumFormatError: {exc}"
+
+
+BUNDLED_OBJS = [json.loads(datum_text(name)) for name in DATUM_NAMES]
+FLAG_OBJS = [datum_to_obj(generate_flag_datum(build_root_system(token, raise_dims=dims)))
+             for token, dims in [*((t, None) for t in FLAG_TOKENS), ("BC2", [2, 1]),
+                                 ("G2", [1, 3]), ("F4", [2, 2, 1, 1])]]
+
+
+@pytest.mark.parametrize("obj", BUNDLED_OBJS + FLAG_OBJS,
+                         ids=lambda obj: json.dumps(obj["root_system"]))
+def test_loader_matches_reference(obj):
+    got = datum_from_obj(obj)
+    assert got == reference_datum_from_obj(obj)
+    for o in got.orbits:
+        assert type(o) is Orbit and o == Orbit(*o)
+    for cells in got.cells.values():
+        for c in cells:
+            assert type(c) is RaiseCell and c == RaiseCell(*c) and c.z2 == c[5]
+
+
+#: Values of every JSON type, ids of the rank-1 and flag data, and kinds.
+_ODD = st.sampled_from([-1, 0, 1, 2, 1.5, True, False, None, "", "y", "z", "e", "1",
+                        "U", "TU", "A", "RT", [], [1], [[1]], [[1.5]], [[True]],
+                        {}, {"kind": "A"}])
+_KEYS = st.sampled_from(["id", "dim", "c", "rk", "s", "open", "lattice", "kind", "y",
+                         "z", "z1", "z2", "color"])
+
+
+@st.composite
+def mutated_records(draw):
+    """A bundled or small flag datum object with one to three records
+    mutated; root_system fields keep their JSON types."""
+    obj = copy.deepcopy(draw(st.sampled_from(BUNDLED_OBJS + FLAG_OBJS[:7])))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["orbit", "orbit-drop", "cell", "cell-drop", "record",
+                                   "cells", "top", "root_system"]))
+        orbits, cells = obj.get("orbits"), obj.get("cells")
+        if op.startswith("orbit") and isinstance(orbits, list) and orbits:
+            entry = orbits[draw(st.integers(0, len(orbits) - 1))]
+            if not isinstance(entry, dict):
+                continue
+            if op == "orbit":
+                entry[draw(_KEYS)] = draw(_ODD)
+            elif entry:
+                entry.pop(draw(st.sampled_from(sorted(entry))))
+        elif op.startswith("cell") and isinstance(cells, dict) and cells:
+            row = cells[draw(st.sampled_from(sorted(cells)))]
+            if not isinstance(row, list) or not row:
+                continue
+            cell = row[draw(st.integers(0, len(row) - 1))]
+            if not isinstance(cell, dict):
+                continue
+            if op == "cell":
+                cell[draw(_KEYS)] = draw(_ODD)
+            elif cell:
+                cell.pop(draw(st.sampled_from(sorted(cell))))
+        elif op == "record" and isinstance(orbits, list) and isinstance(cells, dict):
+            if draw(st.booleans()) or not cells:
+                orbits.append(draw(_ODD | st.sampled_from(orbits)))
+            else:
+                row = cells[draw(st.sampled_from(sorted(cells)))]
+                if isinstance(row, list):
+                    row.insert(draw(st.integers(0, len(row))), draw(_ODD))
+        elif op == "cells" and isinstance(cells, dict):
+            cells[draw(st.sampled_from(["0", "1", "01", "2", "9", "x"]))] = draw(
+                _ODD | st.just([{"kind": "A", "y": "y"}]))
+        elif op == "top":
+            key = draw(st.sampled_from(["root_system", "orbits", "cells", "notes", "extra"]))
+            if draw(st.booleans()):
+                obj.pop(key, None)
+            else:
+                obj[key] = draw(_ODD | st.just(["a note"]))
+        elif op == "root_system" and isinstance(obj.get("root_system"), dict):
+            field, value = draw(st.sampled_from([
+                ("family", "A"), ("family", "A2"), ("family", "Q"), ("family", ""),
+                ("rank", 1), ("rank", 2), ("rank", 0), ("raise_dims", []),
+                ("raise_dims", [1, 1]), ("raise_dims", [0]), ("raise_dims", [2]),
+                ("extra", 1)]))
+            obj["root_system"][field] = value
+    return obj
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_records())
+def test_loader_matches_reference_on_mutated_records(obj):
+    assert outcome(datum_from_obj, obj) == outcome(reference_datum_from_obj, obj)
+
+
+def with_ghost_cell(d: OrbitDatum) -> OrbitDatum:
+    """d with one more alpha-1 cell that names an orbit d does not have."""
+    cells = dict(d.cells)
+    cells[1] = cells.get(1, ()) + (RaiseCell(1, "U", y="ghost", z=d.orbits[0].id),)
+    return OrbitDatum(d.root_system, d.orbits, cells, d.notes)
+
+
+VALIDATE_CASES = ([bundled_datum(name) for name in DATUM_NAMES]
+                  + [datum_from_obj(obj) for obj in FLAG_OBJS] + DEFECTIVE_CASES
+                  + [rank1_datum(kind, with_lattices=True) for kind in KINDS]
+                  + [with_orbit(rank1_datum("TU"), "z1", rk=1, s=2, dim=0),
+                     with_orbit(rank1_datum("RT", with_lattices=True), "z2", rk=1, dim=0),
+                     with_orbit(rank1_datum("U", with_lattices=True), "z", lattice=None),
+                     with_orbit(rank1_datum("U"), "y", lattice=((1, 2),)),
+                     with_ghost_cell(rank1_datum("N")),
+                     with_ghost_cell(generate_flag_datum(build_root_system("A2")))])
+
+
+def assert_validators_match_reference(d: OrbitDatum) -> None:
+    assert validate(d) == reference_validate(d)
+    assert outcome(check_lattices, d) == outcome(reference_check_lattices, d)
+
+
+@pytest.mark.parametrize("d", VALIDATE_CASES, ids=lambda d: d.root_system.to_text())
+def test_validators_match_reference(d):
+    assert_validators_match_reference(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_data(), st.booleans())
+def test_validators_match_reference_on_random_data(d, ghost):
+    assert_validators_match_reference(with_ghost_cell(d) if ghost else d)

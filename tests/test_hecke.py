@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylorb.bundled import DATUM_NAMES, bundled_datum
-from weylorb.coxeter import build_root_system, enumerate_group
+from weylorb.coxeter import braid_order, build_root_system, enumerate_group
 from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum
 from weylorb.hecke import (
     HeckeError,
+    HeckeBraidViolation,
     HeckeModule,
+    RegularRepReport,
     _span_dimension,
     apply,
     apply_word,
@@ -23,8 +26,9 @@ from weylorb.hecke import (
     verify_regular_representation,
 )
 
+from references import DEFECTIVE_CASES, FLAG_TOKENS, braid_breaker
+
 ALL_DATA = [bundled_datum(name) for name in DATUM_NAMES]
-FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
 
 
 def every_datum():
@@ -264,3 +268,104 @@ def test_span_dimension_matches_reference(bits, vectors, pairs):
             vectors.append(vectors[i] ^ vectors[j])
     vectors.append(1 << (bits - 1))
     assert _span_dimension(vectors) == span_dimension_reference(vectors)
+
+
+# -- the table paths against the step-by-step and per-word references -------
+
+def reference_braid_check_module(module):
+    """(T_a T_b)^m applied to each basis vector, 2m single steps."""
+    out = []
+    for a, b in combinations(sorted(module.columns), 2):
+        m = braid_order(module.datum.root_system, a - 1, b - 1)
+        for i, oid in enumerate(module.basis):
+            x = 1 << i
+            for _ in range(m):
+                x = apply(module, a, apply(module, b, x))
+            if x != 1 << i:
+                out.append(HeckeBraidViolation(a, b, m, oid))
+                break
+    return out
+
+
+def reference_regular_representation(module):
+    """T_w [e] by apply_word on the whole canonical word of every w."""
+    violations = tuple(reference_braid_check_module(module))
+    words = [w.word for w in enumerate_group(module.datum.root_system)]
+    vectors = [apply_word(module, tuple(a + 1 for a in word), module.unit("e"))
+               for word in words]
+    span = _span_dimension(vectors)
+    ok = (not violations and len(set(vectors)) == len(words)
+          and span == len(module.basis) and len(words) == len(module.basis))
+    return RegularRepReport(ok, len(words), len(set(vectors)), span, violations)
+
+
+def reference_leading_term(module, alpha, orbit_id):
+    d = module.datum
+    terms = module.terms(apply(module, alpha, module.unit(orbit_id)))
+    if not terms:
+        raise HeckeError(f"T_{alpha} [{orbit_id}] is zero")
+    dims = [d.orbit(t).dim for t in terms]
+    lead = [t for t, dim in zip(terms, dims) if dim == min(dims)]
+    if len(lead) != 1:
+        raise HeckeError(f"leading-term tie in T_{alpha} [{orbit_id}]: "
+                         + ", ".join(f"[{t}]" for t in lead))
+    return lead[0]
+
+
+def leading_outcome(f, *args):
+    try:
+        return f(*args)
+    except HeckeError as exc:
+        return str(exc)
+
+
+def with_identity(d: OrbitDatum, oid: str) -> OrbitDatum:
+    """d with orbit oid renamed "e", so the regular-representation check runs."""
+    def name(x):
+        return "e" if x == oid else x
+    cells = {a: tuple(c._replace(**{r: name(getattr(c, r)) for r in ("y", "z", "z1", "z2")
+                                    if getattr(c, r) is not None}) for c in cs)
+             for a, cs in d.cells.items()}
+    return OrbitDatum(d.root_system, tuple(o._replace(id=name(o.id)) for o in d.orbits),
+                      cells)
+
+
+def dense_modules():
+    """Flag modules with random dense columns: neither involutions nor braided."""
+    rng = random.Random(5)
+    return [HeckeModule(m.datum, m.basis,
+                        {a: tuple(rng.getrandbits(len(m.basis)) for _ in m.basis)
+                         for a in m.columns})
+            for t, m in sorted(RANDOM_MODULE_BASES.items()) if t != "F4"]
+
+
+TABLE_CASES = ([build_module(d) for d in every_datum() + DEFECTIVE_CASES]
+               + [build_module(generate_flag_datum(build_root_system("F4")))]
+               + [build_module(with_identity(braid_breaker(), "r"))] + dense_modules())
+
+
+@pytest.mark.parametrize("module", TABLE_CASES, ids=lambda m: m.datum.root_system.to_text())
+def test_module_braid_check_matches_step_reference(module):
+    assert braid_check_module(module) == reference_braid_check_module(module)
+
+
+@pytest.mark.parametrize("module", [m for m in TABLE_CASES if "e" in m.basis],
+                         ids=lambda m: m.datum.root_system.to_text())
+def test_regular_representation_matches_per_word_reference(module):
+    report = verify_regular_representation(module)
+    assert report == reference_regular_representation(module)
+    if module == build_module(module.datum):
+        assert verify_regular_representation(module.datum) == report
+
+
+def test_braid_violating_module_is_not_regular():
+    report = verify_regular_representation(with_identity(braid_breaker(), "r"))
+    assert report.braid_violations and not report.ok
+
+
+@pytest.mark.parametrize("module", TABLE_CASES, ids=lambda m: m.datum.root_system.to_text())
+def test_leading_term_matches_reference(module):
+    for alpha in module.columns:
+        for oid in module.basis:
+            assert (leading_outcome(leading_term, module, alpha, oid)
+                    == leading_outcome(reference_leading_term, module, alpha, oid))

@@ -43,7 +43,7 @@ from weylorb.oracle import (
     spec_from_obj,
 )
 
-from test_action import DEFECTIVE_CASES, reference_membership  # the sigma reference
+from references import DEFECTIVE_CASES, reference_membership
 
 _CACHE: dict[tuple[str, int], OracleReport] = {}
 
