@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .datum import OrbitDatum, loads
+# datum executes on first attribute access: spec names and texts do not run it
+from . import datum
 
 __all__ = [
     "DATUM_NAMES", "ORACLE_SPEC_NAMES", "bundled_datum", "oracle_spec_text",
@@ -32,13 +33,13 @@ def datum_text(name: str) -> str:
     return (_data_root() / f"{name}.json").read_text(encoding="utf-8")
 
 
-def bundled_datum(name: str) -> OrbitDatum:
+def bundled_datum(name: str) -> datum.OrbitDatum:
     """Load a bundled datum by name.
 
     >>> bundled_datum("rank1_u").open_orbit().id
     'y'
     """
-    return loads(datum_text(name))
+    return datum.loads(datum_text(name))
 
 
 def oracle_spec_text(name: str) -> str:

@@ -10,37 +10,27 @@ compose in pipelines.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import types
 from pathlib import Path
 
-# action, bundled, hecke and oracle execute on first attribute access
-from . import action, bundled, hecke, oracle
-from .coxeter import CapExceeded, RootSystemError, build_root_system, word_name
-from .datum import (
-    DatumFormatError,
-    OrbitDatum,
-    check_lattices,
-    dumps,
-    export_dot,
-    generate_flag_datum,
-    load_path,
-    loads,
-    validate,
-)
+# each layer executes on its first attribute access, so a command runs
+# only the layers it uses
+from . import action, bundled, coxeter, datum, hecke, oracle
 
 
 class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit code 2."""
 
 
-def _load_datum(arg: str) -> OrbitDatum:
+def _load_datum(arg: str) -> datum.OrbitDatum:
     if arg == "-":
-        return loads(sys.stdin.read())
+        return datum.loads(sys.stdin.read())
     path = Path(arg)
     if path.exists():
-        return load_path(path)
+        return datum.load_path(path)
     if arg in bundled.DATUM_NAMES:
         return bundled.bundled_datum(arg)
     raise UsageError(f"no such datum file or bundled name: {arg}")
@@ -89,14 +79,14 @@ def _cmd_gen_flag(args) -> tuple[int, str]:
             raise_dims = [int(t) for t in args.raise_dims.split(",")]
         except ValueError:
             raise UsageError(f"bad raise-dims {args.raise_dims!r}")
-    rs = build_root_system(args.family, args.rank, raise_dims=raise_dims)
-    return 0, dumps(generate_flag_datum(rs))
+    rs = coxeter.build_root_system(args.family, args.rank, raise_dims=raise_dims)
+    return 0, datum.dumps(datum.generate_flag_datum(rs))
 
 
 def _cmd_validate(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
-    structure = validate(d)
-    lattices = check_lattices(d)
+    structure = datum.validate(d)
+    lattices = datum.check_lattices(d)
     ok = structure.ok and lattices.ok
     if args.json:
         return (0 if ok else 1), _json_body({
@@ -154,7 +144,7 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
     except action.BraidObstruction as exc:
         return 1, _obstruction(args, exc)
     desc = theorem.stabilizer
-    gen_names = sorted(word_name(w.word) for w in theorem.generating_set)
+    gen_names = sorted(coxeter.word_name(w.word) for w in theorem.generating_set)
     if args.json:
         return (0 if theorem.holds else 1), _json_body({
             "order": desc.order,
@@ -246,7 +236,7 @@ def _cmd_hecke(args) -> tuple[int, str]:
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
-    return 0, export_dot(_load_datum(args.datum))
+    return 0, datum.export_dot(_load_datum(args.datum))
 
 
 def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
@@ -254,12 +244,12 @@ def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
     reports = []
     for arg in paths:
         obj = _load_spec_obj(arg)
-        pinned = obj.get("q")
+        pinned = oracle.pinned_q(obj)
         if pinned is not None:
-            if int(pinned) not in qs:
+            if pinned not in qs:
                 raise UsageError(
                     f"spec {arg} is pinned to q = {pinned}, not in the q-list")
-            run_qs = [int(pinned)]
+            run_qs = [pinned]
         else:
             run_qs = list(qs)
         for q in run_qs:
@@ -299,7 +289,7 @@ def _cmd_oracle(args) -> tuple[int, str]:
 
     if args.mode == "infer":
         reports = _oracle_specs(args.paths, qs, cap)
-        rs = build_root_system(reports[0].root_system)
+        rs = coxeter.build_root_system(reports[0].root_system)
         inferred = oracle.infer_datum(reports, rs)
         code = 0 if inferred.datum is not None else 1
         return code, _json_body(inferred.to_obj())
@@ -390,14 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _input_errors() -> tuple[type[Exception], ...]:
     """Exceptions that mean bad input or arguments (exit code 2).
 
-    OracleError and HeckeError are named only once their layer has run: a
+    A layer's exception classes are named only once the layer has run: a
     layer still lazy cannot have raised, and naming its class would run it.
     """
-    errors = [UsageError, DatumFormatError, RootSystemError, CapExceeded,
-              OSError, json.JSONDecodeError]
-    for module, name in ((oracle, "OracleError"), (hecke, "HeckeError")):
+    errors = [UsageError, OSError, json.JSONDecodeError]
+    for module, names in ((coxeter, ("RootSystemError", "CapExceeded")),
+                          (datum, ("DatumFormatError",)),
+                          (hecke, ("HeckeError",)),
+                          (oracle, ("OracleError",))):
         if type(module) is types.ModuleType:
-            errors.append(getattr(module, name))
+            errors.extend(getattr(module, name) for name in names)
     return tuple(errors)
 
 
@@ -416,5 +408,23 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> None:
+    """Process entry of ``python -m weylorb.cli`` and the ``weylorb`` script.
+
+    Runs :func:`main` with the cyclic garbage collector off, and freezes
+    the heap before the interpreter's teardown, whose collections would
+    otherwise walk every object the command made just before the OS frees
+    them all.  A command's objects die by reference counting; what cycles
+    it leaves last only until the process exits.  ``--help`` and argparse
+    refusals leave through SystemExit, so the freeze is in a ``finally``.
+    Teardown itself still runs, atexit handlers and profilers included.
+    """
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

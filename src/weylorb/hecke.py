@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .action import BraidViolation
 from .coxeter import (
     DEFAULT_GROUP_CAP,
     _Frozen,
@@ -33,7 +32,15 @@ class HeckeError(RuntimeError):
     """The module data is internally inconsistent."""
 
 
-class HeckeBraidViolation(BraidViolation):
+class HeckeBraidViolation(NamedTuple):
+    """A braid relation of the module that fails on a basis vector; the
+    fields of :class:`weylorb.action.BraidViolation`."""
+
+    alpha: int
+    beta: int
+    order: int
+    witness: str
+
     def line(self) -> str:
         return (f"VIOLATION hecke-braid at alpha {self.alpha}, beta {self.beta}: "
                 f"(T_{self.alpha} T_{self.beta})^{self.order} moves basis vector "

@@ -25,7 +25,8 @@ from math import inf, isqrt
 from typing import NamedTuple
 
 from .coxeter import RootSystem, build_root_system
-from .datum import ROLES, Orbit, OrbitDatum, RaiseCell, datum_to_obj, validate
+# datum executes on first attribute access: only inference and compare run it
+from . import datum
 
 __all__ = [
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
@@ -111,12 +112,21 @@ class MatGroupSpec(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
+_SPEC_FIELDS = frozenset({"name", "root_system", "q", "dimension", "generators"})
+
+
 def _as_matrices(raw, dimension: int, q: int, where: str):
+    if type(raw) not in (list, tuple):
+        raise OracleError(f"{where}: must be a list of matrices")
     out = []
     for mat in raw:
-        if len(mat) != dimension or any(len(row) != dimension for row in mat):
+        if (type(mat) not in (list, tuple) or len(mat) != dimension
+                or any(type(row) not in (list, tuple) or len(row) != dimension
+                       for row in mat)):
             raise OracleError(f"{where}: matrix is not {dimension}x{dimension}")
-        reduced = tuple(tuple(int(x) % q for x in row) for row in mat)
+        if any(type(x) is not int for row in mat for x in row):
+            raise OracleError(f"{where}: matrix entries must be integers")
+        reduced = tuple(tuple(x % q for x in row) for row in mat)
         if _det_mod(reduced, q) == 0:
             raise OracleError(f"{where}: singular generator {reduced} mod {q}")
         out.append(reduced)
@@ -125,42 +135,77 @@ def _as_matrices(raw, dimension: int, q: int, where: str):
     return tuple(out)
 
 
+def pinned_q(obj: dict) -> int | None:
+    """The prime a parsed spec pins, or None for a generic spec.
+
+    Refuses a spec whose top-level fields are missing, unknown or of the
+    wrong JSON type, by exact type tests: 11.0 is not the prime 11.
+    """
+    if type(obj) is not dict:
+        raise OracleError("oracle spec must be a JSON object")
+    unknown = obj.keys() - _SPEC_FIELDS - {"notes"}
+    if unknown:
+        raise OracleError(f"unknown spec fields: {sorted(unknown)}")
+    missing = _SPEC_FIELDS - obj.keys()
+    if missing:
+        raise OracleError(f"missing spec fields: {sorted(missing)}")
+    for key in ("name", "root_system"):
+        if type(obj[key]) is not str:
+            raise OracleError(f"spec: {key} must be a string")
+    pinned, dim, notes = obj["q"], obj["dimension"], obj.get("notes", [])
+    if pinned is not None and type(pinned) is not int:
+        raise OracleError("spec: q must be null or an integer")
+    if type(dim) is not int or dim < 1:
+        raise OracleError("spec: dimension must be an integer >= 1")
+    if type(notes) is not list or any(type(n) is not str for n in notes):
+        raise OracleError("spec: notes must be a list of strings")
+    return pinned
+
+
 def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
     """Build a spec at the working prime q.
 
     Files with "q": null are generic (entries reduced mod q); files that
-    pin a prime can only be loaded at that prime.
+    pin a prime can only be loaded at that prime.  Every field is checked
+    with exact type tests, so a malformed spec is refused, never truncated.
     """
-    required = {"name", "root_system", "q", "dimension", "generators"}
-    unknown = set(obj) - required - {"notes"}
-    if unknown:
-        raise OracleError(f"unknown spec fields: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise OracleError(f"missing spec fields: {sorted(missing)}")
-    dim = int(obj["dimension"])
+    pinned = pinned_q(obj)
+    dim = obj["dimension"]
     if dim * q * q >= 2**63:
         raise OracleError(f"q = {q} is too large for dimension {dim}: "
                           "products mod q would overflow 64-bit integers")
     if not _is_prime(q):
         raise OracleError(f"q = {q} is not prime")
-    pinned = obj["q"]
-    if pinned is not None and int(pinned) != q:
+    if pinned is not None and pinned != q:
         raise OracleError(
             f"spec {obj['name']!r} is pinned to q = {pinned}, cannot load at q = {q}")
     gens = obj["generators"]
-    unknown = set(gens) - {"G", "B", "H", "P"}
+    if type(gens) is not dict:
+        raise OracleError("spec: generators must be an object")
+    unknown = gens.keys() - {"G", "B", "H", "P"}
     if unknown:
         raise OracleError(f"unknown generator blocks: {sorted(unknown)}")
+    missing = {"G", "B", "H"} - gens.keys()
+    if missing:
+        raise OracleError(f"missing generator blocks: {sorted(missing)}")
     rs = build_root_system(obj["root_system"])
+    raw_parabolics = gens.get("P", {})
+    if type(raw_parabolics) is not dict:
+        raise OracleError("spec: generators P must be an object keyed by simple root index")
     parabolics = {}
-    for key, mats in gens.get("P", {}).items():
-        alpha = int(key)
+    for key, mats in raw_parabolics.items():
+        try:
+            alpha = int(key)
+        except (TypeError, ValueError):
+            raise OracleError(f"P: bad simple root key {key!r}") from None
         if not 1 <= alpha <= rs.rank:
             raise OracleError(f"parabolic index {key} outside 1..{rs.rank}")
+        if alpha in parabolics:
+            first = next(k for k in raw_parabolics if int(k) == alpha)
+            raise OracleError(f"P: keys {first!r} and {key!r} both name simple root {alpha}")
         parabolics[alpha] = _as_matrices(mats, dim, q, f"P_{alpha} generators")
     return MatGroupSpec(
-        name=str(obj["name"]),
+        name=obj["name"],
         root_system=obj["root_system"],
         q=q,
         dimension=dim,
@@ -409,18 +454,25 @@ def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | N
     """Exponents (a, b) and positive rational c with size = c q^a (q-1)^b.
 
     Returns None when no monomial matches all (q, size) pairs; raises
-    when several monomials do (not enough primes to pin one down).
+    when several monomials do (not enough primes to pin one down).  Each
+    (a, b) is tested in integers, c = s0 / (q0^a (q0-1)^b) matching size
+    s at q when s0 q^a (q-1)^b = s q0^a (q0-1)^b; only a hit makes c.
     """
-    from fractions import Fraction  # only fits make fractions
     if len(points) < 2:
         raise OracleError("monomial fit needs at least two primes")
-    q0, s0 = points[0]
-    hits = [(a, b, Fraction(s0, q0**a * (q0 - 1) ** b))
-            for a, b in iproduct(range(_FIT_EXPONENT_BOUND), repeat=2)]
-    hits = [(a, b, c) for a, b, c in hits
-            if c > 0 and all(c * q**a * (q - 1) ** b == s for q, s in points[1:])]
+    (q0, s0), bound = points[0], range(_FIT_EXPONENT_BOUND)
+    if s0 <= 0:  # c > 0 takes s0 > 0, q0^a (q0-1)^b being positive at a prime
+        return None
+    # per point: its size, and q^a and (q-1)^b for every exponent
+    powers = [(s, [q**a for a in bound], [(q - 1) ** b for b in bound])
+              for q, s in points]
+    _, qa0, qb0 = powers[0]
+    hits = [(a, b) for a, b in iproduct(bound, repeat=2)
+            if all(s0 * qa[a] * qb[b] == s * qa0[a] * qb0[b] for s, qa, qb in powers[1:])]
     if not hits:
         return None
+    from fractions import Fraction  # only fits make fractions
+    hits = [(a, b, Fraction(s0, qa0[a] * qb0[b])) for a, b in hits]
     if len(hits) > 1:
         raise OracleError(f"ambiguous monomial fit {hits}; add more primes")
     return hits[0]
@@ -429,14 +481,14 @@ def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | N
 class InferredDatum(NamedTuple):
     """Candidate datum plus everything point counts could not decide."""
 
-    datum: OrbitDatum | None
+    datum: datum.OrbitDatum | None
     notes: tuple[str, ...]
     point_counts: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
     fits: tuple[tuple[str, tuple[int, int, Fraction]], ...]
 
     def to_obj(self) -> dict:
         return {
-            "datum": None if self.datum is None else datum_to_obj(self.datum),
+            "datum": None if self.datum is None else datum.datum_to_obj(self.datum),
             "confidence": list(self.notes),
             "pointCounts": {name: {str(q): s for q, s in counts}
                             for name, counts in self.point_counts},
@@ -584,18 +636,18 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
     orbits = []
     for pos in order:
         a, b, c = fits[pos]
-        orbits.append(Orbit(name_of[pos], dims[pos], 0, b, 0,
+        orbits.append(datum.Orbit(name_of[pos], dims[pos], 0, b, 0,
                             open=dims[pos] == top))
         notes.append(f"{name_of[pos]}: size(q) = {c} * q^{a} * (q-1)^{b}")
 
-    cells: dict[int, list[RaiseCell]] = {}
+    cells: dict[int, list[datum.RaiseCell]] = {}
     for alpha, blocks in sorted(reports[0].merges.items()):
-        row: list[RaiseCell] = []
+        row: list[datum.RaiseCell] = []
         for block in blocks:
             members = sorted(block, key=lambda i: -dims[i])
             ids = [name_of[i] for i in members]
             if len(block) == 1:
-                row.append(RaiseCell(alpha, "A", y=ids[0]))
+                row.append(datum.RaiseCell(alpha, "A", y=ids[0]))
             elif len(block) == 2:
                 hi, lo = members
                 if dims[hi] == dims[lo]:
@@ -603,9 +655,9 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                         f"P_{alpha} pair with equal dims {ids}: not a raise")
                 bh, bl = fits[hi][1], fits[lo][1]
                 if bh == bl:
-                    row.append(RaiseCell(alpha, "U", y=ids[0], z=ids[1]))
+                    row.append(datum.RaiseCell(alpha, "U", y=ids[0], z=ids[1]))
                 elif bh - bl == 1:
-                    row.append(RaiseCell(alpha, "RI", y=ids[0], z=ids[1]))
+                    row.append(datum.RaiseCell(alpha, "RI", y=ids[0], z=ids[1]))
                     notes.append(
                         f"cell alpha {alpha} {{{ids[0]}, {ids[1]}}}: kind RI|N "
                         "ambiguous (stabilizer connectedness is invisible "
@@ -616,11 +668,11 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
             elif len(block) == 3:
                 y, z1, z2 = members
                 if dims[z1] == dims[z2]:
-                    row.append(RaiseCell(alpha, "RT", y=ids[0],
-                                         z1=ids[1], z2=ids[2]))
+                    row.append(datum.RaiseCell(alpha, "RT", y=ids[0],
+                                               z1=ids[1], z2=ids[2]))
                 elif dims[y] > dims[z1] > dims[z2]:
-                    row.append(RaiseCell(alpha, "TU", y=ids[0],
-                                         z1=ids[1], z2=ids[2]))
+                    row.append(datum.RaiseCell(alpha, "TU", y=ids[0],
+                                               z1=ids[1], z2=ids[2]))
                 else:
                     raise OracleError(
                         f"P_{alpha} triple {ids}: dims {dims[y]},{dims[z1]},"
@@ -630,9 +682,9 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                     f"P_{alpha} class with {len(block)} B-orbits is out of scope")
         cells[alpha] = row
 
-    datum = OrbitDatum(rs, tuple(orbits),
-                       {a: tuple(row) for a, row in cells.items()})
-    report = validate(datum)
+    candidate = datum.OrbitDatum(rs, tuple(orbits),
+                                 {a: tuple(row) for a, row in cells.items()})
+    report = datum.validate(candidate)
     if not report.ok:
         notes.extend("inferred datum fails validation: " + line
                      for line in report.lines())
@@ -640,7 +692,7 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
         (name_of[pos], tuple((r.q, r.orbits[pos].size) for r in reports))
         for pos in order)
     fit_rows = tuple((name_of[pos], fits[pos]) for pos in order)
-    return InferredDatum(datum=datum, notes=tuple(notes),
+    return InferredDatum(datum=candidate, notes=tuple(notes),
                          point_counts=point_counts, fits=fit_rows)
 
 
@@ -653,7 +705,7 @@ class CompareReport(NamedTuple):
     lines: tuple[str, ...]
 
 
-def _structure(d: OrbitDatum) -> tuple[list, list]:
+def _structure(d: datum.OrbitDatum) -> tuple[list, list]:
     """One pass over the cells.  Per orbit its colour: its signature (per
     alpha with cells, the kind class and role, RT's z1 and z2 as one "z",
     of its first alpha-cell, or None) and its open flag.  And the cells as
@@ -663,7 +715,7 @@ def _structure(d: OrbitDatum) -> tuple[list, list]:
     for k, (alpha, cells) in enumerate(d.cells.items()):
         for cell in cells:
             kind, ids = _kindclass(cell.kind), [d.position[m] for m in cell.members()]
-            for role, i in zip(ROLES[cell.kind], ids):
+            for role, i in zip(datum.ROLES[cell.kind], ids):
                 if rows[i][k][1] is None:
                     rows[i][k] = (alpha, (kind, "z" if kind == "RT" and role != "y" else role))
             blocks.append(((alpha, kind), ((ids[0],), tuple(ids[1:])) if kind == "RT"
@@ -671,7 +723,8 @@ def _structure(d: OrbitDatum) -> tuple[list, list]:
     return [(tuple(row), o.open) for row, o in zip(rows, d.orbits)], blocks
 
 
-def _unmatched(reference: OrbitDatum, candidate: OrbitDatum, fits: dict) -> list[str]:
+def _unmatched(reference: datum.OrbitDatum, candidate: datum.OrbitDatum,
+               fits: dict) -> list[str]:
     """Per side, the orbits left over once those of equal (dim, rk) are
     paired in (dim, id) order, with a candidate orbit's fitted size."""
     lines = []
@@ -687,7 +740,7 @@ def _unmatched(reference: OrbitDatum, candidate: OrbitDatum, fits: dict) -> list
     return lines
 
 
-def compare(reference: OrbitDatum, candidate: OrbitDatum, fits=()) -> CompareReport:
+def compare(reference: datum.OrbitDatum, candidate: datum.OrbitDatum, fits=()) -> CompareReport:
     """Isomorphism test of the cell-labeled raise structures.
 
     Kinds are compared up to the RI|N ambiguity; orbit ids may differ.

@@ -1,6 +1,8 @@
 """Slow reference paths that faster code replaced, and defective data, for
-the test files: the ones several files share, and the datum loader and
-validator as they were before each record was checked in one pass.
+the test files: the ones several files share, the datum loader and
+validator as they were before each record was checked in one pass, and the
+oracle's spec loader and monomial fit as they were before exact type tests
+and the integer fit.
 
 The tests directory is on pytest's ``pythonpath`` (pyproject.toml), so
 this module imports as ``references`` under every import mode.
@@ -9,6 +11,7 @@ this module imports as ``references`` under every import mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 from weylorb.coxeter import RootSystemError, build_root_system, mat_apply
 from weylorb.datum import (
@@ -21,6 +24,13 @@ from weylorb.datum import (
     ValidationReport,
     Violation,
     _rref,
+)
+from weylorb.oracle import (
+    _FIT_EXPONENT_BOUND,
+    MatGroupSpec,
+    OracleError,
+    _det_mod,
+    _is_prime,
 )
 
 FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
@@ -458,3 +468,80 @@ def _span_after(matrix, lattice):
 
 def _span(lattice):
     return _rref([tuple(Fraction(x) for x in row) for row in lattice])
+
+
+# -- the oracle's spec loader through int(), and its monomial fit over Fraction
+
+def _reference_as_matrices(raw, dimension: int, q: int, where: str):
+    out = []
+    for mat in raw:
+        if len(mat) != dimension or any(len(row) != dimension for row in mat):
+            raise OracleError(f"{where}: matrix is not {dimension}x{dimension}")
+        reduced = tuple(tuple(int(x) % q for x in row) for row in mat)
+        if _det_mod(reduced, q) == 0:
+            raise OracleError(f"{where}: singular generator {reduced} mod {q}")
+        out.append(reduced)
+    if not out:
+        raise OracleError(f"{where}: no generators")
+    return tuple(out)
+
+
+def reference_spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
+    """The spec loader that passed q, dimension, P keys and entries
+    through int(): equal on well-formed specs, but it truncated 2.9 to 2."""
+    required = {"name", "root_system", "q", "dimension", "generators"}
+    unknown = set(obj) - required - {"notes"}
+    if unknown:
+        raise OracleError(f"unknown spec fields: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise OracleError(f"missing spec fields: {sorted(missing)}")
+    dim = int(obj["dimension"])
+    if dim * q * q >= 2**63:
+        raise OracleError(f"q = {q} is too large for dimension {dim}: "
+                          "products mod q would overflow 64-bit integers")
+    if not _is_prime(q):
+        raise OracleError(f"q = {q} is not prime")
+    pinned = obj["q"]
+    if pinned is not None and int(pinned) != q:
+        raise OracleError(
+            f"spec {obj['name']!r} is pinned to q = {pinned}, cannot load at q = {q}")
+    gens = obj["generators"]
+    unknown = set(gens) - {"G", "B", "H", "P"}
+    if unknown:
+        raise OracleError(f"unknown generator blocks: {sorted(unknown)}")
+    rs = build_root_system(obj["root_system"])
+    parabolics = {}
+    for key, mats in gens.get("P", {}).items():
+        alpha = int(key)
+        if not 1 <= alpha <= rs.rank:
+            raise OracleError(f"parabolic index {key} outside 1..{rs.rank}")
+        parabolics[alpha] = _reference_as_matrices(mats, dim, q, f"P_{alpha} generators")
+    return MatGroupSpec(
+        name=str(obj["name"]),
+        root_system=obj["root_system"],
+        q=q,
+        dimension=dim,
+        g_gens=_reference_as_matrices(gens["G"], dim, q, "G generators"),
+        b_gens=_reference_as_matrices(gens["B"], dim, q, "B generators"),
+        h_gens=_reference_as_matrices(gens["H"], dim, q, "H generators"),
+        parabolics=parabolics,
+        fixed_q=pinned is not None,
+        notes=tuple(obj.get("notes", ())),
+    )
+
+
+def reference_fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | None:
+    """The monomial fit that made a Fraction for every (a, b) it tried."""
+    if len(points) < 2:
+        raise OracleError("monomial fit needs at least two primes")
+    q0, s0 = points[0]
+    hits = [(a, b, Fraction(s0, q0**a * (q0 - 1) ** b))
+            for a, b in iproduct(range(_FIT_EXPONENT_BOUND), repeat=2)]
+    hits = [(a, b, c) for a, b, c in hits
+            if c > 0 and all(c * q**a * (q - 1) ** b == s for q, s in points[1:])]
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise OracleError(f"ambiguous monomial fit {hits}; add more primes")
+    return hits[0]

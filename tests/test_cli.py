@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -469,42 +470,59 @@ def test_lattice_free_commands_do_not_import_fractions(tmp_path):
 # subclass of types.ModuleType until its first attribute access.
 _EXECUTED_LAYERS = """
 import contextlib, io, json, sys, types
+from weylorb import _LAYERS
 from weylorb.cli import main
 
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, [name for name in ("action", "bundled", "hecke", "oracle")
+print(json.dumps([code, [name for name in _LAYERS
                          if type(sys.modules["weylorb." + name]) is types.ModuleType]]))
 """
 
+_WEYL = {"coxeter", "datum"}
+_ALL_LAYERS = {"coxeter", "datum", "bundled", "action", "hecke", "oracle"}
+_BUNDLED_SPEC = bundled_path("torus")
+
 
 @pytest.mark.parametrize("argv,executes,skips,want", [
-    (["gen-flag", "A2"], set(), {"action", "hecke", "oracle"}, 0),
-    (["validate", "{flag}"], set(), {"action", "hecke", "oracle"}, 0),
-    (["validate", "{flag}", "--json"], set(), {"action", "hecke", "oracle"}, 0),
-    (["export-dot", "{flag}"], set(), {"action", "hecke", "oracle"}, 0),
-    (["--help"], set(), {"action", "hecke", "oracle"}, 0),
-    (["braid", "{flag}"], {"action"}, {"hecke", "oracle"}, 0),
-    (["stabilizer", "{flag}"], {"action"}, {"hecke", "oracle"}, 0),
-    (["act", "{flag}", "1.2", "e"], {"action"}, {"hecke", "oracle"}, 0),
-    (["hecke", "{flag}"], {"hecke"}, {"oracle"}, 0),
-    (["oracle", "enumerate", "torus", "--q-list", "5"], {"oracle"}, set(), 0),
+    (["gen-flag", "A2"], _WEYL, {"bundled", "action", "hecke", "oracle"}, 0),
+    (["validate", "{flag}"], _WEYL, {"bundled", "action", "hecke", "oracle"}, 0),
+    (["validate", "{flag}", "--json"], _WEYL, {"bundled", "action", "hecke", "oracle"}, 0),
+    (["export-dot", "{flag}"], _WEYL, {"bundled", "action", "hecke", "oracle"}, 0),
+    (["--help"], set(), _ALL_LAYERS, 0),
+    (["braid", "{flag}"], _WEYL | {"action"}, {"bundled", "hecke", "oracle"}, 0),
+    (["stabilizer", "{flag}"], _WEYL | {"action"}, {"bundled", "hecke", "oracle"}, 0),
+    (["act", "{flag}", "1.2", "e"], _WEYL | {"action"}, {"bundled", "hecke", "oracle"}, 0),
+    (["hecke", "{flag}"], _WEYL | {"hecke"}, {"bundled", "action", "oracle"}, 0),
+    (["oracle", "enumerate", "torus", "--q-list", "5"], {"coxeter", "bundled", "oracle"},
+     {"datum", "action", "hecke"}, 0),
     # refusals: an OracleError from the freshly loaded oracle, and an
     # empty q-list refused before the oracle runs
-    (["oracle", "enumerate", "torus", "--q-list", "6"], {"oracle"}, set(), 2),
-    (["oracle", "enumerate", "torus", "--q-list", ""], set(), {"oracle"}, 2),
+    (["oracle", "enumerate", "torus", "--q-list", "6"], {"coxeter", "bundled", "oracle"},
+     {"datum", "action", "hecke"}, 2),
+    (["oracle", "enumerate", "torus", "--q-list", ""], set(), _ALL_LAYERS, 2),
+    # argparse usage errors: a missing argument, an unknown option
+    (["gen-flag"], set(), _ALL_LAYERS, 2),
+    (["validate", "{flag}", "--bogus"], set(), _ALL_LAYERS, 2),
+    # a spec file: coxeter reads its root system; neither datum nor bundled runs
+    (["oracle", "enumerate", _BUNDLED_SPEC, "--q-list", "5"], {"coxeter", "oracle"},
+     {"datum", "bundled", "action", "hecke"}, 0),
+    (["oracle", "infer", "torus"], _WEYL | {"bundled", "oracle"}, {"action", "hecke"}, 0),
+    (["hecke", "sl3_so12"], _WEYL | {"bundled", "hecke"}, {"action", "oracle"}, 0),
+    # a RootSystemError is an input error while datum is still lazy
+    (["gen-flag", "Q3"], {"coxeter"}, {"datum", "bundled", "action", "hecke", "oracle"}, 2),
 ])
 def test_commands_execute_only_the_layers_they_run(tmp_path, argv, executes, skips, want):
+    assert executes | skips == _ALL_LAYERS and not executes & skips
     flag = tmp_path / "flag.json"
     flag.write_text(dumps(generate_flag_datum(build_root_system("A2"))), encoding="utf-8")
     proc = _fresh_python(_EXECUTED_LAYERS, *(a.format(flag=flag) for a in argv))
     assert proc.returncode == 0, proc.stderr
     code, executed = json.loads(proc.stdout)
-    assert code == want
-    assert executes <= set(executed) and not skips & set(executed), executed
+    assert (code, set(executed)) == (want, executes)
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,3 +533,58 @@ def test_failed_out_write_is_an_input_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+#: A1 data whose sigma_1 is not an involution: two U cells share y.
+NON_INVOLUTION = {"root_system": {"family": "A1", "rank": 1, "raise_dims": [1]},
+                  "orbits": [_orbit("y", 1, True), _orbit("z", 0), _orbit("w", 0)],
+                  "cells": {"1": [{"kind": "U", "y": "y", "z": "z"},
+                                  {"kind": "U", "y": "y", "z": "w"}]}}
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["gen-flag", "A2"], 0),
+    (["stabilizer", "{bad}"], 1),
+    (["oracle", "enumerate", "torus", "--q-list", "6"], 2),
+    (["gen-flag"], 2),
+    (["--help"], 0),
+], ids=["clean", "violation", "refusal", "usage-error", "help"])
+def test_process_entry_matches_main(tmp_path, capsys, monkeypatch, argv, want):
+    """python -m weylorb.cli runs main() with the collector off; output and
+    exit code are main()'s, and main() itself leaves the collector alone."""
+    argv = [a.format(bad=write_datum(tmp_path, "bad", NON_INVOLUTION)) for a in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+    frozen = gc.get_freeze_count()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    captured = capsys.readouterr()
+    src = Path(weylorb.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "weylorb.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert code == want
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+
+
+_ENTRY_GC = """
+import gc, json, sys
+import weylorb.cli
+
+seen = []
+weylorb.cli.main = lambda: seen.append(gc.isenabled()) or 3
+try:
+    weylorb.cli.entry()
+except SystemExit as exc:
+    print(json.dumps([exc.code, seen, gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+
+
+def test_process_entry_runs_main_with_the_collector_off_and_freezes_the_heap():
+    proc = _fresh_python(_ENTRY_GC)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [3, [False], False, True]

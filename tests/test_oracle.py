@@ -43,7 +43,12 @@ from weylorb.oracle import (
     spec_from_obj,
 )
 
-from references import DEFECTIVE_CASES, reference_membership
+from references import (
+    DEFECTIVE_CASES,
+    reference_fit_monomial,
+    reference_membership,
+    reference_spec_from_obj,
+)
 
 _CACHE: dict[tuple[str, int], OracleReport] = {}
 
@@ -119,6 +124,86 @@ def test_spec_rejects_nonprime_and_bad_fields():
     obj2["surprise"] = 1
     with pytest.raises(OracleError, match="unknown spec fields"):
         spec_from_obj(obj2, 5)
+
+
+_DELETE = object()
+
+
+def _torus_with(path: tuple, value) -> dict:
+    """The torus spec with the field at path (keys and indices) set to
+    value, or deleted when value is _DELETE."""
+    obj = json.loads(oracle_spec_text("torus"))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return obj
+
+
+#: Malformed torus specs: (path to the field, its value, the error).
+_MALFORMED_SPECS = [
+    # loaded truncated by int() and exit 0 before exact type tests
+    (("dimension",), 2.9, "spec: dimension must be an integer >= 1"),
+    (("q",), 5.0, "spec: q must be null or an integer"),
+    (("generators", "G", 2, 0, 0), 1.5, "G generators: matrix entries must be integers"),
+    # a traceback and exit 1 before them
+    (("q",), "abc", "spec: q must be null or an integer"),
+    (("generators", "B", 0, 1, 1), None, "B generators: matrix entries must be integers"),
+    (("generators", "B"), _DELETE, "missing generator blocks: ['B']"),
+    (("root_system",), 5, "spec: root_system must be a string"),
+    (("generators", "P", "1.5"), [], "P: bad simple root key '1.5'"),
+    # taken silently: a bool for an integer, one root named twice, a
+    # string of notes read a character at a time, a non-string name
+    (("dimension",), True, "spec: dimension must be an integer >= 1"),
+    (("generators", "P", "01"), [[[1, 0], [0, 1]]],
+     "P: keys '1' and '01' both name simple root 1"),
+    (("notes",), "abc", "spec: notes must be a list of strings"),
+    (("name",), 7, "spec: name must be a string"),
+    (("generators", "P"), [], "spec: generators P must be an object keyed by simple root index"),
+    (("generators", "H"), {}, "H generators: must be a list of matrices"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", _MALFORMED_SPECS,
+                         ids=[".".join(map(str, p)) + ("-deleted" if v is _DELETE else f"={v!r}")
+                              for p, v, _ in _MALFORMED_SPECS])
+def test_malformed_spec_is_refused_naming_the_field(tmp_path, capsys, path, value, message):
+    obj = _torus_with(path, value)
+    with pytest.raises(OracleError) as err:
+        spec_from_obj(obj, 5)
+    assert str(err.value) == message
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["oracle", "enumerate", str(spec), "--q-list", "5"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("obj", [[], "torus", None, 5])
+def test_spec_that_is_not_an_object_is_refused(tmp_path, capsys, obj):
+    with pytest.raises(OracleError, match="^oracle spec must be a JSON object$"):
+        spec_from_obj(obj, 5)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["oracle", "enumerate", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: oracle spec must be a JSON object\n"
+
+
+@pytest.mark.parametrize("name,q", [(name, q) for name in ORACLE_SPEC_NAMES for q in (5, 7)])
+def test_bundled_specs_load_as_the_reference_loader_does(name, q):
+    obj = json.loads(oracle_spec_text(name))
+    try:
+        want = reference_spec_from_obj(obj, q)
+    except OracleError as exc:  # a spec pinned to the other prime
+        with pytest.raises(OracleError) as err:
+            spec_from_obj(obj, q)
+        assert str(err.value) == str(exc)
+        return
+    assert spec_from_obj(obj, q) == want
 
 
 def _closure(gens, q: int, cap: int = 10**6) -> dict:
@@ -460,6 +545,23 @@ def test_enumeration_matches_reference_on_conjugates(name, case):
     assert enumerate_orbits(spec).to_obj() == enumerate_orbits_reference(spec).to_obj()
 
 
+@st.composite
+def _seeded_conjugate(draw):
+    """A bundled spec conjugated by a random invertible g, pinned to q: its
+    own prime, or any for a generic spec."""
+    obj = json.loads(oracle_spec_text(draw(st.sampled_from(ORACLE_SPEC_NAMES))))
+    qs = (5, 7, 11) if obj["q"] is None else (obj["q"],)
+    g, q = draw(_invertible(qs=qs, ks=(obj["dimension"],)))
+    return _conjugated(obj, g, q), q
+
+
+@settings(max_examples=25, deadline=None)
+@given(_seeded_conjugate())
+def test_seeded_conjugates_load_as_the_reference_loader_does(case):
+    obj, q = case
+    assert spec_from_obj(obj, q) == reference_spec_from_obj(obj, q)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_invertible())
 def test_inv_mod_is_inverse(case):
@@ -619,6 +721,40 @@ def test_fit_monomial_needs_primes():
         fit_monomial([(5, 20)])
     with pytest.raises(OracleError, match="ambiguous"):
         fit_monomial([(5, 20), (5, 20)])
+
+
+def _outcome(fit, points):
+    try:
+        return fit(points)
+    except OracleError as exc:
+        return str(exc)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 23)
+
+
+@st.composite
+def _fit_points(draw):
+    """Sizes at two or three primes, primes repeating: half the time a
+    monomial c q^a (q-1)^b sampled at each, else with some sizes arbitrary."""
+    qs = draw(st.lists(st.sampled_from(_PRIMES), min_size=2, max_size=3))
+    a, b = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+    num, den = draw(st.integers(-2, 12)), draw(st.sampled_from((1, 1, 2, 3)))
+    monomial = draw(st.booleans())
+    points = []
+    for q in qs:
+        exact = num * q**a * (q - 1) ** b
+        size = exact // den if exact % den == 0 else exact
+        if not monomial:
+            size = draw(st.one_of(st.just(size), st.integers(-3, 10**6)))
+        points.append((q, size))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_points())
+def test_fit_monomial_matches_the_fraction_search(points):
+    assert _outcome(fit_monomial, points) == _outcome(reference_fit_monomial, points)
 
 
 def test_default_q_list():
