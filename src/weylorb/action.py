@@ -13,13 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .coxeter import (
-    DEFAULT_GROUP_CAP,
-    WeylElement,
-    braid_witnesses,
-    weyl_group,
-    word_name,
-)
+from .coxeter import DEFAULT_GROUP_CAP, braid_witnesses, weyl_group, word_name
 from .datum import OrbitDatum
 
 __all__ = [
@@ -46,22 +40,23 @@ class BraidViolation(NamedTuple):
 
 
 class SubgroupDescription(NamedTuple):
-    """A subgroup of the Weyl group, as ids into its tables and as elements."""
+    """A subgroup of the Weyl group, as ids into its tables and as the
+    canonical reduced words of its elements."""
 
     ids: frozenset[int]
-    elements: frozenset[WeylElement]
+    words: frozenset[tuple[int, ...]]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
 
     def element_names(self) -> list[str]:
-        return sorted(word_name(w.word) for w in self.elements)
+        return sorted(map(word_name, self.words))
 
 
 class GeneratorTheoremResult(NamedTuple):
     holds: bool
-    generating_set: tuple[WeylElement, ...]
+    generating_set: tuple[tuple[int, ...], ...]  # canonical reduced words
     stabilizer: SubgroupDescription
     generated_order: int
 
@@ -172,7 +167,7 @@ def stabilizer_open(d: OrbitDatum,
         raise BraidObstruction(
             f"orbit-stabilizer mismatch: |orbit| {orbit} x "
             f"|stab| {len(ids)} != |W| {len(group)}")
-    return SubgroupDescription(ids, frozenset(group.element(rs, w) for w in ids))
+    return SubgroupDescription(ids, frozenset(group.words[w] for w in ids))
 
 
 def check_generator_theorem(d: OrbitDatum,
@@ -196,7 +191,7 @@ def check_generator_theorem(d: OrbitDatum,
     generated = group.closure(gens, cap)
     return GeneratorTheoremResult(
         holds=generated == stab.ids,
-        generating_set=tuple(group.element(rs, g) for g in gens),
+        generating_set=tuple(group.words[g] for g in gens),
         stabilizer=stab,
         generated_order=len(generated),
     )

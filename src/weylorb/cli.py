@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import types
 from pathlib import Path
@@ -39,10 +38,16 @@ def _load_datum(arg: str) -> datum.OrbitDatum:
 def _load_spec_obj(arg: str) -> dict:
     path = Path(arg)
     if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    if arg in bundled.ORACLE_SPEC_NAMES:
-        return json.loads(bundled.oracle_spec_text(arg))
-    raise UsageError(f"no such oracle spec file or bundled name: {arg}")
+        text = path.read_text(encoding="utf-8")
+    elif arg in bundled.ORACLE_SPEC_NAMES:
+        text = bundled.oracle_spec_text(arg)
+    else:
+        raise UsageError(f"no such oracle spec file or bundled name: {arg}")
+    import json  # only commands that parse or print JSON pay for it
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_word(text: str, rank: int) -> tuple[int, ...]:
@@ -69,6 +74,7 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
 
 
 def _json_body(obj) -> str:
+    import json
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -94,13 +100,8 @@ def _cmd_validate(args) -> tuple[int, str]:
             "structure": structure.to_json(),
             "lattices": lattices.to_json(),
         })
-    lines = []
-    if ok:
-        lines.append("OK")
-    else:
-        lines.extend(v.line() for v in structure.violations)
-        lines.extend(v.line() for v in lattices.violations)
-    return (0 if ok else 1), "\n".join(lines) + "\n"
+    report = datum.ValidationReport(structure.violations + lattices.violations)
+    return (0 if ok else 1), "\n".join(report.lines()) + "\n"
 
 
 def _cmd_act(args) -> tuple[int, str]:
@@ -144,7 +145,7 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
     except action.BraidObstruction as exc:
         return 1, _obstruction(args, exc)
     desc = theorem.stabilizer
-    gen_names = sorted(coxeter.word_name(w.word) for w in theorem.generating_set)
+    gen_names = sorted(map(coxeter.word_name, theorem.generating_set))
     if args.json:
         return (0 if theorem.holds else 1), _json_body({
             "order": desc.order,
@@ -163,76 +164,9 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
 
 
 def _cmd_hecke(args) -> tuple[int, str]:
-    d = _load_datum(args.datum)
-    module = hecke.build_module(d)
-    problems: list[str] = []
-
-    involutions_ok = lead_ok = True
-    for alpha, col in sorted(module.columns.items()):
-        for i, oid in enumerate(module.basis):
-            if hecke.apply(module, alpha, col[i]) != 1 << i:
-                problems.append(f"T_{alpha} is not an involution at [{oid}]")
-                involutions_ok = False
-    dims = [o.dim for o in d.orbits]  # the basis is d.orbit_ids()
-    for alpha in sorted(module.columns):
-        sigma = d.involutions[alpha]
-        for i, oid in enumerate(module.basis):
-            try:
-                lead = hecke.leading_position(module, alpha, i, dims.__getitem__)
-            except hecke.HeckeError as exc:
-                problems.append(str(exc))
-                lead_ok = False
-                continue
-            if lead != sigma[i]:  # None, uncovered: d.sigma raises below
-                problems.append(
-                    f"leading term of T_{alpha}[{oid}] is [{module.basis[lead]}], "
-                    f"sigma gives [{d.sigma(alpha, oid)}]")
-                lead_ok = False
-
-    # the regular-representation check runs the module braid check itself
-    regular = (hecke.verify_regular_representation(module) if "e" in module.basis
-               else None)
-    braid_violations = (regular.braid_violations if regular
-                        else hecke.braid_check_module(module))
-    problems.extend(v.line() for v in braid_violations)
-    if regular and not regular.ok:
-        problems.append("regular representation check failed")
-
-    columns = {str(alpha): {oid: module.terms(col[i]) for i, oid in enumerate(module.basis)}
-               for alpha, col in sorted(module.columns.items())}
-    ok = not problems
-    if args.json:
-        return (0 if ok else 1), _json_body({
-            "ok": ok,
-            "basis": list(module.basis),
-            "columns": columns,
-            "involutions": involutions_ok,
-            "leading_terms_match_sigma": lead_ok,
-            "module_braid_ok": not braid_violations,
-            "regular_representation": None if regular is None else {
-                "ok": regular.ok,
-                "group_order": regular.group_order,
-                "distinct_images": regular.distinct_images,
-                "span_dimension": regular.span_dimension,
-            },
-            "problems": problems,
-        })
-    lines = ["basis: " + " ".join(module.basis)]
-    for alpha, images in columns.items():
-        lines.extend(f"T_{alpha}[{oid}] = " + " + ".join(terms)
-                     for oid, terms in images.items())
-    lines.append("involutions: " + ("OK" if involutions_ok else "FAIL"))
-    lines.append("leading terms match sigma: " + ("OK" if lead_ok else "FAIL"))
-    lines.append("module braid: " + ("OK" if not braid_violations else "FAIL"))
-    if regular is None:
-        lines.append("regular representation: skipped (no identity orbit)")
-    else:
-        lines.append(
-            f"regular representation: group {regular.group_order}, "
-            f"images {regular.distinct_images}, span {regular.span_dimension}: "
-            + ("regular" if regular.ok else "NOT regular"))
-    lines.extend("PROBLEM " + p for p in problems)
-    return (0 if ok else 1), "\n".join(lines) + "\n"
+    report = hecke.check_module(_load_datum(args.datum))
+    body = _json_body(report.to_obj()) if args.json else "\n".join(report.lines()) + "\n"
+    return (0 if report.ok else 1), body
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
@@ -383,7 +317,7 @@ def _input_errors() -> tuple[type[Exception], ...]:
     A layer's exception classes are named only once the layer has run: a
     layer still lazy cannot have raised, and naming its class would run it.
     """
-    errors = [UsageError, OSError, json.JSONDecodeError]
+    errors = [UsageError, OSError]
     for module, names in ((coxeter, ("RootSystemError", "CapExceeded")),
                           (datum, ("DatumFormatError",)),
                           (hecke, ("HeckeError",)),

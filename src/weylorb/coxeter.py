@@ -210,10 +210,6 @@ class RootSystem(_Frozen):
         return sum(u[i] * self.gram[i][j] * v[j]
                    for i in range(self.rank) for j in range(self.rank))
 
-    def cartan_pairing(self, beta: Vector, i: int) -> int:
-        """<beta, alpha_i-vee> for the i-th simple root (0-based), an integer."""
-        return sum(beta[j] * self.cartan[i][j] for j in range(self.rank))
-
     # -- membership -------------------------------------------------------
 
     def is_root(self, v: Vector) -> bool:

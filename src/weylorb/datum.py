@@ -86,6 +86,12 @@ class RaiseCell(NamedTuple):
             return (self.y, self.z1, self.z2)
         return (self.y,) if self.kind == "A" else (self.y, self.z)
 
+    def image(self, m: str) -> str:
+        """sigma_alpha of the member m inside this cell: U swaps y and z,
+        TU and RT swap z1 and z2, and every other member is fixed."""
+        a, b = (self.y, self.z) if self.kind == "U" else (self.z1, self.z2)
+        return b if m == a else a if m == b else m
+
 
 class Violation(NamedTuple):
     code: str
@@ -166,11 +172,9 @@ class OrbitDatum:
         for alpha in sorted({*range(1, self.root_system.rank + 1), *self.cells}):
             perm: list[int | None] = [None] * len(self.orbits)
             for cell in self.cells.get(alpha, ()):
-                # U swaps y and z, TU and RT swap z1 and z2, the rest fix all
-                a, b = (cell.y, cell.z) if cell.kind == "U" else (cell.z1, cell.z2)
                 for m in cell.members():
                     if perm[pos[m]] is None:
-                        perm[pos[m]] = pos[b if m == a else a if m == b else m]
+                        perm[pos[m]] = pos[cell.image(m)]
             out[alpha] = perm
         return out
 
@@ -212,8 +216,11 @@ def lattice_rank(lattice: tuple[tuple[int, ...], ...]) -> int:
     return len(_span(lattice))
 
 
-def _span_after(matrix, lattice) -> tuple[tuple, ...]:
-    return _span([[sum(m_i[j] * row[j] for j in range(len(row))) for m_i in matrix]
+def _reflected_span(cartan, i: int, lattice) -> tuple[tuple, ...]:
+    """The span of the lattice rows after s_i, which changes coordinate i
+    only: v_i - <v, alpha_i-vee>, the pairing read off Cartan row i."""
+    c = cartan[i]
+    return _span([[*row[:i], row[i] - sum(map(int.__mul__, c, row)), *row[i + 1:]]
                   for row in lattice])
 
 
@@ -337,11 +344,12 @@ def validate(d: OrbitDatum) -> ValidationReport:
 def check_lattices(d: OrbitDatum) -> ValidationReport:
     """Check reflection compatibility of the lattice spans cell by cell.
 
-    Rules per kind: U moves span(y) to span(z); TU and RT fix span(y) and
-    swap the z spans; A fixes span(y); RI and N fix both spans.  Cells
-    with no lattice data are skipped; cells with partial data are
-    reported.  A cell of a simple root that names an unknown orbit id
-    raises, lattices or not.
+    s_alpha must send the span of each member m to that of sigma_alpha(m)
+    (:meth:`RaiseCell.image`), checked once per pair in member order: U
+    moves span(y) to span(z); TU and RT fix span(y) and swap the z spans;
+    A fixes span(y); RI and N fix both spans.  Cells with no lattice data
+    are skipped; cells with partial data are reported.  A cell of a simple
+    root that names an unknown orbit id raises, lattices or not.
     """
     out: list[Violation] = []
     rank = d.root_system.rank
@@ -358,8 +366,8 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
     if all(o.lattice is None for o in d.orbits):
         return ValidationReport(())
 
+    cartan = d.root_system.cartan
     for alpha, cell in cells:
-        s_mat = d.root_system.simple_reflection(alpha - 1).matrix
         where = f"alpha {alpha} cell y={cell.y}"
         members = [d.orbit(m) for m in cell.members()]
         have = [o for o in members if o.lattice is not None]
@@ -370,15 +378,13 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
                                  "partial lattice data in cell"))
             continue
         lat = {o.id: o.lattice for o in members}
-        y = cell.y
-        if cell.kind == "U":
-            checks = [(y, cell.z)]
-        elif cell.kind in ("TU", "RT"):
-            checks = [(y, y), (cell.z1, cell.z2)]
-        else:  # A fixes y; RI and N fix y and z
-            checks = [(y, y)] if cell.kind == "A" else [(y, y), (cell.z, cell.z)]
-        for src, dst in checks:
-            if _span_after(s_mat, lat[src]) != _span(lat[dst]):
+        checked = set()
+        for src in cell.members():
+            dst = cell.image(src)
+            if (src, dst) in checked:  # from its other end: s_alpha is an involution
+                continue
+            checked.update(((src, dst), (dst, src)))
+            if _reflected_span(cartan, alpha - 1, lat[src]) != _span(lat[dst]):
                 out.append(Violation(
                     f"lattice-span-{cell.kind}", where,
                     f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))

@@ -3,9 +3,10 @@
 The free F2-vector space on the orbits carries one operator T_alpha per
 simple root, assembled cell by cell.  Vectors are packed as Python ints,
 bit i standing for basis orbit i; applying an operator XORs columns.
-Every T_alpha is an involution, and on a clean datum the operators
-satisfy the same braid relations as the sigma involutions, with the
-leading term of each column recovering sigma itself.
+No other module reads that layout.  Every T_alpha is an involution, and
+on a clean datum the operators satisfy the same braid relations as the
+sigma involutions, with the leading term of each column recovering sigma
+itself; :func:`check_module` runs these checks for ``weylorb hecke``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .coxeter import (
 from .datum import OrbitDatum
 
 __all__ = [
-    "HeckeBraidViolation", "HeckeError", "HeckeModule", "RegularRepReport",
-    "apply_word", "braid_check_module", "build_module", "leading_term",
-    "verify_regular_representation",
+    "HeckeBraidViolation", "HeckeError", "HeckeModule", "HeckeReport",
+    "RegularRepReport", "braid_check_module", "build_module", "check_module",
+    "leading_term", "verify_regular_representation",
 ]
 
 
@@ -80,9 +81,9 @@ class HeckeModule(_Frozen):
 def build_module(d: OrbitDatum) -> HeckeModule:
     """Assemble the T_alpha operators from the raise cells.
 
-    U cells swap their two basis vectors.  TU and RT cells fix [y] and
-    send [z1] to [y] + [z2] and back.  A, RI and N cells, and a simple
-    root with no cells, act as the identity.
+    T_alpha sends each member m that sigma_alpha moves to [sigma_alpha(m)]
+    (:meth:`RaiseCell.image`), plus [y] in TU and RT cells, and fixes the
+    rest of the basis; on a defective partition the last cell wins.
     """
     basis = d.orbit_ids()
     at = d.position
@@ -90,12 +91,10 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     for alpha in d.involutions:
         col = [1 << i for i in range(len(basis))]
         for cell in d.cells.get(alpha, ()):
-            if cell.kind == "U":
-                col[at[cell.y]] = 1 << at[cell.z]
-                col[at[cell.z]] = 1 << at[cell.y]
-            elif cell.kind in ("TU", "RT"):
-                col[at[cell.z1]] = (1 << at[cell.y]) | (1 << at[cell.z2])
-                col[at[cell.z2]] = (1 << at[cell.y]) | (1 << at[cell.z1])
+            y = 1 << at[cell.y] if cell.kind in ("TU", "RT") else 0
+            for m in cell.members():
+                if (n := cell.image(m)) != m:
+                    col[at[m]] = y | 1 << at[n]
         columns[alpha] = tuple(col)
     return HeckeModule(datum=d, basis=basis, columns=columns)
 
@@ -114,13 +113,6 @@ def _image(col, vec: int) -> int:
 def apply(module: HeckeModule, alpha: int, vec: int) -> int:
     """T_alpha applied to a packed vector; costs one XOR per set bit."""
     return _image(module.columns[alpha], vec)
-
-
-def apply_word(module: HeckeModule, word: tuple[int, ...], vec: int) -> int:
-    """T_w for w given as a word, rightmost letter acting first."""
-    for alpha in reversed(word):
-        vec = apply(module, alpha, vec)
-    return vec
 
 
 def leading_position(module: HeckeModule, alpha: int, i: int, dim) -> int:
@@ -185,14 +177,6 @@ class RegularRepReport(NamedTuple):
     span_dimension: int
     braid_violations: tuple[HeckeBraidViolation, ...]
 
-    def lines(self) -> list[str]:
-        out = [v.line() for v in self.braid_violations]
-        out.append(f"group order {self.group_order}, "
-                   f"distinct images {self.distinct_images}, "
-                   f"cyclic span dimension {self.span_dimension}: "
-                   + ("regular" if self.ok else "NOT regular"))
-        return out
-
 
 def verify_regular_representation(d: OrbitDatum | HeckeModule,
                                   cap: int = DEFAULT_GROUP_CAP) -> RegularRepReport:
@@ -208,8 +192,8 @@ def verify_regular_representation(d: OrbitDatum | HeckeModule,
     T_w [e] = T_a (T_{s_a w} [e]), with a = words[w][0] and s_a w =
     left[w][a], one apply per element.  Shortlex BFS words are
     suffix-closed: the word of s_a w is words[w][1:].  So the recurrence
-    applies the same letters in the same order as apply_word on words[w],
-    whether or not the braid relations hold.
+    applies the letters of words[w] one by one, rightmost first, whether
+    or not the braid relations hold.
     """
     module = d if isinstance(d, HeckeModule) else build_module(d)
     if "e" not in module.basis:
@@ -232,3 +216,89 @@ def verify_regular_representation(d: OrbitDatum | HeckeModule,
                             distinct_images=len(images),
                             span_dimension=span,
                             braid_violations=violations)
+
+
+class HeckeReport(NamedTuple):
+    """The checks of ``weylorb hecke`` in the order they run: T_alpha^2 = 1,
+    leading terms against sigma, the module braid relations and, when the
+    basis has the orbit "e", the regular representation."""
+
+    module: HeckeModule
+    involutions: bool
+    leading_terms_match_sigma: bool
+    braid_violations: tuple[HeckeBraidViolation, ...]
+    regular: RegularRepReport | None
+    problems: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def _images(self) -> dict[str, dict[str, list[str]]]:
+        m = self.module
+        return {str(alpha): {oid: m.terms(col[i]) for i, oid in enumerate(m.basis)}
+                for alpha, col in sorted(m.columns.items())}
+
+    def lines(self) -> list[str]:
+        out = ["basis: " + " ".join(self.module.basis)]
+        for alpha, images in self._images().items():
+            out.extend(f"T_{alpha}[{oid}] = " + " + ".join(terms)
+                       for oid, terms in images.items())
+        for label, ok in (("involutions", self.involutions),
+                          ("leading terms match sigma", self.leading_terms_match_sigma),
+                          ("module braid", not self.braid_violations)):
+            out.append(f"{label}: " + ("OK" if ok else "FAIL"))
+        r = self.regular
+        out.append("regular representation: " + (
+            "skipped (no identity orbit)" if r is None else
+            f"group {r.group_order}, images {r.distinct_images}, span {r.span_dimension}: "
+            + ("regular" if r.ok else "NOT regular")))
+        out.extend("PROBLEM " + p for p in self.problems)
+        return out
+
+    def to_obj(self) -> dict:
+        r = self.regular
+        return {
+            "ok": self.ok,
+            "basis": list(self.module.basis),
+            "columns": self._images(),
+            "involutions": self.involutions,
+            "leading_terms_match_sigma": self.leading_terms_match_sigma,
+            "module_braid_ok": not self.braid_violations,
+            "regular_representation": None if r is None else {
+                k: v for k, v in r._asdict().items() if k != "braid_violations"},
+            "problems": list(self.problems),
+        }
+
+
+def check_module(d: OrbitDatum) -> HeckeReport:
+    """Build the module of d and run the checks of :class:`HeckeReport`; an
+    orbit that no alpha-cell covers raises DatumFormatError from d.sigma."""
+    module = build_module(d)
+    not_involutive = [f"T_{alpha} is not an involution at [{oid}]"
+                      for alpha, col in sorted(module.columns.items())
+                      for i, oid in enumerate(module.basis)
+                      if apply(module, alpha, col[i]) != 1 << i]
+    wrong_lead: list[str] = []
+    dims = [o.dim for o in d.orbits]  # the basis is d.orbit_ids()
+    for alpha in sorted(module.columns):
+        sigma = d.involutions[alpha]
+        for i, oid in enumerate(module.basis):
+            try:
+                lead = leading_position(module, alpha, i, dims.__getitem__)
+            except HeckeError as exc:
+                wrong_lead.append(str(exc))
+                continue
+            if lead != sigma[i]:  # None, uncovered: d.sigma raises
+                wrong_lead.append(
+                    f"leading term of T_{alpha}[{oid}] is [{module.basis[lead]}], "
+                    f"sigma gives [{d.sigma(alpha, oid)}]")
+    # the regular-representation check runs the module braid check itself
+    regular = verify_regular_representation(module) if "e" in module.basis else None
+    braid = (regular.braid_violations if regular is not None
+             else tuple(braid_check_module(module)))
+    problems = [*not_involutive, *wrong_lead, *(v.line() for v in braid)]
+    if regular is not None and not regular.ok:
+        problems.append("regular representation check failed")
+    return HeckeReport(module, not not_involutive, not wrong_lead, braid, regular,
+                       tuple(problems))

@@ -108,8 +108,6 @@ class MatGroupSpec(NamedTuple):
     b_gens: tuple[tuple[tuple[int, ...], ...], ...]
     h_gens: tuple[tuple[tuple[int, ...], ...], ...]
     parabolics: dict[int, tuple[tuple[tuple[int, ...], ...], ...]]
-    fixed_q: bool
-    notes: tuple[str, ...] = ()
 
 
 _SPEC_FIELDS = frozenset({"name", "root_system", "q", "dimension", "generators"})
@@ -213,8 +211,6 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         b_gens=_as_matrices(gens["B"], dim, q, "B generators"),
         h_gens=_as_matrices(gens["H"], dim, q, "H generators"),
         parabolics=parabolics,
-        fixed_q=pinned is not None,
-        notes=tuple(obj.get("notes", ())),
     )
 
 

@@ -1,8 +1,10 @@
 """Slow reference paths that faster code replaced, and defective data, for
 the test files: the ones several files share, the datum loader and
-validator as they were before each record was checked in one pass, and the
-oracle's spec loader and monomial fit as they were before exact type tests
-and the integer fit.
+validator as they were before each record was checked in one pass, sigma,
+the Hecke columns and the lattice checks as per-kind branches before
+:meth:`RaiseCell.image` stated the cell rule once, the Hecke module's
+word-by-word T_w, and the oracle's spec loader and monomial fit as they
+were before exact type tests and the integer fit.
 
 The tests directory is on pytest's ``pythonpath`` (pyproject.toml), so
 this module imports as ``references`` under every import mode.
@@ -25,6 +27,7 @@ from weylorb.datum import (
     Violation,
     _rref,
 )
+from weylorb.hecke import HeckeModule, apply
 from weylorb.oracle import (
     _FIT_EXPONENT_BOUND,
     MatGroupSpec,
@@ -104,6 +107,60 @@ def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell
             for role, oid in zip(ROLES[cell.kind], cell.members()):
                 index.setdefault((alpha, oid), (cell, role))
     return index
+
+
+# -- sigma's cell rule, written out per kind ---------------------------------
+
+
+def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
+    """OrbitDatum.involutions by kind: U swaps y and z, TU and RT swap z1
+    and z2, A, RI and N fix their members.  The swap reads orbit ids, not
+    roles, so in a TU cell whose y is also z1 that orbit goes to z2; the
+    first cell wins."""
+    pos = d.position
+    out = {}
+    for alpha in sorted({*range(1, d.root_system.rank + 1), *d.cells}):
+        perm: list[int | None] = [None] * len(d.orbits)
+        for cell in d.cells.get(alpha, ()):
+            if cell.kind == "U":
+                swap = {cell.y: cell.z, cell.z: cell.y}
+            elif cell.kind in ("TU", "RT"):
+                swap = {cell.z1: cell.z2, cell.z2: cell.z1}
+            else:
+                swap = {}
+            for m in cell.members():
+                if perm[pos[m]] is None:
+                    perm[pos[m]] = pos[swap.get(m, m)]
+        out[alpha] = perm
+    return out
+
+
+def reference_columns(d: OrbitDatum) -> dict[int, tuple[int, ...]]:
+    """build_module's columns by kind: U cells swap their two basis
+    vectors, TU and RT cells send [z1] to [y] + [z2] and back, the rest
+    act as the identity; the last cell wins."""
+    at = d.position
+    columns = {}
+    for alpha in sorted({*range(1, d.root_system.rank + 1), *d.cells}):
+        col = [1 << i for i in range(len(d.orbits))]
+        for cell in d.cells.get(alpha, ()):
+            if cell.kind == "U":
+                col[at[cell.y]] = 1 << at[cell.z]
+                col[at[cell.z]] = 1 << at[cell.y]
+            elif cell.kind in ("TU", "RT"):
+                col[at[cell.z1]] = (1 << at[cell.y]) | (1 << at[cell.z2])
+                col[at[cell.z2]] = (1 << at[cell.y]) | (1 << at[cell.z1])
+        columns[alpha] = tuple(col)
+    return columns
+
+
+def apply_word(module: HeckeModule, word: tuple[int, ...], vec: int) -> int:
+    """T_w for w given as a word, rightmost letter acting first: the
+    per-word path the BFS recurrence of verify_regular_representation
+    replaced."""
+    for alpha in reversed(word):
+        vec = apply(module, alpha, vec)
+    return vec
 
 
 # -- defective data ----------------------------------------------------------
@@ -526,8 +583,6 @@ def reference_spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         b_gens=_reference_as_matrices(gens["B"], dim, q, "B generators"),
         h_gens=_reference_as_matrices(gens["H"], dim, q, "H generators"),
         parabolics=parabolics,
-        fixed_q=pinned is not None,
-        notes=tuple(obj.get("notes", ())),
     )
 
 

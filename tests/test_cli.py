@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -14,10 +15,13 @@ from pathlib import Path
 import pytest
 
 import weylorb
+from weylorb import coxeter
 from weylorb.bundled import bundled_path, datum_text
 from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
 from weylorb.datum import dumps, generate_flag_datum, loads
+
+import golden_cli
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -457,6 +461,11 @@ def test_no_command_imports_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_help_does_not_import_json():
+    proc = _fresh_python(_NOT_IMPORTED, "json", "--help", "hecke --help", "oracle --help")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lattice_free_commands_do_not_import_fractions(tmp_path):
     flag = tmp_path / "a2.json"
     proc = _fresh_python(_NOT_IMPORTED, "fractions", "--help", f"gen-flag A2 --out {flag}", *(
@@ -588,3 +597,37 @@ def test_process_entry_runs_main_with_the_collector_off_and_freezes_the_heap():
     proc = _fresh_python(_ENTRY_GC)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [3, [False], False, True]
+
+
+_GOLDEN = json.loads(golden_cli.GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_transcript_lists_the_recorded_commands():
+    assert [entry["argv"] for entry in _GOLDEN.values()] == sorted(
+        golden_cli.commands(), key=" ".join)
+
+
+@pytest.fixture(scope="module")
+def golden_paths(tmp_path_factory):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return golden_cli.write_data(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("label", sorted(_GOLDEN))
+def test_golden_transcript_replays(label, golden_paths):
+    """Exit code, stdout digest and error line as recorded."""
+    entry = _GOLDEN[label]
+    assert golden_cli.run(entry["argv"], golden_paths) == {
+        k: entry[k] for k in ("code", "stdout_sha256", "error")}
+
+
+def test_only_hecke_builds_weyl_elements(monkeypatch, golden_paths):
+    """Commands see Weyl elements as ids and canonical words; hecke's call
+    of enumerate_group, where the benchmark reads |W|, is the exception."""
+    def refuse(self, *args):
+        raise AssertionError("a command built a WeylElement")
+
+    monkeypatch.setattr(coxeter.WeylElement, "__init__", refuse)
+    for argv in golden_cli.commands():
+        if argv[0] != "hecke":
+            golden_cli.run(argv, golden_paths)

@@ -36,13 +36,16 @@ from weylorb.datum import (
     loads,
     validate,
 )
+from weylorb.hecke import build_module
 
 from references import (
     DEFECTIVE_CASES,
     FLAG_TOKENS,
     line_raises,
     reference_check_lattices,
+    reference_columns,
     reference_datum_from_obj,
+    reference_involutions,
     reference_validate,
 )
 
@@ -210,6 +213,83 @@ def test_sigma_is_involution_and_preserves_invariants():
 def test_sigma_unknown_orbit():
     with pytest.raises(DatumFormatError):
         rank1_datum("U").sigma(1, "nope")
+
+
+# -- sigma's cell rule: one statement, three readers -------------------------
+
+
+def assert_sigma_rule_matches_reference(d: OrbitDatum) -> None:
+    """sigma (first cell wins), the Hecke columns (last cell wins) and the
+    lattice checks agree with the per-kind branches of tests/references.py."""
+    assert d.involutions == reference_involutions(d)
+    assert build_module(d).columns == reference_columns(d)
+    assert outcome(check_lattices, d) == outcome(reference_check_lattices, d)
+
+
+SIGMA_RULE_CASES = ([bundled_datum(name) for name in DATUM_NAMES] + DEFECTIVE_CASES
+                    + [generate_flag_datum(build_root_system(token, raise_dims=dims))
+                       for token, dims in [*((t, None) for t in FLAG_TOKENS),
+                                           ("BC2", [2, 1]), ("G2", [1, 3])]])
+
+
+@pytest.mark.parametrize("d", SIGMA_RULE_CASES, ids=lambda d: d.root_system.to_text())
+def test_sigma_rule_matches_reference(d):
+    assert_sigma_rule_matches_reference(d)
+
+
+@st.composite
+def overlapping_cells(draw) -> OrbitDatum:
+    """Up to four cells per simple root over six orbits, each cell naming
+    distinct orbits, cells sharing orbits freely: first-wins and last-wins
+    both show.  Lattices are random rows or absent."""
+    rs = draw(st.sampled_from([build_root_system(t) for t in ("A1", "A2", "B2", "G2")]))
+    ids = ["a", "b", "c", "d", "e", "f"]
+    row = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank).map(tuple)
+    with_lattices = draw(st.booleans())
+    orbits = tuple(
+        Orbit(oid, draw(st.integers(0, 4)), 0, 0, 0, open=oid == "a",
+              lattice=draw(st.none() | st.lists(row, min_size=1, max_size=2).map(tuple))
+              if with_lattices else None)
+        for oid in ids)
+    cells = {alpha: tuple(
+        RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(st.permutations(ids)))))
+        for kind in draw(st.lists(st.sampled_from(KINDS), max_size=4)))
+        for alpha in range(1, rs.rank + 1)}
+    return OrbitDatum(rs, orbits, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_cells())
+def test_sigma_rule_matches_reference_on_overlapping_cells(d):
+    assert_sigma_rule_matches_reference(d)
+
+
+@pytest.mark.parametrize("cell,sigma,columns,checks", [
+    # y is also z1: sigma, read by ids, sends q to r, so the lattice check
+    # of q is (q, r) and no (q, q) check is made
+    (RaiseCell(1, "TU", y="q", z1="q", z2="r"), {"q": "r", "r": "q"},
+     {"q": ["r", "q"], "r": ["q"], "t": ["t"]}, ["q", "r"]),
+    # z1 is z2: sigma fixes q, so T_1 [q] = [q] and q is checked once
+    (RaiseCell(1, "RT", y="t", z1="q", z2="q"), {"q": "q", "t": "t"},
+     {"q": ["q"], "r": ["r"], "t": ["t"]}, ["q", "q"]),
+    (RaiseCell(1, "N", y="q", z="q"), {"q": "q"},
+     {"q": ["q"], "r": ["r"], "t": ["t"]}, ["q", "q"]),
+], ids=["TU-y-is-z1", "RT-z1-is-z2", "N-y-is-z"])
+def test_cell_naming_an_orbit_twice_follows_sigma(cell, sigma, columns, checks):
+    """A cell naming one orbit in two roles is a partition defect; its
+    Hecke column and lattice checks follow sigma, which reads ids: each
+    pair (m, sigma(m)) is checked once."""
+    lattice = {"q": ((0, 1),), "r": ((1, 0),), "t": ((1, 0),)}
+    d = OrbitDatum(build_root_system("A2"), tuple(
+        Orbit(oid, dim, 0, 0, 0, open=oid == "t", lattice=lattice[oid])
+        for oid, dim in (("q", 2), ("r", 1), ("t", 3))), {1: (cell,)})
+    assert {oid: d.sigma(1, oid) for oid in sigma} == sigma
+    module = build_module(d)
+    assert {oid: module.terms(module.columns[1][module.index(oid)])
+            for oid in module.basis} == columns
+    src, dst = checks
+    assert [v.message for v in check_lattices(d).violations] == [
+        f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"]
 
 
 # -- validator ---------------------------------------------------------------
@@ -490,10 +570,11 @@ def _data(draw) -> OrbitDatum:
               for oid in ids]
     cells = {}
     for alpha in draw(st.sets(st.integers(1, rank), max_size=4)):
-        kinds = draw(st.lists(st.sampled_from(KINDS), max_size=3))
+        kinds = draw(st.lists(st.sampled_from(
+            [kind for kind in KINDS if len(ROLES[kind]) <= len(ids)]), max_size=3))
+        # each cell names distinct orbits; cells may share orbits
         cells[alpha] = tuple(
-            RaiseCell(alpha, kind, **{role: draw(st.sampled_from(ids))
-                                      for role in ROLES[kind]})
+            RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(st.permutations(ids)))))
             for kind in kinds)
     notes = tuple(draw(st.lists(_TEXT, max_size=2)))
     return OrbitDatum(_rank_a(rank), tuple(orbits), cells, notes)

@@ -19,14 +19,14 @@ from weylorb.hecke import (
     RegularRepReport,
     _span_dimension,
     apply,
-    apply_word,
     braid_check_module,
     build_module,
+    check_module,
     leading_term,
     verify_regular_representation,
 )
 
-from references import DEFECTIVE_CASES, FLAG_TOKENS, braid_breaker
+from references import DEFECTIVE_CASES, FLAG_TOKENS, apply_word, braid_breaker
 
 ALL_DATA = [bundled_datum(name) for name in DATUM_NAMES]
 
@@ -176,7 +176,10 @@ def test_non_regular_module_reported():
     assert not report.ok
     assert report.group_order == 6
     assert report.span_dimension <= 4
-    assert any("NOT regular" in line for line in report.lines())
+    # weylorb hecke's report carries it and prints the verdict
+    full = check_module(d2)
+    assert full.regular == report
+    assert any("NOT regular" in line for line in full.lines())
 
 
 def test_hecke_braid_violation_has_witness():

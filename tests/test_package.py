@@ -21,9 +21,9 @@ EXPORTED = {
     "ValidationReport", "Violation", "check_lattices", "datum_from_obj",
     "datum_to_obj", "dumps", "export_dot", "generate_flag_datum",
     "load_path", "loads", "validate",
-    "HeckeBraidViolation", "HeckeError", "HeckeModule", "RegularRepReport",
-    "apply_word", "braid_check_module", "build_module", "leading_term",
-    "verify_regular_representation",
+    "HeckeBraidViolation", "HeckeError", "HeckeModule", "HeckeReport",
+    "RegularRepReport", "braid_check_module", "build_module", "check_module",
+    "leading_term", "verify_regular_representation",
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
     "OracleError", "OracleReport", "OrbitInfo", "align_reports", "compare",
     "enumerate_orbits", "fit_monomial", "infer_datum", "load_spec",

@@ -138,7 +138,7 @@ class RefBraidViolation:
 @dataclass(frozen=True)
 class RefSubgroupDescription:
     ids: frozenset
-    elements: frozenset
+    words: frozenset
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,6 @@ class RefMatGroupSpec:
     b_gens: tuple
     h_gens: tuple
     parabolics: dict
-    fixed_q: bool
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -258,8 +256,9 @@ braid_violations = st.tuples(small, small, st.sampled_from([2, 3]), name)
 datum_fields = st.sampled_from(DATA).flatmap(lambda d: st.tuples(
     st.just(d.root_system), st.just(d.orbits), st.just(d.cells),
     st.sampled_from([(), ("note",)])))
+words = st.lists(small, max_size=2).map(tuple)
 subgroups = st.tuples(st.frozensets(small, max_size=2),
-                      st.frozensets(elements, max_size=2))
+                      st.frozensets(words, max_size=2))
 
 
 @st.composite
@@ -283,7 +282,7 @@ CASES = {
     "BraidViolation": (BraidViolation, RefBraidViolation, braid_violations),
     "SubgroupDescription": (SubgroupDescription, RefSubgroupDescription, subgroups),
     "GeneratorTheoremResult": (GeneratorTheoremResult, RefGeneratorTheoremResult, st.tuples(
-        flag, st.lists(elements, max_size=2).map(tuple),
+        flag, st.lists(words, max_size=2).map(tuple),
         subgroups.map(lambda s: SubgroupDescription(*s)), small)),
     "HeckeModule": (HeckeModule, RefHeckeModule, module_fields()),
     "RegularRepReport": (RegularRepReport, RefRegularRepReport, st.tuples(
@@ -291,7 +290,7 @@ CASES = {
         st.lists(braid_violations.map(lambda v: BraidViolation(*v)), max_size=1).map(tuple))),
     "MatGroupSpec": (MatGroupSpec, RefMatGroupSpec, st.tuples(
         name, st.sampled_from(["A1", "A2"]), st.sampled_from([5, 7]), st.just(2),
-        gens, gens, gens, st.sampled_from([{}, {1: (((1, 0), (0, 1)),)}]), flag, names)),
+        gens, gens, gens, st.sampled_from([{}, {1: (((1, 0), (0, 1)),)}]))),
     "OrbitInfo": (OrbitInfo, RefOrbitInfo, st.tuples(name, small)),
     "OracleReport": (OracleReport, RefOracleReport, st.tuples(
         name, st.just("A1"), st.sampled_from([5, 7]), small, small, small,
