@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datum", nargs="?", default="-")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("act", help="apply a word in the sigma involutions")
+    p = sub.add_parser("act", help="apply a word in the maps sigma_alpha to an orbit")
     p.add_argument("datum")
     p.add_argument("word", help="e or dotted 1-based indices like 1.2.1")
     p.add_argument("orbit")

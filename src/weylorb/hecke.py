@@ -266,7 +266,8 @@ class HeckeReport(NamedTuple):
             "leading_terms_match_sigma": self.leading_terms_match_sigma,
             "module_braid_ok": not self.braid_violations,
             "regular_representation": None if r is None else {
-                k: v for k, v in r._asdict().items() if k != "braid_violations"},
+                "ok": r.ok, "group_order": r.group_order,
+                "distinct_images": r.distinct_images, "span_dimension": r.span_dimension},
             "problems": list(self.problems),
         }
 

@@ -112,9 +112,24 @@ def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell
 # -- sigma's cell rule, written out per kind ---------------------------------
 
 
+def kind_swap(cell: RaiseCell) -> dict[str, str]:
+    """sigma_alpha inside one cell, by kind and read by orbit ids: U swaps
+    y and z, TU and RT swap z1 and z2, A, RI and N fix their members."""
+    if cell.kind == "U":
+        return {cell.y: cell.z, cell.z: cell.y}
+    if cell.kind in ("TU", "RT"):
+        return {cell.z1: cell.z2, cell.z2: cell.z1}
+    return {}
+
+
+def names_distinct_orbits(d: OrbitDatum) -> bool:
+    """Whether every cell of d names each of its orbits in one role only."""
+    return all(len(set(cell.members())) == len(cell.members())
+               for cells in d.cells.values() for cell in cells)
+
+
 def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
-    """OrbitDatum.involutions by kind: U swaps y and z, TU and RT swap z1
-    and z2, A, RI and N fix their members.  The swap reads orbit ids, not
+    """OrbitDatum.involutions by kind.  The swap reads orbit ids, not
     roles, so in a TU cell whose y is also z1 that orbit goes to z2; the
     first cell wins."""
     pos = d.position
@@ -122,12 +137,7 @@ def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
     for alpha in sorted({*range(1, d.root_system.rank + 1), *d.cells}):
         perm: list[int | None] = [None] * len(d.orbits)
         for cell in d.cells.get(alpha, ()):
-            if cell.kind == "U":
-                swap = {cell.y: cell.z, cell.z: cell.y}
-            elif cell.kind in ("TU", "RT"):
-                swap = {cell.z1: cell.z2, cell.z2: cell.z1}
-            else:
-                swap = {}
+            swap = kind_swap(cell)
             for m in cell.members():
                 if perm[pos[m]] is None:
                     perm[pos[m]] = pos[swap.get(m, m)]
@@ -135,16 +145,26 @@ def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
     return out
 
 
-def reference_columns(d: OrbitDatum) -> dict[int, tuple[int, ...]]:
+def reference_columns(d: OrbitDatum, follow_sigma: bool = False) -> dict[int, tuple[int, ...]]:
     """build_module's columns by kind: U cells swap their two basis
     vectors, TU and RT cells send [z1] to [y] + [z2] and back, the rest
-    act as the identity; the last cell wins."""
+    act as the identity; the last cell wins.  That is how build_module
+    read each cell before sigma's rule was stated once, and it still
+    holds on cells that name distinct orbits.  With follow_sigma, a cell
+    writes the column of each orbit that :func:`kind_swap` moves, to
+    [sigma(m)] plus [y] in TU and RT, as build_module does on every cell:
+    an RT cell whose z1 is z2 then leaves the identity."""
     at = d.position
     columns = {}
     for alpha in sorted({*range(1, d.root_system.rank + 1), *d.cells}):
         col = [1 << i for i in range(len(d.orbits))]
         for cell in d.cells.get(alpha, ()):
-            if cell.kind == "U":
+            if follow_sigma:
+                y = 1 << at[cell.y] if cell.kind in ("TU", "RT") else 0
+                for m, n in kind_swap(cell).items():
+                    if n != m:
+                        col[at[m]] = y | 1 << at[n]
+            elif cell.kind == "U":
                 col[at[cell.y]] = 1 << at[cell.z]
                 col[at[cell.z]] = 1 << at[cell.y]
             elif cell.kind in ("TU", "RT"):
@@ -467,8 +487,36 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def reference_check_lattices(d: OrbitDatum) -> ValidationReport:
-    """check_lattices as it was: every cell walked, lattices or not."""
+def kind_checks(cell: RaiseCell) -> list[tuple[str, str]]:
+    """The lattice checks (src, dst) of one cell as check_lattices made
+    them per kind: U moves y to z, TU and RT fix y and move z1 to z2, A
+    fixes y, RI and N fix y and z."""
+    y = cell.y
+    if cell.kind == "U":
+        return [(y, cell.z)]
+    if cell.kind in ("TU", "RT"):
+        return [(y, y), (cell.z1, cell.z2)]
+    return [(y, y)] if cell.kind == "A" else [(y, y), (cell.z, cell.z)]
+
+
+def sigma_checks(cell: RaiseCell) -> list[tuple[str, str]]:
+    """The lattice checks of one cell following sigma by orbit ids: each
+    member m in order against :func:`kind_swap`'s image of m, a pair once
+    whichever end comes first.  On a cell that names distinct orbits this
+    is :func:`kind_checks`."""
+    swap = kind_swap(cell)
+    out: list[tuple[str, str]] = []
+    for m in cell.members():
+        pair = (m, swap.get(m, m))
+        if pair not in out and pair[::-1] not in out:
+            out.append(pair)
+    return out
+
+
+def reference_check_lattices(d: OrbitDatum, checks=kind_checks) -> ValidationReport:
+    """check_lattices as it was: every cell walked, lattices or not, with
+    a reflection matrix per simple root; checks(cell) lists each cell's
+    (src, dst) pairs."""
     out: list[Violation] = []
     rank = d.root_system.rank
     for o in d.orbits:
@@ -491,26 +539,10 @@ def reference_check_lattices(d: OrbitDatum) -> ValidationReport:
                                      "partial lattice data in cell"))
                 continue
             lat = {o.id: o.lattice for o in members}
-            y = cell.y
-
-            def moved(i):
-                return _span_after(s_mat, lat[i])
-
-            checks: list[tuple[str, str, str]] = []
-            if cell.kind == "U":
-                checks.append(("U", y, cell.z))
-            elif cell.kind in ("TU", "RT"):
-                checks.append((cell.kind, y, y))
-                checks.append((cell.kind, cell.z1, cell.z2))
-            elif cell.kind == "A":
-                checks.append(("A", y, y))
-            else:  # RI, N
-                checks.append((cell.kind, y, y))
-                checks.append((cell.kind, cell.z, cell.z))
-            for kind, src, dst in checks:
-                if moved(src) != _span(lat[dst]):
+            for src, dst in checks(cell):
+                if _span_after(s_mat, lat[src]) != _span(lat[dst]):
                     out.append(Violation(
-                        f"lattice-span-{kind}", where,
+                        f"lattice-span-{cell.kind}", where,
                         f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))
     return ValidationReport(tuple(out))
 

@@ -614,20 +614,15 @@ def golden_paths(tmp_path_factory):
 
 
 @pytest.mark.parametrize("label", sorted(_GOLDEN))
-def test_golden_transcript_replays(label, golden_paths):
-    """Exit code, stdout digest and error line as recorded."""
-    entry = _GOLDEN[label]
-    assert golden_cli.run(entry["argv"], golden_paths) == {
-        k: entry[k] for k in ("code", "stdout_sha256", "error")}
-
-
-def test_only_hecke_builds_weyl_elements(monkeypatch, golden_paths):
-    """Commands see Weyl elements as ids and canonical words; hecke's call
-    of enumerate_group, where the benchmark reads |W|, is the exception."""
+def test_golden_transcript_replays(label, golden_paths, monkeypatch):
+    """Exit code, stdout digest and error line as recorded.  Commands see
+    Weyl elements as ids and canonical words; hecke's call of
+    enumerate_group, where the benchmark reads |W|, is the exception."""
     def refuse(self, *args):
         raise AssertionError("a command built a WeylElement")
 
-    monkeypatch.setattr(coxeter.WeylElement, "__init__", refuse)
-    for argv in golden_cli.commands():
-        if argv[0] != "hecke":
-            golden_cli.run(argv, golden_paths)
+    entry = _GOLDEN[label]
+    if entry["argv"][0] != "hecke":
+        monkeypatch.setattr(coxeter.WeylElement, "__init__", refuse)
+    assert golden_cli.run(entry["argv"], golden_paths) == {
+        k: entry[k] for k in ("code", "stdout_sha256", "error")}

@@ -41,12 +41,15 @@ from weylorb.hecke import build_module
 from references import (
     DEFECTIVE_CASES,
     FLAG_TOKENS,
+    kind_checks,
     line_raises,
+    names_distinct_orbits,
     reference_check_lattices,
     reference_columns,
     reference_datum_from_obj,
     reference_involutions,
     reference_validate,
+    sigma_checks,
 )
 
 
@@ -220,10 +223,13 @@ def test_sigma_unknown_orbit():
 
 def assert_sigma_rule_matches_reference(d: OrbitDatum) -> None:
     """sigma (first cell wins), the Hecke columns (last cell wins) and the
-    lattice checks agree with the per-kind branches of tests/references.py."""
+    lattice checks agree with the per-kind branches of tests/references.py:
+    as they were where every cell names distinct orbits, and following
+    sigma by orbit ids where a cell names an orbit twice."""
     assert d.involutions == reference_involutions(d)
-    assert build_module(d).columns == reference_columns(d)
-    assert outcome(check_lattices, d) == outcome(reference_check_lattices, d)
+    assert build_module(d).columns == reference_columns(
+        d, follow_sigma=not names_distinct_orbits(d))
+    assert outcome(check_lattices, d) == lattice_reference(d)
 
 
 SIGMA_RULE_CASES = ([bundled_datum(name) for name in DATUM_NAMES] + DEFECTIVE_CASES
@@ -239,9 +245,10 @@ def test_sigma_rule_matches_reference(d):
 
 @st.composite
 def overlapping_cells(draw) -> OrbitDatum:
-    """Up to four cells per simple root over six orbits, each cell naming
-    distinct orbits, cells sharing orbits freely: first-wins and last-wins
-    both show.  Lattices are random rows or absent."""
+    """Up to four cells per simple root over six orbits, cells sharing
+    orbits freely: first-wins and last-wins both show.  A cell names
+    distinct orbits, or draws each role's orbit on its own, so that one
+    orbit may fill two roles.  Lattices are random rows or absent."""
     rs = draw(st.sampled_from([build_root_system(t) for t in ("A1", "A2", "B2", "G2")]))
     ids = ["a", "b", "c", "d", "e", "f"]
     row = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank).map(tuple)
@@ -251,8 +258,9 @@ def overlapping_cells(draw) -> OrbitDatum:
               lattice=draw(st.none() | st.lists(row, min_size=1, max_size=2).map(tuple))
               if with_lattices else None)
         for oid in ids)
+    members = st.permutations(ids) | st.lists(st.sampled_from(ids), min_size=3, max_size=3)
     cells = {alpha: tuple(
-        RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(st.permutations(ids)))))
+        RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(members))))
         for kind in draw(st.lists(st.sampled_from(KINDS), max_size=4)))
         for alpha in range(1, rs.rank + 1)}
     return OrbitDatum(rs, orbits, cells)
@@ -570,11 +578,10 @@ def _data(draw) -> OrbitDatum:
               for oid in ids]
     cells = {}
     for alpha in draw(st.sets(st.integers(1, rank), max_size=4)):
-        kinds = draw(st.lists(st.sampled_from(
-            [kind for kind in KINDS if len(ROLES[kind]) <= len(ids)]), max_size=3))
-        # each cell names distinct orbits; cells may share orbits
+        kinds = draw(st.lists(st.sampled_from(KINDS), max_size=3))
         cells[alpha] = tuple(
-            RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(st.permutations(ids)))))
+            RaiseCell(alpha, kind, **{role: draw(st.sampled_from(ids))
+                                      for role in ROLES[kind]})
             for kind in kinds)
     notes = tuple(draw(st.lists(_TEXT, max_size=2)))
     return OrbitDatum(_rank_a(rank), tuple(orbits), cells, notes)
@@ -678,10 +685,10 @@ def test_root_system_defaults_still_apply():
 
 # -- the one-pass loader and validator against their per-field references ----
 
-def outcome(f, *args):
-    """f(*args), or the text of the DatumFormatError it raises."""
+def outcome(f, *args, **kwargs):
+    """f(*args, **kwargs), or the text of the DatumFormatError it raises."""
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except DatumFormatError as exc:
         return f"DatumFormatError: {exc}"
 
@@ -790,9 +797,17 @@ VALIDATE_CASES = ([bundled_datum(name) for name in DATUM_NAMES]
                      with_ghost_cell(generate_flag_datum(build_root_system("A2")))])
 
 
+def lattice_reference(d: OrbitDatum):
+    """reference_check_lattices(d) as check_lattices was, where every cell
+    names distinct orbits; following sigma by orbit ids, where a cell
+    names an orbit in two roles."""
+    checks = kind_checks if names_distinct_orbits(d) else sigma_checks
+    return outcome(reference_check_lattices, d, checks=checks)
+
+
 def assert_validators_match_reference(d: OrbitDatum) -> None:
     assert validate(d) == reference_validate(d)
-    assert outcome(check_lattices, d) == outcome(reference_check_lattices, d)
+    assert outcome(check_lattices, d) == lattice_reference(d)
 
 
 @pytest.mark.parametrize("d", VALIDATE_CASES, ids=lambda d: d.root_system.to_text())
