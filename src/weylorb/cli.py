@@ -80,7 +80,7 @@ def _json_body(obj) -> str:
 
 def _cmd_gen_flag(args) -> tuple[int, str]:
     raise_dims = None
-    if args.raise_dims:
+    if args.raise_dims is not None:
         try:
             raise_dims = [int(t) for t in args.raise_dims.split(",")]
         except ValueError:

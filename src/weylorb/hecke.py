@@ -1,9 +1,10 @@
 """Mod-2 Hecke module attached to an orbit datum.
 
 The free F2-vector space on the orbits carries one operator T_alpha per
-simple root, assembled cell by cell.  Vectors are packed as Python ints,
-bit i standing for basis orbit i; applying an operator XORs columns.
-No other module reads that layout.  Every T_alpha is an involution, and
+simple root, assembled cell by cell.  A vector is the frozenset of the
+basis positions in its support, so the F2 sum of two vectors is their
+symmetric difference ``^``, and applying an operator sums the columns of
+the positions in the vector.  Every T_alpha is an involution, and
 on a clean datum the operators satisfy the same braid relations as the
 sigma involutions, with the leading term of each column recovering sigma
 itself; :func:`check_module` runs these checks for ``weylorb hecke``.
@@ -49,12 +50,13 @@ class HeckeBraidViolation(NamedTuple):
 
 
 class HeckeModule(_Frozen):
-    """T_alpha per simple root as columns: the packed images of the basis."""
+    """T_alpha per simple root as columns: columns[alpha][i] is T_alpha of
+    basis vector i, as the frozenset of basis positions in its support."""
 
     __slots__ = ("datum", "basis", "columns", "_position")
 
     def __init__(self, datum: OrbitDatum, basis: tuple[str, ...],
-                 columns: dict[int, tuple[int, ...]]) -> None:
+                 columns: dict[int, tuple[frozenset[int], ...]]) -> None:
         self._set(datum, basis, columns, {oid: i for i, oid in enumerate(basis)})
 
     def __eq__(self, other: object) -> bool:
@@ -65,17 +67,12 @@ class HeckeModule(_Frozen):
     def index(self, orbit_id: str) -> int:
         return self._position[orbit_id]
 
-    def unit(self, orbit_id: str) -> int:
-        return 1 << self.index(orbit_id)
+    def unit(self, orbit_id: str) -> frozenset[int]:
+        return frozenset((self.index(orbit_id),))
 
-    def terms(self, vec: int) -> list[str]:
-        """Basis orbits with a set bit, in basis order."""
-        out = []
-        while vec:
-            low = vec & -vec
-            out.append(self.basis[low.bit_length() - 1])
-            vec ^= low
-        return out
+    def terms(self, vec: frozenset[int]) -> list[str]:
+        """The basis orbits in the support of vec, in basis order."""
+        return [self.basis[i] for i in sorted(vec)]
 
 
 def build_module(d: OrbitDatum) -> HeckeModule:
@@ -84,34 +81,40 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     T_alpha sends each member m that sigma_alpha moves to [sigma_alpha(m)]
     (:meth:`RaiseCell.image`), plus [y] in TU and RT cells, and fixes the
     rest of the basis; on a defective partition the last cell wins.
+    A column is the set of basis positions in its support:
+
+    >>> from weylorb.bundled import bundled_datum
+    >>> m = build_module(bundled_datum("rank1_tu"))
+    >>> m.basis
+    ('z2', 'z1', 'y')
+    >>> m.columns[1][m.index("z1")]  # T_1 [z1] = [z2] + [y]
+    frozenset({0, 2})
     """
     basis = d.orbit_ids()
     at = d.position
-    columns: dict[int, tuple[int, ...]] = {}
+    columns: dict[int, tuple[frozenset[int], ...]] = {}
     for alpha in d.involutions:
-        col = [1 << i for i in range(len(basis))]
+        col = [frozenset((i,)) for i in range(len(basis))]
         for cell in d.cells.get(alpha, ()):
-            y = 1 << at[cell.y] if cell.kind in ("TU", "RT") else 0
+            y = (at[cell.y],) if cell.kind in ("TU", "RT") else ()
             for m in cell.members():
                 if (n := cell.image(m)) != m:
-                    col[at[m]] = y | 1 << at[n]
+                    col[at[m]] = frozenset((*y, at[n]))
         columns[alpha] = tuple(col)
     return HeckeModule(datum=d, basis=basis, columns=columns)
 
 
-def _image(col, vec: int) -> int:
-    """The operator with columns col applied to a packed vector; costs one
-    XOR per set bit."""
-    out = 0
-    while vec:
-        low = vec & -vec
-        out ^= col[low.bit_length() - 1]
-        vec ^= low
+def _image(col, vec: frozenset[int]) -> frozenset[int]:
+    """The operator with columns col applied to vec: the F2 sum of the
+    columns of the positions in vec."""
+    out: frozenset[int] = frozenset()
+    for i in vec:
+        out ^= col[i]
     return out
 
 
-def apply(module: HeckeModule, alpha: int, vec: int) -> int:
-    """T_alpha applied to a packed vector; costs one XOR per set bit."""
+def apply(module: HeckeModule, alpha: int, vec: frozenset[int]) -> frozenset[int]:
+    """T_alpha applied to vec; costs one symmetric difference per position."""
     return _image(module.columns[alpha], vec)
 
 
@@ -123,11 +126,7 @@ def leading_position(module: HeckeModule, alpha: int, i: int, dim) -> int:
     module was built from is corrupt, so that raises instead of picking
     arbitrarily.
     """
-    vec, terms = module.columns[alpha][i], []
-    while vec:
-        low = vec & -vec
-        terms.append(low.bit_length() - 1)
-        vec ^= low
+    terms = sorted(module.columns[alpha][i])
     if len(terms) == 1:
         return terms[0]
     if not terms:
@@ -153,20 +152,18 @@ def braid_check_module(module: HeckeModule) -> list[HeckeBraidViolation]:
     """Check (T_a T_b)^m = id on every basis vector, m the braid order."""
     return [HeckeBraidViolation(a, b, m, module.basis[i]) for a, b, m, i in braid_witnesses(
         module.datum.root_system, module.columns,
-        [1 << i for i in range(len(module.basis))],
-        # a unit vector, as every column of a flag datum's module is, picks one column
-        lambda p, q: [p[v.bit_length() - 1] if v and not v & (v - 1) else _image(p, v)
-                      for v in q])]
+        [frozenset((i,)) for i in range(len(module.basis))],
+        lambda p, q: [_image(p, v) for v in q])]
 
 
-def _span_dimension(vectors: list[int]) -> int:
-    """F2 rank of a list of packed vectors."""
-    pivots: dict[int, int] = {}  # leading bit -> reduced vector
+def _span_dimension(vectors: list[frozenset[int]]) -> int:
+    """F2 rank of a list of vectors."""
+    pivots: dict[int, frozenset[int]] = {}  # largest position -> reduced vector
     for v in vectors:
-        while v and (p := pivots.get(v.bit_length())):
+        while v and (p := pivots.get(max(v))):
             v ^= p
         if v:
-            pivots[v.bit_length()] = v
+            pivots[max(v)] = v
     return len(pivots)
 
 
@@ -279,7 +276,7 @@ def check_module(d: OrbitDatum) -> HeckeReport:
     not_involutive = [f"T_{alpha} is not an involution at [{oid}]"
                       for alpha, col in sorted(module.columns.items())
                       for i, oid in enumerate(module.basis)
-                      if apply(module, alpha, col[i]) != 1 << i]
+                      if apply(module, alpha, col[i]) != {i}]
     wrong_lead: list[str] = []
     dims = [o.dim for o in d.orbits]  # the basis is d.orbit_ids()
     for alpha in sorted(module.columns):

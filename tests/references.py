@@ -2,9 +2,10 @@
 the test files: the ones several files share, the datum loader and
 validator as they were before each record was checked in one pass, sigma,
 the Hecke columns and the lattice checks as per-kind branches before
-:meth:`RaiseCell.image` stated the cell rule once, the Hecke module's
-word-by-word T_w, and the oracle's spec loader and monomial fit as they
-were before exact type tests and the integer fit.
+:meth:`RaiseCell.image` stated the cell rule once, the Hecke module on
+packed ints (bit i for basis position i) with its word-by-word T_w, and
+the oracle's spec loader and monomial fit as they were before exact type
+tests and the integer fit.
 
 The tests directory is on pytest's ``pythonpath`` (pyproject.toml), so
 this module imports as ``references`` under every import mode.
@@ -13,9 +14,18 @@ this module imports as ``references`` under every import mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
-from weylorb.coxeter import RootSystemError, build_root_system, mat_apply
+from hypothesis import strategies as st
+
+from weylorb.coxeter import (
+    RootSystemError,
+    braid_order,
+    build_root_system,
+    enumerate_group,
+    mat_apply,
+)
 from weylorb.datum import (
     KINDS,
     ROLES,
@@ -27,7 +37,14 @@ from weylorb.datum import (
     Violation,
     _rref,
 )
-from weylorb.hecke import HeckeModule, apply
+from weylorb.hecke import (
+    HeckeBraidViolation,
+    HeckeError,
+    HeckeModule,
+    HeckeReport,
+    RegularRepReport,
+    apply,
+)
 from weylorb.oracle import (
     _FIT_EXPONENT_BOUND,
     MatGroupSpec,
@@ -174,13 +191,162 @@ def reference_columns(d: OrbitDatum, follow_sigma: bool = False) -> dict[int, tu
     return columns
 
 
-def apply_word(module: HeckeModule, word: tuple[int, ...], vec: int) -> int:
+def apply_word(module: HeckeModule, word: tuple[int, ...],
+               vec: frozenset[int]) -> frozenset[int]:
     """T_w for w given as a word, rightmost letter acting first: the
     per-word path the BFS recurrence of verify_regular_representation
     replaced."""
     for alpha in reversed(word):
         vec = apply(module, alpha, vec)
     return vec
+
+
+# -- the Hecke module on packed ints, bit i standing for basis position i ----
+
+
+def packed(vec) -> int:
+    """A vector given by its basis positions, as a packed int."""
+    return sum(1 << i for i in vec)
+
+
+def packed_columns(module: HeckeModule) -> dict[int, tuple[int, ...]]:
+    return {alpha: tuple(map(packed, col)) for alpha, col in module.columns.items()}
+
+
+def packed_positions(vec: int) -> list[int]:
+    """The set bits of a packed vector, lowest first."""
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
+    return out
+
+
+def packed_image(col: tuple[int, ...], vec: int) -> int:
+    """The operator with packed columns col applied to a packed vector;
+    costs one XOR per set bit."""
+    out = 0
+    for i in packed_positions(vec):
+        out ^= col[i]
+    return out
+
+
+def packed_terms(basis: tuple[str, ...], vec: int) -> list[str]:
+    """Basis orbits with a set bit, in basis order."""
+    return [basis[i] for i in packed_positions(vec)]
+
+
+def packed_span_dimension(vectors: list[int]) -> int:
+    """F2 rank of a list of packed vectors, pivots keyed by leading bit."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v and (p := pivots.get(v.bit_length())):
+            v ^= p
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def packed_step_braid_violations(rs, basis, columns) -> list[HeckeBraidViolation]:
+    """(T_a T_b)^m applied to each packed basis vector, 2m single steps."""
+    out = []
+    for a, b in combinations(sorted(columns), 2):
+        m = braid_order(rs, a - 1, b - 1)
+        for i, oid in enumerate(basis):
+            x = 1 << i
+            for _ in range(m):
+                x = packed_image(columns[a], packed_image(columns[b], x))
+            if x != 1 << i:
+                out.append(HeckeBraidViolation(a, b, m, oid))
+                break
+    return out
+
+
+def packed_regular_representation(rs, basis, columns) -> RegularRepReport:
+    """T_w [e] on packed ints, by the whole canonical word of every w."""
+    violations = tuple(packed_step_braid_violations(rs, basis, columns))
+    words = [w.word for w in enumerate_group(rs)]
+    vectors = []
+    for word in words:
+        vec = 1 << basis.index("e")
+        for a in reversed(word):
+            vec = packed_image(columns[a + 1], vec)
+        vectors.append(vec)
+    span = packed_span_dimension(vectors)
+    ok = (not violations and len(set(vectors)) == len(words)
+          and span == len(basis) and len(words) == len(basis))
+    return RegularRepReport(ok, len(words), len(set(vectors)), span, violations)
+
+
+def packed_leading_position(basis, dims, alpha: int, col: tuple[int, ...], i: int) -> int:
+    """The unique minimum-dimension set bit of col[i], or HeckeError."""
+    terms = packed_positions(col[i])
+    if not terms:
+        raise HeckeError(f"T_{alpha} [{basis[i]}] is zero")
+    lead = [j for j in terms if dims[j] == min(dims[t] for t in terms)]
+    if len(lead) != 1:
+        raise HeckeError(f"leading-term tie in T_{alpha} [{basis[i]}]: "
+                         + ", ".join(f"[{basis[j]}]" for j in lead))
+    return lead[0]
+
+
+def reference_check_module(d: OrbitDatum) -> HeckeReport:
+    """check_module on packed ints, columns by :func:`reference_columns`.
+    The report's module holds the same columns as sets of positions, so
+    that lines() and to_obj() render it."""
+    basis = d.orbit_ids()
+    dims = [o.dim for o in d.orbits]
+    columns = reference_columns(d, follow_sigma=True)
+    not_involutive = [f"T_{alpha} is not an involution at [{oid}]"
+                      for alpha, col in columns.items() for i, oid in enumerate(basis)
+                      if packed_image(col, col[i]) != 1 << i]
+    wrong_lead = []
+    for alpha, col in columns.items():
+        for i, oid in enumerate(basis):
+            try:
+                lead = basis[packed_leading_position(basis, dims, alpha, col, i)]
+            except HeckeError as exc:
+                wrong_lead.append(str(exc))
+                continue
+            if lead != d.sigma(alpha, oid):
+                wrong_lead.append(f"leading term of T_{alpha}[{oid}] is [{lead}], "
+                                  f"sigma gives [{d.sigma(alpha, oid)}]")
+    rs = d.root_system
+    regular = (packed_regular_representation(rs, basis, columns) if "e" in basis
+               else None)
+    braid = (regular.braid_violations if regular is not None
+             else tuple(packed_step_braid_violations(rs, basis, columns)))
+    problems = [*not_involutive, *wrong_lead, *(v.line() for v in braid)]
+    if regular is not None and not regular.ok:
+        problems.append("regular representation check failed")
+    module = HeckeModule(d, basis, {alpha: tuple(frozenset(packed_positions(v)) for v in col)
+                                    for alpha, col in columns.items()})
+    return HeckeReport(module, not not_involutive, not wrong_lead, braid, regular,
+                       tuple(problems))
+
+
+@st.composite
+def overlapping_cells(draw) -> OrbitDatum:
+    """Up to four cells per simple root over six orbits, cells sharing
+    orbits freely: first-wins and last-wins both show.  A cell names
+    distinct orbits, or draws each role's orbit on its own, so that one
+    orbit may fill two roles.  Lattices are random rows or absent."""
+    rs = draw(st.sampled_from([build_root_system(t) for t in ("A1", "A2", "B2", "G2")]))
+    ids = ["a", "b", "c", "d", "e", "f"]
+    row = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank).map(tuple)
+    with_lattices = draw(st.booleans())
+    orbits = tuple(
+        Orbit(oid, draw(st.integers(0, 4)), 0, 0, 0, open=oid == "a",
+              lattice=draw(st.none() | st.lists(row, min_size=1, max_size=2).map(tuple))
+              if with_lattices else None)
+        for oid in ids)
+    members = st.permutations(ids) | st.lists(st.sampled_from(ids), min_size=3, max_size=3)
+    cells = {alpha: tuple(
+        RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(members))))
+        for kind in draw(st.lists(st.sampled_from(KINDS), max_size=4)))
+        for alpha in range(1, rs.rank + 1)}
+    return OrbitDatum(rs, orbits, cells)
 
 
 # -- defective data ----------------------------------------------------------

@@ -90,6 +90,12 @@ def test_gen_flag_token_and_raise_dims(capsys):
     assert d.open_orbit().dim == 5
 
 
+@pytest.mark.parametrize("dims", ["", "x"])
+def test_gen_flag_bad_raise_dims_is_refused(capsys, dims):
+    code, out, err = run(capsys, "gen-flag", "A2", "--raise-dims", dims)
+    assert (code, out, err) == (2, "", f"error: bad raise-dims {dims!r}\n")
+
+
 def test_gen_flag_out_file(tmp_path, capsys):
     target = tmp_path / "flag.json"
     code, out, _ = run(capsys, "gen-flag", "A", "1", "--out", str(target))

@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylorb.bundled import DATUM_NAMES, bundled_datum
-from weylorb.coxeter import braid_order, build_root_system, enumerate_group
-from weylorb.datum import Orbit, OrbitDatum, RaiseCell, generate_flag_datum
+from weylorb.coxeter import build_root_system, enumerate_group
+from weylorb.datum import (
+    DatumFormatError,
+    Orbit,
+    OrbitDatum,
+    RaiseCell,
+    generate_flag_datum,
+)
 from weylorb.hecke import (
     HeckeError,
-    HeckeBraidViolation,
     HeckeModule,
-    RegularRepReport,
     _span_dimension,
     apply,
     braid_check_module,
@@ -26,7 +29,22 @@ from weylorb.hecke import (
     verify_regular_representation,
 )
 
-from references import DEFECTIVE_CASES, FLAG_TOKENS, apply_word, braid_breaker
+from references import (
+    DEFECTIVE_CASES,
+    FLAG_TOKENS,
+    apply_word,
+    braid_breaker,
+    overlapping_cells,
+    packed,
+    packed_columns,
+    packed_image,
+    packed_leading_position,
+    packed_regular_representation,
+    packed_span_dimension,
+    packed_step_braid_violations,
+    packed_terms,
+    reference_check_module,
+)
 
 ALL_DATA = [bundled_datum(name) for name in DATUM_NAMES]
 
@@ -64,7 +82,7 @@ def test_columns_have_at_most_three_terms():
         m = build_module(d)
         for alpha in m.columns:
             for col in m.columns[alpha]:
-                assert 1 <= bin(col).count("1") <= 3
+                assert 1 <= len(col) <= 3
 
 
 def test_tu_column_shape():
@@ -144,7 +162,7 @@ def test_regular_rep_images_are_basis_vectors():
     seen = set()
     for w in enumerate_group(rs):
         vec = apply_word(m, tuple(a + 1 for a in w.word), m.unit("e"))
-        assert bin(vec).count("1") == 1
+        assert len(vec) == 1
         seen.add(vec)
     assert len(seen) == 6
 
@@ -196,15 +214,15 @@ def test_hecke_braid_violation_has_witness():
     assert "hecke-braid" in violations[0].line()
 
 
-# -- the set-bit kernels against one-bit-per-step references -----------------
+# -- the kernels against packed-int references --------------------------------
 
-def apply_reference(module, alpha, vec):
-    """T_alpha by shifting the vector one bit at a time."""
+def apply_reference(columns, alpha, vec):
+    """T_alpha on packed ints by shifting the vector one bit at a time."""
     out = 0
     i = 0
     while vec:
         if vec & 1:
-            out ^= module.columns[alpha][i]
+            out ^= columns[alpha][i]
         vec >>= 1
         i += 1
     return out
@@ -215,7 +233,7 @@ def terms_reference(module, vec):
 
 
 def span_dimension_reference(vectors):
-    """F2 rank by reducing each vector against every pivot in turn."""
+    """F2 rank of packed vectors by reducing each against every pivot in turn."""
     pivots = []
     for v in vectors:
         for p in pivots:
@@ -229,90 +247,78 @@ RANDOM_MODULE_BASES = {t: build_module(generate_flag_datum(build_root_system(t))
                        for t in ("A1", "A3", "B3", "F4")}
 
 
+def random_vector(rng, n):
+    """About half of the n basis positions."""
+    bits = rng.getrandbits(n)
+    return frozenset(i for i in range(n) if bits >> i & 1)
+
+
 @st.composite
 def random_module_and_vector(draw):
-    """A flag module with random dense columns, and a packed vector whose
-    bits include ones near the top of the basis."""
+    """A flag module and a vector that includes positions near the top of
+    the basis; the columns at the vector's positions are random and dense,
+    the rest are the identity's."""
     m = RANDOM_MODULE_BASES[draw(st.sampled_from(sorted(RANDOM_MODULE_BASES)))]
     n = len(m.basis)
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    m = HeckeModule(m.datum, m.basis, {a: tuple(rng.getrandbits(n) for _ in range(n))
-                                       for a in m.columns})
     low = draw(st.sets(st.integers(0, n - 1), max_size=12))
     high = draw(st.sets(st.integers(max(0, n - 3), n - 1), max_size=3))
-    return m, sum(1 << i for i in low | high)
+    vec = frozenset(low | high)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = HeckeModule(m.datum, m.basis, {
+        a: tuple(random_vector(rng, n) if i in vec else frozenset((i,)) for i in range(n))
+        for a in m.columns})
+    return m, vec
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_module_and_vector())
 def test_apply_and_terms_match_bitwise_reference(case):
     m, vec = case
-    assert m.terms(vec) == terms_reference(m, vec)
+    columns = packed_columns(m)
+    assert m.terms(vec) == terms_reference(m, packed(vec)) == packed_terms(m.basis, packed(vec))
     for alpha in m.columns:
-        assert apply(m, alpha, vec) == apply_reference(m, alpha, vec)
+        image = packed(apply(m, alpha, vec))
+        assert image == apply_reference(columns, alpha, packed(vec))
+        assert image == packed_image(columns[alpha], packed(vec))
 
 
 def test_index_and_unit_follow_basis_order():
     m = RANDOM_MODULE_BASES["B3"]
     for i, oid in enumerate(m.basis):
         assert m.index(oid) == i
-        assert m.unit(oid) == 1 << i
+        assert packed(m.unit(oid)) == 1 << i
         assert m.terms(m.unit(oid)) == [oid]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 90), st.lists(st.integers(0, 2**90), max_size=40),
        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10))
-def test_span_dimension_matches_reference(bits, vectors, pairs):
-    vectors = [v % (1 << bits) for v in vectors]
+def test_span_dimension_matches_reference(size, bits, pairs):
+    vectors = [frozenset(i for i in range(size) if b >> i & 1) for b in bits]
     # append sums of earlier vectors so that dependent inputs occur
     for i, j in pairs:
         if i < len(vectors) and j < len(vectors):
             vectors.append(vectors[i] ^ vectors[j])
-    vectors.append(1 << (bits - 1))
-    assert _span_dimension(vectors) == span_dimension_reference(vectors)
+    vectors.append(frozenset((size - 1,)))
+    ints = list(map(packed, vectors))
+    assert _span_dimension(vectors) == span_dimension_reference(ints)
+    assert _span_dimension(vectors) == packed_span_dimension(ints)
 
 
 # -- the table paths against the step-by-step and per-word references -------
 
 def reference_braid_check_module(module):
-    """(T_a T_b)^m applied to each basis vector, 2m single steps."""
-    out = []
-    for a, b in combinations(sorted(module.columns), 2):
-        m = braid_order(module.datum.root_system, a - 1, b - 1)
-        for i, oid in enumerate(module.basis):
-            x = 1 << i
-            for _ in range(m):
-                x = apply(module, a, apply(module, b, x))
-            if x != 1 << i:
-                out.append(HeckeBraidViolation(a, b, m, oid))
-                break
-    return out
+    return packed_step_braid_violations(module.datum.root_system, module.basis,
+                                        packed_columns(module))
 
 
 def reference_regular_representation(module):
-    """T_w [e] by apply_word on the whole canonical word of every w."""
-    violations = tuple(reference_braid_check_module(module))
-    words = [w.word for w in enumerate_group(module.datum.root_system)]
-    vectors = [apply_word(module, tuple(a + 1 for a in word), module.unit("e"))
-               for word in words]
-    span = _span_dimension(vectors)
-    ok = (not violations and len(set(vectors)) == len(words)
-          and span == len(module.basis) and len(words) == len(module.basis))
-    return RegularRepReport(ok, len(words), len(set(vectors)), span, violations)
+    return packed_regular_representation(module.datum.root_system, module.basis,
+                                         packed_columns(module))
 
 
-def reference_leading_term(module, alpha, orbit_id):
-    d = module.datum
-    terms = module.terms(apply(module, alpha, module.unit(orbit_id)))
-    if not terms:
-        raise HeckeError(f"T_{alpha} [{orbit_id}] is zero")
-    dims = [d.orbit(t).dim for t in terms]
-    lead = [t for t, dim in zip(terms, dims) if dim == min(dims)]
-    if len(lead) != 1:
-        raise HeckeError(f"leading-term tie in T_{alpha} [{orbit_id}]: "
-                         + ", ".join(f"[{t}]" for t in lead))
-    return lead[0]
+def reference_leading_term(module, columns, dims, alpha, i):
+    return module.basis[packed_leading_position(module.basis, dims, alpha, columns[alpha], i)]
 
 
 def leading_outcome(f, *args):
@@ -337,7 +343,7 @@ def dense_modules():
     """Flag modules with random dense columns: neither involutions nor braided."""
     rng = random.Random(5)
     return [HeckeModule(m.datum, m.basis,
-                        {a: tuple(rng.getrandbits(len(m.basis)) for _ in m.basis)
+                        {a: tuple(random_vector(rng, len(m.basis)) for _ in m.basis)
                          for a in m.columns})
             for t, m in sorted(RANDOM_MODULE_BASES.items()) if t != "F4"]
 
@@ -368,7 +374,35 @@ def test_braid_violating_module_is_not_regular():
 
 @pytest.mark.parametrize("module", TABLE_CASES, ids=lambda m: m.datum.root_system.to_text())
 def test_leading_term_matches_reference(module):
+    columns = packed_columns(module)
+    dims = [module.datum.orbit(oid).dim for oid in module.basis]
     for alpha in module.columns:
-        for oid in module.basis:
+        for i, oid in enumerate(module.basis):
             assert (leading_outcome(leading_term, module, alpha, oid)
-                    == leading_outcome(reference_leading_term, module, alpha, oid))
+                    == leading_outcome(reference_leading_term, module, columns, dims,
+                                       alpha, i))
+
+
+# -- weylorb hecke's report against the packed-int module ---------------------
+
+def check_module_outcome(f, d):
+    """The report's text and JSON, or the type and text of what it raised."""
+    try:
+        report = f(d)
+    except (DatumFormatError, HeckeError) as exc:
+        return type(exc), str(exc)
+    return report, report.lines(), report.to_obj()
+
+
+@pytest.mark.parametrize("d", every_datum() + DEFECTIVE_CASES,
+                         ids=lambda d: d.root_system.to_text())
+def test_check_module_matches_packed_reference(d):
+    assert (check_module_outcome(check_module, d)
+            == check_module_outcome(reference_check_module, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_cells())
+def test_check_module_matches_packed_reference_on_overlapping_cells(d):
+    assert (check_module_outcome(check_module, d)
+            == check_module_outcome(reference_check_module, d))
