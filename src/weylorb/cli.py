@@ -37,15 +37,14 @@ def _load_datum(arg: str) -> datum.OrbitDatum:
 
 def _load_spec_obj(arg: str) -> dict:
     path = Path(arg)
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
-    elif arg in bundled.ORACLE_SPEC_NAMES:
-        text = bundled.oracle_spec_text(arg)
-    else:
+    if not path.exists() and arg not in bundled.ORACLE_SPEC_NAMES:
         raise UsageError(f"no such oracle spec file or bundled name: {arg}")
     import json  # only commands that parse or print JSON pay for it
     try:
-        return json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8") if path.exists()
+                          else bundled.oracle_spec_text(arg))
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{arg} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -68,8 +67,8 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
         qs = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise UsageError(f"bad q-list {text!r}; expected comma-separated primes")
-    if not qs:
-        raise UsageError("empty q-list")
+    if len(set(qs)) != len(qs):
+        raise UsageError(f"bad q-list {text!r}: a prime is repeated")
     return qs
 
 
@@ -179,14 +178,9 @@ def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
     for arg in paths:
         obj = _load_spec_obj(arg)
         pinned = oracle.pinned_q(obj)
-        if pinned is not None:
-            if pinned not in qs:
-                raise UsageError(
-                    f"spec {arg} is pinned to q = {pinned}, not in the q-list")
-            run_qs = [pinned]
-        else:
-            run_qs = list(qs)
-        for q in run_qs:
+        if pinned not in (None, *qs):
+            raise UsageError(f"spec {arg} is pinned to q = {pinned}, not in the q-list")
+        for q in qs if pinned is None else (pinned,):
             reports.append(oracle.enumerate_orbits(oracle.spec_from_obj(obj, q), cap=cap))
     reports.sort(key=lambda r: (r.spec_name, r.q))
     return reports
@@ -195,6 +189,8 @@ def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
 def _cmd_oracle(args) -> tuple[int, str]:
     qs = oracle.DEFAULT_Q_LIST if args.q_list is None else _parse_q_list(args.q_list)
     cap = oracle.DEFAULT_POINT_CAP if args.cap is None else args.cap
+    if cap < 1:
+        raise UsageError("--cap must be >= 1")
     if args.mode == "enumerate":
         reports = _oracle_specs(args.paths, qs, cap)
         aligned_counts = None

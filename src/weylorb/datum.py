@@ -641,7 +641,11 @@ def loads(text: str) -> OrbitDatum:
 
 def load_path(path) -> OrbitDatum:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            return loads(fh.read())
+        except UnicodeDecodeError as exc:
+            raise DatumFormatError(
+                f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 # -- DOT export --------------------------------------------------------------

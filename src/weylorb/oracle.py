@@ -3,14 +3,14 @@
 Ground truth for the combinatorial layer, in exact pure-Python arithmetic
 on flat row-major tuples.  Points of G/H are canonical coset labels (the
 lexicographically smallest matrix in the coset under row-major order),
-found through H's pointwise row-stabilizer chain; orbits come from a
-search over generator actions, and merge structure under each subminimal
-parabolic P_alpha is read off the same way.  G itself is never
-enumerated: |G| and the containments B, H, P_alpha <= G are certified by
-orbit-stabilizer with Schreier generators.  Orbit sizes fitted to
-c * q^a * (q-1)^b across several primes give dimension and rank proxies
-from which a candidate datum is inferred; RI and N stay indistinguishable
-to point counts and are flagged, never silently resolved.
+found through H's pointwise row-stabilizer chain, which also gives |H|;
+orbits come from a search over generator actions, and merge structure
+under each subminimal parabolic P_alpha is read off the same way.  G is
+never enumerated, H only as G ∩ H: |G| and B, H, P_alpha <= G are
+certified by orbit-stabilizer with Schreier generators.  Orbit sizes
+fitted to c * q^a * (q-1)^b across several primes give dimension and
+rank proxies from which a candidate datum is inferred; RI and N stay
+indistinguishable to point counts and are flagged, never silently resolved.
 """
 
 from __future__ import annotations
@@ -237,22 +237,23 @@ def _close(group: dict, new: list, gens: list, mul, cap=inf, what="") -> dict:
     return group
 
 
-def _adjoin(group: dict, gens: list, gen, mul) -> dict:
+def _adjoin(group: dict, gens: list, gen, mul, cap=inf, what="") -> dict:
     """Add gen to gens and extend group, the closure of the old gens, to
     the closure of all of them without redoing the old products."""
     gens.append(gen)
     new = [y for y in dict.fromkeys(mul(x, gen) for x in group) if y not in group]
     group.update(dict.fromkeys(new))
-    return _close(group, new, gens, mul)
+    return _close(group, new, gens, mul, cap, what)
 
 
 class _Level:
     """One level L of H's pointwise row-stabilizer chain: generators, their
     inverses and |L|, with every L-orbit of row vectors met so far and,
-    under its minimum, the level of that minimum's stabilizer."""
+    under its minimum, the level of that minimum's stabilizer.  The top
+    level starts with order None, and its first reduce sets |H|."""
 
-    def __init__(self, gens: list, invs: list, order: int, arith: _Arith):
-        self.gens, self.invs, self.order, self.arith = gens, invs, order, arith
+    def __init__(self, gens: list, invs: list, order, arith: _Arith, cap=inf):
+        self.gens, self.invs, self.order, self.arith, self.cap = gens, invs, order, arith, cap
         self.orbit: dict = {}  # w -> (mu, u): mu its orbit minimum, u in L, w·u = mu
         self.below: dict = {}  # mu -> the _Level of Stab_L(mu)
 
@@ -260,7 +261,8 @@ class _Level:
         """(mu, u): the minimum mu of v's L-orbit and u in L with v·u = mu.
         A new orbit is searched from v for mu, then from mu with the inverse
         generators for u and u^-1; the Schreier generators u_w^-1·h·u_{w·h}
-        of Stab_L(mu) are adjoined until its order is |L| / |orbit|."""
+        of Stab_L(mu) are adjoined until its order is |L| / |orbit|; while
+        |L| is unknown, all of them, up to cap, and |L| = |orbit| |Stab|."""
         if v not in self.orbit:
             _, eye, mul, vmul = self.arith
             mu = min(_close({v: None}, [v], self.gens, vmul))
@@ -273,8 +275,8 @@ class _Level:
                         trans[w] = mul(g, u), mul(r, g_inv)
                         members.append(w)
             self.orbit.update((w, (mu, u)) for w, (u, _) in trans.items())
-            below, order = self, self.order // len(members)
-            if order < self.order:
+            below, order = self, self.order and self.order // len(members)
+            if order is None or len(members) > 1:
                 group, gens, invs = {eye: None}, [], []
                 for w, (h, h_inv) in iproduct(members, zip(self.gens, self.invs)):
                     if len(group) == order:
@@ -283,8 +285,9 @@ class _Level:
                     s = mul(mul(r, h), ux)
                     if s not in group:
                         invs.append(mul(mul(rx, h_inv), u))
-                        _adjoin(group, gens, s, mul)
-                below = _Level(gens, invs, order, self.arith)
+                        _adjoin(group, gens, s, mul, self.cap, "H row-stabilizer")
+                below = _Level(gens, invs, len(group), self.arith)
+                self.order = len(members) * len(group)
             self.below[mu] = below
         return self.orbit[v]
 
@@ -362,12 +365,12 @@ def enumerate_orbits(spec: MatGroupSpec,
                      cap: int = DEFAULT_POINT_CAP) -> OracleReport:
     """Enumerate B-orbits on G/H over F_q with canonical coset labels.
 
-    G is never enumerated: the Schreier generators t_y^-1 g t_x of the
-    coset BFS (t_x in G, t_x H = x) must lie in H and generate G ∩ H, so
-    H <= G iff |G ∩ H| = |H|, |G| = points * |H|, and b in B or P_alpha
-    is in G iff b·H is a point y with t_y^-1 b in G ∩ H.  The cap bounds
-    |H|, hence every level of H's chain, and, while the BFS grows,
-    points * |H|.
+    Neither G nor H is enumerated: |H| is read off H's chain.  The
+    Schreier generators t_y^-1 g t_x of the coset BFS (t_x in G, t_x H = x)
+    lie in H, as g t_x H = t_y H, and generate G ∩ H, so H <= G iff
+    |G ∩ H| = |H|, |G| = points * |H|, and then b in B or P_alpha is in G
+    iff b·H is a point.  The cap bounds the chain's top stabilizer, |H|
+    and, while the BFS grows, points * |H|.
 
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
@@ -377,8 +380,10 @@ def enumerate_orbits(spec: MatGroupSpec,
     eye, mul = arith.eye, arith.mul
     g_gens, h_gens = _flat(spec.g_gens), _flat(spec.h_gens)
     g_inv = [_inv_mod(g, q) for g in spec.g_gens]
-    h_all = _close({eye: None}, [eye], h_gens, mul, cap, "H")
-    top = _Level(h_gens, [_inv_mod(h, q) for h in spec.h_gens], len(h_all), arith)
+    top = _Level(h_gens, [_inv_mod(h, q) for h in spec.h_gens], None, arith, cap)
+    top.reduce(eye[:k])  # the first orbit of the top level sets |H|
+    if top.order > cap:
+        raise OracleError(f"H exceeds cap {cap}: |H| = {top.order}")
 
     labels, trans, tinv = [_canon(eye, top)], [eye], [eye]
     index = {labels[0]: 0}
@@ -390,30 +395,24 @@ def enumerate_orbits(spec: MatGroupSpec,
             label = _canon(prod, top)
             y = index.setdefault(label, len(labels))
             if y == len(labels):  # a tree edge: its Schreier generator is 1
-                if (y + 1) * len(h_all) > cap:
+                if (y + 1) * top.order > cap:
                     raise OracleError(f"G exceeds cap {cap}: points x |H| "
-                                      f"reached {(y + 1) * len(h_all)}")
+                                      f"reached {(y + 1) * top.order}")
                 labels.append(label)
                 trans.append(prod)
                 tinv.append(mul(tinv[x], g_inv[j]))
                 continue
             gen = mul(tinv[y], prod)
-            if gen not in h_all:
-                raise OracleError(
-                    f"Schreier generator {_fmt_matrix(gen, k)} at point "
-                    f"{_fmt_matrix(labels[x], k)}, G generator {j}, is not in H")
             if gen not in stab:
                 _adjoin(stab, stab_gens, gen, mul)
         frontier = range(frontier.stop, len(labels))
-    if len(stab) != len(h_all):
+    if len(stab) != top.order:
         raise OracleError("H is not contained in the group generated by G")
 
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
-    for name, mats in blocks:  # b in G iff b·H = t_y H with t_y^-1 b in G ∩ H
-        for b in _flat(mats):
-            y = index.get(_canon(b, top))
-            if y is None or mul(tinv[y], b) not in stab:
-                raise OracleError(f"{name} is not contained in the group generated by G")
+    for name, mats in blocks:  # H <= G: b in G iff b·H is a point
+        if any(_canon(b, top) not in index for b in _flat(mats)):
+            raise OracleError(f"{name} is not contained in the group generated by G")
 
     def act(x: int, g: tuple) -> int:  # the point g·x
         return index[_canon(mul(g, labels[x]), top)]
@@ -441,8 +440,8 @@ def enumerate_orbits(spec: MatGroupSpec,
             blocks.append(tuple(block))
         merges[alpha] = tuple(sorted(blocks))
     return OracleReport(spec_name=spec.name, root_system=spec.root_system,
-                        q=q, group_order=len(labels) * len(stab),
-                        subgroup_order=len(h_all), point_count=len(labels),
+                        q=q, group_order=len(labels) * top.order,
+                        subgroup_order=top.order, point_count=len(labels),
                         orbits=tuple(infos), merges=merges)
 
 

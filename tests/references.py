@@ -3,9 +3,10 @@ the test files: the ones several files share, the datum loader and
 validator as they were before each record was checked in one pass, sigma,
 the Hecke columns and the lattice checks as per-kind branches before
 :meth:`RaiseCell.image` stated the cell rule once, the Hecke module on
-packed ints (bit i for basis position i) with its word-by-word T_w, and
-the oracle's spec loader and monomial fit as they were before exact type
-tests and the integer fit.
+packed ints (bit i for basis position i) with its word-by-word T_w, the
+oracle's spec loader and monomial fit as they were before exact type
+tests and the integer fit, and the closure of all of H that the oracle
+made before it read |H| off H's row-stabilizer chain.
 
 The tests directory is on pytest's ``pythonpath`` (pyproject.toml), so
 this module imports as ``references`` under every import mode.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
+from math import isqrt
 
 from hypothesis import strategies as st
 
@@ -49,6 +51,7 @@ from weylorb.oracle import (
     _FIT_EXPONENT_BOUND,
     MatGroupSpec,
     OracleError,
+    _arith,
     _det_mod,
     _is_prime,
 )
@@ -798,3 +801,26 @@ def reference_fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fra
     if len(hits) > 1:
         raise OracleError(f"ambiguous monomial fit {hits}; add more primes")
     return hits[0]
+
+
+# -- the oracle's closure of all of H ------------------------------------------
+
+def reference_closure(gens, q: int, cap: int = 10**6) -> dict:
+    """All products of the flat row-major generators mod q, in BFS layers
+    from the identity, as an ordered dict: the H closure the oracle made
+    for |H|, for Schreier-generator membership and for its cap, refusing
+    once a layer takes it past cap elements."""
+    arith = _arith(isqrt(len(gens[0])), q)
+    mul, group, new = arith.mul, {arith.eye: None}, [arith.eye]
+    while new:
+        fresh = []
+        for x in new:
+            for g in gens:
+                y = mul(x, g)
+                if y not in group:
+                    group[y] = None
+                    fresh.append(y)
+        if len(group) > cap:
+            raise OracleError(f"H closure exceeds cap {cap}: reached {len(group)} elements")
+        new = fresh
+    return group

@@ -19,7 +19,7 @@ from weylorb import coxeter
 from weylorb.bundled import bundled_path, datum_text
 from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
-from weylorb.datum import dumps, generate_flag_datum, loads
+from weylorb.datum import DatumFormatError, dumps, generate_flag_datum, load_path, loads
 
 import golden_cli
 
@@ -334,6 +334,20 @@ def test_oracle_pinned_outside_qlist(capsys):
     assert "pinned" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_oracle_cap_below_one_is_a_usage_error(capsys, cap):
+    code, out, err = run(capsys, "oracle", "enumerate", "torus", "--cap", cap)
+    assert (code, out, err) == (2, "", "error: --cap must be >= 1\n")
+
+
+@pytest.mark.parametrize("qs", ["5,5", "5,7,5"])
+def test_oracle_repeated_prime_in_q_list_is_refused(capsys, qs):
+    for argv in (["enumerate", "torus"], ["enumerate", "torus", "--json"],
+                 ["infer", "torus"]):
+        code, out, err = run(capsys, "oracle", *argv, "--q-list", qs)
+        assert (code, out, err) == (2, "", f"error: bad q-list '{qs}': a prime is repeated\n")
+
+
 def test_oracle_infer_deterministic(capsys):
     code, out1, _ = run(capsys, "oracle", "infer", "torus")
     code2, out2, _ = run(capsys, "oracle", "infer", "torus")
@@ -380,6 +394,19 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no_such_datum")
     assert code == 2
     assert "no such datum" in err
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["oracle", "enumerate"]],
+                         ids=["validate", "oracle-enumerate"])
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, *argv, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad} is not UTF-8: invalid start byte at byte 0\n"
+    if argv == ["validate"]:  # the library loader refuses it as bad datum input
+        with pytest.raises(DatumFormatError, match="is not UTF-8"):
+            load_path(bad)
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -7,7 +7,6 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from weylorb.oracle import (
     _adjoin,
     _arith,
     _canon,
-    _close,
     _det_mod,
     _fmt_matrix,
     _inv_mod,
@@ -45,6 +43,7 @@ from weylorb.oracle import (
 
 from references import (
     DEFECTIVE_CASES,
+    reference_closure,
     reference_fit_monomial,
     reference_membership,
     reference_spec_from_obj,
@@ -206,22 +205,26 @@ def test_bundled_specs_load_as_the_reference_loader_does(name, q):
     assert spec_from_obj(obj, q) == want
 
 
-def _closure(gens, q: int, cap: int = 10**6) -> dict:
-    """The pure closure of flat generators, as enumerate_orbits forms H."""
-    arith = _arith(isqrt(len(gens[0])), q)
-    return _close({arith.eye: None}, [arith.eye], list(gens), arith.mul, cap, "H")
-
-
-def _chain_top(h_gens, q: int, order: int) -> _Level:
-    """The top level of H's chain, as enumerate_orbits builds it."""
+def _chain_top(h_gens, q: int, order: int | None = None) -> _Level:
+    """The top level of H's chain, as enumerate_orbits builds it: by
+    default of unknown order, which its first reduce sets."""
     flat = [tuple(x for row in h for x in row) for h in h_gens]
     return _Level(flat, [_inv_mod(h, q) for h in h_gens], order, _arith(len(h_gens[0]), q))
 
 
+def _chain_order(h_gens, q: int) -> int:
+    """|H| as enumerate_orbits reads it: off the chain, once the identity
+    coset is labelled."""
+    top = _chain_top(h_gens, q)
+    _canon(_arith(len(h_gens[0]), q).eye, top)
+    return top.order
+
+
 def test_closure_keys_wide_enough_past_q_256():
-    unipotent = [(1, 1, 0, 1)]
-    assert len(_closure(unipotent, 257, 10**4)) == 257
-    assert len(_closure(unipotent, 251, 10**4)) == 251
+    unipotent = ((1, 1), (0, 1))
+    for q in (257, 251):
+        assert len(reference_closure([(1, 1, 0, 1)], q, 10**4)) == q
+        assert _chain_order([unipotent], q) == q
 
 
 def test_spec_rejects_q_overflowing_int64():
@@ -471,7 +474,23 @@ def test_enumeration_matches_reference_on_bundled(name, q):
     assert run(name, q).to_obj() == enumerate_orbits_reference(spec).to_obj()
     h = np.array(spec.h_gens, dtype=np.int64)
     want = [tuple(m.ravel().tolist()) for m in _closure_reference(h, q, 10**6, "H")]
-    assert list(_closure([tuple(m.ravel().tolist()) for m in h], q)) == want  # BFS order
+    flat = [tuple(m.ravel().tolist()) for m in h]
+    assert list(reference_closure(flat, q)) == want  # BFS order
+
+
+def _h_size(h_gens, q: int) -> int:
+    return len(_closure_reference(np.array(h_gens, dtype=np.int64), q, 10**5, "H"))
+
+
+@pytest.mark.parametrize("name,q", [*_bundled_cases(), ("bruhat_gl3", 5), ("bruhat_gl3", 7)],
+                         ids=str)
+def test_chain_order_is_the_size_of_h(name, q):
+    """|H| read off the chain, as enumerate_orbits reads it, is the size of
+    the einsum closure of H; GL3/B has |H| = 8000 at q = 5, 74088 at 7."""
+    obj = (_bruhat_obj(3, q, {5: 2, 7: 3}[q]) if name == "bruhat_gl3"
+           else json.loads(oracle_spec_text(name)))
+    h_gens = spec_from_obj(obj, q).h_gens
+    assert _chain_order(h_gens, q) == _h_size(h_gens, q)
 
 
 _GL3_LENGTHS = (0, 1, 1, 2, 2, 3)  # l(w) for w in S_3
@@ -562,6 +581,14 @@ def test_seeded_conjugates_load_as_the_reference_loader_does(case):
     assert spec_from_obj(obj, q) == reference_spec_from_obj(obj, q)
 
 
+@settings(max_examples=25, deadline=None)
+@given(_seeded_conjugate())
+def test_chain_order_is_the_size_of_h_on_conjugates(case):
+    obj, q = case
+    h_gens = spec_from_obj(obj, q).h_gens
+    assert _chain_order(h_gens, q) == _h_size(h_gens, q)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_invertible())
 def test_inv_mod_is_inverse(case):
@@ -630,7 +657,7 @@ def test_chain_canon_matches_lexsort(case):
     h_gens, mats, q = case
     k = len(h_gens[0])
     flat = [tuple(x for row in h for x in row) for h in h_gens]
-    h_all = _closure(flat, q, 10**5)
+    h_all = reference_closure(flat, q, 10**5)
     h_ref = _closure_reference(np.array(h_gens, dtype=np.int64), q, 10**5, "H")
     assert list(h_all) == [tuple(m.ravel().tolist()) for m in h_ref]  # BFS order
     arith = _arith(k, q)
@@ -638,10 +665,12 @@ def test_chain_canon_matches_lexsort(case):
     for h in flat:  # adjoined one at a time: the same group
         _adjoin(grown, gens, h, arith.mul)
     assert set(grown) == set(h_all)
-    top = _chain_top(h_gens, q, len(h_all))
+    # one chain given |H|, one that reads |H| off its first orbit
+    tops = _chain_top(h_gens, q, len(h_all)), _chain_top(h_gens, q)
     for m in mats:  # one chain for all: later matrices reuse its orbits
         want = _canon_reference(np.array(m).reshape(k, k), h_ref, q)
-        assert _canon(m, top) == tuple(want.ravel().tolist())
+        assert [_canon(m, top) for top in tops] == [tuple(want.ravel().tolist())] * 2
+    assert tops[1].order == len(h_all)
 
 
 def _outside_obj(block: str) -> dict:
@@ -675,16 +704,26 @@ def test_cap_messages_name_cap_and_value():
     with pytest.raises(OracleError) as err:
         enumerate_orbits(spec, cap=479)
     assert str(err.value) == "G exceeds cap 479: points x |H| reached 480"
-    with pytest.raises(OracleError) as err:  # stops at the first BFS layer past 10
-        enumerate_orbits(spec, cap=10)
-    assert str(err.value) == "H closure exceeds cap 10: reached 11 elements"
+    # the chain's top: the orbit of row (1, 0) has 4 points, its stabilizer
+    # diag(1, t) 4 elements, so |H| = 16 is known before any coset; at
+    # cap 16 it is the BFS's second point that is refused
+    with pytest.raises(OracleError) as err:
+        enumerate_orbits(spec, cap=16)
+    assert str(err.value) == "G exceeds cap 16: points x |H| reached 32"
+    for cap in (15, 10, 4):
+        with pytest.raises(OracleError) as err:
+            enumerate_orbits(spec, cap=cap)
+        assert str(err.value) == f"H exceeds cap {cap}: |H| = 16"
+    with pytest.raises(OracleError) as err:  # the stabilizer closure itself
+        enumerate_orbits(spec, cap=3)
+    assert str(err.value) == "H row-stabilizer closure exceeds cap 3: reached 4 elements"
     upper = [[1, 1], [0, 1]]  # G = H = B, of order 5: the H cap is met exactly
     spec = spec_from_obj({"name": "u", "root_system": "A1", "q": None, "dimension": 2,
                           "generators": {"G": [upper], "B": [upper], "H": [upper]}}, 5)
     assert enumerate_orbits(spec, cap=5).subgroup_order == 5
     with pytest.raises(OracleError) as err:
         enumerate_orbits(spec, cap=4)
-    assert str(err.value) == "H closure exceeds cap 4: reached 5 elements"
+    assert str(err.value) == "H exceeds cap 4: |H| = 5"
 
 
 def test_parabolic_class_not_union_of_b_orbits_refused():
@@ -695,12 +734,13 @@ def test_parabolic_class_not_union_of_b_orbits_refused():
 
 
 def test_schreier_generator_outside_h_is_named(monkeypatch):
-    # a canonicalisation that sends every coset to H itself
+    """A Schreier generator lies in H only if coset labels are right; with
+    a canonicalisation that sends every coset to H itself, the generators
+    close all of G (order 480, not |H| = 16), so the certificate refuses."""
     monkeypatch.setattr(oracle, "_canon", lambda m, level: level.arith.eye)
     with pytest.raises(OracleError) as err:
         enumerate_orbits(load_spec(oracle_spec_text("torus"), 5))
-    assert str(err.value) == ("Schreier generator [[1,1],[0,1]] at point "
-                              "[[1,0],[0,1]], G generator 0, is not in H")
+    assert str(err.value) == "H is not contained in the group generated by G"
 
 
 def test_fit_monomial_frozen_cases():
