@@ -1,9 +1,12 @@
 """Restricted root systems and their finite Weyl groups, exactly.
 
 Vectors are written in simple-root coordinates, i.e. ``v[i]`` is the
-coefficient of the i-th simple root.  In that basis every Weyl group
-element is an integer matrix and all comparisons are exact; no floats
-appear anywhere.  The non-reduced family BC reuses the Weyl group of the
+coefficient of the i-th simple root, and all arithmetic is exact
+integers; no floats appear anywhere.  The Weyl group is one indexed
+object, :class:`WeylGroup`: element ids in shortlex order with their
+canonical words and multiplication tables.  A :class:`WeylElement` is a
+handle on one id; its integer matrix is derived along its word when
+asked for.  The non-reduced family BC reuses the Weyl group of the
 underlying B-type system and carries the doubled roots in its root list,
 so lengths and reflections are counted per root line, one line per
 {alpha, 2*alpha} class.
@@ -20,8 +23,8 @@ from itertools import combinations
 
 __all__ = [
     "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
-    "WeylElement", "braid_order", "build_root_system", "canonical_word",
-    "enumerate_group", "reflections", "subgroup_closure", "word_name",
+    "WeylElement", "braid_order", "build_root_system", "enumerate_group",
+    "reflections", "subgroup_closure", "word_name",
 ]
 
 Vector = tuple[int, ...]
@@ -39,46 +42,6 @@ class RootSystemError(ValueError):
 
 class CapExceeded(RuntimeError):
     """A group enumeration grew past the configured cap."""
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def mat_apply(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix that is invertible over Z."""
-    from fractions import Fraction  # only inverses make fractions
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not invertible over the integers")
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
 
 
 def _is_nonneg(v: Vector) -> bool:
@@ -230,18 +193,14 @@ class RootSystem(_Frozen):
     # -- elements ---------------------------------------------------------
 
     def identity_element(self) -> "WeylElement":
-        return WeylElement(self, mat_identity(self.rank), ())
+        return WeylElement(self, 0, ())
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        """Reflection in the i-th simple root (0-based index)."""
+        """Reflection in the i-th simple root (0-based index): id i + 1,
+        as the shortlex BFS meets s_0, ..., s_{r-1} right after e."""
         if not 0 <= i < self.rank:
             raise RootSystemError(f"simple root index {i} out of range")
-        mat = tuple(
-            tuple((1 if r == j else 0) - (self.cartan[i][j] if r == i else 0)
-                  for j in range(self.rank))
-            for r in range(self.rank)
-        )
-        return WeylElement(self, mat, (i,))
+        return WeylElement(self, i + 1, (i,))
 
     # -- text record ------------------------------------------------------
 
@@ -379,55 +338,61 @@ def _check_raise_dims(cartan: list[list[int]], dims: tuple[int, ...]) -> None:
 
 
 class WeylElement(_Frozen):
-    """A Weyl group element: an exact integer matrix plus a witnessing word
-    in simple reflections.  Equality and hashing use the matrix only."""
+    """A handle on element ``id`` of the Weyl group of ``system``, with a
+    witnessing word in simple reflections.  Equality and hashing use
+    (system.key, id) only; arithmetic reads :func:`weyl_group`'s tables,
+    so it is bounded by ``DEFAULT_GROUP_CAP``."""
 
-    __slots__ = ("system", "matrix", "word")
+    __slots__ = ("system", "id", "word")
 
-    def __init__(self, system: RootSystem, matrix: Matrix, word: tuple[int, ...]) -> None:
-        self._set(system, matrix, word)
+    def __init__(self, system: RootSystem, id: int, word: tuple[int, ...]) -> None:
+        self._set(system, id, word)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, WeylElement)
-                and self.system == other.system
-                and self.matrix == other.matrix)
+                and self.system == other.system and self.id == other.id)
 
     def __hash__(self) -> int:
-        return hash((self.system.key, self.matrix))
+        return hash((self.system.key, self.id))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.system != other.system:
             raise RootSystemError("cannot multiply elements of different systems")
-        return WeylElement(self.system, mat_mul(self.matrix, other.matrix),
+        return WeylElement(self.system, weyl_group(self.system).product(self.id, other.id),
                            self.word + other.word)
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.system, mat_inverse(self.matrix),
+        return WeylElement(self.system, weyl_group(self.system).inv[self.id],
                            tuple(reversed(self.word)))
 
     def is_identity(self) -> bool:
-        return self.matrix == mat_identity(self.system.rank)
+        return self.id == 0
+
+    @property
+    def matrix(self) -> Matrix:
+        """The integer matrix, built along the canonical word from the
+        identity, which is the tuple of simple roots."""
+        group = weyl_group(self.system)
+        m = self.system.simple_roots
+        for i in group.words[self.id]:
+            m = group._times_simple(m, i)
+        return m
 
     def apply(self, v: Vector) -> Vector:
-        return mat_apply(self.matrix, v)
+        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix)
 
     def length(self) -> int:
-        """Number of positive root lines sent to negative roots.
+        """Number of positive root lines sent to negative roots: the length
+        of the canonical reduced word.
 
         >>> rs = build_root_system("A", 2)
         >>> (rs.simple_reflection(0) * rs.simple_reflection(1)).length()
         2
         """
-        count = 0
-        for line in self.system.positive_lines:
-            img = mat_apply(self.matrix, line)
-            if all(x <= 0 for x in img):
-                count += 1
-        return count
+        return len(weyl_group(self.system).words[self.id])
 
     def __repr__(self) -> str:
-        w = ".".join(str(i + 1) for i in self.word) or "e"
-        return f"WeylElement({self.system.family}, {w})"
+        return f"WeylElement({self.system.family}, {word_name(self.word)})"
 
 
 def braid_order(rs: RootSystem, i: int, j: int) -> int:
@@ -474,7 +439,8 @@ class WeylGroup:
     w^-1(2 rho), 2 rho the sum of the positive lines: 2 rho is regular, so
     the keys are distinct, and the key of w·s_i is s_i applied to the key
     of w, one simple reflection of a vector instead of a matrix product.
-    Matrices and the matrix -> id index are built on first use.
+    No matrix is built: :attr:`WeylElement.matrix` derives one along a
+    word when asked for.
 
     >>> g = weyl_group(build_root_system("A", 2))
     >>> len(g), g.words[g.mul[1][1]], g.words[g.left[1][1]], g.inv[3] == 4
@@ -536,15 +502,6 @@ class WeylGroup:
                      for row in m)
 
     @cached_property
-    def matrices(self) -> tuple[Matrix, ...]:
-        """Each element's matrix from its BFS parent's."""
-        out = [mat_identity(self.rank)]
-        for w in range(1, len(self)):
-            i = self.words[w][-1]
-            out.append(self._times_simple(out[self.mul[w][i]], i))
-        return tuple(out)
-
-    @cached_property
     def reflections(self) -> tuple[int, ...]:
         """Id of the reflection in each positive line, in line order.
 
@@ -568,16 +525,6 @@ class WeylGroup:
                     found[gamma] = self.left[self.mul[r][j]][j]
                     order.append(gamma)
         return tuple(found[line] for line in self.lines)
-
-    @cached_property
-    def index(self) -> dict[Matrix, int]:
-        return {m: w for w, m in enumerate(self.matrices)}
-
-    def id_of(self, matrix: Matrix) -> int:
-        w = self.index.get(matrix)
-        if w is None:
-            raise RootSystemError("element does not belong to its Weyl group")
-        return w
 
     def product(self, a: int, b: int) -> int:
         """The id of a·b, by b's word through the right table."""
@@ -606,14 +553,6 @@ class WeylGroup:
                     order.append(x)
         return seen
 
-    def element(self, rs: RootSystem, w: int) -> WeylElement:
-        """Element w over rs, with its canonical word and the matrix built
-        along it, so that one element does not build all of ``matrices``."""
-        m = mat_identity(self.rank)
-        for i in self.words[w]:
-            m = self._times_simple(m, i)
-        return WeylElement(rs, m, self.words[w])
-
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -633,8 +572,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> list[WeylEl
     Each element carries a canonical reduced word (shortlex from the BFS),
     so ids and output derived from this list are deterministic.
     """
-    group = weyl_group(rs, cap)
-    return [WeylElement(rs, m, word) for m, word in zip(group.matrices, group.words)]
+    return [WeylElement(rs, w, word) for w, word in enumerate(weyl_group(rs, cap).words)]
 
 
 def subgroup_closure(gens: list[WeylElement],
@@ -648,21 +586,15 @@ def subgroup_closure(gens: list[WeylElement],
     if any(g.system != rs for g in gens):
         raise RootSystemError("generators come from different root systems")
     group = weyl_group(rs, max(cap, DEFAULT_GROUP_CAP))
-    return {group.element(rs, w)
-            for w in group.closure([group.id_of(g.matrix) for g in gens], cap)}
+    return {WeylElement(rs, w, group.words[w])
+            for w in group.closure([g.id for g in gens], cap)}
 
 
 def reflections(rs: RootSystem) -> list[WeylElement]:
     """All reflections of the Weyl group, one per positive root line,
     sorted by line for determinism.  Words are canonical reduced words."""
     group = weyl_group(rs)
-    return [group.element(rs, w) for w in group.reflections]
-
-
-def canonical_word(w: WeylElement) -> tuple[int, ...]:
-    """Canonical reduced word for w from the group enumeration."""
-    group = weyl_group(w.system)
-    return group.words[group.id_of(w.matrix)]
+    return [WeylElement(rs, w, group.words[w]) for w in group.reflections]
 
 
 def word_name(word: tuple[int, ...]) -> str:

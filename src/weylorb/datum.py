@@ -652,6 +652,8 @@ def load_path(path) -> OrbitDatum:
 
 _EDGE_STYLE = {"U": "solid", "TU": "solid", "RT": "solid",
                "RI": "dotted", "N": "dotted"}
+#: DOT escapes for text inside a quoted string or a ``//`` comment line.
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
 
 
 def export_dot(d: OrbitDatum) -> str:
@@ -660,13 +662,15 @@ def export_dot(d: OrbitDatum) -> str:
     Nodes are labeled ``id (dim|c,rk,s)``; U and TU chains appear as
     directed raise edges (y -> z, and z1 -> z2 for TU), RT as two raise
     edges, RI and N as dotted pairing edges, and A cells as comments.
+    Orbit ids are written with backslash, double quote and newline
+    escaped, so that no id ends a quoted string or a comment line.
     """
     lines = ["digraph orbit_datum {"]
     lines.append(f"  // root_system: {d.root_system.to_text()}")
     lines.append("  node [shape=box];")
     for o in d.orbits:
-        label = f"{o.id} ({o.dim}|{o.c},{o.rk},{o.s})"
-        lines.append(f'  "{o.id}" [label="{label}"];')
+        oid = o.id.translate(_DOT_ESCAPES)
+        lines.append(f'  "{oid}" [label="{oid} ({o.dim}|{o.c},{o.rk},{o.s})"];')
     for alpha, cells in sorted(d.cells.items()):
         for cell in cells:
             tag = f"a{alpha} {cell.kind}"
@@ -680,9 +684,10 @@ def export_dot(d: OrbitDatum) -> str:
             elif cell.kind in ("RI", "N"):
                 edges = [(cell.y, cell.z)]
             else:  # A
-                lines.append(f"  // {tag} {{{cell.y}}}")
+                lines.append(f"  // {tag} {{{cell.y.translate(_DOT_ESCAPES)}}}")
                 continue
             for src, dst in edges:
+                src, dst = (x.translate(_DOT_ESCAPES) for x in (src, dst))
                 lines.append(
                     f'  "{src}" -> "{dst}" [label="{tag}", style={style}];')
     lines.append("}")

@@ -48,30 +48,23 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _det_mod(mat: tuple[tuple[int, ...], ...], q: int) -> int:
-    """Determinant mod the prime q by elimination: a pivot row with a
-    nonzero first entry clears that column from the other rows."""
-    rows = [[x % q for x in row] for row in mat]
-    det = 1
-    while rows:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:
-            return 0
-        pivot = rows.pop(i)
-        det = det * pivot[0] * (-1) ** i % q
-        inv = pow(pivot[0], -1, q)
-        rows = [[(x - row[0] * inv * y) % q for x, y in zip(row[1:], pivot[1:])]
-                for row in rows]
-    return det
-
-
-def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
-    """Inverse of a nonsingular matrix mod the prime q, flat row-major: the
-    adjugate over the determinant, each cofactor a determinant by elimination."""
-    k, scale = len(mat), pow(_det_mod(mat, q), -1, q)
-    return tuple((-1) ** (i + j) * scale * _det_mod(
-        [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j], q) % q
-        for i in range(k) for j in range(k))
+def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...] | None:
+    """Inverse of a matrix mod the prime q, flat row-major, by Gauss-Jordan
+    elimination on [mat | 1]; None when mat is singular mod q."""
+    k = len(mat)
+    rows = [[x % q for x in row] + [int(i == j) for j in range(k)]
+            for i, row in enumerate(mat)]
+    for c in range(k):
+        p = next((r for r in range(c, k) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        inv = pow(rows[c][c], -1, q)
+        pivot = rows[c] = [x * inv % q for x in rows[c]]
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                rows[r] = [(x - row[c] * y) % q for x, y in zip(row, pivot)]
+    return tuple(x for row in rows for x in row[k:])
 
 
 _Arith = namedtuple("_Arith", "k eye mul vmul")
@@ -125,7 +118,7 @@ def _as_matrices(raw, dimension: int, q: int, where: str):
         if any(type(x) is not int for row in mat for x in row):
             raise OracleError(f"{where}: matrix entries must be integers")
         reduced = tuple(tuple(x % q for x in row) for row in mat)
-        if _det_mod(reduced, q) == 0:
+        if _inv_mod(reduced, q) is None:
             raise OracleError(f"{where}: singular generator {reduced} mod {q}")
         out.append(reduced)
     if not out:

@@ -2,7 +2,9 @@
 the test files: the ones several files share, the datum loader and
 validator as they were before each record was checked in one pass, sigma,
 the Hecke columns and the lattice checks as per-kind branches before
-:meth:`RaiseCell.image` stated the cell rule once, the Hecke module on
+:meth:`RaiseCell.image` stated the cell rule once, the Weyl group as
+integer matrices found by a matrix BFS, the model that
+:class:`weylorb.coxeter.WeylGroup`'s tables replaced, the Hecke module on
 packed ints (bit i for basis position i) with its word-by-word T_w, the
 oracle's spec loader and monomial fit as they were before exact type
 tests and the integer fit, and the closure of all of H that the oracle
@@ -15,6 +17,7 @@ this module imports as ``references`` under every import mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import isqrt
@@ -26,7 +29,6 @@ from weylorb.coxeter import (
     braid_order,
     build_root_system,
     enumerate_group,
-    mat_apply,
 )
 from weylorb.datum import (
     KINDS,
@@ -52,11 +54,51 @@ from weylorb.oracle import (
     MatGroupSpec,
     OracleError,
     _arith,
-    _det_mod,
     _is_prime,
 )
 
 FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
+
+
+# -- the Weyl group as integer matrices ---------------------------------------
+
+
+def mat_identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_mul(a: tuple, b: tuple) -> tuple:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+
+
+def mat_apply(m: tuple, v: tuple) -> tuple:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def simple_matrix(rs, i: int) -> tuple:
+    """Matrix of s_i read off the Cartan matrix: s_i(alpha_j) =
+    alpha_j - C[i][j] alpha_i, so only row i differs from the identity."""
+    return tuple(tuple(int(r == j) - (rs.cartan[i][j] if r == i else 0)
+                       for j in range(rs.rank))
+                 for r in range(rs.rank))
+
+
+@lru_cache(maxsize=None)
+def matrix_bfs(rs) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """(matrix, word) of every element in shortlex BFS order, each found as
+    a tuple-matrix product w·s_i; the position of an element is its id."""
+    gens = [simple_matrix(rs, i) for i in range(rs.rank)]
+    e = mat_identity(rs.rank)
+    seen = {e}
+    order = [(e, ())]
+    for m, word in order:  # order grows as the BFS discovers elements
+        for i, g in enumerate(gens):
+            p = mat_mul(m, g)
+            if p not in seen:
+                seen.add(p)
+                order.append((p, word + (i,)))
+    return tuple(order)
 
 
 # -- raise dims on every positive line, by a BFS over line orbits ------------
@@ -71,7 +113,7 @@ def line_raises(rs, dims=None) -> dict[tuple, int]:
     positive line by a breadth-first search over each Weyl orbit of lines,
     refusing dims (rs.raise_dims by default) that differ within an orbit."""
     dims = rs.raise_dims if dims is None else dims
-    mats = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
+    mats = [simple_matrix(rs, i) for i in range(rs.rank)]
     line_set = set(rs.positive_lines)
 
     def to_line(v):
@@ -696,7 +738,7 @@ def reference_check_lattices(d: OrbitDatum, checks=kind_checks) -> ValidationRep
     for alpha, cells in sorted(d.cells.items()):
         if not 1 <= alpha <= rank:
             continue
-        s_mat = d.root_system.simple_reflection(alpha - 1).matrix
+        s_mat = simple_matrix(d.root_system, alpha - 1)
         for cell in cells:
             where = f"alpha {alpha} cell y={cell.y}"
             members = [d.orbit(m) for m in cell.members()]
@@ -730,13 +772,22 @@ def _span(lattice):
 
 # -- the oracle's spec loader through int(), and its monomial fit over Fraction
 
+def det_laplace(mat, q: int) -> int:
+    """Determinant mod q by cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0] % q
+    return sum((-1) ** j * mat[0][j]
+               * det_laplace([row[:j] + row[j + 1:] for row in mat[1:]], q)
+               for j in range(len(mat))) % q
+
+
 def _reference_as_matrices(raw, dimension: int, q: int, where: str):
     out = []
     for mat in raw:
         if len(mat) != dimension or any(len(row) != dimension for row in mat):
             raise OracleError(f"{where}: matrix is not {dimension}x{dimension}")
         reduced = tuple(tuple(int(x) % q for x in row) for row in mat)
-        if _det_mod(reduced, q) == 0:
+        if det_laplace(reduced, q) == 0:
             raise OracleError(f"{where}: singular generator {reduced} mod {q}")
         out.append(reduced)
     if not out:

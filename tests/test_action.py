@@ -23,8 +23,8 @@ from weylorb.bundled import DATUM_NAMES, bundled_datum
 from weylorb.coxeter import (
     braid_order,
     build_root_system,
+    WeylElement,
     enumerate_group,
-    mat_mul,
     weyl_group,
     word_name,
 )
@@ -40,6 +40,9 @@ from references import (
     DEFECTIVE_CASES,
     FLAG_TOKENS,
     braid_breaker,
+    mat_identity,
+    mat_mul,
+    matrix_bfs,
     non_involution,
     reference_membership,
 )
@@ -252,15 +255,17 @@ def schreier_stabilizer(d: OrbitDatum) -> frozenset:
             if s_u_x != u_y:  # else u_y^-1 s_alpha u_x is the identity
                 schreier.setdefault(group.product(group.inv[u_y], s_u_x))
 
-    generators = [group.matrices[g] for g in schreier]
-    closed = {rs.identity_element().matrix}
+    ref = matrix_bfs(rs)  # the position of a matrix is its id
+    by_matrix = {m: w for w, (m, _) in enumerate(ref)}
+    generators = [ref[g][0] for g in schreier]
+    closed = {mat_identity(rs.rank)}
     frontier = list(closed)
     while frontier:  # breadth-first by tuple-matrix products g·w
         frontier = [m for m in {mat_mul(g, w) for w in frontier for g in generators}
                     if m not in closed]
         closed.update(frontier)
     assert len(closed) * len(transversal) == len(group)
-    return frozenset(group.element(rs, group.id_of(m)) for m in closed)
+    return frozenset(WeylElement(rs, by_matrix[m], ref[by_matrix[m]][1]) for m in closed)
 
 
 def renamed(d: OrbitDatum, names: dict[str, str]) -> OrbitDatum:
@@ -299,9 +304,8 @@ def test_sigma_paths_match_reference_under_renaming(d, data):
 def assert_matches_reference(d: OrbitDatum) -> None:
     got = stabilizer_open(d)
     want = schreier_stabilizer(d)
-    group = weyl_group(d.root_system)
     assert got.words == {w.word for w in want}
-    assert got.ids == {group.id_of(w.matrix) for w in want}
+    assert got.ids == {w.id for w in want}
 
 
 @pytest.mark.parametrize("d", STABILIZER_CASES, ids=lambda d: d.root_system.to_text())

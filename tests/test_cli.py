@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,18 @@ import pytest
 
 import weylorb
 from weylorb import coxeter
-from weylorb.bundled import bundled_path, datum_text
+from weylorb.bundled import DATUM_NAMES, bundled_datum, bundled_path, datum_text
 from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
-from weylorb.datum import DatumFormatError, dumps, generate_flag_datum, load_path, loads
+from weylorb.datum import (
+    DatumFormatError,
+    OrbitDatum,
+    dumps,
+    export_dot,
+    generate_flag_datum,
+    load_path,
+    loads,
+)
 
 import golden_cli
 
@@ -309,6 +318,56 @@ def test_export_dot(capsys):
     assert '"x" -> "y1" [label="a1 RT"' in out
     code2, out2, _ = run(capsys, "export-dot", "sl3_so12")
     assert out2 == out
+
+
+_QUOTED = r'"((?:[^"\\\n]|\\.)*)"'
+_DOT_LINES = (
+    re.compile(rf"  {_QUOTED} \[label={_QUOTED}\];"),
+    re.compile(rf'  {_QUOTED} -> {_QUOTED} \[label="a\d+ [A-Z]+", style=\w+\];'),
+    re.compile(r"  // a\d+ A \{((?:[^\\\n]|\\.)*)\}"),
+)
+
+
+def _unescape(text: str) -> str:
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text)
+
+
+def _restore_ids(line: str, back: dict[str, str]) -> str:
+    """line with every quoted or commented id parsed, unescaped and mapped
+    through back; lines of no id pattern are returned as they are."""
+    m = next(filter(None, (p.fullmatch(line) for p in _DOT_LINES)), None)
+    if m is None:
+        return line
+    for g in reversed(range(1, len(m.groups()) + 1)):
+        text = _unescape(m[g])
+        if m.re is _DOT_LINES[0] and g == 2:  # the label "id (dim|c,rk,s)"
+            oid, _, rest = text.rpartition(" (")
+            text = f"{back[oid]} ({rest}"
+        else:
+            text = back[text]
+        line = line[:m.start(g)] + text + line[m.end(g):]
+    return line
+
+
+@pytest.mark.parametrize("name", DATUM_NAMES)
+def test_export_dot_escapes_ids(name, tmp_path, capsys):
+    """Ids with a double quote, a backslash or a newline stay inside their
+    quoted string or comment: parsing each line back gives the ids."""
+    d = bundled_datum(name)
+    odd = ['"; evil', "\\", "\n}", '\\"', "\\n"]
+    names = {o.id: f"{o.id}{odd[i % len(odd)]}" for i, o in enumerate(d.orbits)}
+    cells = {a: tuple(c._replace(**{r: names[getattr(c, r)] for r in ("y", "z", "z1", "z2")
+                                    if getattr(c, r) is not None}) for c in cs)
+             for a, cs in d.cells.items()}
+    path = tmp_path / "odd.json"
+    path.write_text(dumps(OrbitDatum(
+        d.root_system, tuple(o._replace(id=names[o.id]) for o in d.orbits), cells)))
+    code, out, _ = run(capsys, "export-dot", str(path))
+    assert code == 0
+    back = {new: old for old, new in names.items()}
+    restored = [_restore_ids(line, back) for line in out.splitlines()]
+    assert "\n".join(restored) + "\n" == export_dot(d)
+    assert len(restored) == export_dot(d).count("\n")
 
 
 def test_oracle_enumerate_json(capsys):

@@ -26,17 +26,21 @@ from weylorb.coxeter import (
     braid_order,
     braid_witnesses,
     build_root_system,
-    canonical_word,
     enumerate_group,
-    mat_identity,
-    mat_mul,
     reflections,
     subgroup_closure,
     weyl_group,
     word_name,
 )
 
-from references import line_raises
+from references import (
+    line_raises,
+    mat_apply,
+    mat_identity,
+    mat_mul,
+    matrix_bfs,
+    simple_matrix,
+)
 
 
 def weyl_order(family: str, rank: int) -> int:
@@ -269,7 +273,7 @@ def test_canonical_words_and_names():
     rs = build_root_system("A", 2)
     w0 = max(enumerate_group(rs), key=lambda w: w.length())
     assert w0.length() == 3
-    assert len(canonical_word(w0)) == 3
+    assert weyl_group(rs).words[w0.id] == w0.word == (0, 1, 0)
     assert word_name(()) == "e"
     assert word_name((0, 1)) == "1.2"
 
@@ -302,22 +306,6 @@ def test_braid_relation_holds(token):
 # -- the indexed Weyl group against the matrix BFS it replaced --------------
 
 
-def _matrix_bfs(rs) -> list[tuple[tuple, tuple[int, ...]]]:
-    """Reference enumeration: (matrix, word) in shortlex BFS order, each
-    element found as a tuple-matrix product w * s_i."""
-    gens = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
-    e = mat_identity(rs.rank)
-    seen = {e}
-    order = [(e, ())]
-    for m, word in order:
-        for i, g in enumerate(gens):
-            p = mat_mul(m, g)
-            if p not in seen:
-                seen.add(p)
-                order.append((p, word + (i,)))
-    return order
-
-
 INDEXED_CASES = ["A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1", "BC3", "F4",
                  "B3xG2", "B5"]
 
@@ -325,14 +313,13 @@ INDEXED_CASES = ["A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1", "BC3", "F4",
 @pytest.mark.parametrize("token", INDEXED_CASES)
 def test_indexed_group_matches_matrix_bfs(token):
     rs = build_root_system(token)
-    ref = _matrix_bfs(rs)
+    ref = list(matrix_bfs(rs))
     mats = [m for m, _ in ref]
     group = weyl_group(rs)
     assert list(group.words) == [w for _, w in ref]
-    assert list(group.matrices) == mats
     assert [(w.matrix, w.word) for w in enumerate_group(rs)] == ref
 
-    simple = [rs.simple_reflection(i).matrix for i in range(rs.rank)]
+    simple = [simple_matrix(rs, i) for i in range(rs.rank)]
     ident = mat_identity(rs.rank)
     for w, m in enumerate(mats):
         assert [mats[x] for x in group.mul[w]] == [mat_mul(m, s) for s in simple]
@@ -342,23 +329,40 @@ def test_indexed_group_matches_matrix_bfs(token):
     by_matrix = dict(ref)
     assert [w.word for w in reflections(rs)] == [
         by_matrix[reflection_matrix(rs, line)] for line in rs.positive_lines]
-    for m, word in ref:
-        assert canonical_word(WeylElement(rs, m, ())) == word
+
+
+@pytest.mark.parametrize("token", INDEXED_CASES)
+def test_simple_reflections_follow_the_identity(token):
+    """s_0, ..., s_{r-1} are ids 1, ..., r, so neither the identity nor a
+    simple reflection needs W built."""
+    rs = build_root_system(token)
+    group = weyl_group(rs)
+    assert group.words[0] == () and rs.identity_element().id == 0
+    for i in range(rs.rank):
+        assert group.words[i + 1] == (i,)
+        assert rs.simple_reflection(i) == WeylElement(rs, i + 1, ())
+        assert rs.simple_reflection(i).matrix == simple_matrix(rs, i)
 
 
 @pytest.mark.parametrize("token", ["A3", "B3", "BC2", "G2", "F4", "A1xA1"])
 def test_element_builds_one_matrix_along_its_word(token):
+    """A handle's matrix and action follow its id, whatever its witness word."""
     rs = build_root_system(token)
-    group = WeylGroup(rs)  # a fresh group: matrices not yet built
-    got = [group.element(rs, w) for w in range(len(group))]
-    assert "matrices" not in group.__dict__
-    assert [(e.matrix, e.word) for e in got] == list(zip(group.matrices, group.words))
+    for w, (m, word) in enumerate(matrix_bfs(rs)):
+        element = WeylElement(rs, w, word[:1])
+        assert element.matrix == m
+        assert element.length() == len(word)
+        for line in rs.positive_lines:
+            assert element.apply(line) == mat_apply(m, line)
 
 
-def test_canonical_word_rejects_foreign_matrix():
-    rs = build_root_system("A", 2)
-    with pytest.raises(RootSystemError):
-        canonical_word(WeylElement(rs, ((2, 0), (0, 1)), ()))
+def test_element_arithmetic_is_bounded_by_the_group_cap():
+    a8 = build_root_system("A8")  # |W(A8)| = 362880
+    s0, s1 = a8.simple_reflection(0), a8.simple_reflection(1)
+    assert s0.word == (0,) and a8.identity_element().is_identity()
+    with pytest.raises(CapExceeded) as err:
+        s0 * s1
+    assert str(err.value) == "Weyl group exceeds cap 51840: reached 51841 elements"
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,46 +371,47 @@ def test_table_product_equals_matrix_product(token, data):
     rs = build_root_system(token)
     group = weyl_group(rs)
     letters = st.lists(st.integers(min_value=0, max_value=rs.rank - 1), max_size=12)
-    ids, mats = [], []
+    handles, mats = [], []
     for word in (data.draw(letters), data.draw(letters)):
-        w, m = 0, mat_identity(rs.rank)
+        w, m = rs.identity_element(), mat_identity(rs.rank)
         for i in word:
-            w, m = group.mul[w][i], mat_mul(m, rs.simple_reflection(i).matrix)
-        ids.append(w)
+            w, m = w * rs.simple_reflection(i), mat_mul(m, simple_matrix(rs, i))
+        handles.append(w)
         mats.append(m)
-    assert group.matrices[group.product(*ids)] == mat_mul(*mats)
+    a, b = handles
+    product = matrix_bfs(rs)[group.product(a.id, b.id)][0]
+    assert product == (a * b).matrix == mat_mul(*mats)
+    assert (a * b).word == a.word + b.word
+    assert a.inverse().matrix == matrix_bfs(rs)[group.inv[a.id]][0]
+    assert mat_mul(mats[0], a.inverse().matrix) == mat_identity(rs.rank)
 
 
 # -- the id closure against the matrix BFS it replaced ----------------------
 
 
-def matrix_subgroup_closure(gens: list[WeylElement],
-                            cap: int = DEFAULT_GROUP_CAP) -> set[WeylElement]:
-    """Reference closure: breadth-first by tuple-matrix products g·w.
+def matrix_subgroup_closure(gens: list[tuple],
+                            cap: int = DEFAULT_GROUP_CAP) -> set[tuple]:
+    """Reference closure of generator matrices: breadth-first by
+    tuple-matrix products g·w.
 
     Only elements the BFS adds count against the cap, not the identity
     and generators it starts from.
     """
-    rs = gens[0].system
-    e = rs.identity_element()
-    elements = {e.matrix: e}
-    for g in gens:
-        elements.setdefault(g.matrix, g)
-    frontier = list(elements.values())
+    elements = {mat_identity(len(gens[0])), *gens}
+    frontier = list(elements)
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
-                m = mat_mul(g.matrix, w.matrix)
+                m = mat_mul(g, w)
                 if m not in elements:
                     if len(elements) + 1 > cap:
                         raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
                                           f"reached {cap + 1} elements")
-                    nw = WeylElement(rs, m, g.word + w.word)
-                    elements[m] = nw
-                    nxt.append(nw)
+                    elements.add(m)
+                    nxt.append(m)
         frontier = nxt
-    return set(elements.values())
+    return elements
 
 
 @pytest.mark.parametrize("token", ["A3", "BC3", "G2", "F4", "B3xG2"])
@@ -417,31 +422,34 @@ def test_id_closure_matches_matrix_closure(token, data):
     group = weyl_group(rs)
     words = data.draw(st.lists(st.lists(st.integers(0, rs.rank - 1), max_size=6),
                                min_size=1, max_size=3))
-    gens = []
+    gens, gen_mats = [], []
     for word in words:
-        w = rs.identity_element()
+        w, m = rs.identity_element(), mat_identity(rs.rank)
         for i in word:
-            w = w * rs.simple_reflection(i)
+            w, m = w * rs.simple_reflection(i), mat_mul(m, simple_matrix(rs, i))
         gens.append(w)
-    want = matrix_subgroup_closure(gens)
-    ids = group.closure([group.id_of(g.matrix) for g in gens])
+        gen_mats.append(m)
+    assert [g.matrix for g in gens] == gen_mats
+    want = matrix_subgroup_closure(gen_mats)
+    ids = group.closure([g.id for g in gens])
     got = subgroup_closure(gens)
-    assert got == want == {group.element(rs, w) for w in ids}
-    assert all(w.word == group.words[group.id_of(w.matrix)] for w in got)
+    assert got == {WeylElement(rs, w, ()) for w in ids}
+    assert {w.matrix for w in got} == want and len(got) == len(want)
+    assert all(w.word == group.words[w.id] for w in got)
 
     order = len(want)
-    assert group.closure([group.id_of(g.matrix) for g in gens], order) == ids
-    assert matrix_subgroup_closure(gens, order) == want
+    assert group.closure([g.id for g in gens], order) == ids
+    assert matrix_subgroup_closure(gen_mats, order) == want
     if order == 1:
         return
     message = f"subgroup closure exceeds cap {order - 1}: reached {order} elements"
     with pytest.raises(CapExceeded) as err:
         subgroup_closure(gens, order - 1)
     assert str(err.value) == message
-    seeds = {rs.identity_element()} | set(gens)
+    seeds = {mat_identity(rs.rank)} | set(gen_mats)
     if len(seeds) < order:  # else the reference adds nothing to count
         with pytest.raises(CapExceeded) as err:
-            matrix_subgroup_closure(gens, order - 1)
+            matrix_subgroup_closure(gen_mats, order - 1)
         assert str(err.value) == message
 
 
@@ -470,7 +478,7 @@ def reflection_matrix(rs, root) -> tuple:
 
 def matrix_braid_order(rs, i: int, j: int) -> int:
     """Reference: the least k with (s_i s_j)^k = 1, by matrix powers."""
-    m = mat_mul(rs.simple_reflection(i).matrix, rs.simple_reflection(j).matrix)
+    m = mat_mul(simple_matrix(rs, i), simple_matrix(rs, j))
     acc = m
     for k in range(1, 1000):
         if acc == mat_identity(rs.rank):

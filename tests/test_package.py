@@ -15,8 +15,8 @@ EXPORTED = {
     "check_generator_theorem", "orbit_of_open", "stabilizer_open",
     "DATUM_NAMES", "ORACLE_SPEC_NAMES", "bundled_datum", "oracle_spec_text",
     "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
-    "WeylElement", "braid_order", "build_root_system", "canonical_word",
-    "enumerate_group", "reflections", "subgroup_closure", "word_name",
+    "WeylElement", "braid_order", "build_root_system", "enumerate_group",
+    "reflections", "subgroup_closure", "word_name",
     "KINDS", "DatumFormatError", "Orbit", "OrbitDatum", "RaiseCell",
     "ValidationReport", "Violation", "check_lattices", "datum_from_obj",
     "datum_to_obj", "dumps", "export_dot", "generate_flag_datum",

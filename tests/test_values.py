@@ -61,17 +61,19 @@ class RefRootSystem:
 
 @dataclass(frozen=True, eq=False)
 class RefWeylElement:
+    """The element compared by its id, which stands for the matrix the
+    dataclass compared: ids and matrices are in bijection."""
     system: RootSystem
-    matrix: tuple
+    id: int
     word: tuple
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RefWeylElement)
                 and self.system == other.system
-                and self.matrix == other.matrix)
+                and self.id == other.id)
 
     def __hash__(self) -> int:
-        return hash((self.system.key, self.matrix))
+        return hash((self.system.key, self.id))
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,9 @@ def root_system_fields(draw):
 @st.composite
 def weyl_elements(draw):
     rs = draw(st.sampled_from(SYSTEMS))
-    matrix = draw(st.sampled_from(weyl_group(rs).matrices))
+    w = draw(st.integers(0, len(weyl_group(rs)) - 1))
     word = tuple(draw(st.lists(st.integers(0, rs.rank - 1), max_size=2)))
-    return rs, matrix, word  # the word is unrelated to the matrix on purpose
+    return rs, w, word  # the word is unrelated to the id on purpose
 
 
 elements = weyl_elements().map(lambda args: WeylElement(*args))
@@ -342,9 +344,15 @@ def test_root_system_and_weyl_element_compare_by_key_and_matrix():
     assert RootSystem(*fields) == rs and hash(RootSystem(*fields)) == hash(rs)
     assert rs != build_root_system("B2", raise_dims=[2, 1])
     s = rs.simple_reflection(0)
-    assert WeylElement(rs, s.matrix, (0, 0, 0)) == s
-    assert hash(WeylElement(rs, s.matrix, ())) == hash(s)
-    assert WeylElement(build_root_system("B2", raise_dims=[2, 1]), s.matrix, (0,)) != s
+    assert WeylElement(rs, s.id, (0, 0, 0)) == s
+    assert hash(WeylElement(rs, s.id, ())) == hash(s)
+    # the two systems share one group, so the same id is not the same element
+    other = build_root_system("B2", raise_dims=[2, 1])
+    assert WeylElement(other, s.id, (0,)) != s
+    assert other.simple_reflection(0) != s and other.identity_element() != rs.identity_element()
+    # handles are equal exactly when their matrices are
+    elements = [WeylElement(rs, w, ()) for w in range(len(weyl_group(rs)))]
+    assert all((a == b) == (a.matrix == b.matrix) for a in elements for b in elements)
 
 
 def test_records_are_named_tuples_with_replace():
