@@ -19,7 +19,7 @@ from .datum import OrbitDatum
 __all__ = [
     "BraidObstruction", "BraidViolation", "GeneratorTheoremResult",
     "SubgroupDescription", "act_word", "action_table", "braid_check",
-    "check_generator_theorem", "orbit_of_open", "stabilizer_open",
+    "check_generator_theorem", "stabilizer_open",
 ]
 
 
@@ -118,22 +118,6 @@ def _braid_violations(d: OrbitDatum, perms: dict[int, list[int]]) -> list[BraidV
                     f"sigma_{alpha} is not an involution: it sends {ids[x]} to "
                     f"{ids[y]} and {ids[y]} to {ids[perm[y]]}")
     return out
-
-
-def orbit_of_open(d: OrbitDatum) -> tuple[str, ...]:
-    """Orbits reachable from the open orbit under all sigma, sorted.
-
-    If braid_check fails this is still the orbit under the free product
-    of the involutions; callers wanting a group orbit should check first.
-    """
-    perms = list(_involutions(d).values())
-    seen = {d.position[d.open_orbit().id]}
-    frontier = list(seen)
-    while frontier:
-        frontier = [y for y in {perm[x] for x in frontier for perm in perms}
-                    if y not in seen]
-        seen.update(frontier)
-    return tuple(sorted(d.orbits[x].id for x in seen))
 
 
 def stabilizer_open(d: OrbitDatum,

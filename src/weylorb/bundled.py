@@ -46,12 +46,3 @@ def oracle_spec_text(name: str) -> str:
     if name not in ORACLE_SPEC_NAMES:
         raise KeyError(f"no bundled oracle spec named {name!r}")
     return (_data_root() / "oracle" / f"{name}.json").read_text(encoding="utf-8")
-
-
-def bundled_path(name: str) -> str:
-    """Filesystem path of a bundled datum file (for CLI examples)."""
-    if name in DATUM_NAMES:
-        return str(_data_root() / f"{name}.json")
-    if name in ORACLE_SPEC_NAMES:
-        return str(_data_root() / "oracle" / f"{name}.json")
-    raise KeyError(f"no bundled file named {name!r}")

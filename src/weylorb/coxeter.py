@@ -5,11 +5,10 @@ coefficient of the i-th simple root, and all arithmetic is exact
 integers; no floats appear anywhere.  The Weyl group is one indexed
 object, :class:`WeylGroup`: element ids in shortlex order with their
 canonical words and multiplication tables.  A :class:`WeylElement` is a
-handle on one id; its integer matrix is derived along its word when
-asked for.  The non-reduced family BC reuses the Weyl group of the
-underlying B-type system and carries the doubled roots in its root list,
-so lengths and reflections are counted per root line, one line per
-{alpha, 2*alpha} class.
+handle on one id with a witnessing word.  The non-reduced family BC
+reuses the Weyl group of the underlying B-type system and carries the
+doubled roots in its root list, so lengths and reflections are counted
+per root line, one line per {alpha, 2*alpha} class.
 
 Products such as A1xA1 are block-diagonal compositions and are named by
 their component tokens joined with "x".
@@ -146,15 +145,14 @@ class RootSystem(_Frozen):
     system with per-simple-root raise dimensions n_alpha.  Equality and
     hashing use :attr:`key` only."""
 
-    __slots__ = ("family", "rank", "cartan", "lengths", "simple_roots",
-                 "positive_roots", "positive_lines", "raise_dims", "gram")
+    __slots__ = ("family", "rank", "cartan", "lengths", "positive_roots",
+                 "positive_lines", "raise_dims", "gram")
 
     def __init__(self, family: str, rank: int, cartan: Matrix, lengths: tuple[int, ...],
-                 simple_roots: tuple[Vector, ...], positive_roots: tuple[Vector, ...],
-                 positive_lines: tuple[Vector, ...], raise_dims: tuple[int, ...],
-                 gram: Matrix) -> None:
-        self._set(family, rank, cartan, lengths, simple_roots, positive_roots,
-                  positive_lines, raise_dims, gram)
+                 positive_roots: tuple[Vector, ...], positive_lines: tuple[Vector, ...],
+                 raise_dims: tuple[int, ...], gram: Matrix) -> None:
+        self._set(family, rank, cartan, lengths, positive_roots, positive_lines,
+                  raise_dims, gram)
 
     @property
     def key(self) -> tuple:
@@ -189,18 +187,6 @@ class RootSystem(_Frozen):
             return False
         pos = set(self.positive_roots)
         return v in pos or tuple(-x for x in v) in pos
-
-    # -- elements ---------------------------------------------------------
-
-    def identity_element(self) -> "WeylElement":
-        return WeylElement(self, 0, ())
-
-    def simple_reflection(self, i: int) -> "WeylElement":
-        """Reflection in the i-th simple root (0-based index): id i + 1,
-        as the shortlex BFS meets s_0, ..., s_{r-1} right after e."""
-        if not 0 <= i < self.rank:
-            raise RootSystemError(f"simple root index {i} out of range")
-        return WeylElement(self, i + 1, (i,))
 
     # -- text record ------------------------------------------------------
 
@@ -303,8 +289,6 @@ def build_root_system(family: str, rank: int | None = None,
         rank=total,
         cartan=cartan_t,
         lengths=tuple(lengths),
-        simple_roots=tuple(tuple(int(i == j) for j in range(total))
-                           for i in range(total)),
         positive_roots=tuple(all_pos),
         positive_lines=lines,
         raise_dims=dims,
@@ -365,32 +349,6 @@ class WeylElement(_Frozen):
         return WeylElement(self.system, weyl_group(self.system).inv[self.id],
                            tuple(reversed(self.word)))
 
-    def is_identity(self) -> bool:
-        return self.id == 0
-
-    @property
-    def matrix(self) -> Matrix:
-        """The integer matrix, built along the canonical word from the
-        identity, which is the tuple of simple roots."""
-        group = weyl_group(self.system)
-        m = self.system.simple_roots
-        for i in group.words[self.id]:
-            m = group._times_simple(m, i)
-        return m
-
-    def apply(self, v: Vector) -> Vector:
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix)
-
-    def length(self) -> int:
-        """Number of positive root lines sent to negative roots: the length
-        of the canonical reduced word.
-
-        >>> rs = build_root_system("A", 2)
-        >>> (rs.simple_reflection(0) * rs.simple_reflection(1)).length()
-        2
-        """
-        return len(weyl_group(self.system).words[self.id])
-
     def __repr__(self) -> str:
         return f"WeylElement({self.system.family}, {word_name(self.word)})"
 
@@ -439,8 +397,6 @@ class WeylGroup:
     w^-1(2 rho), 2 rho the sum of the positive lines: 2 rho is regular, so
     the keys are distinct, and the key of w·s_i is s_i applied to the key
     of w, one simple reflection of a vector instead of a matrix product.
-    No matrix is built: :attr:`WeylElement.matrix` derives one along a
-    word when asked for.
 
     >>> g = weyl_group(build_root_system("A", 2))
     >>> len(g), g.words[g.mul[1][1]], g.words[g.left[1][1]], g.inv[3] == 4
@@ -494,12 +450,6 @@ class WeylGroup:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def _times_simple(self, m: Matrix, i: int) -> Matrix:
-        """M·s_i: subtract C[i][j] times column i from column j."""
-        c = self.cartan[i]
-        return tuple(tuple([x - cj * row[i] for x, cj in zip(row, c)]) if row[i] else row
-                     for row in m)
 
     @cached_property
     def reflections(self) -> tuple[int, ...]:

@@ -131,8 +131,9 @@ class OrbitDatum:
         self.orbits = tuple(sorted(orbits, key=attrgetter("dim", "id")))
         self.cells = {a: tuple(sorted(cs, key=attrgetter("y")))
                       for a, cs in sorted(cells.items())}
-        self._by_id = {o.id: o for o in self.orbits}
-        if len(self._by_id) != len(self.orbits):
+        #: Orbit id -> its index in ``orbit_ids()`` order.
+        self.position = {o.id: i for i, o in enumerate(self.orbits)}
+        if len(self.position) != len(self.orbits):
             raise DatumFormatError("duplicate orbit ids")
 
     def __eq__(self, other: object) -> bool:
@@ -144,7 +145,7 @@ class OrbitDatum:
 
     def orbit(self, orbit_id: str) -> Orbit:
         try:
-            return self._by_id[orbit_id]
+            return self.orbits[self.position[orbit_id]]
         except KeyError:
             raise DatumFormatError(f"unknown orbit id {orbit_id!r}") from None
 
@@ -158,15 +159,10 @@ class OrbitDatum:
         return opens[0]
 
     @cached_property
-    def position(self) -> dict[str, int]:
-        """Orbit id -> its index in ``orbit_ids()`` order."""
-        return {o.id: i for i, o in enumerate(self.orbits)}
-
-    @cached_property
     def involutions(self) -> dict[int, list[int | None]]:
         """Per simple root, and per other key of ``cells``, sigma_alpha over
         positions, None where no alpha-cell covers the orbit; the first cell
-        wins on a defective partition.  Built on first use, with position."""
+        wins on a defective partition.  Built on first use."""
         pos = self.position
         out = {}
         for alpha in sorted({*range(1, self.root_system.rank + 1), *self.cells}):

@@ -4,13 +4,14 @@ Ground truth for the combinatorial layer, in exact pure-Python arithmetic
 on flat row-major tuples.  Points of G/H are canonical coset labels (the
 lexicographically smallest matrix in the coset under row-major order),
 found through H's pointwise row-stabilizer chain, which also gives |H|;
-orbits come from a search over generator actions, and merge structure
-under each subminimal parabolic P_alpha is read off the same way.  G is
-never enumerated, H only as G ∩ H: |G| and B, H, P_alpha <= G are
-certified by orbit-stabilizer with Schreier generators.  Orbit sizes
-fitted to c * q^a * (q-1)^b across several primes give dimension and
-rank proxies from which a candidate datum is inferred; RI and N stay
-indistinguishable to point counts and are flagged, never silently resolved.
+each generator's permutation of the points is computed once, and orbits
+and the merge structure under each subminimal parabolic P_alpha are
+closures over those permutations.  G is never enumerated, H only as
+G ∩ H: |G| and B, H, P_alpha <= G are certified by orbit-stabilizer with
+Schreier generators.  Orbit sizes fitted to c * q^a * (q-1)^b across
+several primes give dimension and rank proxies from which a candidate
+datum is inferred; RI and N stay indistinguishable to point counts and
+are flagged, never silently resolved.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
 
 DEFAULT_POINT_CAP = 10**7
 DEFAULT_Q_LIST = (5, 7)
+#: Largest matrix size k a spec may declare: :func:`_arith` compiles k^3
+#: unrolled products, 27 ms at k = 16 but seconds at k = 80.
+MAX_DIMENSION = 16
 _FIT_EXPONENT_BOUND = 24
 
 
@@ -48,9 +52,12 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+@lru_cache(maxsize=None)
 def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...] | None:
     """Inverse of a matrix mod the prime q, flat row-major, by Gauss-Jordan
-    elimination on [mat | 1]; None when mat is singular mod q."""
+    elimination on [mat | 1]; None when mat is singular mod q.  Cached, so
+    the inverse the loader computes to refuse a singular generator is the
+    one enumeration reads."""
     k = len(mat)
     rows = [[x % q for x in row] + [int(i == j) for j in range(k)]
             for i, row in enumerate(mat)]
@@ -148,6 +155,8 @@ def pinned_q(obj: dict) -> int | None:
         raise OracleError("spec: q must be null or an integer")
     if type(dim) is not int or dim < 1:
         raise OracleError("spec: dimension must be an integer >= 1")
+    if dim > MAX_DIMENSION:
+        raise OracleError(f"spec: dimension {dim} exceeds the limit {MAX_DIMENSION}")
     if type(notes) is not list or any(type(n) is not str for n in notes):
         raise OracleError("spec: notes must be a list of strings")
     return pinned
@@ -362,8 +371,11 @@ def enumerate_orbits(spec: MatGroupSpec,
     Schreier generators t_y^-1 g t_x of the coset BFS (t_x in G, t_x H = x)
     lie in H, as g t_x H = t_y H, and generate G ∩ H, so H <= G iff
     |G ∩ H| = |H|, |G| = points * |H|, and then b in B or P_alpha is in G
-    iff b·H is a point.  The cap bounds the chain's top stabilizer, |H|
-    and, while the BFS grows, points * |H|.
+    iff b·H is a point.  The BFS records each G generator's permutation of
+    the points; any other generator's is canonicalised once, its image of
+    H deciding its membership, and orbits are closures over the
+    permutations.  The cap bounds the chain's top stabilizer, |H| and,
+    while the BFS grows, points * |H|.
 
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
@@ -371,29 +383,31 @@ def enumerate_orbits(spec: MatGroupSpec,
     q, k = spec.q, spec.dimension
     arith = _arith(k, q)
     eye, mul = arith.eye, arith.mul
-    g_gens, h_gens = _flat(spec.g_gens), _flat(spec.h_gens)
-    g_inv = [_inv_mod(g, q) for g in spec.g_gens]
-    top = _Level(h_gens, [_inv_mod(h, q) for h in spec.h_gens], None, arith, cap)
+    # a generator listed twice is one generator, with one permutation
+    g_gens = dict(zip(_flat(spec.g_gens), [_inv_mod(g, q) for g in spec.g_gens]))
+    top = _Level(_flat(spec.h_gens), [_inv_mod(h, q) for h in spec.h_gens], None, arith, cap)
     top.reduce(eye[:k])  # the first orbit of the top level sets |H|
     if top.order > cap:
         raise OracleError(f"H exceeds cap {cap}: |H| = {top.order}")
 
     labels, trans, tinv = [_canon(eye, top)], [eye], [eye]
     index = {labels[0]: 0}
+    perms = {g: [] for g in g_gens}  # perms[g][x] is the point g·x
     stab, stab_gens = {eye: None}, []
     frontier = range(1)
     while frontier:
-        for x, (j, g) in iproduct(frontier, enumerate(g_gens)):
+        for x, (g, g_inv) in iproduct(frontier, g_gens.items()):
             prod = mul(g, trans[x])
             label = _canon(prod, top)
             y = index.setdefault(label, len(labels))
+            perms[g].append(y)
             if y == len(labels):  # a tree edge: its Schreier generator is 1
                 if (y + 1) * top.order > cap:
                     raise OracleError(f"G exceeds cap {cap}: points x |H| "
                                       f"reached {(y + 1) * top.order}")
                 labels.append(label)
                 trans.append(prod)
-                tinv.append(mul(tinv[x], g_inv[j]))
+                tinv.append(mul(tinv[x], g_inv))
                 continue
             gen = mul(tinv[y], prod)
             if gen not in stab:
@@ -403,18 +417,18 @@ def enumerate_orbits(spec: MatGroupSpec,
         raise OracleError("H is not contained in the group generated by G")
 
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
-    for name, mats in blocks:  # H <= G: b in G iff b·H is a point
-        if any(_canon(b, top) not in index for b in _flat(mats)):
-            raise OracleError(f"{name} is not contained in the group generated by G")
-
-    def act(x: int, g: tuple) -> int:  # the point g·x
-        return index[_canon(mul(g, labels[x]), top)]
+    for name, mats in blocks:
+        for b in _flat(mats):
+            if b not in perms:
+                perms[b] = [index.get(_canon(mul(b, t), top)) for t in trans]
+            if perms[b][0] is None:  # H <= G: b in G iff b·H is a point
+                raise OracleError(f"{name} is not contained in the group generated by G")
 
     def orbits_under(mats) -> list[list[int]]:
-        gens, seen, out = _flat(mats), set(), []
+        lists, seen, out = [perms[b] for b in _flat(mats)], set(), []
         for i in range(len(labels)):
             if i not in seen:
-                out.append(list(_close({i: None}, [i], gens, act)))
+                out.append(list(_close({i: None}, [i], lists, lambda x, p: p[x])))
                 seen.update(out[-1])
         return out
 

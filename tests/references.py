@@ -7,8 +7,9 @@ integer matrices found by a matrix BFS, the model that
 :class:`weylorb.coxeter.WeylGroup`'s tables replaced, the Hecke module on
 packed ints (bit i for basis position i) with its word-by-word T_w, the
 oracle's spec loader and monomial fit as they were before exact type
-tests and the integer fit, and the closure of all of H that the oracle
-made before it read |H| off H's row-stabilizer chain.
+tests and the integer fit, the closure of all of H that the oracle
+made before it read |H| off H's row-stabilizer chain, and its orbits as
+it formed them before it recorded each generator's point permutation.
 
 The tests directory is on pytest's ``pythonpath`` (pyproject.toml), so
 this module imports as ``references`` under every import mode.
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from weylorb.coxeter import (
     RootSystemError,
+    WeylElement,
     braid_order,
     build_root_system,
     enumerate_group,
@@ -53,8 +55,16 @@ from weylorb.oracle import (
     _FIT_EXPONENT_BOUND,
     MatGroupSpec,
     OracleError,
+    OracleReport,
+    OrbitInfo,
     _arith,
+    _canon,
+    _close,
+    _flat,
+    _fmt_matrix,
+    _inv_mod,
     _is_prime,
+    _Level,
 )
 
 FLAG_TOKENS = ("A1", "A2", "A3", "B2", "BC2", "G2", "A1xA1")
@@ -82,6 +92,17 @@ def simple_matrix(rs, i: int) -> tuple:
     return tuple(tuple(int(r == j) - (rs.cartan[i][j] if r == i else 0)
                        for j in range(rs.rank))
                  for r in range(rs.rank))
+
+
+def simple_element(rs, i: int) -> WeylElement:
+    """The handle on s_i: the shortlex BFS meets s_0, ..., s_{r-1} right
+    after the identity, as ids 1, ..., r."""
+    return WeylElement(rs, i + 1, (i,))
+
+
+def element_matrix(w: WeylElement) -> tuple:
+    """The integer matrix of a handle, read off the matrix BFS by id."""
+    return matrix_bfs(w.system)[w.id][0]
 
 
 @lru_cache(maxsize=None)
@@ -144,8 +165,9 @@ def line_raises(rs, dims=None) -> dict[tuple, int]:
             assigned[v] = line
 
     out: dict[tuple, int] = {}
+    simple_roots = mat_identity(rs.rank)
     for rep, orbit in classes.items():
-        ns = {dims[i] for i, sr in enumerate(rs.simple_roots) if sr in orbit}
+        ns = {dims[i] for i, sr in enumerate(simple_roots) if sr in orbit}
         if not ns:
             raise RootSystemError("root line orbit without a simple root")
         if len(ns) > 1:
@@ -875,3 +897,53 @@ def reference_closure(gens, q: int, cap: int = 10**6) -> dict:
             raise OracleError(f"H closure exceeds cap {cap}: reached {len(group)} elements")
         new = fresh
     return group
+
+
+# -- the oracle's orbits by canonicalising every image --------------------------
+
+def reference_enumerate_by_act(spec: MatGroupSpec) -> OracleReport:
+    """enumerate_orbits as it formed orbits before point permutations: the
+    points are the closure of H's label under G, and each image g·x under
+    a B or P_alpha generator is canonicalised anew (``act``).  Checks
+    neither the caps nor H <= G."""
+    q, k = spec.q, spec.dimension
+    arith = _arith(k, q)
+    top = _Level(_flat(spec.h_gens), [_inv_mod(h, q) for h in spec.h_gens], None, arith)
+    start = _canon(arith.eye, top)
+    labels = list(_close({start: None}, [start], _flat(spec.g_gens),
+                         lambda m, g: _canon(arith.mul(g, m), top)))
+    index = {label: i for i, label in enumerate(labels)}
+    blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
+    for name, mats in blocks:  # H <= G: b in G iff b·H is a point
+        if any(_canon(b, top) not in index for b in _flat(mats)):
+            raise OracleError(f"{name} is not contained in the group generated by G")
+
+    def act(x: int, g: tuple) -> int:  # the point g·x
+        return index[_canon(arith.mul(g, labels[x]), top)]
+
+    def orbits_under(mats) -> list[list[int]]:
+        gens, seen, out = _flat(mats), set(), []
+        for i in range(len(labels)):
+            if i not in seen:
+                out.append(list(_close({i: None}, [i], gens, act)))
+                seen.update(out[-1])
+        return out
+
+    ordered = sorted(orbits_under(spec.b_gens),
+                     key=lambda m: (len(m), min(labels[i] for i in m)))
+    orbit_of_coset = {i: oi for oi, members in enumerate(ordered) for i in members}
+    infos = [OrbitInfo(representative=_fmt_matrix(min(labels[i] for i in m), k),
+                       size=len(m)) for m in ordered]
+    merges = {}
+    for alpha, mats in sorted(spec.parabolics.items()):
+        classes = []
+        for members in orbits_under(mats):
+            block = sorted({orbit_of_coset[i] for i in members})
+            if sum(infos[oi].size for oi in block) != len(members):
+                raise OracleError(f"P_{alpha} class is not a union of B-orbits")
+            classes.append(tuple(block))
+        merges[alpha] = tuple(sorted(classes))
+    return OracleReport(spec_name=spec.name, root_system=spec.root_system,
+                        q=q, group_order=len(labels) * top.order,
+                        subgroup_order=top.order, point_count=len(labels),
+                        orbits=tuple(infos), merges=merges)

@@ -70,7 +70,7 @@ def test_1_flag_suite():
         rs = build_root_system(token)
         group = enumerate_group(rs)
         assert len(group) == order, token
-        refl = [rs.simple_reflection(i) for i in range(rs.rank)]
+        refl = group[1:rs.rank + 1]  # s_0, ..., s_{r-1} follow the identity
         assert len(subgroup_closure(refl)) == order, token
 
         d = generate_flag_datum(rs)
@@ -206,11 +206,10 @@ def test_5_product_generating_set_is_the_pair():
     result = check_generator_theorem(d)
     assert result.holds
     assert len(result.generating_set) == 1
-    pair = rs.simple_reflection(0) * rs.simple_reflection(1)
+    group = enumerate_group(rs)
+    pair = group[1] * group[2]  # s_0 s_1
     assert result.generating_set[0] == weyl_group(rs).words[pair.id]
-    alpha_plus_beta = tuple(x + y for x, y in
-                            zip(rs.simple_roots[0], rs.simple_roots[1]))
-    assert not rs.is_root(alpha_plus_beta)
+    assert not rs.is_root((1, 1))  # alpha_1 + alpha_2
 
 
 # 6. Mutation sweep --------------------------------------------------------

@@ -11,13 +11,14 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import weylorb
 from weylorb import coxeter
-from weylorb.bundled import DATUM_NAMES, bundled_datum, bundled_path, datum_text
+from weylorb.bundled import DATUM_NAMES, bundled_datum, datum_text
 from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
 from weylorb.datum import (
@@ -474,8 +475,12 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+#: The package's data directory, whose files name bundled data by path.
+_DATA = resources.files("weylorb") / "data"
+
+
 def test_bundled_path_usable_as_argument(capsys):
-    code, out, _ = run(capsys, "validate", bundled_path("sl3_so12"))
+    code, out, _ = run(capsys, "validate", str(_DATA / "sl3_so12.json"))
     assert (code, out) == (0, "OK\n")
 
 
@@ -585,7 +590,7 @@ print(json.dumps([code, [name for name in _LAYERS
 
 _WEYL = {"coxeter", "datum"}
 _ALL_LAYERS = {"coxeter", "datum", "bundled", "action", "hecke", "oracle"}
-_BUNDLED_SPEC = bundled_path("torus")
+_BUNDLED_SPEC = str(_DATA / "oracle" / "torus.json")
 
 
 @pytest.mark.parametrize("argv,executes,skips,want", [

@@ -34,11 +34,13 @@ from weylorb.coxeter import (
 )
 
 from references import (
+    element_matrix,
     line_raises,
     mat_apply,
     mat_identity,
     mat_mul,
     matrix_bfs,
+    simple_element,
     simple_matrix,
 )
 
@@ -141,24 +143,30 @@ def test_braid_orders_match_diagram():
         braid_order(a2, 0, 0)
 
 
+def inversion_count(rs, w) -> int:
+    """The positive lines that w's matrix sends to negative roots."""
+    m = element_matrix(w)
+    return sum(all(x <= 0 for x in mat_apply(m, line)) for line in rs.positive_lines)
+
+
 @pytest.mark.parametrize("family,rank", CASES)
 def test_simple_reflections_are_involutions(family, rank):
     rs = build_root_system(family, rank)
     for i in range(rs.rank):
-        s = rs.simple_reflection(i)
-        assert (s * s).is_identity()
-        assert s.length() == 1
+        s = simple_element(rs, i)
+        assert (s * s).id == 0
+        assert inversion_count(rs, s) == 1
 
 
 @pytest.mark.parametrize("family,rank", CASES)
 def test_longest_element_length_is_line_count(family, rank):
     rs = build_root_system(family, rank)
     group = enumerate_group(rs)
-    lengths = [w.length() for w in group]
+    lengths = [inversion_count(rs, w) for w in group]
     assert max(lengths) == len(rs.positive_lines)
     assert lengths.count(0) == 1
     # BFS discovery depth equals inversion length
-    assert all(len(w.word) == w.length() for w in group)
+    assert [len(w.word) for w in group] == lengths
 
 
 @pytest.mark.parametrize("family,rank", CASES)
@@ -166,26 +174,26 @@ def test_reflection_count_is_line_count(family, rank):
     rs = build_root_system(family, rank)
     refl = reflections(rs)
     assert len(refl) == len(rs.positive_lines)
-    assert len({w.matrix for w in refl}) == len(refl)
+    assert len({element_matrix(w) for w in refl}) == len(refl)
     for w in refl:
-        assert (w * w).is_identity()
-        assert w.length() % 2 == 1
+        assert (w * w).id == 0
+        assert len(w.word) % 2 == 1
 
 
 def test_reflection_negates_its_root_and_fixes_orthogonals():
     rs = build_root_system("B", 2)
     for line, w in zip(rs.positive_lines, reflections(rs)):
-        assert w.apply(line) == tuple(-x for x in line)
+        assert mat_apply(element_matrix(w), line) == tuple(-x for x in line)
         for other in rs.positive_lines:
             if rs.form(line, other) == 0:
-                assert w.apply(other) == other
+                assert mat_apply(element_matrix(w), other) == other
 
 
 def test_cartan_pairing_integrality():
     rs = build_root_system("G2")
     for beta in rs.positive_roots:
         for i in range(rs.rank):
-            alpha = rs.simple_roots[i]
+            alpha = mat_identity(rs.rank)[i]
             p = Fraction(2 * rs.form(beta, alpha), rs.form(alpha, alpha))
             assert p.denominator == 1
             assert p == sum(beta[j] * rs.cartan[i][j] for j in range(rs.rank))
@@ -206,12 +214,12 @@ def test_enumeration_cap():
 
 def test_subgroup_closure():
     rs = build_root_system("A", 2)
-    s0, s1 = rs.simple_reflection(0), rs.simple_reflection(1)
+    s0, s1 = simple_element(rs, 0), simple_element(rs, 1)
     rot = s0 * s1
     sub = subgroup_closure([rot])
     assert len(sub) == 3
-    assert rs.identity_element() in sub
-    assert len(subgroup_closure([rs.identity_element()])) == 1
+    assert WeylElement(rs, 0, ()) in sub
+    assert len(subgroup_closure([WeylElement(rs, 0, ())])) == 1
     assert len(subgroup_closure([s0, s1])) == 6
     with pytest.raises(CapExceeded) as err:
         subgroup_closure([s0, s1], cap=3)
@@ -219,16 +227,16 @@ def test_subgroup_closure():
     # the closure runs over W's tables, so a W past the default cap is refused
     a8 = build_root_system("A8")
     with pytest.raises(CapExceeded) as err:
-        subgroup_closure([a8.simple_reflection(0)])
+        subgroup_closure([simple_element(a8, 0)])
     assert str(err.value) == "Weyl group exceeds cap 51840: reached 51841 elements"
     # a cap above the default lifts it for W too: |W(F4xB3)| = 55296
     f4b3 = build_root_system("F4xB3")
-    s = f4b3.simple_reflection(0)
+    s = simple_element(f4b3, 0)
     with pytest.raises(CapExceeded) as err:
         subgroup_closure([s])
     assert str(err.value) == "Weyl group exceeds cap 51840: reached 51841 elements"
     try:
-        assert subgroup_closure([s], cap=55296) == {f4b3.identity_element(), s}
+        assert subgroup_closure([s], cap=55296) == {WeylElement(f4b3, 0, ()), s}
     finally:  # do not keep a 55296-element group cached for later tests
         coxeter._GROUPS.pop((f4b3.family, f4b3.rank), None)
 
@@ -237,7 +245,7 @@ def test_mixed_systems_rejected():
     a2 = build_root_system("A", 2)
     b2 = build_root_system("B", 2)
     with pytest.raises(RootSystemError):
-        a2.simple_reflection(0) * b2.simple_reflection(0)
+        simple_element(a2, 0) * simple_element(b2, 0)
 
 
 def test_raise_dims_consistency():
@@ -271,8 +279,8 @@ def test_text_record():
 
 def test_canonical_words_and_names():
     rs = build_root_system("A", 2)
-    w0 = max(enumerate_group(rs), key=lambda w: w.length())
-    assert w0.length() == 3
+    w0 = max(enumerate_group(rs), key=lambda w: len(w.word))
+    assert inversion_count(rs, w0) == 3
     assert weyl_group(rs).words[w0.id] == w0.word == (0, 1, 0)
     assert word_name(()) == "e"
     assert word_name((0, 1)) == "1.2"
@@ -282,12 +290,12 @@ def test_canonical_words_and_names():
 @given(st.lists(st.integers(min_value=0, max_value=1), max_size=8))
 def test_word_inverse_properties_b2(idxs):
     rs = build_root_system("B", 2)
-    w = rs.identity_element()
+    w = WeylElement(rs, 0, ())
     for i in idxs:
-        w = w * rs.simple_reflection(i)
-    assert (w * w.inverse()).is_identity()
-    assert w.inverse().length() == w.length()
-    assert len(w.word) >= w.length()
+        w = w * simple_element(rs, i)
+    assert (w * w.inverse()).id == 0
+    assert inversion_count(rs, w.inverse()) == inversion_count(rs, w)
+    assert len(w.word) >= inversion_count(rs, w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -295,12 +303,12 @@ def test_word_inverse_properties_b2(idxs):
 def test_braid_relation_holds(token):
     rs = build_root_system(token)
     m = braid_order(rs, 0, 1)
-    prod = rs.simple_reflection(0) * rs.simple_reflection(1)
-    acc = rs.identity_element()
+    prod = simple_element(rs, 0) * simple_element(rs, 1)
+    acc = WeylElement(rs, 0, ())
     for _ in range(m):
         acc = acc * prod
-    assert acc.is_identity()
-    assert mat_identity(rs.rank) == acc.matrix
+    assert acc.id == 0
+    assert mat_identity(rs.rank) == element_matrix(acc)
 
 
 # -- the indexed Weyl group against the matrix BFS it replaced --------------
@@ -317,7 +325,7 @@ def test_indexed_group_matches_matrix_bfs(token):
     mats = [m for m, _ in ref]
     group = weyl_group(rs)
     assert list(group.words) == [w for _, w in ref]
-    assert [(w.matrix, w.word) for w in enumerate_group(rs)] == ref
+    assert [(w.id, w.word) for w in enumerate_group(rs)] == list(enumerate(group.words))
 
     simple = [simple_matrix(rs, i) for i in range(rs.rank)]
     ident = mat_identity(rs.rank)
@@ -337,29 +345,33 @@ def test_simple_reflections_follow_the_identity(token):
     simple reflection needs W built."""
     rs = build_root_system(token)
     group = weyl_group(rs)
-    assert group.words[0] == () and rs.identity_element().id == 0
+    assert group.words[0] == () and enumerate_group(rs)[0] == WeylElement(rs, 0, ())
     for i in range(rs.rank):
         assert group.words[i + 1] == (i,)
-        assert rs.simple_reflection(i) == WeylElement(rs, i + 1, ())
-        assert rs.simple_reflection(i).matrix == simple_matrix(rs, i)
+        assert simple_element(rs, i) == enumerate_group(rs)[i + 1]
+        assert element_matrix(simple_element(rs, i)) == simple_matrix(rs, i)
 
 
 @pytest.mark.parametrize("token", ["A3", "B3", "BC2", "G2", "F4", "A1xA1"])
 def test_element_builds_one_matrix_along_its_word(token):
-    """A handle's matrix and action follow its id, whatever its witness word."""
+    """A handle's arithmetic follows its id, whatever its witness word: its
+    products and inverse have the matrices the matrix BFS builds along the
+    canonical words."""
     rs = build_root_system(token)
+    simple = [simple_matrix(rs, i) for i in range(rs.rank)]
     for w, (m, word) in enumerate(matrix_bfs(rs)):
         element = WeylElement(rs, w, word[:1])
-        assert element.matrix == m
-        assert element.length() == len(word)
-        for line in rs.positive_lines:
-            assert element.apply(line) == mat_apply(m, line)
+        assert inversion_count(rs, element) == len(word)
+        assert mat_mul(m, element_matrix(element.inverse())) == mat_identity(rs.rank)
+        for i, s in enumerate(simple):
+            assert element_matrix(element * simple_element(rs, i)) == mat_mul(m, s)
+            assert element_matrix(simple_element(rs, i) * element) == mat_mul(s, m)
 
 
 def test_element_arithmetic_is_bounded_by_the_group_cap():
     a8 = build_root_system("A8")  # |W(A8)| = 362880
-    s0, s1 = a8.simple_reflection(0), a8.simple_reflection(1)
-    assert s0.word == (0,) and a8.identity_element().is_identity()
+    s0, s1 = simple_element(a8, 0), simple_element(a8, 1)
+    assert s0.word == (0,)
     with pytest.raises(CapExceeded) as err:
         s0 * s1
     assert str(err.value) == "Weyl group exceeds cap 51840: reached 51841 elements"
@@ -373,17 +385,17 @@ def test_table_product_equals_matrix_product(token, data):
     letters = st.lists(st.integers(min_value=0, max_value=rs.rank - 1), max_size=12)
     handles, mats = [], []
     for word in (data.draw(letters), data.draw(letters)):
-        w, m = rs.identity_element(), mat_identity(rs.rank)
+        w, m = WeylElement(rs, 0, ()), mat_identity(rs.rank)
         for i in word:
-            w, m = w * rs.simple_reflection(i), mat_mul(m, simple_matrix(rs, i))
+            w, m = w * simple_element(rs, i), mat_mul(m, simple_matrix(rs, i))
         handles.append(w)
         mats.append(m)
     a, b = handles
+    assert [element_matrix(a), element_matrix(b)] == mats
     product = matrix_bfs(rs)[group.product(a.id, b.id)][0]
-    assert product == (a * b).matrix == mat_mul(*mats)
+    assert product == element_matrix(a * b) == mat_mul(*mats)
     assert (a * b).word == a.word + b.word
-    assert a.inverse().matrix == matrix_bfs(rs)[group.inv[a.id]][0]
-    assert mat_mul(mats[0], a.inverse().matrix) == mat_identity(rs.rank)
+    assert mat_mul(mats[0], element_matrix(a.inverse())) == mat_identity(rs.rank)
 
 
 # -- the id closure against the matrix BFS it replaced ----------------------
@@ -424,17 +436,17 @@ def test_id_closure_matches_matrix_closure(token, data):
                                min_size=1, max_size=3))
     gens, gen_mats = [], []
     for word in words:
-        w, m = rs.identity_element(), mat_identity(rs.rank)
+        w, m = WeylElement(rs, 0, ()), mat_identity(rs.rank)
         for i in word:
-            w, m = w * rs.simple_reflection(i), mat_mul(m, simple_matrix(rs, i))
+            w, m = w * simple_element(rs, i), mat_mul(m, simple_matrix(rs, i))
         gens.append(w)
         gen_mats.append(m)
-    assert [g.matrix for g in gens] == gen_mats
+    assert [element_matrix(g) for g in gens] == gen_mats
     want = matrix_subgroup_closure(gen_mats)
     ids = group.closure([g.id for g in gens])
     got = subgroup_closure(gens)
     assert got == {WeylElement(rs, w, ()) for w in ids}
-    assert {w.matrix for w in got} == want and len(got) == len(want)
+    assert {element_matrix(w) for w in got} == want and len(got) == len(want)
     assert all(w.word == group.words[w.id] for w in got)
 
     order = len(want)

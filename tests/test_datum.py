@@ -41,8 +41,10 @@ from weylorb.hecke import build_module
 from references import (
     DEFECTIVE_CASES,
     FLAG_TOKENS,
+    element_matrix,
     kind_checks,
     line_raises,
+    mat_apply,
     names_distinct_orbits,
     overlapping_cells,
     packed_columns,
@@ -146,10 +148,10 @@ def test_rank6_flag_data_are_reachable():
 def inversion_line_dims(rs) -> dict[str, int]:
     """dim(w) as the sum of raise dims over the positive lines w negates."""
     raises = line_raises(rs)
-    return {word_name(w.word): sum(raises[line]
-                                   for line in rs.positive_lines
-                                   if all(x <= 0 for x in w.apply(line)))
-            for w in enumerate_group(rs)}
+    mats = {word_name(w.word): element_matrix(w) for w in enumerate_group(rs)}
+    return {name: sum(raises[line] for line in rs.positive_lines
+                      if all(x <= 0 for x in mat_apply(m, line)))
+            for name, m in mats.items()}
 
 
 def seeded_dims(classes: list[list[int]], seed: int) -> list[int]:

@@ -44,6 +44,7 @@ from references import (
     DEFECTIVE_CASES,
     det_laplace,
     reference_closure,
+    reference_enumerate_by_act,
     reference_fit_monomial,
     reference_membership,
     reference_spec_from_obj,
@@ -164,6 +165,8 @@ _MALFORMED_SPECS = [
     (("name",), 7, "spec: name must be a string"),
     (("generators", "P"), [], "spec: generators P must be an object keyed by simple root index"),
     (("generators", "H"), {}, "H generators: must be a list of matrices"),
+    # past MAX_DIMENSION, which bounds the k^3 unrolled products _arith compiles
+    (("dimension",), 17, "spec: dimension 17 exceeds the limit 16"),
 ]
 
 
@@ -687,6 +690,70 @@ def test_generator_outside_g_refused(block, message):
         enumerate_orbits(spec)
     with pytest.raises(OracleError, match=f"^{message}$"):
         enumerate_orbits_reference(spec)
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        reference_enumerate_by_act(spec)
+
+
+def _doubled(obj: dict) -> dict:
+    """The spec with the first generator of every block listed twice."""
+    gens = obj["generators"]
+    return {**obj, "generators": {
+        **{block: gens[block] + gens[block][:1] for block in ("G", "B", "H")},
+        "P": {a: mats + mats[:1] for a, mats in gens.get("P", {}).items()}}}
+
+
+#: Bundled specs at their primes; specs with a generator listed twice; and
+#: GL_k/B, whose B generator diag(1, r, ...) is in G but not in G's list.
+_PERMUTATION_CASES = {
+    **{f"{name}-q{q}": (json.loads(oracle_spec_text(name)), q) for name, q in _bundled_cases()},
+    **{f"{name}-doubled": (_doubled(json.loads(oracle_spec_text(name))), 5)
+       for name in ("torus", "horospherical")},
+    "gl2-B-q5": (_bruhat_obj(2, 5, 2), 5),
+    "gl2-B-doubled-q7": (_doubled(_bruhat_obj(2, 7, 3)), 7),
+    "gl3-B-q3": (_bruhat_obj(3, 3, 2), 3),
+}
+
+
+@pytest.mark.parametrize("obj,q", _PERMUTATION_CASES.values(), ids=_PERMUTATION_CASES)
+def test_point_permutations_match_act(obj, q):
+    spec = spec_from_obj(obj, q)
+    assert enumerate_orbits(spec) == reference_enumerate_by_act(spec)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_seeded_conjugate())
+def test_point_permutations_match_act_on_conjugates(case):
+    obj, q = case
+    spec = spec_from_obj(obj, q)
+    assert enumerate_orbits(spec) == reference_enumerate_by_act(spec)
+
+
+def test_each_generator_is_inverted_once():
+    """The loader inverts every generator to refuse a singular one, and
+    enumeration reads the same inverses: one elimination per matrix."""
+    _inv_mod.cache_clear()
+    spec = load_spec(oracle_spec_text("torus_normalizer"), 5)
+    mats = {m for block in (spec.g_gens, spec.b_gens, spec.h_gens,
+                            *spec.parabolics.values()) for m in block}
+    assert _inv_mod.cache_info().misses == len(mats)
+    enumerate_orbits(spec)
+    assert _inv_mod.cache_info().misses == len(mats)
+    assert _inv_mod.cache_info().hits >= len(spec.g_gens) + len(spec.h_gens)
+
+
+def test_dimension_limit(tmp_path, capsys):
+    """A spec of dimension MAX_DIMENSION = 16 runs in the library and on
+    the CLI; 17 is refused in both by test_malformed_spec_is_refused_..."""
+    eye = [[int(i == j) for j in range(16)] for i in range(16)]
+    obj = {"name": "eye16", "root_system": "A1", "q": None, "dimension": 16,
+           "generators": {"G": [eye], "B": [eye], "H": [eye]}}
+    assert oracle.MAX_DIMENSION == 16
+    assert enumerate_orbits(spec_from_obj(obj, 5)).orbits == (
+        OrbitInfo(representative=_fmt_matrix(sum(eye, []), 16), size=1),)
+    spec = tmp_path / "eye16.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["oracle", "enumerate", str(spec), "--q-list", "5"]) == 0
+    assert "1 points, 1 B-orbits" in capsys.readouterr().out
 
 
 def test_cap_messages_name_cap_and_value():

@@ -12,7 +12,7 @@ import weylorb
 EXPORTED = {
     "BraidObstruction", "BraidViolation", "GeneratorTheoremResult",
     "SubgroupDescription", "act_word", "action_table", "braid_check",
-    "check_generator_theorem", "orbit_of_open", "stabilizer_open",
+    "check_generator_theorem", "stabilizer_open",
     "DATUM_NAMES", "ORACLE_SPEC_NAMES", "bundled_datum", "oracle_spec_text",
     "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
     "WeylElement", "braid_order", "build_root_system", "enumerate_group",
