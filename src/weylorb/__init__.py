@@ -17,6 +17,13 @@ import sys
 
 __version__ = "0.1.0"
 
+
+class InputError(Exception):
+    """Input or arguments that weylorb refuses; the command line exits 2.
+    Each layer's refusal derives from it, next to its ValueError or
+    RuntimeError base."""
+
+
 #: Layer modules, each after the layers it imports from: ``__getattr__``
 #: searches them in this order, so a lookup runs few layers beyond its own.
 _LAYERS = ("coxeter", "datum", "bundled", "action", "hecke", "oracle")
@@ -36,7 +43,8 @@ coxeter, datum, bundled, action, hecke, oracle = map(_lazy, _LAYERS)
 
 def __getattr__(name: str):
     if name == "__all__":
-        return [n for layer in _LAYERS for n in globals()[layer].__all__] + ["__version__"]
+        return ([n for layer in _LAYERS for n in globals()[layer].__all__]
+                + ["InputError", "__version__"])
     for layer in _LAYERS:
         module = globals()[layer]
         if name in module.__all__:

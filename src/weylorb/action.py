@@ -68,11 +68,10 @@ class GeneratorTheoremResult(NamedTuple):
 def _involutions(d: OrbitDatum) -> dict[int, list[int]]:
     """sigma_alpha over orbit positions per simple root alpha; refuses the
     first orbit, alpha by alpha in basis order, that no alpha-cell covers."""
-    perms = {alpha: d.involutions[alpha] for alpha in range(1, d.root_system.rank + 1)}
-    for alpha, perm in perms.items():
+    for alpha, perm in d.involutions.items():
         if None in perm:
             d.sigma(alpha, d.orbits[perm.index(None)].id)  # raises
-    return perms
+    return d.involutions
 
 
 def action_table(d: OrbitDatum) -> dict[int, dict[str, str]]:

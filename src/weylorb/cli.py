@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-import types
 from pathlib import Path
 
 # each layer executes on its first attribute access, so a command runs
 # only the layers it uses
-from . import action, bundled, coxeter, datum, hecke, oracle
+from . import InputError, action, bundled, coxeter, datum, hecke, oracle
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     """Bad arguments or unreadable input; maps to exit code 2."""
 
 
@@ -307,22 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """Exceptions that mean bad input or arguments (exit code 2).
-
-    A layer's exception classes are named only once the layer has run: a
-    layer still lazy cannot have raised, and naming its class would run it.
-    """
-    errors = [UsageError, OSError]
-    for module, names in ((coxeter, ("RootSystemError", "CapExceeded")),
-                          (datum, ("DatumFormatError",)),
-                          (hecke, ("HeckeError",)),
-                          (oracle, ("OracleError",))):
-        if type(module) is types.ModuleType:
-            errors.extend(getattr(module, name) for name in names)
-    return tuple(errors)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -330,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         code, body = args.func(args)
         if args.out:
             Path(args.out).write_text(body, encoding="utf-8")
-    except _input_errors() as exc:
+    except (InputError, OSError) as exc:  # bad input or arguments: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.out:

@@ -20,6 +20,8 @@ import re
 from functools import cached_property
 from itertools import combinations
 
+from . import InputError
+
 __all__ = [
     "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
     "WeylElement", "braid_order", "build_root_system", "enumerate_group",
@@ -35,11 +37,11 @@ DEFAULT_GROUP_CAP = 51840
 _SIMPLE_TOKEN = re.compile(r"^(BC|A|B|C|D|G2|F4)(\d*)$")
 
 
-class RootSystemError(ValueError):
+class RootSystemError(InputError, ValueError):
     """Invalid family, rank, or raise-dimension data."""
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(InputError, RuntimeError):
     """A group enumeration grew past the configured cap."""
 
 

@@ -25,6 +25,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
 
+from . import InputError
 from .coxeter import (
     RootSystem,
     RootSystemError,
@@ -55,8 +56,8 @@ ROLES = {
 _new = tuple.__new__  #: a record from all its fields, as NamedTuple._make minus a Python call
 
 
-class DatumFormatError(ValueError):
-    """Structurally malformed datum input (parse-level rejection)."""
+class DatumFormatError(InputError, ValueError):
+    """Structurally malformed datum input, refused at load or construction."""
 
 
 class Orbit(NamedTuple):
@@ -122,7 +123,12 @@ class ValidationReport(NamedTuple):
 
 
 class OrbitDatum:
-    """Orbits sorted by (dim, id), and per simple root its cells sorted by y."""
+    """Orbits sorted by (dim, id), and per simple root its cells sorted by y.
+
+    The constructor refuses, with DatumFormatError, what no layer could
+    read: duplicate orbit ids, a lattice row whose length is not the rank,
+    a cell key outside 1..rank and a cell member that is not an orbit id.
+    """
 
     def __init__(self, root_system: RootSystem, orbits: tuple[Orbit, ...],
                  cells: dict[int, tuple[RaiseCell, ...]],
@@ -135,6 +141,20 @@ class OrbitDatum:
         self.position = {o.id: i for i, o in enumerate(self.orbits)}
         if len(self.position) != len(self.orbits):
             raise DatumFormatError("duplicate orbit ids")
+        rank = root_system.rank
+        for o in self.orbits:
+            if o.lattice is not None and any(len(row) != rank for row in o.lattice):
+                raise DatumFormatError(
+                    f"orbit {o.id}: lattice ambient dimension differs from rank {rank}")
+        known = self.position.__contains__
+        for alpha, cs in self.cells.items():
+            if not 1 <= alpha <= rank:
+                raise DatumFormatError(
+                    f"cells: simple root index {alpha} out of range 1..{rank}")
+            if not all(map(known, chain.from_iterable(map(RaiseCell.members, cs)))):
+                cell, m = next((c, m) for c in cs for m in c.members() if not known(m))
+                raise DatumFormatError(
+                    f"alpha {alpha} cell y={cell.y}: unknown orbit id {m!r}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, OrbitDatum)
@@ -160,12 +180,12 @@ class OrbitDatum:
 
     @cached_property
     def involutions(self) -> dict[int, list[int | None]]:
-        """Per simple root, and per other key of ``cells``, sigma_alpha over
-        positions, None where no alpha-cell covers the orbit; the first cell
-        wins on a defective partition.  Built on first use."""
+        """Per simple root, sigma_alpha over positions, None where no
+        alpha-cell covers the orbit; the first cell wins on a defective
+        partition.  Built on first use."""
         pos = self.position
         out = {}
-        for alpha in sorted({*range(1, self.root_system.rank + 1), *self.cells}):
+        for alpha in range(1, self.root_system.rank + 1):
             perm: list[int | None] = [None] * len(self.orbits)
             for cell in self.cells.get(alpha, ()):
                 for m in cell.members():
@@ -262,10 +282,6 @@ def validate(d: OrbitDatum) -> ValidationReport:
         if extra:
             out.append(Violation("partition-defect", f"alpha {alpha}",
                                  f"orbits covered more than once: {', '.join(extra)}"))
-    for alpha in d.cells:
-        if not 1 <= alpha <= rank:
-            out.append(Violation("partition-defect", f"alpha {alpha}",
-                                 f"no simple root with index {alpha} (rank {rank})"))
 
     def bad(code: str, message: str) -> None:  # where: the current alpha and cell
         out.append(Violation(code, f"alpha {alpha} cell y={cell.y}", message))
@@ -273,15 +289,9 @@ def validate(d: OrbitDatum) -> ValidationReport:
     pos = d.position
     dim, rk, s = ([getattr(o, f) for o in d.orbits] for f in ("dim", "rk", "s"))
     for alpha, cells in d.cells.items():
-        if not 1 <= alpha <= len(d.root_system.raise_dims):
-            continue
         n_alpha = d.root_system.raise_dims[alpha - 1]
         for cell in cells:
-            try:
-                y, *zs = [pos[m] for m in cell.members()]
-            except KeyError:
-                bad("partition-defect", "cell references an unknown orbit id")
-                continue
+            y, *zs = map(pos.__getitem__, cell.members())
             for m in zs:
                 if dim[m] >= dim[y]:
                     bad("cell-y-not-max", f"{ids[m]} has dim {dim[m]} >= y dim {dim[y]}")
@@ -325,10 +335,6 @@ def validate(d: OrbitDatum) -> ValidationReport:
     for o in d.orbits:
         if o.lattice is None:
             continue
-        if any(len(row) != rank for row in o.lattice):
-            out.append(Violation("lattice-ambient", o.id,
-                                 f"lattice rows must have length {rank}"))
-            continue
         r = lattice_rank(o.lattice)
         if r != o.rk:
             out.append(Violation("lattice-rank", o.id,
@@ -344,46 +350,35 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
     (:meth:`RaiseCell.image`), checked once per pair in member order: U
     moves span(y) to span(z); TU and RT fix span(y) and swap the z spans;
     A fixes span(y); RI and N fix both spans.  Cells with no lattice data
-    are skipped; cells with partial data are reported.  A cell of a simple
-    root that names an unknown orbit id raises, lattices or not.
+    are skipped; cells with partial data are reported.
     """
     out: list[Violation] = []
-    rank = d.root_system.rank
-    for o in d.orbits:
-        if o.lattice is not None and any(len(row) != rank for row in o.lattice):
-            raise DatumFormatError(
-                f"orbit {o.id}: lattice ambient dimension differs from rank {rank}")
-    cells = [(alpha, cell) for alpha, cs in sorted(d.cells.items()) if 1 <= alpha <= rank
-             for cell in cs]
-    pos = d.position
-    for m in chain.from_iterable(cell.members() for _, cell in cells):
-        if m not in pos:
-            d.orbit(m)  # raises
     if all(o.lattice is None for o in d.orbits):
         return ValidationReport(())
 
     cartan = d.root_system.cartan
-    for alpha, cell in cells:
-        where = f"alpha {alpha} cell y={cell.y}"
-        members = [d.orbit(m) for m in cell.members()]
-        have = [o for o in members if o.lattice is not None]
-        if not have:
-            continue
-        if len(have) != len(members):
-            out.append(Violation("lattice-partial", where,
-                                 "partial lattice data in cell"))
-            continue
-        lat = {o.id: o.lattice for o in members}
-        checked = set()
-        for src in cell.members():
-            dst = cell.image(src)
-            if (src, dst) in checked:  # from its other end: s_alpha is an involution
+    for alpha, cs in d.cells.items():
+        for cell in cs:
+            where = f"alpha {alpha} cell y={cell.y}"
+            members = [d.orbit(m) for m in cell.members()]
+            have = [o for o in members if o.lattice is not None]
+            if not have:
                 continue
-            checked.update(((src, dst), (dst, src)))
-            if _reflected_span(cartan, alpha - 1, lat[src]) != _span(lat[dst]):
-                out.append(Violation(
-                    f"lattice-span-{cell.kind}", where,
-                    f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))
+            if len(have) != len(members):
+                out.append(Violation("lattice-partial", where,
+                                     "partial lattice data in cell"))
+                continue
+            lat = {o.id: o.lattice for o in members}
+            checked = set()
+            for src in cell.members():
+                dst = cell.image(src)
+                if (src, dst) in checked:  # from its other end: s_alpha is an involution
+                    continue
+                checked.update(((src, dst), (dst, src)))
+                if _reflected_span(cartan, alpha - 1, lat[src]) != _span(lat[dst]):
+                    out.append(Violation(
+                        f"lattice-span-{cell.kind}", where,
+                        f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))
     return ValidationReport(tuple(out))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import InputError
 from .coxeter import (
     DEFAULT_GROUP_CAP,
     _Frozen,
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 
-class HeckeError(RuntimeError):
+class HeckeError(InputError, RuntimeError):
     """The module data is internally inconsistent."""
 
 
@@ -51,21 +52,21 @@ class HeckeBraidViolation(NamedTuple):
 
 class HeckeModule(_Frozen):
     """T_alpha per simple root as columns: columns[alpha][i] is T_alpha of
-    basis vector i, as the frozenset of basis positions in its support."""
+    basis vector i, as the frozenset of basis positions in its support.
+    The basis is the datum's orbit ids, in order."""
 
-    __slots__ = ("datum", "basis", "columns", "_position")
+    __slots__ = ("datum", "basis", "columns")
 
-    def __init__(self, datum: OrbitDatum, basis: tuple[str, ...],
+    def __init__(self, datum: OrbitDatum,
                  columns: dict[int, tuple[frozenset[int], ...]]) -> None:
-        self._set(datum, basis, columns, {oid: i for i, oid in enumerate(basis)})
+        self._set(datum, datum.orbit_ids(), columns)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, HeckeModule)
-                and (self.datum, self.basis, self.columns)
-                == (other.datum, other.basis, other.columns))
+                and (self.datum, self.columns) == (other.datum, other.columns))
 
     def index(self, orbit_id: str) -> int:
-        return self._position[orbit_id]
+        return self.datum.position[orbit_id]
 
     def unit(self, orbit_id: str) -> frozenset[int]:
         return frozenset((self.index(orbit_id),))
@@ -90,18 +91,17 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     >>> m.columns[1][m.index("z1")]  # T_1 [z1] = [z2] + [y]
     frozenset({0, 2})
     """
-    basis = d.orbit_ids()
     at = d.position
     columns: dict[int, tuple[frozenset[int], ...]] = {}
-    for alpha in d.involutions:
-        col = [frozenset((i,)) for i in range(len(basis))]
+    for alpha in range(1, d.root_system.rank + 1):
+        col = [frozenset((i,)) for i in range(len(at))]
         for cell in d.cells.get(alpha, ()):
             y = (at[cell.y],) if cell.kind in ("TU", "RT") else ()
             for m in cell.members():
                 if (n := cell.image(m)) != m:
                     col[at[m]] = frozenset((*y, at[n]))
         columns[alpha] = tuple(col)
-    return HeckeModule(datum=d, basis=basis, columns=columns)
+    return HeckeModule(datum=d, columns=columns)
 
 
 def _image(col, vec: frozenset[int]) -> frozenset[int]:

@@ -16,7 +16,6 @@ are flagged, never silently resolved.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict, namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -25,6 +24,7 @@ from itertools import product as iproduct
 from math import inf, isqrt
 from typing import NamedTuple
 
+from . import InputError
 from .coxeter import RootSystem, build_root_system
 # datum executes on first attribute access: only inference and compare run it
 from . import datum
@@ -32,8 +32,7 @@ from . import datum
 __all__ = [
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
     "OracleError", "OracleReport", "OrbitInfo", "align_reports", "compare",
-    "enumerate_orbits", "fit_monomial", "infer_datum", "load_spec",
-    "spec_from_obj",
+    "enumerate_orbits", "fit_monomial", "infer_datum", "spec_from_obj",
 ]
 
 DEFAULT_POINT_CAP = 10**7
@@ -44,7 +43,7 @@ MAX_DIMENSION = 16
 _FIT_EXPONENT_BOUND = 24
 
 
-class OracleError(RuntimeError):
+class OracleError(InputError, RuntimeError):
     """Bad oracle spec, resource cap hit, or structurally unusable data."""
 
 
@@ -214,10 +213,6 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         h_gens=_as_matrices(gens["H"], dim, q, "H generators"),
         parabolics=parabolics,
     )
-
-
-def load_spec(text: str, q: int) -> MatGroupSpec:
-    return spec_from_obj(json.loads(text), q)
 
 
 def _close(group: dict, new: list, gens: list, mul, cap=inf, what="") -> dict:

@@ -218,7 +218,7 @@ def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
     first cell wins."""
     pos = d.position
     out = {}
-    for alpha in sorted({*range(1, d.root_system.rank + 1), *d.cells}):
+    for alpha in range(1, d.root_system.rank + 1):
         perm: list[int | None] = [None] * len(d.orbits)
         for cell in d.cells.get(alpha, ()):
             swap = kind_swap(cell)
@@ -240,7 +240,7 @@ def reference_columns(d: OrbitDatum, follow_sigma: bool = False) -> dict[int, tu
     an RT cell whose z1 is z2 then leaves the identity."""
     at = d.position
     columns = {}
-    for alpha in sorted({*range(1, d.root_system.rank + 1), *d.cells}):
+    for alpha in range(1, d.root_system.rank + 1):
         col = [1 << i for i in range(len(d.orbits))]
         for cell in d.cells.get(alpha, ()):
             if follow_sigma:
@@ -387,8 +387,8 @@ def reference_check_module(d: OrbitDatum) -> HeckeReport:
     problems = [*not_involutive, *wrong_lead, *(v.line() for v in braid)]
     if regular is not None and not regular.ok:
         problems.append("regular representation check failed")
-    module = HeckeModule(d, basis, {alpha: tuple(frozenset(packed_positions(v)) for v in col)
-                                    for alpha, col in columns.items()})
+    module = HeckeModule(d, {alpha: tuple(frozenset(packed_positions(v)) for v in col)
+                             for alpha, col in columns.items()})
     return HeckeReport(module, not not_involutive, not wrong_lead, braid, regular,
                        tuple(problems))
 
@@ -630,23 +630,12 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
         if extra:
             out.append(Violation("partition-defect", f"alpha {alpha}",
                                  f"orbits covered more than once: {', '.join(extra)}"))
-    for alpha in d.cells:
-        if not 1 <= alpha <= rank:
-            out.append(Violation("partition-defect", f"alpha {alpha}",
-                                 f"no simple root with index {alpha} (rank {rank})"))
 
     for alpha, cells in d.cells.items():
-        if not 1 <= alpha <= len(d.root_system.raise_dims):
-            continue
         n_alpha = d.root_system.raise_dims[alpha - 1]
         for cell in cells:
             where = f"alpha {alpha} cell y={cell.y}"
-            try:
-                members = [d.orbit(m) for m in cell.members()]
-            except DatumFormatError:
-                out.append(Violation("partition-defect", where,
-                                     "cell references an unknown orbit id"))
-                continue
+            members = [d.orbit(m) for m in cell.members()]
             y = members[0]
             for m in members[1:]:
                 if m.dim >= y.dim:
@@ -708,10 +697,6 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
     for o in d.orbits:
         if o.lattice is None:
             continue
-        if any(len(row) != rank for row in o.lattice):
-            out.append(Violation("lattice-ambient", o.id,
-                                 f"lattice rows must have length {rank}"))
-            continue
         r = len(_rref([tuple(Fraction(x) for x in row) for row in o.lattice]))
         if r != o.rk:
             out.append(Violation("lattice-rank", o.id,
@@ -751,15 +736,7 @@ def reference_check_lattices(d: OrbitDatum, checks=kind_checks) -> ValidationRep
     a reflection matrix per simple root; checks(cell) lists each cell's
     (src, dst) pairs."""
     out: list[Violation] = []
-    rank = d.root_system.rank
-    for o in d.orbits:
-        if o.lattice is not None and any(len(row) != rank for row in o.lattice):
-            raise DatumFormatError(
-                f"orbit {o.id}: lattice ambient dimension differs from rank {rank}")
-
     for alpha, cells in sorted(d.cells.items()):
-        if not 1 <= alpha <= rank:
-            continue
         s_mat = simple_matrix(d.root_system, alpha - 1)
         for cell in cells:
             where = f"alpha {alpha} cell y={cell.y}"

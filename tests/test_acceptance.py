@@ -44,7 +44,7 @@ from weylorb.oracle import (
     compare,
     enumerate_orbits,
     infer_datum,
-    load_spec,
+    spec_from_obj,
 )
 
 FLAG_SUITE = [("A1", 2), ("A2", 6), ("A3", 24), ("B2", 8), ("BC2", 8),
@@ -57,7 +57,7 @@ def oracle_run(name: str, q: int) -> OracleReport:
     key = (name, q)
     if key not in _ORACLE_CACHE:
         t0 = time.monotonic()
-        rep = enumerate_orbits(load_spec(oracle_spec_text(name), q))
+        rep = enumerate_orbits(spec_from_obj(json.loads(oracle_spec_text(name)), q))
         _ORACLE_CACHE[key] = (rep, time.monotonic() - t0)
     return _ORACLE_CACHE[key][0]
 

@@ -283,6 +283,16 @@ def test_repeated_simple_root_key_is_refused(tmp_path, capsys):
         2, "", "error: cells: keys '1' and '01' both name simple root 1\n")
 
 
+def test_wrong_length_lattice_row_is_refused_by_every_datum_command(tmp_path, capsys):
+    obj = {**REPEATED_KEY, "cells": {"1": [{"kind": "U", "y": "y", "z": "z"}]}}
+    obj["orbits"] = [obj["orbits"][0], {**_orbit("z", 0), "lattice": [[1, 0]]}]
+    path = write_datum(tmp_path, "ambient", obj)
+    refusal = (2, "", "error: orbit z: lattice ambient dimension differs from rank 1\n")
+    for argv in (["validate", path], ["braid", path], ["hecke", path],
+                 ["act", path, "1", "y"], ["stabilizer", path], ["export-dot", path]):
+        assert run(capsys, *argv) == refusal, argv
+
+
 def test_every_json_command_prints_one_object_or_refuses(tmp_path, capsys):
     bad = {name: write_datum(tmp_path, name, obj) for name, obj in (
         ("missing", MISSING_ALPHA), ("partial", PARTLY_COVERED),

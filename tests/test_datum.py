@@ -376,9 +376,37 @@ def test_validate_lattice_rank():
 
 
 def test_validate_lattice_ambient():
-    d = with_orbit(rank1_datum("U"), "y", lattice=((1, 0),))
-    codes = {v.code for v in validate(d).violations}
-    assert "lattice-ambient" in codes
+    """validate never sees a lattice row of the wrong length: the datum
+    refuses it at construction, naming the first such orbit in (dim, id)
+    order."""
+    for lattice in (((1, 0),), ((1,), ())):
+        with pytest.raises(DatumFormatError, match=r"^orbit y: lattice ambient "
+                                                   r"dimension differs from rank 1$"):
+            with_orbit(rank1_datum("U"), "y", lattice=lattice)
+    d = rank1_datum("U")
+    with pytest.raises(DatumFormatError, match=r"^orbit z: "):  # dim 1, before y
+        OrbitDatum(d.root_system, tuple(o._replace(lattice=((1, 0),)) for o in d.orbits),
+                   d.cells)
+
+
+def test_orbit_datum_refuses_a_cell_key_outside_the_rank():
+    d = rank1_datum("U")
+    for alpha in (0, 2):
+        with pytest.raises(DatumFormatError, match=rf"^cells: simple root index {alpha} "
+                                                   r"out of range 1\.\.1$"):
+            OrbitDatum(d.root_system, d.orbits,
+                       {**d.cells, alpha: (RaiseCell(alpha, "A", y="y"),)})
+
+
+def test_orbit_datum_refuses_an_unknown_cell_member():
+    d = rank1_datum("TU")
+    with pytest.raises(DatumFormatError,
+                       match=r"^alpha 1 cell y=y: unknown orbit id 'ghost'$"):
+        OrbitDatum(d.root_system, d.orbits,
+                   {1: (RaiseCell(1, "TU", y="y", z1="z1", z2="ghost"),)})
+    # a role left empty names no orbit either
+    with pytest.raises(DatumFormatError, match=r"^alpha 1 cell y=y: unknown orbit id None$"):
+        OrbitDatum(d.root_system, d.orbits, {1: (RaiseCell(1, "U", y="y"),)})
 
 
 def test_lattice_rank_exact():
@@ -426,9 +454,13 @@ def test_check_lattices_partial_data_reported():
 
 
 def test_check_lattices_ambient_error():
-    d = with_orbit(rank1_datum("U"), "y", lattice=((1, 2),))
-    with pytest.raises(DatumFormatError):
-        check_lattices(d)
+    """check_lattices never sees a lattice row of the wrong length either:
+    loads refuses it, naming the orbit."""
+    obj = json.loads(dumps(rank1_datum("U")))
+    obj["orbits"][0]["lattice"] = [[1, 2]]
+    with pytest.raises(DatumFormatError, match=r"^orbit z: lattice ambient "
+                                               r"dimension differs from rank 1$"):
+        loads(json.dumps(obj))
 
 
 def test_check_lattices_tu_swap_rule():
@@ -545,7 +577,9 @@ def reference_dumps(d: OrbitDatum) -> str:
 # ids and notes with quotes, backslashes, control and non-ASCII characters
 _TEXT = st.text(st.sampled_from('ab1.e"\\\n\x7fé€😀'), min_size=1, max_size=5)
 _INT = st.integers(0, 10**6)
-_LATTICE = st.none() | st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3)
+#: Lattices of ``rank``-long rows, the only length a datum accepts.
+_lattice = functools.cache(lambda rank: st.none() | st.lists(
+    st.lists(st.integers(-9, 9), min_size=rank, max_size=rank), max_size=3))
 
 
 @st.composite
@@ -554,7 +588,7 @@ def _data(draw) -> OrbitDatum:
     ids = draw(st.lists(_TEXT, min_size=1, max_size=6, unique=True))
     orbits = [Orbit(oid, draw(_INT), draw(_INT), draw(_INT), draw(_INT),
                     open=draw(st.booleans()),
-                    lattice=None if (lat := draw(_LATTICE)) is None
+                    lattice=None if (lat := draw(_lattice(rank))) is None
                     else tuple(map(tuple, lat)))
               for oid in ids]
     cells = {}
@@ -578,7 +612,7 @@ def test_dumps_matches_json_module(d):
 
 
 def test_dumps_matches_json_module_on_every_producer():
-    from weylorb.oracle import enumerate_orbits, infer_datum, load_spec
+    from weylorb.oracle import enumerate_orbits, infer_datum, spec_from_obj
 
     produced = [generate_flag_datum(build_root_system(token, raise_dims=dims))
                 for token, dims in [("A1", None), ("A3", None), ("BC2", [2, 1]),
@@ -590,7 +624,7 @@ def test_dumps_matches_json_module_on_every_producer():
             (("product_diag_q5", "product_diag_q7"), "A1xA1")]
     assert {name for names, _ in runs for name in names} == set(ORACLE_SPEC_NAMES)
     for names, token in runs:
-        reports = [enumerate_orbits(load_spec(oracle_spec_text(name), q))
+        reports = [enumerate_orbits(spec_from_obj(json.loads(oracle_spec_text(name)), q))
                    for name, q in zip(names, (5, 7))]
         produced.append(infer_datum(reports, build_root_system(token)).datum)
     assert all(d is not None for d in produced)
@@ -760,10 +794,11 @@ def test_loader_matches_reference_on_mutated_records(obj):
     assert outcome(datum_from_obj, obj) == outcome(reference_datum_from_obj, obj)
 
 
-def with_ghost_cell(d: OrbitDatum) -> OrbitDatum:
-    """d with one more alpha-1 cell that names an orbit d does not have."""
+def with_extra_cell(d: OrbitDatum) -> OrbitDatum:
+    """d with one more alpha-1 cell, a U cell from its last orbit to its
+    first, so that alpha 1 covers both orbits once more."""
     cells = dict(d.cells)
-    cells[1] = cells.get(1, ()) + (RaiseCell(1, "U", y="ghost", z=d.orbits[0].id),)
+    cells[1] = cells.get(1, ()) + (RaiseCell(1, "U", y=d.orbits[-1].id, z=d.orbits[0].id),)
     return OrbitDatum(d.root_system, d.orbits, cells, d.notes)
 
 
@@ -773,9 +808,9 @@ VALIDATE_CASES = ([bundled_datum(name) for name in DATUM_NAMES]
                   + [with_orbit(rank1_datum("TU"), "z1", rk=1, s=2, dim=0),
                      with_orbit(rank1_datum("RT", with_lattices=True), "z2", rk=1, dim=0),
                      with_orbit(rank1_datum("U", with_lattices=True), "z", lattice=None),
-                     with_orbit(rank1_datum("U"), "y", lattice=((1, 2),)),
-                     with_ghost_cell(rank1_datum("N")),
-                     with_ghost_cell(generate_flag_datum(build_root_system("A2")))])
+                     with_orbit(rank1_datum("U", with_lattices=True), "y", lattice=((0,),)),
+                     with_extra_cell(rank1_datum("N")),
+                     with_extra_cell(generate_flag_datum(build_root_system("A2")))])
 
 
 def lattice_reference(d: OrbitDatum):
@@ -798,5 +833,5 @@ def test_validators_match_reference(d):
 
 @settings(max_examples=300, deadline=None)
 @given(_data(), st.booleans())
-def test_validators_match_reference_on_random_data(d, ghost):
-    assert_validators_match_reference(with_ghost_cell(d) if ghost else d)
+def test_validators_match_reference_on_random_data(d, extra):
+    assert_validators_match_reference(with_extra_cell(d) if extra else d)

@@ -264,7 +264,7 @@ def random_module_and_vector(draw):
     high = draw(st.sets(st.integers(max(0, n - 3), n - 1), max_size=3))
     vec = frozenset(low | high)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    m = HeckeModule(m.datum, m.basis, {
+    m = HeckeModule(m.datum, {
         a: tuple(random_vector(rng, n) if i in vec else frozenset((i,)) for i in range(n))
         for a in m.columns})
     return m, vec
@@ -342,9 +342,8 @@ def with_identity(d: OrbitDatum, oid: str) -> OrbitDatum:
 def dense_modules():
     """Flag modules with random dense columns: neither involutions nor braided."""
     rng = random.Random(5)
-    return [HeckeModule(m.datum, m.basis,
-                        {a: tuple(random_vector(rng, len(m.basis)) for _ in m.basis)
-                         for a in m.columns})
+    return [HeckeModule(m.datum, {a: tuple(random_vector(rng, len(m.basis)) for _ in m.basis)
+                                  for a in m.columns})
             for t, m in sorted(RANDOM_MODULE_BASES.items()) if t != "F4"]
 
 

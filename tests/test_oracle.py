@@ -36,7 +36,6 @@ from weylorb.oracle import (
     enumerate_orbits,
     fit_monomial,
     infer_datum,
-    load_spec,
     spec_from_obj,
 )
 
@@ -56,7 +55,7 @@ _CACHE: dict[tuple[str, int], OracleReport] = {}
 def run(name: str, q: int) -> OracleReport:
     key = (name, q)
     if key not in _CACHE:
-        _CACHE[key] = enumerate_orbits(load_spec(oracle_spec_text(name), q))
+        _CACHE[key] = enumerate_orbits(spec_from_obj(json.loads(oracle_spec_text(name)), q))
     return _CACHE[key]
 
 
@@ -89,8 +88,8 @@ def test_enumeration_frozen_counts(name, q):
 
 
 def test_enumeration_deterministic():
-    a = enumerate_orbits(load_spec(oracle_spec_text("torus"), 5))
-    b = enumerate_orbits(load_spec(oracle_spec_text("torus"), 5))
+    a = enumerate_orbits(spec_from_obj(json.loads(oracle_spec_text("torus")), 5))
+    b = enumerate_orbits(spec_from_obj(json.loads(oracle_spec_text("torus")), 5))
     assert a == b
     assert json.dumps(a.to_obj()) == json.dumps(b.to_obj())
 
@@ -113,7 +112,7 @@ def test_report_serialization_keys():
 
 def test_spec_pinned_q_refuses_retarget():
     with pytest.raises(OracleError, match="pinned"):
-        load_spec(oracle_spec_text("product_diag_q5"), 7)
+        spec_from_obj(json.loads(oracle_spec_text("product_diag_q5")), 7)
 
 
 def test_spec_rejects_nonprime_and_bad_fields():
@@ -262,7 +261,7 @@ def test_inv_mod_is_none_exactly_when_laplace_det_is_zero(case):
 def test_spec_rejects_singular_generator():
     # diag(3, 1) degenerates mod 3; this is why tiny primes are excluded
     with pytest.raises(OracleError, match="singular"):
-        load_spec(oracle_spec_text("torus"), 3)
+        spec_from_obj(json.loads(oracle_spec_text("torus")), 3)
 
 
 def test_h_outside_g_detected():
@@ -279,7 +278,7 @@ def test_h_outside_g_detected():
 
 
 def test_cap_enforced():
-    spec = load_spec(oracle_spec_text("torus"), 5)
+    spec = spec_from_obj(json.loads(oracle_spec_text("torus")), 5)
     with pytest.raises(OracleError, match="cap"):
         enumerate_orbits(spec, cap=100)
 
@@ -464,7 +463,7 @@ def _bundled_cases():
 
 @pytest.mark.parametrize("name,q", list(_bundled_cases()), ids=str)
 def test_enumeration_matches_reference_on_bundled(name, q):
-    spec = load_spec(oracle_spec_text(name), q)
+    spec = spec_from_obj(json.loads(oracle_spec_text(name)), q)
     assert run(name, q).to_obj() == enumerate_orbits_reference(spec).to_obj()
     h = np.array(spec.h_gens, dtype=np.int64)
     want = [tuple(m.ravel().tolist()) for m in _closure_reference(h, q, 10**6, "H")]
@@ -732,7 +731,7 @@ def test_each_generator_is_inverted_once():
     """The loader inverts every generator to refuse a singular one, and
     enumeration reads the same inverses: one elimination per matrix."""
     _inv_mod.cache_clear()
-    spec = load_spec(oracle_spec_text("torus_normalizer"), 5)
+    spec = spec_from_obj(json.loads(oracle_spec_text("torus_normalizer")), 5)
     mats = {m for block in (spec.g_gens, spec.b_gens, spec.h_gens,
                             *spec.parabolics.values()) for m in block}
     assert _inv_mod.cache_info().misses == len(mats)
@@ -757,7 +756,7 @@ def test_dimension_limit(tmp_path, capsys):
 
 
 def test_cap_messages_name_cap_and_value():
-    spec = load_spec(oracle_spec_text("torus"), 5)  # |G| = 480, |H| = 16
+    spec = spec_from_obj(json.loads(oracle_spec_text("torus")), 5)  # |G| = 480, |H| = 16
     assert enumerate_orbits(spec, cap=480).group_order == 480
     with pytest.raises(OracleError) as err:
         enumerate_orbits(spec, cap=479)
@@ -797,7 +796,7 @@ def test_schreier_generator_outside_h_is_named(monkeypatch):
     close all of G (order 480, not |H| = 16), so the certificate refuses."""
     monkeypatch.setattr(oracle, "_canon", lambda m, level: level.arith.eye)
     with pytest.raises(OracleError) as err:
-        enumerate_orbits(load_spec(oracle_spec_text("torus"), 5))
+        enumerate_orbits(spec_from_obj(json.loads(oracle_spec_text("torus")), 5))
     assert str(err.value) == "H is not contained in the group generated by G"
 
 

@@ -26,9 +26,8 @@ EXPORTED = {
     "leading_term", "verify_regular_representation",
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
     "OracleError", "OracleReport", "OrbitInfo", "align_reports", "compare",
-    "enumerate_orbits", "fit_monomial", "infer_datum", "load_spec",
-    "spec_from_obj",
-    "__version__",
+    "enumerate_orbits", "fit_monomial", "infer_datum", "spec_from_obj",
+    "InputError", "__version__",
 }
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -155,12 +154,11 @@ class RefGeneratorTheoremResult:
 @dataclass(frozen=True)
 class RefHeckeModule:
     datum: OrbitDatum
-    basis: tuple
     columns: dict
+    basis: tuple = dataclasses.field(init=False)
 
-    @cached_property
-    def _position(self) -> dict:
-        return {oid: i for i, oid in enumerate(self.basis)}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", self.datum.orbit_ids())
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ def module_fields(draw):
     columns = module.columns
     if draw(flag):
         columns = {a: tuple(reversed(col)) for a, col in columns.items()}
-    return module.datum, module.basis, columns
+    return module.datum, columns
 
 
 CASES = {
