@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 from . import InputError
 from .coxeter import RootSystem, build_root_system
-# datum executes on first attribute access: only inference and compare run it
-from . import datum
+# datum and action execute on first attribute access: only inference and
+# compare run them
+from . import action, datum
 
 __all__ = [
     "DEFAULT_Q_LIST", "CompareReport", "InferredDatum", "MatGroupSpec",
@@ -591,8 +592,12 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
     """Turn enumeration runs over several primes into a candidate datum.
 
     Orbit dims and ranks come from the fitted exponents (dim = a + b,
-    rk = b); cell kinds come from merge classes.  Complexity and the
-    s-invariant are invisible to point counts and set to 0, with notes.
+    rk = b); each cell's kind comes from its merge class's shape: one
+    B-orbit is A, two are U when their ranks agree and RI otherwise, three
+    are RT when the two lower dims agree and TU otherwise.  Complexity and
+    the s-invariant are invisible to point counts and set to 0, with notes.
+    A candidate that fails :func:`datum.validate` or the braid relations
+    is refused, naming its violations.
     """
     if len(reports) < 2:
         raise OracleError("infer needs reports for at least two distinct primes")
@@ -627,8 +632,6 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
     order = sorted(range(n), key=lambda i: (-dims[i], reports[0].orbits[i].size, i))
     name_of = {pos: f"o{rank + 1}" for rank, pos in enumerate(order)}
     top = max(dims)
-    if dims.count(top) != 1:
-        raise OracleError("open orbit is not unique: top dimension ties")
 
     orbits = []
     for pos in order:
@@ -637,54 +640,35 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                             open=dims[pos] == top))
         notes.append(f"{name_of[pos]}: size(q) = {c} * q^{a} * (q-1)^{b}")
 
-    cells: dict[int, list[datum.RaiseCell]] = {}
+    cells: dict[int, tuple[datum.RaiseCell, ...]] = {}
     for alpha, blocks in sorted(reports[0].merges.items()):
-        row: list[datum.RaiseCell] = []
+        row = []
         for block in blocks:
-            members = sorted(block, key=lambda i: -dims[i])
-            ids = [name_of[i] for i in members]
-            if len(block) == 1:
-                row.append(datum.RaiseCell(alpha, "A", y=ids[0]))
-            elif len(block) == 2:
-                hi, lo = members
-                if dims[hi] == dims[lo]:
-                    raise OracleError(
-                        f"P_{alpha} pair with equal dims {ids}: not a raise")
-                bh, bl = fits[hi][1], fits[lo][1]
-                if bh == bl:
-                    row.append(datum.RaiseCell(alpha, "U", y=ids[0], z=ids[1]))
-                elif bh - bl == 1:
-                    row.append(datum.RaiseCell(alpha, "RI", y=ids[0], z=ids[1]))
-                    notes.append(
-                        f"cell alpha {alpha} {{{ids[0]}, {ids[1]}}}: kind RI|N "
-                        "ambiguous (stabilizer connectedness is invisible "
-                        "to point counts); recorded as RI")
-                else:
-                    raise OracleError(
-                        f"P_{alpha} pair {ids}: rank proxies differ by {bh - bl}")
-            elif len(block) == 3:
-                y, z1, z2 = members
-                if dims[z1] == dims[z2]:
-                    row.append(datum.RaiseCell(alpha, "RT", y=ids[0],
-                                               z1=ids[1], z2=ids[2]))
-                elif dims[y] > dims[z1] > dims[z2]:
-                    row.append(datum.RaiseCell(alpha, "TU", y=ids[0],
-                                               z1=ids[1], z2=ids[2]))
-                else:
-                    raise OracleError(
-                        f"P_{alpha} triple {ids}: dims {dims[y]},{dims[z1]},"
-                        f"{dims[z2]} fit neither RT nor TU")
-            else:
+            if len(block) > 3:
                 raise OracleError(
                     f"P_{alpha} class with {len(block)} B-orbits is out of scope")
-        cells[alpha] = row
+            y, *zs = sorted(block, key=lambda i: -dims[i])
+            ids = [name_of[i] for i in (y, *zs)]
+            # the kind by shape alone; validate and braid_check judge it
+            if not zs:
+                kind = "A"
+            elif len(zs) == 1:
+                kind = "U" if fits[y][1] == fits[zs[0]][1] else "RI"
+            else:
+                kind = "RT" if dims[zs[0]] == dims[zs[1]] else "TU"
+            if kind == "RI":
+                notes.append(
+                    f"cell alpha {alpha} {{{ids[0]}, {ids[1]}}}: kind RI|N "
+                    "ambiguous (stabilizer connectedness is invisible "
+                    "to point counts); recorded as RI")
+            row.append(datum.RaiseCell(alpha, kind, **dict(zip(datum.ROLES[kind], ids))))
+        cells[alpha] = tuple(row)
 
-    candidate = datum.OrbitDatum(rs, tuple(orbits),
-                                 {a: tuple(row) for a, row in cells.items()})
-    report = datum.validate(candidate)
-    if not report.ok:
-        notes.extend("inferred datum fails validation: " + line
-                     for line in report.lines())
+    candidate = datum.OrbitDatum(rs, tuple(orbits), cells)
+    violations = datum.validate(candidate).violations or action.braid_check(candidate)
+    if violations:
+        raise OracleError("inferred datum fails validation: "
+                          + "; ".join(v.line() for v in violations))
     point_counts = tuple(
         (name_of[pos], tuple((r.q, r.orbits[pos].size) for r in reports))
         for pos in order)

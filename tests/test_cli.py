@@ -106,6 +106,16 @@ def test_gen_flag_bad_raise_dims_is_refused(capsys, dims):
     assert (code, out, err) == (2, "", f"error: bad raise-dims {dims!r}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["A1xQ2"], "cannot parse root-system token 'Q2'"),
+    (["A1xG23"], "G2 has rank 2, not 3"),
+    (["A1xB"], "token 'B' is missing a rank"),
+    (["A1xA1", "3"], "rank 3 does not match A1xA1 (rank 2)"),
+])
+def test_gen_flag_bad_product_token_is_refused(capsys, argv, message):
+    assert run(capsys, "gen-flag", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_gen_flag_out_file(tmp_path, capsys):
     target = tmp_path / "flag.json"
     code, out, _ = run(capsys, "gen-flag", "A", "1", "--out", str(target))
@@ -626,7 +636,8 @@ _BUNDLED_SPEC = str(_DATA / "oracle" / "torus.json")
     # a spec file: coxeter reads its root system; neither datum nor bundled runs
     (["oracle", "enumerate", _BUNDLED_SPEC, "--q-list", "5"], {"coxeter", "oracle"},
      {"datum", "bundled", "action", "hecke"}, 0),
-    (["oracle", "infer", "torus"], _WEYL | {"bundled", "oracle"}, {"action", "hecke"}, 0),
+    # infer judges its candidate with validate and braid_check
+    (["oracle", "infer", "torus"], _WEYL | {"bundled", "action", "oracle"}, {"hecke"}, 0),
     (["hecke", "sl3_so12"], _WEYL | {"bundled", "hecke"}, {"action", "oracle"}, 0),
     # a RootSystemError is an input error while datum is still lazy
     (["gen-flag", "Q3"], {"coxeter"}, {"datum", "bundled", "action", "hecke", "oracle"}, 2),

@@ -931,13 +931,80 @@ def test_infer_refuses_duplicate_primes():
         infer_datum([run("torus", 5), run("torus", 5)], build_root_system("A1"))
 
 
-def _tiny_report(q: int, sizes: tuple[int, ...]) -> OracleReport:
+def _tiny_report(q: int, sizes: tuple[int, ...], merges=None,
+                 root_system: str = "A1") -> OracleReport:
+    """A synthetic run; by default one P_1 class holds every orbit."""
     return OracleReport(
-        spec_name="fake", root_system="A1", q=q, group_order=1,
+        spec_name="fake", root_system=root_system, q=q, group_order=1,
         subgroup_order=1, point_count=sum(sizes),
         orbits=tuple(OrbitInfo(representative=f"r{i}", size=s)
                      for i, s in enumerate(sizes)),
-        merges={1: (tuple(range(len(sizes))),)})
+        merges=merges or {1: (tuple(range(len(sizes))),)})
+
+
+def _infer_synthetic(sizes, merges=None, root_system: str = "A1"):
+    """infer_datum on synthetic runs at q = 5 and 7, sizes(q) giving the
+    orbit sizes; a size c q^a (q-1)^b fits to dim a + b and rk b."""
+    return infer_datum([_tiny_report(q, sizes(q), merges, root_system) for q in (5, 7)],
+                       build_root_system(root_system))
+
+
+@pytest.mark.parametrize("sizes,kind", [
+    (lambda q: (q * q,), "A"),
+    # equal ranks: U; ranks one apart: RI, flagged as RI|N
+    (lambda q: (q, q * q), "U"),
+    (lambda q: (q, q * (q - 1)), "RI"),
+    # equal lower dims: RT; dims 2 > 1 > 0: TU
+    (lambda q: (q, q, q * (q - 1)), "RT"),
+    (lambda q: (1, q, q * (q - 1)), "TU"),
+], ids=["A", "U", "RI", "RT", "TU"])
+def test_infer_picks_each_kind_by_shape(sizes, kind):
+    inf = _infer_synthetic(sizes)
+    n = len(sizes(5))
+    assert [c.kind for c in inf.datum.cells[1]] == [kind]
+    assert inf.datum.cells[1][0].members() == tuple(f"o{i + 1}" for i in range(n))
+    assert validate(inf.datum).ok
+    assert any("RI|N" in note for note in inf.notes) == (kind == "RI")
+
+
+_FAILS = "inferred datum fails validation: "
+
+
+@pytest.mark.parametrize("sizes,merges,root_system,message", [
+    (lambda q: (q, q), {1: ((0,), (1,))}, "A1",
+     _FAILS + "VIOLATION open-orbit at datum: expected exactly one open orbit, found 2"),
+    (lambda q: (q, q, q * q), {1: ((0, 1), (2,))}, "A1",
+     _FAILS + "VIOLATION cell-y-not-max at alpha 1 cell y=o2: o3 has dim 1 >= y dim 1; "
+     "VIOLATION cell-U-dim at alpha 1 cell y=o2: dim(y)=1 != dim(z)+n_alpha=1+1"),
+    (lambda q: (q, q * (q - 1) ** 2), None, "A1",
+     _FAILS + "VIOLATION cell-RI-rank at alpha 1 cell y=o1: rk(z)=0 != rk(y)-1=1"),
+    (lambda q: (q, q * q, q * q, q ** 3), {1: ((0, 1, 2), (3,))}, "A1",
+     _FAILS + "VIOLATION cell-y-not-max at alpha 1 cell y=o2: o3 has dim 2 >= y dim 2; "
+     "VIOLATION cell-TU-rank at alpha 1 cell y=o2: rk(z1)=0, rk(z2)=0, "
+     "expected rk(y)-1=-1; "
+     "VIOLATION cell-TU-dim at alpha 1 cell y=o2: need dim(y) > dim(z1) > dim(z2), "
+     "got 2, 2, 1"),
+    # valid cells whose sigma_1 sigma_2 is a 3-cycle, while A1xA1 has m = 2
+    (lambda q: (q, q, q * q), {1: ((0, 2), (1,)), 2: ((0,), (1, 2))}, "A1xA1",
+     _FAILS + "VIOLATION braid-relation at alpha 1, beta 2: "
+     "(sigma_1 sigma_2)^2 moves orbit o2"),
+    (lambda q: (1, q, q * q, q ** 3), None, "A1",
+     "P_1 class with 4 B-orbits is out of scope"),
+], ids=["top-dim-tie", "equal-dims-pair", "rank-gap-2", "y-ties-z1", "braid", "four-orbits"])
+def test_infer_refuses_each_bad_shape(sizes, merges, root_system, message):
+    with pytest.raises(OracleError) as exc:
+        _infer_synthetic(sizes, merges, root_system)
+    assert str(exc.value) == message
+
+
+def test_infer_without_a_size_fit_prints_no_datum(capsys, monkeypatch):
+    """Sizes 7 at q = 5 and 5 at q = 7 fit no c q^a (q-1)^b: no datum, exit 1."""
+    inf = _infer_synthetic(lambda q: (12 - q,))
+    assert (inf.datum, inf.notes[1:]) == (None, ("orbit 0 unclassified: no monomial size fit",))
+    monkeypatch.setattr(oracle, "enumerate_orbits",
+                        lambda spec, cap: _tiny_report(spec.q, (12 - spec.q,)))
+    assert main(["oracle", "infer", "torus"]) == 1
+    assert json.loads(capsys.readouterr().out)["datum"] is None
 
 
 def test_infer_rejects_small_characteristic():
@@ -949,6 +1016,12 @@ def test_infer_rejects_small_characteristic():
 def test_infer_refuses_unstable_counts():
     reports = [_tiny_report(5, (5, 20)), _tiny_report(7, (7, 21, 21))]
     with pytest.raises(OracleError, match="not polynomial-stable"):
+        infer_datum(reports, build_root_system("A1"))
+
+
+def test_infer_refuses_reports_of_two_root_systems():
+    reports = [_tiny_report(5, (5, 20)), _tiny_report(7, (7, 42), root_system="BC1")]
+    with pytest.raises(OracleError, match=r"disagree on root system: \['A1', 'BC1'\]"):
         infer_datum(reports, build_root_system("A1"))
 
 
@@ -1006,6 +1079,74 @@ def test_compare_different_systems():
     rep = compare(bundled_datum("rank1_u"), bundled_datum("product_a1a1"))
     assert not rep.match
     assert any("root system mismatch" in line for line in rep.lines)
+
+
+def _write_spec(tmp_path, name: str, q, dimension: int, g, b, h, p) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "root_system": "A1", "q": q,
+                                "dimension": dimension,
+                                "generators": {"G": g, "B": b, "H": h, "P": {"1": p}}}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _sl3_on_p2(tmp_path) -> list[str]:
+    """SL3 on P^2, pinned to q = 5 and 7, declared as A1 with P_1 = G: B
+    is upper triangular with torus diag(t, 1/t, 1), diag(1, t, 1/t), and H
+    adds E32, so the B-orbits have sizes 1, q, q^2 in one P_1 class."""
+    paths = []
+    for q, t in ((5, 2), (7, 3)):
+        ti = pow(t, -1, q)
+        g = [_elementary(3, i, j) for i in range(3) for j in range(3) if i != j]
+        b = [_elementary(3, 0, 1), _elementary(3, 0, 2), _elementary(3, 1, 2),
+             [[t, 0, 0], [0, ti, 0], [0, 0, 1]], [[1, 0, 0], [0, t, 0], [0, 0, ti]]]
+        paths.append(_write_spec(tmp_path, f"sl3_p2_q{q}", q, 3, g, b,
+                                 b + [_elementary(3, 2, 1)], g))
+    return paths
+
+
+SL3_ON_P2_REFUSAL = ("error: inferred datum fails validation: VIOLATION cell-TU-rank "
+                     "at alpha 1 cell y=o1: rk(z1)=0, rk(z2)=0, expected rk(y)-1=-1\n")
+
+
+def test_sl3_on_p2_as_a1_is_refused_by_infer_and_compare(tmp_path, capsys):
+    """Three B-orbits of ranks 0 in one class read as TU, whose z ranks
+    must be rk(y) - 1: the candidate breaks cell-TU-rank, and both modes
+    refuse it with exit 2 instead of printing it."""
+    paths = _sl3_on_p2(tmp_path)
+    assert main(["oracle", "infer", *paths]) == 2
+    assert tuple(capsys.readouterr()) == ("", SL3_ON_P2_REFUSAL)
+    assert main(["oracle", "compare", *paths, "rank1_tu"]) == 2
+    assert tuple(capsys.readouterr()) == ("", SL3_ON_P2_REFUSAL)
+
+
+def test_spec_without_a_parabolic_is_refused(tmp_path, capsys):
+    """product_diag with P_2 left out: no alpha-2 cell covers an orbit."""
+    paths = []
+    for q in (5, 7):
+        obj = json.loads(oracle_spec_text(f"product_diag_q{q}"))
+        del obj["generators"]["P"]["2"]
+        paths.append(tmp_path / f"p1_only_q{q}.json")
+        paths[-1].write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["oracle", "infer", *map(str, paths)]) == 2
+    assert tuple(capsys.readouterr()) == ("", (
+        "error: inferred datum fails validation: VIOLATION partition-defect "
+        "at alpha 2: orbits not covered: o1, o2\n"))
+
+
+def test_gl2_over_sl2_mismatches_rank1_a_in_invariants(tmp_path, capsys):
+    """GL2/SL2 is the line of determinants: one B-orbit of size q - 1, an
+    A cell as in rank1_a, but of dim 1 and rank 1."""
+    g = [_diagonal(2, 0, 3), _diagonal(2, 1, 3), _elementary(2, 0, 1), _elementary(2, 1, 0)]
+    path = _write_spec(tmp_path, "gl2_sl2", None, 2, g, g[:3], g[2:], g)
+    assert main(["oracle", "infer", path]) == 0
+    assert json.loads(capsys.readouterr().out)["datum"]["cells"] == {
+        "1": [{"kind": "A", "y": "o1"}]}
+    assert main(["oracle", "compare", path, "rank1_a"]) == 1
+    assert capsys.readouterr().out == (
+        "invariant mismatch: dim(y) = 2 vs dim(o1) = 1\n"
+        "invariant mismatch: rk(y) = 0 vs rk(o1) = 1\n"
+        "invariant mismatch: s(y) = 1 vs s(o1) = 0\n")
 
 
 def reference_signature(d: OrbitDatum, oid: str) -> tuple:
