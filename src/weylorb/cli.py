@@ -219,9 +219,7 @@ def _cmd_oracle(args) -> tuple[int, str]:
     if args.mode == "infer":
         reports = _oracle_specs(args.paths, qs, cap)
         rs = coxeter.build_root_system(reports[0].root_system)
-        inferred = oracle.infer_datum(reports, rs)
-        code = 0 if inferred.datum is not None else 1
-        return code, _json_body(inferred.to_obj())
+        return 0, _json_body(oracle.infer_datum(reports, rs).to_obj())
 
     if args.mode == "compare":
         if len(args.paths) < 2:
@@ -229,8 +227,6 @@ def _cmd_oracle(args) -> tuple[int, str]:
         reference = _load_datum(args.paths[-1])
         reports = _oracle_specs(args.paths[:-1], qs, cap)
         inferred = oracle.infer_datum(reports, reference.root_system)
-        if inferred.datum is None:
-            return 1, "\n".join(inferred.notes) + "\n"
         result = oracle.compare(reference, inferred.datum, inferred.fits)
         if args.json:
             return (0 if result.match else 1), _json_body({

@@ -477,16 +477,16 @@ def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | N
 
 
 class InferredDatum(NamedTuple):
-    """Candidate datum plus everything point counts could not decide."""
+    """A validated datum, what point counts could not decide, and its counts and fits."""
 
-    datum: datum.OrbitDatum | None
+    datum: datum.OrbitDatum
     notes: tuple[str, ...]
     point_counts: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
     fits: tuple[tuple[str, tuple[int, int, Fraction]], ...]
 
     def to_obj(self) -> dict:
         return {
-            "datum": None if self.datum is None else datum.datum_to_obj(self.datum),
+            "datum": datum.datum_to_obj(self.datum),
             "confidence": list(self.notes),
             "pointCounts": {name: {str(q): s for q, s in counts}
                             for name, counts in self.point_counts},
@@ -596,8 +596,10 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
     B-orbit is A, two are U when their ranks agree and RI otherwise, three
     are RT when the two lower dims agree and TU otherwise.  Complexity and
     the s-invariant are invisible to point counts and set to 0, with notes.
-    A candidate that fails :func:`datum.validate` or the braid relations
-    is refused, naming its violations.
+    Refuses, with :class:`OracleError`, reports that cannot be aligned, an
+    orbit whose sizes fit no c q^a (q-1)^b (naming each such orbit and its
+    sizes), and a candidate that fails :func:`datum.validate` or the braid
+    relations (naming its violations); so a returned datum is validated.
     """
     if len(reports) < 2:
         raise OracleError("infer needs reports for at least two distinct primes")
@@ -623,10 +625,10 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
     notes = ["c and s are invisible to point counts; both set to 0"]
     fits = [fit_monomial([(r.q, r.orbits[i].size) for r in reports]) for i in range(n)]
     if None in fits:
-        notes += [f"orbit {i} unclassified: no monomial size fit"
-                  for i, f in enumerate(fits) if f is None]
-        return InferredDatum(datum=None, notes=tuple(notes),
-                             point_counts=(), fits=())
+        raise OracleError("; ".join(
+            f"orbit {i} fits no size c * q^a * (q-1)^b: "
+            + ", ".join(f"{r.orbits[i].size} at q = {r.q}" for r in reports)
+            for i, f in enumerate(fits) if f is None))
 
     dims = [a + b for a, b, _ in fits]
     order = sorted(range(n), key=lambda i: (-dims[i], reports[0].orbits[i].size, i))

@@ -18,7 +18,7 @@ import pytest
 
 import weylorb
 from weylorb import coxeter
-from weylorb.bundled import DATUM_NAMES, bundled_datum, datum_text
+from weylorb.bundled import DATUM_NAMES, bundled_datum, datum_text, oracle_spec_text
 from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
 from weylorb.datum import (
@@ -201,6 +201,30 @@ def test_stabilizer_json(capsys):
     assert obj["elements"] == ["1.2", "e"]
     assert obj["generator_theorem"] is True
     assert obj["generating_set"] == ["1.2"]
+
+
+#: A2 whose sigma_1 and sigma_2 both swap the open orbit x and the point y:
+#: it validates and braids, but the stabilizer {e, 1.2, 2.1} of x holds no
+#: simple reflection, so the generator theorem fails.
+SIGN = {"root_system": {"family": "A2", "rank": 2, "raise_dims": [1, 1]},
+        "orbits": [_orbit("x", 1, True), _orbit("y", 0)],
+        "cells": {a: [{"kind": "U", "y": "x", "z": "y"}] for a in ("1", "2")}}
+
+
+def test_stabilizer_reports_a_failing_generator_theorem(tmp_path, capsys):
+    path = write_datum(tmp_path, "sign", SIGN)
+    for command in ("validate", "braid"):
+        assert run(capsys, command, path) == (0, "OK\n", "")
+    assert run(capsys, "stabilizer", path) == (1, (
+        "stabilizer order 3\n"
+        "element 1.2\n"
+        "element 2.1\n"
+        "element e\n"
+        "generator theorem: FAILS (generated 1 of 3)\n"
+        "generating set: (empty)\n"), "")
+    code, out, _ = run(capsys, "stabilizer", path, "--json")
+    obj = json.loads(out)
+    assert (code, obj["generator_theorem"], obj["order"]) == (1, False, 3)
 
 
 def test_hecke_text_and_json(capsys):
@@ -451,6 +475,45 @@ def test_oracle_compare_needs_datum(capsys):
     assert code == 2
 
 
+def _gl2_pair(tmp_path: Path, name: str, blocks) -> list[str]:
+    """Spec files of GL2 over A1 pinned to q = 5 and q = 7.  G is generated
+    by diag(g, 1), diag(1, g) (g = 2 at q = 5, 3 at q = 7) and the two
+    elementary transvections; ``blocks(q, G)`` gives the B, H and P blocks."""
+    paths = []
+    for q, g in ((5, 2), (7, 3)):
+        G = [[[g, 0], [0, 1]], [[1, 0], [0, g]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+        paths.append(write_datum(tmp_path, f"{name}_q{q}", {
+            "name": name, "root_system": "A1", "q": q, "dimension": 2,
+            "generators": {"G": G, **blocks(q, G)}}))
+    return paths
+
+
+def test_oracle_refuses_merges_that_do_not_align(tmp_path, capsys):
+    # B = H = the upper Borel; P_1 = G merges the two B-orbits at q = 5,
+    # P_1 = B leaves them apart at q = 7
+    pair = _gl2_pair(tmp_path, "gl2_split_p", lambda q, G: {
+        "B": G[:3], "H": G[:3], "P": {"1": G if q == 5 else G[:3]}})
+    code, out, _ = run(capsys, "oracle", "enumerate", *pair)
+    assert code == 0 and out.count("2 B-orbits") == 2 and "pointCounts" not in out
+    code, out, _ = run(capsys, "oracle", "enumerate", *pair, "--json")
+    assert (code, json.loads(out)["pointCounts"]) == (0, None)
+    assert run(capsys, "oracle", "infer", *pair) == (
+        2, "", "error: merge structure at q = 7 is not isomorphic to q = 5\n")
+
+
+def test_oracle_refuses_an_orbit_without_a_size_fit(tmp_path, capsys):
+    # B is generated by a companion matrix of order q^2 - 1, a non-split
+    # torus, which is transitive on G/H = P^1: one orbit of q + 1 points
+    companion = {5: [[0, 1], [3, 1]], 7: [[0, 1], [4, 1]]}
+    pair = _gl2_pair(tmp_path, "gl2_nonsplit", lambda q, G: {
+        "B": [companion[q]], "H": G[:3], "P": {"1": G}})
+    refusal = (2, "", "error: orbit 0 fits no size c * q^a * (q-1)^b: "
+                      "6 at q = 5, 8 at q = 7\n")
+    for argv in (["infer", *pair], ["compare", *pair, "rank1_a"]):
+        assert run(capsys, "oracle", *argv) == refusal
+        assert run(capsys, "oracle", *argv, "--json") == refusal
+
+
 def test_subcommand_arguments_in_order():
     # --json and --out are declared once for all subcommands and come last
     sub = next(a for a in build_parser()._actions
@@ -474,6 +537,46 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no_such_datum")
     assert code == 2
     assert "no such datum" in err
+
+
+_TORUS = json.loads(oracle_spec_text("torus"))
+_GENS = _TORUS["generators"]
+_RANK1_U = json.loads(datum_text("rank1_u"))
+
+
+@pytest.mark.parametrize("argv,obj,message", [
+    (["oracle", "enumerate"], {**_TORUS, "generators": []},
+     "spec: generators must be an object"),
+    (["oracle", "enumerate"], {**_TORUS, "generators": {**_GENS, "X": []}},
+     "unknown generator blocks: ['X']"),
+    (["oracle", "enumerate"], {**_TORUS, "generators": {**_GENS, "G": [[[1, 1]]]}},
+     "G generators: matrix is not 2x2"),
+    (["oracle", "enumerate"], {**_TORUS, "generators": {**_GENS, "B": []}},
+     "B generators: no generators"),
+    (["oracle", "enumerate"], {k: v for k, v in _TORUS.items() if k != "dimension"},
+     "missing spec fields: ['dimension']"),
+    (["oracle", "enumerate"], {**_TORUS, "generators": {**_GENS, "P": {"2": _GENS["P"]["1"]}}},
+     "parabolic index 2 outside 1..1"),
+    (["validate"], [_RANK1_U], "datum must be a JSON object"),
+    (["validate"], {**_RANK1_U, "cells": {"x": _RANK1_U["cells"]["1"]}},
+     "cells: bad simple root key 'x'"),
+    (["validate"], {**_RANK1_U, "cells": {"1": _RANK1_U["cells"]["1"][0]}},
+     "cells[1] must be a list"),
+    (["validate"], {**_RANK1_U, "notes": [1]}, "notes must be a list of strings"),
+    (["validate"], {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]},
+     "orbits: duplicate ids"),
+    (["act", "rank1_u", "1..2", "y"], None,
+     "bad word '1..2'; expected e or dotted indices like 1.2"),
+    (["oracle", "enumerate", "no_such_spec"], None,
+     "no such oracle spec file or bundled name: no_such_spec"),
+], ids=["spec-generators", "spec-block", "spec-shape", "spec-empty", "spec-missing",
+        "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-notes",
+        "datum-ids", "word", "spec-name"])
+def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
+    """Each refusal exits 2 with one error: line; obj, when given, is a
+    one-field change to a bundled spec or datum, passed as the last argument."""
+    path = [] if obj is None else [write_datum(tmp_path, "input", obj)]
+    assert run(capsys, *argv, *path) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["oracle", "enumerate"]],

@@ -398,6 +398,12 @@ def test_orbit_datum_refuses_a_cell_key_outside_the_rank():
                        {**d.cells, alpha: (RaiseCell(alpha, "A", y="y"),)})
 
 
+def test_orbit_datum_refuses_a_repeated_orbit_id():
+    d = rank1_datum("U")
+    with pytest.raises(DatumFormatError, match=r"^duplicate orbit ids$"):
+        OrbitDatum(d.root_system, d.orbits + d.orbits[:1], d.cells)
+
+
 def test_orbit_datum_refuses_an_unknown_cell_member():
     d = rank1_datum("TU")
     with pytest.raises(DatumFormatError,

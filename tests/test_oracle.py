@@ -997,14 +997,19 @@ def test_infer_refuses_each_bad_shape(sizes, merges, root_system, message):
     assert str(exc.value) == message
 
 
-def test_infer_without_a_size_fit_prints_no_datum(capsys, monkeypatch):
-    """Sizes 7 at q = 5 and 5 at q = 7 fit no c q^a (q-1)^b: no datum, exit 1."""
-    inf = _infer_synthetic(lambda q: (12 - q,))
-    assert (inf.datum, inf.notes[1:]) == (None, ("orbit 0 unclassified: no monomial size fit",))
-    monkeypatch.setattr(oracle, "enumerate_orbits",
-                        lambda spec, cap: _tiny_report(spec.q, (12 - spec.q,)))
-    assert main(["oracle", "infer", "torus"]) == 1
-    assert json.loads(capsys.readouterr().out)["datum"] is None
+def test_infer_without_a_size_fit_prints_no_datum():
+    """An orbit whose sizes fit no c q^a (q-1)^b is refused, each such
+    orbit named with its sizes, so no datum is ever printed (the CLI's
+    exit 2 on a real spec: tests/test_cli.py)."""
+    with pytest.raises(OracleError) as exc:
+        _infer_synthetic(lambda q: (12 - q, q, q * q), {1: ((0, 1), (2,))})
+    assert str(exc.value) == (
+        "orbit 0 fits no size c * q^a * (q-1)^b: 7 at q = 5, 5 at q = 7")
+    with pytest.raises(OracleError) as exc:
+        _infer_synthetic(lambda q: (q + 1, q, q * q + 1))
+    assert str(exc.value) == (
+        "orbit 0 fits no size c * q^a * (q-1)^b: 6 at q = 5, 8 at q = 7; "
+        "orbit 2 fits no size c * q^a * (q-1)^b: 26 at q = 5, 50 at q = 7")
 
 
 def test_infer_rejects_small_characteristic():
