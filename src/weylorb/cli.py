@@ -105,8 +105,6 @@ def _cmd_validate(args) -> tuple[int, str]:
 def _cmd_act(args) -> tuple[int, str]:
     d = _load_datum(args.datum)
     word = _parse_word(args.word, d.root_system.rank)
-    if args.orbit not in d.orbit_ids():
-        raise UsageError(f"no orbit {args.orbit!r} in the datum")
     result = action.act_word(d, word, args.orbit)
     if args.json:
         return 0, _json_body({"word": args.word, "start": args.orbit,
@@ -200,8 +198,8 @@ def _cmd_oracle(args) -> tuple[int, str]:
                 aligned_counts = [
                     {str(r.q): r.orbits[i].size for r in aligned}
                     for i in range(aligned[0].orbit_count)]
-            except oracle.OracleError:
-                aligned_counts = None
+            except oracle.OracleError as exc:  # the reports stand; the counts do not
+                print(f"note: pointCounts left out: {exc}", file=sys.stderr)
         if args.json:
             return 0, _json_body({
                 "reports": [r.to_obj() for r in reports],

@@ -125,9 +125,13 @@ class ValidationReport(NamedTuple):
 class OrbitDatum:
     """Orbits sorted by (dim, id), and per simple root its cells sorted by y.
 
-    The constructor refuses, with DatumFormatError, what no layer could
-    read: duplicate orbit ids, a lattice row whose length is not the rank,
-    a cell key outside 1..rank and a cell member that is not an orbit id.
+    The constructor is the one home of the structural rules: it refuses,
+    with DatumFormatError naming the witness, what no layer could read.
+    In this order: a repeated orbit id (the first orbit in (dim, id) order
+    whose id an earlier orbit has), a lattice row whose length is not the
+    rank (the first such orbit), and per simple root in order, a cell key
+    outside 1..rank, then a cell member that is not an orbit id (the first
+    in the cells sorted by y, in role order).
     """
 
     def __init__(self, root_system: RootSystem, orbits: tuple[Orbit, ...],
@@ -140,7 +144,11 @@ class OrbitDatum:
         #: Orbit id -> its index in ``orbit_ids()`` order.
         self.position = {o.id: i for i, o in enumerate(self.orbits)}
         if len(self.position) != len(self.orbits):
-            raise DatumFormatError("duplicate orbit ids")
+            seen: set[str] = set()
+            for o in self.orbits:
+                if o.id in seen:
+                    raise DatumFormatError(f"duplicate orbit id {o.id!r}")
+                seen.add(o.id)
         rank = root_system.rank
         for o in self.orbits:
             if o.lattice is not None and any(len(row) != rank for row in o.lattice):
@@ -509,8 +517,13 @@ def dumps(d: OrbitDatum) -> str:
 def datum_from_obj(obj: dict) -> OrbitDatum:
     """The datum of a parsed JSON object, refusing the first malformed field.
 
-    Each orbit and cell record is checked with one key-set comparison and
-    exact type tests; the error text names the record and field."""
+    A check of JSON shape only: each orbit and cell record is checked with
+    one key-set comparison and exact type tests, and the error text names
+    the record and field.  Two cell keys naming one simple root ("1" and
+    "01") are refused here, as the datum keeps one cell list per root.  Every
+    structural rule (repeated ids, cell key range, members that are not
+    orbit ids) is the :class:`OrbitDatum` constructor's, checked once
+    after every shape check has passed."""
     if not isinstance(obj, dict):
         raise DatumFormatError("datum must be a JSON object")
     if not obj.keys() <= _TOP_KEYS:
@@ -564,9 +577,6 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
                        if type(entry.get(k)) is not int or entry[k] < 0)
             raise DatumFormatError(f"orbits[{i}]: field {key!r} must be an integer >= 0")
         orbits.append(_new(Orbit, (oid, dim, c, rk, s, is_open, lattice)))
-    ids = {o.id for o in orbits}
-    if len(ids) != len(orbits):
-        raise DatumFormatError("orbits: duplicate ids")
 
     cells_obj = obj["cells"]
     if not isinstance(cells_obj, dict):
@@ -577,9 +587,6 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
             alpha = int(key)
         except (TypeError, ValueError):
             raise DatumFormatError(f"cells: bad simple root key {key!r}") from None
-        if not 1 <= alpha <= rs.rank:
-            raise DatumFormatError(
-                f"cells: simple root index {alpha} out of range 1..{rs.rank}")
         if alpha in cells:
             first = next(k for k in cells_obj if int(k) == alpha)
             raise DatumFormatError(
@@ -598,15 +605,10 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
                 raise _unknown_fields(c, _CELL_KEYS[kind], f"cells[{key}][{j}]")
             members = list(map(c.get, roles))
             try:
-                known = ids.issuperset(members)
-            except TypeError:  # an unhashable role value
-                known = False
-            if not known:
-                role, v = next((r, v) for r, v in zip(roles, members)
-                               if type(v) is not str or v not in ids)
-                raise DatumFormatError(f"cells[{key}][{j}]: missing role {role!r}"
-                                       if type(v) is not str else
-                                       f"cells[{key}][{j}]: unknown orbit id {v!r}")
+                "".join(members)  # TypeError unless every role value is a string
+            except TypeError:
+                role = next(r for r, v in zip(roles, members) if type(v) is not str)
+                raise DatumFormatError(f"cells[{key}][{j}]: missing role {role!r}") from None
             if len(members) == 3:  # TU and RT: y, z1, z2 with no z
                 members.insert(1, None)
             members += [None] * (4 - len(members))

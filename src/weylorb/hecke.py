@@ -175,15 +175,15 @@ class RegularRepReport(NamedTuple):
     braid_violations: tuple[HeckeBraidViolation, ...]
 
 
-def verify_regular_representation(d: OrbitDatum | HeckeModule,
+def verify_regular_representation(module: HeckeModule,
                                   cap: int = DEFAULT_GROUP_CAP) -> RegularRepReport:
     """Check that w -> T_w [e] realizes the regular representation.
 
-    d is a datum, or the module already built from one.  Requires orbit
-    ids that are canonical reduced words (as the flag datum produces), so
-    that the identity orbit "e" exists.  Passes when the module braid
-    relations hold, the map w -> T_w [e] is injective over the whole
-    group, and the cyclic submodule generated by [e] is everything.
+    Requires a module whose basis ids are canonical reduced words (as the
+    flag datum produces), so that the identity orbit "e" exists.  Passes
+    when the module braid relations hold, the map w -> T_w [e] is
+    injective over the whole group, and the cyclic submodule generated by
+    [e] is everything.
 
     T_w [e] is computed in the group's BFS order by the recurrence
     T_w [e] = T_a (T_{s_a w} [e]), with a = words[w][0] and s_a w =
@@ -192,7 +192,6 @@ def verify_regular_representation(d: OrbitDatum | HeckeModule,
     applies the letters of words[w] one by one, rightmost first, whether
     or not the braid relations hold.
     """
-    module = d if isinstance(d, HeckeModule) else build_module(d)
     if "e" not in module.basis:
         raise HeckeError("no identity orbit \"e\"; regular representation "
                          "check needs a flag-shaped datum")

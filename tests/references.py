@@ -494,7 +494,9 @@ def _int_field(obj: dict, key: str, where: str, minimum: int = 0) -> int:
 
 def reference_datum_from_obj(obj: dict) -> OrbitDatum:
     """The loader with one helper call per field, as it was before each
-    record was checked in one pass."""
+    record was checked in one pass: every JSON shape check first, then
+    the structural rules, checked here on their own
+    (:func:`_reference_structure`) before the datum is built."""
     if not isinstance(obj, dict):
         raise DatumFormatError("datum must be a JSON object")
     _require_keys(obj, _TOP_KEYS, "datum")
@@ -547,9 +549,6 @@ def reference_datum_from_obj(obj: dict) -> OrbitDatum:
             open=is_open,
             lattice=lattice,
         ))
-    ids = {o.id for o in orbits}
-    if len(ids) != len(orbits):
-        raise DatumFormatError("orbits: duplicate ids")
 
     cells_obj = obj["cells"]
     if not isinstance(cells_obj, dict):
@@ -560,9 +559,6 @@ def reference_datum_from_obj(obj: dict) -> OrbitDatum:
             alpha = int(key)
         except (TypeError, ValueError):
             raise DatumFormatError(f"cells: bad simple root key {key!r}") from None
-        if not 1 <= alpha <= rs.rank:
-            raise DatumFormatError(
-                f"cells: simple root index {alpha} out of range 1..{rs.rank}")
         if alpha in cells:
             first = next(k for k in cells_obj if int(k) == alpha)
             raise DatumFormatError(
@@ -583,8 +579,6 @@ def reference_datum_from_obj(obj: dict) -> OrbitDatum:
                 v = c.get(role)
                 if not isinstance(v, str):
                     raise DatumFormatError(f"{where}: missing role {role!r}")
-                if v not in ids:
-                    raise DatumFormatError(f"{where}: unknown orbit id {v!r}")
                 roles[role] = v
             parsed.append(RaiseCell(alpha=alpha, kind=kind, **roles))
         cells[alpha] = tuple(parsed)
@@ -594,8 +588,34 @@ def reference_datum_from_obj(obj: dict) -> OrbitDatum:
             or any(not isinstance(x, str) for x in notes)):
         raise DatumFormatError("notes must be a list of strings")
 
+    _reference_structure(rs.rank, orbits, cells)
     return OrbitDatum(root_system=rs, orbits=tuple(orbits), cells=cells,
                       notes=tuple(notes))
+
+
+def _reference_structure(rank: int, orbits: list[Orbit],
+                         cells: dict[int, tuple[RaiseCell, ...]]) -> None:
+    """The OrbitDatum constructor's refusals, in its order and texts: a
+    repeated id, a lattice row of the wrong length, then per simple root
+    in order its key range and the members of its cells sorted by y."""
+    ordered = sorted(orbits, key=lambda o: (o.dim, o.id))
+    ids = [o.id for o in ordered]
+    for n, oid in enumerate(ids):
+        if ids.index(oid) < n:
+            raise DatumFormatError(f"duplicate orbit id {oid!r}")
+    for o in ordered:
+        if o.lattice is not None and any(len(row) != rank for row in o.lattice):
+            raise DatumFormatError(
+                f"orbit {o.id}: lattice ambient dimension differs from rank {rank}")
+    known = set(ids)
+    for alpha in sorted(cells):
+        if not 1 <= alpha <= rank:
+            raise DatumFormatError(f"cells: simple root index {alpha} out of range 1..{rank}")
+        for cell in sorted(cells[alpha], key=lambda c: c.y):
+            for m in (getattr(cell, role) for role in ROLES[cell.kind]):
+                if m not in known:
+                    raise DatumFormatError(
+                        f"alpha {alpha} cell y={cell.y}: unknown orbit id {m!r}")
 
 
 def reference_validate(d: OrbitDatum) -> ValidationReport:

@@ -82,7 +82,7 @@ def test_1_flag_suite():
         stab = stabilizer_open(d)
         assert stab.order == 1, token
 
-        report = verify_regular_representation(d)
+        report = verify_regular_representation(build_module(d))
         assert report.ok, token
         assert report.group_order == order, token
         assert report.span_dimension == order, token

@@ -493,10 +493,13 @@ def test_oracle_refuses_merges_that_do_not_align(tmp_path, capsys):
     # P_1 = B leaves them apart at q = 7
     pair = _gl2_pair(tmp_path, "gl2_split_p", lambda q, G: {
         "B": G[:3], "H": G[:3], "P": {"1": G if q == 5 else G[:3]}})
-    code, out, _ = run(capsys, "oracle", "enumerate", *pair)
+    note = ("note: pointCounts left out: "
+            "merge structure at q = 7 is not isomorphic to q = 5\n")
+    code, out, err = run(capsys, "oracle", "enumerate", *pair)
     assert code == 0 and out.count("2 B-orbits") == 2 and "pointCounts" not in out
-    code, out, _ = run(capsys, "oracle", "enumerate", *pair, "--json")
-    assert (code, json.loads(out)["pointCounts"]) == (0, None)
+    assert err == note
+    code, out, err = run(capsys, "oracle", "enumerate", *pair, "--json")
+    assert (code, json.loads(out)["pointCounts"], err) == (0, None, note)
     assert run(capsys, "oracle", "infer", *pair) == (
         2, "", "error: merge structure at q = 7 is not isomorphic to q = 5\n")
 
@@ -542,6 +545,8 @@ def test_missing_file_is_usage_error(capsys):
 _TORUS = json.loads(oracle_spec_text("torus"))
 _GENS = _TORUS["generators"]
 _RANK1_U = json.loads(datum_text("rank1_u"))
+#: rank1_u with both orbits named y.
+_TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
 
 
 @pytest.mark.parametrize("argv,obj,message", [
@@ -563,18 +568,27 @@ _RANK1_U = json.loads(datum_text("rank1_u"))
     (["validate"], {**_RANK1_U, "cells": {"1": _RANK1_U["cells"]["1"][0]}},
      "cells[1] must be a list"),
     (["validate"], {**_RANK1_U, "notes": [1]}, "notes must be a list of strings"),
-    (["validate"], {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]},
-     "orbits: duplicate ids"),
+    (["validate"], _TWO_YS, "duplicate orbit id 'y'"),
+    (["validate"], {**_RANK1_U, "cells": {"1": [{"kind": "U", "y": "y", "z": "ghost"}]}},
+     "alpha 1 cell y=y: unknown orbit id 'ghost'"),
+    (["validate"], {**_RANK1_U, "cells": {**_RANK1_U["cells"], "2": [{"kind": "A", "y": "y"}]}},
+     "cells: simple root index 2 out of range 1..1"),
+    (["validate"], {**_TWO_YS, "cells": {"1": [{"kind": "Q", "y": "y"}]}},
+     "cells[1][0]: unknown kind 'Q'"),
     (["act", "rank1_u", "1..2", "y"], None,
      "bad word '1..2'; expected e or dotted indices like 1.2"),
+    (["act", "rank1_u", "1", "q"], None, "unknown orbit id 'q'"),
     (["oracle", "enumerate", "no_such_spec"], None,
      "no such oracle spec file or bundled name: no_such_spec"),
 ], ids=["spec-generators", "spec-block", "spec-shape", "spec-empty", "spec-missing",
         "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-notes",
-        "datum-ids", "word", "spec-name"])
+        "datum-ids", "datum-member", "datum-range", "shape-before-structure", "word",
+        "act-orbit", "spec-name"])
 def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
     """Each refusal exits 2 with one error: line; obj, when given, is a
-    one-field change to a bundled spec or datum, passed as the last argument."""
+    change to a bundled spec or datum, passed as the last argument.  A
+    datum with a shape defect (a record's JSON) and a structural one (the
+    orbits or cells it names) is refused for the shape defect."""
     path = [] if obj is None else [write_datum(tmp_path, "input", obj)]
     assert run(capsys, *argv, *path) == (2, "", f"error: {message}\n")
 

@@ -399,9 +399,13 @@ def test_orbit_datum_refuses_a_cell_key_outside_the_rank():
 
 
 def test_orbit_datum_refuses_a_repeated_orbit_id():
-    d = rank1_datum("U")
-    with pytest.raises(DatumFormatError, match=r"^duplicate orbit ids$"):
+    d = rank1_datum("U")  # y at dim 2, z at dim 1
+    with pytest.raises(DatumFormatError, match=r"^duplicate orbit id 'z'$"):
         OrbitDatum(d.root_system, d.orbits + d.orbits[:1], d.cells)
+    # the witness is the first orbit in (dim, id) order whose id an earlier
+    # orbit has: y at dim 0 comes first, but z at dim 1 repeats first
+    with pytest.raises(DatumFormatError, match=r"^duplicate orbit id 'z'$"):
+        OrbitDatum(d.root_system, d.orbits * 2 + (d.orbits[-1]._replace(dim=0),), d.cells)
 
 
 def test_orbit_datum_refuses_an_unknown_cell_member():
@@ -757,7 +761,7 @@ def mutated_records(draw):
                 entry[draw(_KEYS)] = draw(_ODD)
             elif entry:
                 entry.pop(draw(st.sampled_from(sorted(entry))))
-        elif op.startswith("cell") and isinstance(cells, dict) and cells:
+        elif op in ("cell", "cell-drop") and isinstance(cells, dict) and cells:
             row = cells[draw(st.sampled_from(sorted(cells)))]
             if not isinstance(row, list) or not row:
                 continue
