@@ -189,6 +189,8 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
     if missing:
         raise OracleError(f"missing generator blocks: {sorted(missing)}")
     rs = build_root_system(obj["root_system"])
+    g_gens, b_gens, h_gens = (_as_matrices(gens[block], dim, q, f"{block} generators")
+                              for block in ("G", "B", "H"))
     raw_parabolics = gens.get("P", {})
     if type(raw_parabolics) is not dict:
         raise OracleError("spec: generators P must be an object keyed by simple root index")
@@ -209,9 +211,7 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         root_system=obj["root_system"],
         q=q,
         dimension=dim,
-        g_gens=_as_matrices(gens["G"], dim, q, "G generators"),
-        b_gens=_as_matrices(gens["B"], dim, q, "B generators"),
-        h_gens=_as_matrices(gens["H"], dim, q, "H generators"),
+        g_gens=g_gens, b_gens=b_gens, h_gens=h_gens,
         parabolics=parabolics,
     )
 

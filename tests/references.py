@@ -9,7 +9,9 @@ packed ints (bit i for basis position i) with its word-by-word T_w, the
 oracle's spec loader and monomial fit as they were before exact type
 tests and the integer fit, the closure of all of H that the oracle
 made before it read |H| off H's row-stabilizer chain, and its orbits as
-it formed them before it recorded each generator's point permutation.
+it formed them before it recorded each generator's point permutation;
+and the oracle specs and strategies that tests/test_oracle.py and
+tests/test_oracle_numpy.py both build.
 
 The tests directory is on pytest's ``pythonpath`` (pyproject.toml), so
 this module imports as ``references`` under every import mode.
@@ -17,14 +19,17 @@ this module imports as ``references`` under every import mode.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import isqrt
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from weylorb.bundled import ORACLE_SPEC_NAMES, oracle_spec_text
 from weylorb.coxeter import (
     RootSystemError,
     WeylElement,
@@ -839,6 +844,8 @@ def reference_spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
     if unknown:
         raise OracleError(f"unknown generator blocks: {sorted(unknown)}")
     rs = build_root_system(obj["root_system"])
+    g_gens, b_gens, h_gens = (_reference_as_matrices(gens[block], dim, q, f"{block} generators")
+                              for block in ("G", "B", "H"))
     parabolics = {}
     for key, mats in gens.get("P", {}).items():
         alpha = int(key)
@@ -850,9 +857,7 @@ def reference_spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         root_system=obj["root_system"],
         q=q,
         dimension=dim,
-        g_gens=_reference_as_matrices(gens["G"], dim, q, "G generators"),
-        b_gens=_reference_as_matrices(gens["B"], dim, q, "B generators"),
-        h_gens=_reference_as_matrices(gens["H"], dim, q, "H generators"),
+        g_gens=g_gens, b_gens=b_gens, h_gens=h_gens,
         parabolics=parabolics,
     )
 
@@ -944,3 +949,139 @@ def reference_enumerate_by_act(spec: MatGroupSpec) -> OracleReport:
                         q=q, group_order=len(labels) * top.order,
                         subgroup_order=top.order, point_count=len(labels),
                         orbits=tuple(infos), merges=merges)
+
+
+# -- oracle specs and strategies that test_oracle and test_oracle_numpy share --
+
+def mod_mul(a, b, q: int) -> tuple:
+    """The matrix product mod q as a tuple of rows."""
+    return tuple(tuple(x % q for x in row) for row in mat_mul(a, b))
+
+
+def mod_inverse(g, q: int) -> tuple:
+    """The inverse mod q as a tuple of rows."""
+    k, inv = len(g), _inv_mod(g, q)
+    return tuple(inv[i:i + k] for i in range(0, k * k, k))
+
+
+def conjugated(obj: dict, g, q: int) -> dict:
+    """The spec with every generator M replaced by g M g^-1 mod q, pinned to q."""
+    g_inv = mod_inverse(g, q)
+
+    def conj(mats):
+        return [mod_mul(mod_mul(g, m, q), g_inv, q) for m in mats]
+
+    gens = obj["generators"]
+    return {**obj, "q": q, "generators": {
+        **{block: conj(gens[block]) for block in ("G", "B", "H")},
+        "P": {a: conj(mats) for a, mats in gens.get("P", {}).items()}}}
+
+
+def elementary(k: int, i: int, j: int, c: int = 1):
+    return tuple(tuple(int(r == s) + c * ((r, s) == (i, j)) for s in range(k))
+                 for r in range(k))
+
+
+def diagonal(k: int, i: int, t: int):
+    return tuple(tuple((t if r == i else 1) * (r == s) for s in range(k)) for r in range(k))
+
+
+def bruhat_obj(k: int, q: int, root: int) -> dict:
+    """G = GL_k(F_q) and H = B upper triangular, root a primitive root mod q."""
+    upper = [elementary(k, i, i + 1) for i in range(k - 1)]
+    lower = [elementary(k, i + 1, i) for i in range(k - 1)]
+    borel = [diagonal(k, i, root) for i in range(k)] + upper
+    return {"name": f"bruhat_gl{k}", "root_system": f"A{k - 1}", "q": q,
+            "dimension": k,
+            "generators": {"G": upper + lower + [diagonal(k, 0, root)],
+                           "B": borel, "H": borel,
+                           "P": {str(a + 1): borel + [lower[a]] for a in range(k - 1)}}}
+
+
+#: GL_k/B specs, plain and conjugated, by test id: (spec, q).
+BRUHAT_CASES = {
+    "gl2-B-conjugated-q11": (conjugated(bruhat_obj(2, 11, 2), ((3, 7), (5, 1)), 11), 11),
+    "gl3-B-q3": (bruhat_obj(3, 3, 2), 3),
+    "gl3-B-conjugated-q3": (
+        conjugated(bruhat_obj(3, 3, 2), ((1, 2, 0), (0, 1, 1), (2, 0, 1)), 3), 3),
+}
+#: GL3/B conjugated at q = 5, where closing all of G takes 35 s and 0.9 GB.
+GL3_B_CONJUGATED_Q5 = conjugated(bruhat_obj(3, 5, 2), ((1, 2, 0), (0, 1, 3), (1, 0, 1)), 5)
+
+
+def bundled_cases():
+    """(name, q) for every bundled spec: at 5 and 7, or at its pinned prime."""
+    for name in ORACLE_SPEC_NAMES:
+        pinned = json.loads(oracle_spec_text(name))["q"]
+        for q in (5, 7) if pinned is None else (pinned,):
+            yield name, q
+
+
+def chain_top(h_gens, q: int, order: int | None = None) -> _Level:
+    """The top level of H's chain, as enumerate_orbits builds it: by
+    default of unknown order, which its first reduce sets."""
+    return _Level(_flat(h_gens), [_inv_mod(h, q) for h in h_gens], order,
+                  _arith(len(h_gens[0]), q))
+
+
+def outside_obj(block: str) -> dict:
+    """G and H the upper unipotent group, with one lower unipotent
+    generator put into B or into P_1."""
+    upper, lower = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+    gens = {"G": [upper], "B": [upper], "H": [upper], "P": {"1": [upper]}}
+    if block == "B":
+        gens["B"] = [upper, lower]
+    else:
+        gens["P"] = {"1": [upper, lower]}
+    return {"name": "bad", "root_system": "A1", "q": None, "dimension": 2,
+            "generators": gens}
+
+
+@st.composite
+def invertible(draw, qs=(2, 3, 5, 7, 257), ks=(1, 2, 3, 4)):
+    q = draw(st.sampled_from(qs))
+    k = draw(st.sampled_from(ks))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    mat = tuple(map(tuple, rows))
+    assume(det_laplace(mat, q) != 0)
+    return mat, q
+
+
+@st.composite
+def canon_cases(draw):
+    """Generators of a subgroup H, conjugated by a random g, and random
+    matrices, singular ones included.  H is trivial, generated by signed
+    permutations, one unipotent or one diagonal matrix, or an upper
+    triangular group (unipotent part and one or two diagonal matrices,
+    q <= 7), whose row-stabilizer chain is non-trivial for several levels."""
+    kind = draw(st.sampled_from(["trivial", "signed", "unipotent", "diagonal", "upper"]))
+    g, q = draw(invertible(qs=(2, 3, 5, 7) if kind == "upper" else (2, 3, 5, 7, 257),
+                           ks=(1, 2, 3)))
+    k = len(g)
+    if kind == "trivial":
+        gens = [diagonal(k, 0, 1)]
+    elif kind == "signed" or k == 1:
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            perm = draw(st.permutations(range(k)))
+            signs = draw(st.lists(st.sampled_from([1, q - 1]), min_size=k, max_size=k))
+            gens.append(tuple(tuple(signs[r] * (perm[r] == c) for c in range(k))
+                              for r in range(k)))
+    elif kind == "unipotent":
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        gens = [elementary(k, i, j, draw(st.integers(1, q - 1)))]
+    elif kind == "diagonal":
+        gens = [diagonal(k, draw(st.integers(0, k - 1)), draw(st.integers(1, q - 1)))]
+    else:
+        gens = [elementary(k, i, i + 1, draw(st.integers(1, q - 1))) for i in range(k - 1)]
+        gens += [diagonal(k, draw(st.integers(0, k - 1)), draw(st.integers(1, q - 1)))
+                 for _ in range(draw(st.integers(1, 2)))]
+    g_inv = mod_inverse(g, q)
+    h_gens = [mod_mul(mod_mul(g, m, q), g_inv, q) for m in gens]
+    n = draw(st.integers(1, 12))
+    mats = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k * k, max_size=k * k),
+                         min_size=n, max_size=n))
+    if k > 1 and draw(st.booleans()):  # one matrix with a repeated row
+        mats[0][k:2 * k] = mats[0][:k]
+    return h_gens, [tuple(m) for m in mats], q

@@ -106,6 +106,12 @@ def test_gen_flag_bad_raise_dims_is_refused(capsys, dims):
     assert (code, out, err) == (2, "", f"error: bad raise-dims {dims!r}\n")
 
 
+def test_gen_flag_unequal_dims_on_conjugate_roots_are_refused(capsys):
+    assert run(capsys, "gen-flag", "A2", "--raise-dims", "1,2") == (
+        2, "", "error: raise dims must agree on Weyl-conjugate simple roots; "
+               "conflict [1, 2] in the orbit of (0, 1)\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["A1xQ2"], "cannot parse root-system token 'Q2'"),
     (["A1xG23"], "G2 has rank 2, not 3"),
@@ -571,6 +577,8 @@ _TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
     (["validate"], _TWO_YS, "duplicate orbit id 'y'"),
     (["validate"], {**_RANK1_U, "cells": {"1": [{"kind": "U", "y": "y", "z": "ghost"}]}},
      "alpha 1 cell y=y: unknown orbit id 'ghost'"),
+    (["braid"], {**_RANK1_U, "cells": {"1": [{"kind": "U", "y": "y", "z": "ghost"}]}},
+     "alpha 1 cell y=y: unknown orbit id 'ghost'"),
     (["validate"], {**_RANK1_U, "cells": {**_RANK1_U["cells"], "2": [{"kind": "A", "y": "y"}]}},
      "cells: simple root index 2 out of range 1..1"),
     (["validate"], {**_TWO_YS, "cells": {"1": [{"kind": "Q", "y": "y"}]}},
@@ -580,10 +588,14 @@ _TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
     (["act", "rank1_u", "1", "q"], None, "unknown orbit id 'q'"),
     (["oracle", "enumerate", "no_such_spec"], None,
      "no such oracle spec file or bundled name: no_such_spec"),
+    # torus's first G generator, diag(3, 1), is singular mod 3; G is
+    # checked before P, as the spec lists it
+    (["oracle", "enumerate", "torus", "--q-list", "3"], None,
+     "G generators: singular generator ((0, 0), (0, 1)) mod 3"),
 ], ids=["spec-generators", "spec-block", "spec-shape", "spec-empty", "spec-missing",
         "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-notes",
-        "datum-ids", "datum-member", "datum-range", "shape-before-structure", "word",
-        "act-orbit", "spec-name"])
+        "datum-ids", "datum-member", "braid-member", "datum-range",
+        "shape-before-structure", "word", "act-orbit", "spec-name", "spec-singular"])
 def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
     """Each refusal exits 2 with one error: line; obj, when given, is a
     change to a bundled spec or datum, passed as the last argument.  A
@@ -697,6 +709,16 @@ def test_no_command_imports_dataclasses():
 
 def test_help_does_not_import_json():
     proc = _fresh_python(_NOT_IMPORTED, "json", "--help", "hecke --help", "oracle --help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_other_commands_do_not_load_numpy(tmp_path):
+    flag = tmp_path / "b3.json"
+    proc = _fresh_python(_NOT_IMPORTED, "numpy", f"gen-flag B3 --out {flag}",
+                         f"act {flag} 1.2.3 e", f"export-dot {flag}", f"hecke {flag} --json",
+                         "oracle infer horospherical",
+                         "oracle compare product_diag_q5 product_diag_q7 product_a1a1 "
+                         "--q-list 5,7")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import doctest
+import importlib
 import os
 import subprocess
 import sys
@@ -40,6 +42,13 @@ def test_exported_names_are_unchanged_and_resolve():
     namespace: dict = {}
     exec("from weylorb import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTED
+
+
+def test_layer_doctests_pass():
+    results = [doctest.testmod(importlib.import_module(f"weylorb.{name}"))
+               for name in weylorb._LAYERS]
+    assert sum(r.failed for r in results) == 0
+    assert sum(r.attempted for r in results) > 0
 
 
 # benchmark/shim.py wraps these names right after ``import weylorb.cli``,
