@@ -33,8 +33,21 @@ Matrix = tuple[tuple[int, ...], ...]
 
 #: Default cap on group enumeration and subgroup closure (the order of W(E6)).
 DEFAULT_GROUP_CAP = 51840
+#: Largest total rank of a root system.  No cap bounds the build, whose
+#: time grows as rank^4: 0.2 s for BC32, 2.5 s for B64 (Python 3.11).
+MAX_RANK = 32
 
-_SIMPLE_TOKEN = re.compile(r"^(BC|A|B|C|D|G2|F4)(\d*)$")
+_TOKEN = re.compile(r"^(BC|A|B|C|D|G2|F4)(\d*)$")
+_IMPLIED_RANK = {"G2": 2, "F4": 4}
+#: Each family of rank r is the chain of single bonds 0 - 1 - ... - (r-1)
+#: with bond k = r - 2 - back changed to join nodes k - shift and k + 1,
+#: where C[k - shift][k + 1] = a and C[k + 1][k - shift] = b.  Nodes up to
+#: k have half square-length -b, the rest -a.
+_BONDS = {  # family: (back, shift, a, b)
+    "A": (0, 0, -1, -1), "B": (0, 0, -1, -2), "BC": (0, 0, -1, -2),
+    "C": (0, 0, -2, -1), "D": (0, 1, -1, -1), "G2": (0, 0, -3, -1),
+    "F4": (1, 0, -1, -2),
+}
 
 
 class RootSystemError(InputError, ValueError):
@@ -45,83 +58,50 @@ class CapExceeded(InputError, RuntimeError):
     """A group enumeration grew past the configured cap."""
 
 
-def _is_nonneg(v: Vector) -> bool:
-    return all(x >= 0 for x in v) and any(x != 0 for x in v)
+def simple_reflection(cartan: Matrix, i: int, v: Vector) -> Vector:
+    """s_i(v) = v - <v, alpha_i-vee> alpha_i, which changes coordinate i
+    only: the pairing is read off Cartan row i."""
+    return v[:i] + (v[i] - sum(map(int.__mul__, cartan[i], v)),) + v[i + 1:]
 
 
-def _cartan_and_lengths(fam: str, rank: int) -> tuple[list[list[int]], list[int]]:
-    """Cartan matrix C[i][j] = <alpha_j, alpha_i-vee> and integer half
-    square-lengths, per irreducible family (BC uses its B-type base)."""
-    if rank < 1:
-        raise RootSystemError(f"family {fam} needs rank >= 1, got {rank}")
-    chain = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        chain[i][i] = 2
-    for i in range(rank - 1):
-        chain[i][i + 1] = chain[i + 1][i] = -1
-    if fam == "A":
-        return chain, [1] * rank
-    if fam in ("B", "BC"):
-        if rank >= 2:
-            chain[rank - 2][rank - 1] = -1
-            chain[rank - 1][rank - 2] = -2
-        return chain, [2] * (rank - 1) + [1]
-    if fam == "C":
-        if rank >= 2:
-            chain[rank - 2][rank - 1] = -2
-            chain[rank - 1][rank - 2] = -1
-        return chain, [1] * (rank - 1) + [2]
-    if fam == "D":
-        if rank < 2:
-            raise RootSystemError("family D needs rank >= 2")
-        c = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            c[i][i] = 2
-        for i in range(rank - 2):
-            c[i][i + 1] = c[i + 1][i] = -1
-        if rank >= 3:
-            c[rank - 3][rank - 1] = c[rank - 1][rank - 3] = -1
-        return c, [1] * rank
-    if fam == "G2":
-        return [[2, -3], [-1, 2]], [1, 3]
-    # F4, the one family left: build_root_system passes only the (family,
-    # rank) pairs its parser made, so G2 and F4 come with their own rank
-    c = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
-    return c, [2, 2, 1, 1]
-
-
-def _positive_roots(cartan: list[list[int]], rank: int) -> list[Vector]:
-    """All positive roots of a reduced system, by reflection closure from
-    the simple roots.  Returned sorted for determinism."""
-    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rank):
-                pairing = sum(v[j] * cartan[i][j] for j in range(rank))
-                w = tuple(v[j] - (pairing if j == i else 0) for j in range(rank))
-                if _is_nonneg(w) and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
-
-
-def _parse_component(token: str) -> tuple[str, int]:
-    m = _SIMPLE_TOKEN.match(token)
-    if not m:
-        raise RootSystemError(f"cannot parse root-system token {token!r}")
-    fam, digits = m.group(1), m.group(2)
-    if fam in ("G2", "F4"):
-        implied = 2 if fam == "G2" else 4
-        if digits and int(digits) != implied:
+def _components(family: str, rank: int | None) -> tuple[str, list[tuple[str, int]]]:
+    """The name and (family, rank) components of a token: "A2", "G2",
+    "A1xB2", or a family letter that the explicit rank completes."""
+    tokens = family.split("x")
+    lone = len(tokens) == 1
+    comps = []
+    for token in tokens:
+        m = _TOKEN.match(token)
+        if not m:
+            raise RootSystemError(f"unknown family {token!r}" if lone
+                                  else f"cannot parse root-system token {token!r}")
+        fam, digits = m.groups()
+        implied = _IMPLIED_RANK.get(fam)
+        if lone and digits and rank is not None and int(digits) != rank:
+            raise RootSystemError(f"token {token!r} conflicts with explicit rank {rank}")
+        if implied and digits and int(digits) != implied:
             raise RootSystemError(f"{fam} has rank {implied}, not {digits}")
-        return fam, implied
-    if not digits:
-        raise RootSystemError(f"token {token!r} is missing a rank")
-    return fam, int(digits)
+        if implied and lone and rank not in (None, implied):
+            raise RootSystemError(f"{fam} has rank {implied}")
+        if not (digits or implied):
+            if not lone:
+                raise RootSystemError(f"token {token!r} is missing a rank")
+            if rank is None:
+                raise RootSystemError(f"family {fam!r} needs an explicit rank")
+        comps.append((fam, implied or int(digits or rank)))
+    name = comps[0][0] if lone else "x".join(
+        f if f in _IMPLIED_RANK else f"{f}{r}" for f, r in comps)
+    total = sum(r for _, r in comps)
+    if rank is not None and rank != total:
+        raise RootSystemError(f"rank {rank} does not match {name} (rank {total})")
+    if total > MAX_RANK:
+        raise RootSystemError(f"rank {total} exceeds the limit {MAX_RANK}")
+    for fam, r in comps:
+        if r < 1:
+            raise RootSystemError(f"family {fam} needs rank >= 1, got {r}")
+        if fam == "D" and r < 2:
+            raise RootSystemError("family D needs rank >= 2")
+    return name, comps
 
 
 class _Frozen:
@@ -143,14 +123,13 @@ class RootSystem(_Frozen):
     system with per-simple-root raise dimensions n_alpha.  Equality and
     hashing use :attr:`key` only."""
 
-    __slots__ = ("family", "rank", "cartan", "lengths", "positive_roots",
-                 "positive_lines", "raise_dims", "gram")
+    __slots__ = ("family", "rank", "cartan", "positive_roots", "positive_lines",
+                 "raise_dims", "gram")
 
-    def __init__(self, family: str, rank: int, cartan: Matrix, lengths: tuple[int, ...],
+    def __init__(self, family: str, rank: int, cartan: Matrix,
                  positive_roots: tuple[Vector, ...], positive_lines: tuple[Vector, ...],
                  raise_dims: tuple[int, ...], gram: Matrix) -> None:
-        self._set(family, rank, cartan, lengths, positive_roots, positive_lines,
-                  raise_dims, gram)
+        self._set(family, rank, cartan, positive_roots, positive_lines, raise_dims, gram)
 
     @property
     def key(self) -> tuple:
@@ -197,80 +176,47 @@ def build_root_system(family: str, rank: int | None = None,
                       raise_dims: list[int] | None = None) -> RootSystem:
     """Build a root system from a family name and rank.
 
-    Accepts plain families ("A", 2), self-contained tokens ("A2", "G2",
-    "BC2"), and products ("A1xA1", "A1xB2").
+    Accepts plain families ("A", 3), self-contained tokens ("A2", "G2",
+    "BC2"), and products ("A1xA1", "A1xB2") of total rank at most
+    ``MAX_RANK``.  The Cartan matrix is block diagonal, one block per
+    component; the positive roots are one reflection closure of the simple
+    roots over it, and a BC block adds twice its shortest roots.
 
+    >>> build_root_system("A2").positive_roots
+    ((0, 1), (1, 0), (1, 1))
+    >>> build_root_system("A", 3).to_text()
+    'A 3 n=[1,1,1]'
+    >>> build_root_system("A1xB2").cartan
+    ((2, 0, 0), (0, 2, -1), (0, -2, 2))
     >>> build_root_system("BC", 1).positive_roots
     ((1,), (2,))
-    >>> len(build_root_system("G2").positive_roots)
-    6
+    >>> build_root_system("A1xB2", 2)
+    Traceback (most recent call last):
+    ...
+    weylorb.coxeter.RootSystemError: rank 2 does not match A1xB2 (rank 3)
     """
-    family = family.strip()
-    if "x" in family:
-        comps = [_parse_component(t) for t in family.split("x")]
-        token = "x".join(f"{f}{r}" if f not in ("G2", "F4") else f
-                         for f, r in comps)
-    else:
-        m = _SIMPLE_TOKEN.match(family)
-        if not m:
-            raise RootSystemError(f"unknown family {family!r}")
-        fam, digits = m.group(1), m.group(2)
-        if digits:
-            r = int(digits)
-            if rank is not None and rank != r:
-                raise RootSystemError(
-                    f"token {family!r} conflicts with explicit rank {rank}")
-            comps = [_parse_component(family)]
-        elif fam in ("G2", "F4"):
-            implied = 2 if fam == "G2" else 4
-            if rank is not None and rank != implied:
-                raise RootSystemError(f"{fam} has rank {implied}")
-            comps = [(fam, implied)]
-        else:
-            if rank is None:
-                raise RootSystemError(f"family {fam!r} needs an explicit rank")
-            comps = [(fam, rank)]
-        token = comps[0][0]
+    if rank is not None and type(rank) is not int:
+        raise RootSystemError("rank must be an integer")
+    name, comps = _components(family.strip(), rank)
     total = sum(r for _, r in comps)
-    if rank is not None and rank != total:
-        raise RootSystemError(f"rank {rank} does not match {token} (rank {total})")
-
-    cartan = [[0] * total for _ in range(total)]
+    cartan = [[2 * (i == j) for j in range(total)] for i in range(total)]
     lengths: list[int] = []
-    positives: list[Vector] = []
-    doubled: list[Vector] = []
-    off = 0
     for fam, r in comps:
-        c, d = _cartan_and_lengths(fam, r)
-        for i in range(r):
-            for j in range(r):
-                cartan[off + i][off + j] = c[i][j]
-        lengths.extend(d)
-        pos = _positive_roots(c, r)
-        def embed(v: Vector, off: int = off, r: int = r) -> Vector:
-            return (0,) * off + v + (0,) * (total - off - r)
-        positives.extend(embed(v) for v in pos)
-        if fam == "BC":
-            # doubled roots: twice every short root of the B-type base
-            gram = [[d[i] * c[i][j] for j in range(r)] for i in range(r)]
-            def sq(v: Vector) -> int:
-                return sum(v[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
-            shortest = min(sq(v) for v in pos)
-            for v in pos:
-                if sq(v) == shortest:
-                    doubled.append(embed(tuple(2 * x for x in v)))
-        off += r
-
-    all_pos = sorted(positives + doubled)
-    pos_set = set(positives + doubled)
-    lines = tuple(v for v in all_pos
-                  if not (all(x % 2 == 0 for x in v)
-                          and tuple(x // 2 for x in v) in pos_set))
+        back, shift, a, b = _BONDS[fam]
+        k, off = r - 2 - back, len(lengths)
+        bonds = [(i, i + 1, -1, -1) for i in range(r - 1) if i != k]
+        for i, j, c_ij, c_ji in bonds + [(k - shift, k + 1, a, b)] * (k >= shift):
+            cartan[off + i][off + j], cartan[off + j][off + i] = c_ij, c_ji
+        lengths += [-b] * (k + 1) + [-a] * (r - k - 1)
+    cartan = tuple(map(tuple, cartan))
+    gram = tuple(tuple(d * c for c in row) for d, row in zip(lengths, cartan))
 
     if raise_dims is None:
-        dims = tuple([1] * total)
+        dims = (1,) * total
     else:
-        dims = tuple(int(n) for n in raise_dims)
+        dims = tuple(raise_dims)
+        if any(type(n) is not int for n in dims):
+            raise RootSystemError("raise dims must be integers")
         if len(dims) != total:
             raise RootSystemError(
                 f"raise_dims has {len(dims)} entries for rank {total}")
@@ -278,23 +224,28 @@ def build_root_system(family: str, rank: int | None = None,
             raise RootSystemError("raise dims must be >= 1")
         _check_raise_dims(cartan, dims)
 
-    cartan_t = tuple(tuple(row) for row in cartan)
-    gram = tuple(tuple(lengths[i] * cartan[i][j] for j in range(total))
-                 for i in range(total))
+    roots = [tuple(int(i == j) for j in range(total)) for i in range(total)]
+    seen = set(roots)
+    for v in roots:  # roots grows as the closure finds them
+        for i in range(total):
+            w = simple_reflection(cartan, i, v)
+            if w[i] >= 0 and w not in seen:  # s_i turns only alpha_i negative
+                seen.add(w)
+                roots.append(w)
+    doubled, off = [], 0
+    for fam, r in comps:
+        block = range(off, off + r)
+        off += r
+        if fam == "BC":  # twice the block's shortest roots, under the system's gram
+            sq = {v: sum(v[i] * gram[i][j] * v[j] for i in block for j in block)
+                  for v in roots if any(v[i] for i in block)}
+            shortest = min(sq.values())
+            doubled += [tuple(2 * x for x in v) for v, n in sq.items() if n == shortest]
+    return RootSystem(name, total, cartan, tuple(sorted(roots + doubled)),
+                      tuple(sorted(roots)), dims, gram)
 
-    return RootSystem(
-        family=token,
-        rank=total,
-        cartan=cartan_t,
-        lengths=tuple(lengths),
-        positive_roots=tuple(all_pos),
-        positive_lines=lines,
-        raise_dims=dims,
-        gram=gram,
-    )
 
-
-def _check_raise_dims(cartan: list[list[int]], dims: tuple[int, ...]) -> None:
+def _check_raise_dims(cartan: Matrix, dims: tuple[int, ...]) -> None:
     """Refuse raise dims that differ on Weyl-conjugate simple roots.
 
     Simple roots are conjugate exactly when a chain of single bonds
@@ -466,10 +417,9 @@ class WeylGroup:
         found = {beta: self.mul[0][i] for i, beta in enumerate(order)}
         for beta in order:  # order grows as conjugation reaches new lines
             r = found[beta]
-            for j, c in enumerate(self.cartan):
-                x = beta[j] - sum(map(int.__mul__, c, beta))
-                gamma = beta[:j] + (x,) + beta[j + 1:]
-                if x >= 0 and gamma not in found:  # x < 0 only for beta = alpha_j
+            for j in range(self.rank):
+                gamma = simple_reflection(self.cartan, j, beta)
+                if gamma[j] >= 0 and gamma not in found:  # < 0 only for beta = alpha_j
                     found[gamma] = self.left[self.mul[r][j]][j]
                     order.append(gamma)
         return tuple(found[line] for line in self.lines)

@@ -30,6 +30,7 @@ from .coxeter import (
     RootSystem,
     RootSystemError,
     build_root_system,
+    simple_reflection,
     weyl_group,
 )
 
@@ -241,11 +242,8 @@ def lattice_rank(lattice: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _reflected_span(cartan, i: int, lattice) -> tuple[tuple, ...]:
-    """The span of the lattice rows after s_i, which changes coordinate i
-    only: v_i - <v, alpha_i-vee>, the pairing read off Cartan row i."""
-    c = cartan[i]
-    return _span([[*row[:i], row[i] - sum(map(int.__mul__, c, row)), *row[i + 1:]]
-                  for row in lattice])
+    """The span of the lattice rows after s_i."""
+    return _span([simple_reflection(cartan, i, tuple(row)) for row in lattice])
 
 
 def _span(lattice) -> tuple[tuple, ...]:

@@ -20,6 +20,7 @@ this module imports as ``references`` under every import mode.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -33,6 +34,7 @@ from weylorb.bundled import ORACLE_SPEC_NAMES, oracle_spec_text
 from weylorb.coxeter import (
     RootSystemError,
     WeylElement,
+    _check_raise_dims,
     braid_order,
     build_root_system,
     enumerate_group,
@@ -183,6 +185,158 @@ def line_raises(rs, dims=None) -> dict[tuple, int]:
         for v in orbit:
             out[v] = n
     return out
+
+
+# -- the root-system builder with two parsers and a closure per component ----
+
+_REF_TOKEN = re.compile(r"^(BC|A|B|C|D|G2|F4)(\d*)$")
+ROOT_SYSTEM_FIELDS = ("family", "rank", "cartan", "positive_roots",
+                      "positive_lines", "raise_dims", "gram")
+
+
+def _reference_cartan_and_lengths(fam: str, rank: int):
+    if rank < 1:
+        raise RootSystemError(f"family {fam} needs rank >= 1, got {rank}")
+    chain = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        chain[i][i] = 2
+    for i in range(rank - 1):
+        chain[i][i + 1] = chain[i + 1][i] = -1
+    if fam == "A":
+        return chain, [1] * rank
+    if fam in ("B", "BC"):
+        if rank >= 2:
+            chain[rank - 2][rank - 1] = -1
+            chain[rank - 1][rank - 2] = -2
+        return chain, [2] * (rank - 1) + [1]
+    if fam == "C":
+        if rank >= 2:
+            chain[rank - 2][rank - 1] = -2
+            chain[rank - 1][rank - 2] = -1
+        return chain, [1] * (rank - 1) + [2]
+    if fam == "D":
+        if rank < 2:
+            raise RootSystemError("family D needs rank >= 2")
+        c = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            c[i][i] = 2
+        for i in range(rank - 2):
+            c[i][i + 1] = c[i + 1][i] = -1
+        if rank >= 3:
+            c[rank - 3][rank - 1] = c[rank - 1][rank - 3] = -1
+        return c, [1] * rank
+    if fam == "G2":
+        return [[2, -3], [-1, 2]], [1, 3]
+    return [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]], [2, 2, 1, 1]
+
+
+def _reference_positive_roots(cartan, rank: int) -> list:
+    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(rank):
+                pairing = sum(v[j] * cartan[i][j] for j in range(rank))
+                w = tuple(v[j] - (pairing if j == i else 0) for j in range(rank))
+                if is_nonneg(w) and w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _reference_parse_component(token: str) -> tuple[str, int]:
+    m = _REF_TOKEN.match(token)
+    if not m:
+        raise RootSystemError(f"cannot parse root-system token {token!r}")
+    fam, digits = m.group(1), m.group(2)
+    if fam in ("G2", "F4"):
+        implied = 2 if fam == "G2" else 4
+        if digits and int(digits) != implied:
+            raise RootSystemError(f"{fam} has rank {implied}, not {digits}")
+        return fam, implied
+    if not digits:
+        raise RootSystemError(f"token {token!r} is missing a rank")
+    return fam, int(digits)
+
+
+def reference_build_root_system(family: str, rank=None, raise_dims=None) -> dict:
+    """The fields of the root system that the builder made before it had
+    one parser, one bond list per family and one closure over the whole
+    Cartan matrix: a product token and a lone token parsed apart, and the
+    roots closed per component, BC's doubled ones under its own Gram
+    matrix."""
+    family = family.strip()
+    if "x" in family:
+        comps = [_reference_parse_component(t) for t in family.split("x")]
+        token = "x".join(f"{f}{r}" if f not in ("G2", "F4") else f for f, r in comps)
+    else:
+        m = _REF_TOKEN.match(family)
+        if not m:
+            raise RootSystemError(f"unknown family {family!r}")
+        fam, digits = m.group(1), m.group(2)
+        if digits:
+            r = int(digits)
+            if rank is not None and rank != r:
+                raise RootSystemError(f"token {family!r} conflicts with explicit rank {rank}")
+            comps = [_reference_parse_component(family)]
+        elif fam in ("G2", "F4"):
+            implied = 2 if fam == "G2" else 4
+            if rank is not None and rank != implied:
+                raise RootSystemError(f"{fam} has rank {implied}")
+            comps = [(fam, implied)]
+        else:
+            if rank is None:
+                raise RootSystemError(f"family {fam!r} needs an explicit rank")
+            comps = [(fam, rank)]
+        token = comps[0][0]
+    total = sum(r for _, r in comps)
+    if rank is not None and rank != total:
+        raise RootSystemError(f"rank {rank} does not match {token} (rank {total})")
+
+    cartan = [[0] * total for _ in range(total)]
+    lengths: list[int] = []
+    positives: list[tuple] = []
+    doubled: list[tuple] = []
+    off = 0
+    for fam, r in comps:
+        c, d = _reference_cartan_and_lengths(fam, r)
+        for i in range(r):
+            for j in range(r):
+                cartan[off + i][off + j] = c[i][j]
+        lengths.extend(d)
+        pos = _reference_positive_roots(c, r)
+
+        def embed(v, off=off, r=r):
+            return (0,) * off + v + (0,) * (total - off - r)
+        positives.extend(embed(v) for v in pos)
+        if fam == "BC":
+            gram = [[d[i] * c[i][j] for j in range(r)] for i in range(r)]
+
+            def sq(v):
+                return sum(v[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
+            shortest = min(sq(v) for v in pos)
+            doubled.extend(embed(tuple(2 * x for x in v)) for v in pos if sq(v) == shortest)
+        off += r
+
+    all_pos = sorted(positives + doubled)
+    pos_set = set(all_pos)
+    lines = tuple(v for v in all_pos
+                  if not (all(x % 2 == 0 for x in v) and tuple(x // 2 for x in v) in pos_set))
+    if raise_dims is None:
+        dims = tuple([1] * total)
+    else:
+        dims = tuple(int(n) for n in raise_dims)
+        if len(dims) != total:
+            raise RootSystemError(f"raise_dims has {len(dims)} entries for rank {total}")
+        if any(n < 1 for n in dims):
+            raise RootSystemError("raise dims must be >= 1")
+        _check_raise_dims(cartan, dims)
+    gram = tuple(tuple(lengths[i] * cartan[i][j] for j in range(total)) for i in range(total))
+    return dict(zip(ROOT_SYSTEM_FIELDS, (token, total, tuple(map(tuple, cartan)),
+                                         tuple(all_pos), lines, dims, gram)))
 
 
 # -- the string-keyed sigma index the int tables replaced ---------------------

@@ -592,10 +592,16 @@ _TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
     # checked before P, as the spec lists it
     (["oracle", "enumerate", "torus", "--q-list", "3"], None,
      "G generators: singular generator ((0, 0), (0, 1)) mod 3"),
+    (["gen-flag", "A33"], None, "rank 33 exceeds the limit 32"),
+    (["validate"], {**_RANK1_U, "root_system": {"family": "A", "rank": 33}},
+     "root_system: rank 33 exceeds the limit 32"),
+    (["oracle", "enumerate"], {**_TORUS, "root_system": "A32xA1"},
+     "rank 33 exceeds the limit 32"),
 ], ids=["spec-generators", "spec-block", "spec-shape", "spec-empty", "spec-missing",
         "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-notes",
         "datum-ids", "datum-member", "braid-member", "datum-range",
-        "shape-before-structure", "word", "act-orbit", "spec-name", "spec-singular"])
+        "shape-before-structure", "word", "act-orbit", "spec-name", "spec-singular",
+        "rank-limit-gen-flag", "rank-limit-datum", "rank-limit-spec"])
 def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
     """Each refusal exits 2 with one error: line; obj, when given, is a
     change to a bundled spec or datum, passed as the last argument.  A

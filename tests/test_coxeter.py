@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from weylorb import coxeter
 from weylorb.coxeter import (
     CapExceeded,
     DEFAULT_GROUP_CAP,
+    MAX_RANK,
     RootSystemError,
     WeylElement,
     WeylGroup,
@@ -34,12 +36,14 @@ from weylorb.coxeter import (
 )
 
 from references import (
+    ROOT_SYSTEM_FIELDS,
     element_matrix,
     line_raises,
     mat_apply,
     mat_identity,
     mat_mul,
     matrix_bfs,
+    reference_build_root_system,
     simple_element,
     simple_matrix,
 )
@@ -533,6 +537,65 @@ def test_raise_dim_check_matches_line_orbit_bfs(token, data):
     else:
         assert got[1].raise_dims == tuple(dims)
         assert want[1] == line_raises(got[1])
+
+
+malformed = st.sampled_from(["Q3", "AxB2", "G23", "G22", "F44", "D1", "BC0", "A01",
+                             " A2 ", "A1 xB2", "A1x", "x", ""])
+root_tokens = st.one_of(
+    tokens, malformed, st.sampled_from(["A", "B", "C", "BC", "D", "G2", "F4"]),
+    st.lists(st.one_of(components, malformed), min_size=1, max_size=3).map("x".join))
+
+
+@settings(max_examples=600, deadline=None)
+@given(family=root_tokens, rank=st.none() | st.integers(0, 6), data=st.data())
+def test_builder_matches_reference_builder(family, rank, data):
+    """Every field and every refusal text equal the builder's that parsed
+    lone and product tokens apart and closed the roots per component."""
+    want = _verdict(lambda: reference_build_root_system(family, rank))
+    n = want[1]["rank"] if want[0] == "accepted" else data.draw(st.integers(0, 6))
+    dims = data.draw(st.none()
+                     | st.integers(1, 3).map(lambda k: [k] * n)  # valid
+                     | st.lists(st.integers(1, 3), min_size=n, max_size=n)  # often unequal
+                     | st.lists(st.integers(0, 2), max_size=n + 1))
+    want = _verdict(lambda: reference_build_root_system(family, rank, dims))
+    got = _verdict(lambda: build_root_system(family, rank, raise_dims=dims))
+    if got[0] == "accepted":
+        got = ("accepted", {f: getattr(got[1], f) for f in ROOT_SYSTEM_FIELDS})
+    assert got == want
+
+
+@pytest.mark.parametrize("rank,dims,message", [
+    (1, [1.9], "raise dims must be integers"),
+    (1, ["2"], "raise dims must be integers"),
+    (1, [True], "raise dims must be integers"),
+    (True, None, "rank must be an integer"),
+    (2.0, None, "rank must be an integer"),
+], ids=["float-dim", "str-dim", "bool-dim", "bool-rank", "float-rank"])
+def test_non_integer_rank_and_raise_dims_are_refused(rank, dims, message):
+    with pytest.raises(RootSystemError) as exc:
+        build_root_system("A", rank, raise_dims=dims)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("family", ["A", "B", "BC", "C", "D"])
+def test_a_system_of_the_largest_rank_builds_in_under_a_second(family):
+    assert MAX_RANK == 32
+    start = time.perf_counter()
+    rs = build_root_system(family, MAX_RANK)
+    assert time.perf_counter() - start < 1
+    assert rs.rank == MAX_RANK
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", MAX_RANK + 1), (f"A{MAX_RANK}xA1", None), (f"A{MAX_RANK}xD1", None),
+    ("A", 10**9)])
+def test_a_rank_past_the_limit_is_refused_before_anything_is_built(
+        monkeypatch, family, rank):
+    monkeypatch.setattr(coxeter, "_BONDS", {})  # a build would look a family up
+    total = rank or MAX_RANK + 1
+    with pytest.raises(RootSystemError) as exc:
+        build_root_system(family, rank)
+    assert str(exc.value) == f"rank {total} exceeds the limit {MAX_RANK}"
 
 
 @pytest.mark.parametrize("token", INDEXED_CASES + ["C3", "D4", "BC1", "A1xG2xB2"])

@@ -42,7 +42,6 @@ class RefRootSystem:
     family: str
     rank: int
     cartan: tuple
-    lengths: tuple
     positive_roots: tuple
     positive_lines: tuple
     raise_dims: tuple
