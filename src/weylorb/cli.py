@@ -44,7 +44,7 @@ def _load_spec_obj(arg: str) -> dict:
                           else bundled.oracle_spec_text(arg))
     except UnicodeDecodeError as exc:
         raise UsageError(f"{arg} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4,300 digits
         raise UsageError(str(exc)) from exc
 
 

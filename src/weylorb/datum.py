@@ -625,7 +625,7 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
 def loads(text: str) -> OrbitDatum:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4,300 digits
         raise DatumFormatError(f"not valid JSON: {exc}") from exc
     return datum_from_obj(obj)
 

@@ -6,12 +6,13 @@ lexicographically smallest matrix in the coset under row-major order),
 found through H's pointwise row-stabilizer chain, which also gives |H|;
 each generator's permutation of the points is computed once, and orbits
 and the merge structure under each subminimal parabolic P_alpha are
-closures over those permutations.  G is never enumerated, H only as
-G ∩ H: |G| and B, H, P_alpha <= G are certified by orbit-stabilizer with
-Schreier generators.  Orbit sizes fitted to c * q^a * (q-1)^b across
-several primes give dimension and rank proxies from which a candidate
-datum is inferred; RI and N stay indistinguishable to point counts and
-are flagged, never silently resolved.
+closures over those permutations.  Neither G nor H is enumerated: |G|
+and B, H, P_alpha <= G are certified by orbit-stabilizer with Schreier
+generators, which grow G ∩ H on a row-stabilizer chain of its own.
+Orbit sizes fitted to c * q^a * (q-1)^b across several primes give
+dimension and rank proxies from which a candidate datum is inferred; RI
+and N stay indistinguishable to point counts and are flagged, never
+silently resolved.
 """
 
 from __future__ import annotations
@@ -365,13 +366,16 @@ def enumerate_orbits(spec: MatGroupSpec,
 
     Neither G nor H is enumerated: |H| is read off H's chain.  The
     Schreier generators t_y^-1 g t_x of the coset BFS (t_x in G, t_x H = x)
-    lie in H, as g t_x H = t_y H, and generate G ∩ H, so H <= G iff
-    |G ∩ H| = |H|, |G| = points * |H|, and then b in B or P_alpha is in G
-    iff b·H is a point.  The BFS records each G generator's permutation of
-    the points; any other generator's is canonicalised once, its image of
-    H deciding its membership, and orbits are closures over the
-    permutations.  The cap bounds the chain's top stabilizer, |H| and,
-    while the BFS grows, points * |H|.
+    lie in H, as g t_x H = t_y H, and generate G ∩ H, grown on a second
+    chain from the trivial group: while its order is below |H|, a
+    generator s outside its group C (the canonical form of s·C is not
+    that of C) is adjoined and the chain rebuilt, at most log2 |H| times.
+    So H <= G iff that order reaches |H|, |G| = points * |H|, and then b
+    in B or P_alpha is in G iff b·H is a point.  The BFS records each G
+    generator's permutation of the points; any other generator's is
+    canonicalised once, its image of H deciding its membership, and
+    orbits are closures over the permutations.  The cap bounds the
+    chain's top stabilizer, |H| and, while the BFS grows, points * |H|.
 
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
@@ -389,7 +393,7 @@ def enumerate_orbits(spec: MatGroupSpec,
     labels, trans, tinv = [_canon(eye, top)], [eye], [eye]
     index = {labels[0]: 0}
     perms = {g: [] for g in g_gens}  # perms[g][x] is the point g·x
-    stab, stab_gens = {eye: None}, []
+    chain = _Level([], [], 1, arith)  # G ∩ H, grown from the Schreier generators
     frontier = range(1)
     while frontier:
         for x, (g, g_inv) in iproduct(frontier, g_gens.items()):
@@ -405,11 +409,13 @@ def enumerate_orbits(spec: MatGroupSpec,
                 trans.append(prod)
                 tinv.append(mul(tinv[x], g_inv))
                 continue
-            gen = mul(tinv[y], prod)
-            if gen not in stab:
-                _adjoin(stab, stab_gens, gen, mul)
+            gen = mul(tinv[y], prod)  # in H; a new one at least doubles the chain
+            if chain.order < top.order and _canon(gen, chain) != _canon(eye, chain):
+                gen_inv = mul(mul(tinv[x], g_inv), trans[y])
+                chain = _Level(chain.gens + [gen], chain.invs + [gen_inv], None, arith)
+                chain.reduce(eye[:k])
         frontier = range(frontier.stop, len(labels))
-    if len(stab) != top.order:
+    if chain.order != top.order:
         raise OracleError("H is not contained in the group generated by G")
 
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
@@ -448,29 +454,37 @@ def enumerate_orbits(spec: MatGroupSpec,
                         orbits=tuple(infos), merges=merges)
 
 
+def _monomial_exponents(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every (a, b) for which some c > 0 gives size = c q^a (q-1)^b at all
+    (q, size) pairs: c = s0 / (q0^a (q0-1)^b) matches size s at q when
+    s0 q^a (q-1)^b = s q0^a (q0-1)^b, tested in integers, point by point
+    on the pairs left."""
+    (q0, s0), bound = points[0], range(_FIT_EXPONENT_BOUND)
+    if s0 <= 0:  # c > 0 takes s0 > 0, q0^a (q0-1)^b being positive at a prime
+        return []
+    hits = list(iproduct(bound, repeat=2))
+    for q, s in points[1:]:
+        left_a, right_a = [s0 * q**a for a in bound], [s * q0**a for a in bound]
+        left_b, right_b = [(q - 1) ** b for b in bound], [(q0 - 1) ** b for b in bound]
+        hits = [(a, b) for a, b in hits if left_a[a] * left_b[b] == right_a[a] * right_b[b]]
+    return hits
+
+
 def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | None:
     """Exponents (a, b) and positive rational c with size = c q^a (q-1)^b.
 
     Returns None when no monomial matches all (q, size) pairs; raises
-    when several monomials do (not enough primes to pin one down).  Each
-    (a, b) is tested in integers, c = s0 / (q0^a (q0-1)^b) matching size
-    s at q when s0 q^a (q-1)^b = s q0^a (q0-1)^b; only a hit makes c.
+    when several monomials do (not enough primes to pin one down).  The
+    exponents are tested in integers; only a hit makes c.
     """
     if len(points) < 2:
         raise OracleError("monomial fit needs at least two primes")
-    (q0, s0), bound = points[0], range(_FIT_EXPONENT_BOUND)
-    if s0 <= 0:  # c > 0 takes s0 > 0, q0^a (q0-1)^b being positive at a prime
-        return None
-    # per point: its size, and q^a and (q-1)^b for every exponent
-    powers = [(s, [q**a for a in bound], [(q - 1) ** b for b in bound])
-              for q, s in points]
-    _, qa0, qb0 = powers[0]
-    hits = [(a, b) for a, b in iproduct(bound, repeat=2)
-            if all(s0 * qa[a] * qb[b] == s * qa0[a] * qb0[b] for s, qa, qb in powers[1:])]
+    hits = _monomial_exponents(points)
     if not hits:
         return None
     from fractions import Fraction  # only fits make fractions
-    hits = [(a, b, Fraction(s0, qa0[a] * qb0[b])) for a, b in hits]
+    q0, s0 = points[0]
+    hits = [(a, b, Fraction(s0, q0**a * (q0 - 1) ** b)) for a, b in hits]
     if len(hits) > 1:
         raise OracleError(f"ambiguous monomial fit {hits}; add more primes")
     return hits[0]
@@ -495,15 +509,21 @@ class InferredDatum(NamedTuple):
         }
 
 
-def _match(colours_a, blocks_a, colours_b, blocks_b) -> list[int] | None:
-    """Bijection f (f[v] the image of node v) keeping colours and mapping
-    each block (label, groups of nodes; one label, one group count) of side
-    a onto a block of side b, group by group as sets; None if none.  Runs
-    an iterative DFS in block-adjacency order; a node's candidates come
-    from the image of a block shared with an earlier node, and a block is
-    checked once fully mapped."""
+def _match(colours_a, blocks_a, colours_b, blocks_b, admits=None) -> list[int] | None:
+    """Bijection f (f[v] the image of node v) with admits(v, f[v]) for
+    every node, by default keeping colours, and mapping each block (label,
+    groups of nodes; one label, one group count) of side a onto a block of
+    side b, group by group as sets; None if none.  Runs an iterative DFS
+    in block-adjacency order; a node's candidates come from the image of a
+    block shared with an earlier node, and a block is checked once fully
+    mapped."""
     n = len(colours_a)
-    if (Counter(colours_a) != Counter(colours_b)
+    if admits is None:
+        if Counter(colours_a) != Counter(colours_b):
+            return None
+        def admits(v: int, w: int) -> bool:
+            return colours_a[v] == colours_b[w]
+    if (len(colours_b) != n
             or Counter(b[0] for b in blocks_a) != Counter(b[0] for b in blocks_b)):
         return None
 
@@ -544,7 +564,7 @@ def _match(colours_a, blocks_a, colours_b, blocks_b) -> list[int] | None:
             label, gm, m, gv = anchor[v]
             pool = sorted({w for lb, gb, groups in mates_b[f[m]]
                            if (lb, gb) == (label, gm) for w in groups[gv]})
-        return iter([w for w in pool if w not in used and colours_b[w] == colours_a[v]])
+        return iter([w for w in pool if w not in used and admits(v, w)])
 
     stack = [options(order[0])] if n else []
     while stack:
@@ -566,8 +586,10 @@ def _match(colours_a, blocks_a, colours_b, blocks_b) -> list[int] | None:
 
 
 def align_reports(reports: list[OracleReport]) -> list[OracleReport]:
-    """Permute orbit indices within equal-size ties so merge partitions
-    agree with the first report; refuse if no alignment exists."""
+    """Permute orbit indices so merge partitions agree with the first
+    report, each orbit paired with one whose sizes at the two primes admit
+    a monomial fit, or by merge structure alone when no such pairing
+    exists; refuse if no alignment exists."""
     def blocks(report: OracleReport) -> list:
         return [(alpha, (block,)) for alpha, classes in report.merges.items()
                 for block in classes]
@@ -575,9 +597,16 @@ def align_reports(reports: list[OracleReport]) -> list[OracleReport]:
     base = reports[0]
     out = [base]
     for rep in reports[1:]:
-        sizes = [o.size for o in rep.orbits]
-        perm = (_match(sizes, blocks(rep), sizes, blocks(base))
-                if rep.orbit_count == base.orbit_count else None)
+        perm = None
+        if rep.orbit_count == base.orbit_count:
+            sizes = iproduct({o.size for o in base.orbits}, {o.size for o in rep.orbits})
+            # one monomial or several: an ambiguous fit is a fit
+            fit = {(s, t) for s, t in sizes if _monomial_exponents([(base.q, s), (rep.q, t)])}
+            for admits in (lambda v, w: (base.orbits[w].size, rep.orbits[v].size) in fit,
+                           lambda v, w: True):
+                perm = _match(rep.orbits, blocks(rep), base.orbits, blocks(base), admits)
+                if perm is not None:
+                    break
         if perm is None:
             raise OracleError(
                 f"merge structure at q = {rep.q} is not isomorphic to q = {base.q}")

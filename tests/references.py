@@ -8,8 +8,10 @@ integer matrices found by a matrix BFS, the model that
 packed ints (bit i for basis position i) with its word-by-word T_w, the
 oracle's spec loader and monomial fit as they were before exact type
 tests and the integer fit, the closure of all of H that the oracle
-made before it read |H| off H's row-stabilizer chain, and its orbits as
-it formed them before it recorded each generator's point permutation;
+made before it read |H| off H's row-stabilizer chain, its certificate
+H <= G as a set of |G ∩ H| matrices before it grew G ∩ H on a chain too,
+and its orbits as it formed them before it recorded each generator's
+point permutation;
 and the oracle specs and strategies that tests/test_oracle.py and
 tests/test_oracle_numpy.py both build.
 
@@ -1053,6 +1055,31 @@ def reference_closure(gens, q: int, cap: int = 10**6) -> dict:
             raise OracleError(f"H closure exceeds cap {cap}: reached {len(group)} elements")
         new = fresh
     return group
+
+
+# -- the oracle's certificate H <= G as a set of |G ∩ H| matrices --------------
+
+def reference_certified_enumeration(spec: MatGroupSpec) -> OracleReport:
+    """The certificate enumerate_orbits gave before it grew G ∩ H on a
+    row-stabilizer chain: every Schreier generator t_y^-1 g t_x of the
+    coset BFS, closed as one set, is G ∩ H, and H <= G iff that set has
+    |H| elements, |H| the closure of H.  Refuses as enumerate_orbits
+    does, then forms the report by :func:`reference_enumerate_by_act`."""
+    q, arith = spec.q, _arith(spec.dimension, spec.q)
+    top = chain_top(spec.h_gens, q)
+    gens = list(zip(_flat(spec.g_gens), _flat(mod_inverse(g, q) for g in spec.g_gens)))
+    index, trans, tinv, schreier = {_canon(arith.eye, top): 0}, [arith.eye], [arith.eye], set()
+    for x, t in enumerate(trans):  # trans grows while it is read: a BFS over cosets
+        for g, g_inv in gens:
+            prod = arith.mul(g, t)
+            y = index.setdefault(_canon(prod, top), len(trans))
+            if y == len(trans):
+                trans.append(prod)
+                tinv.append(arith.mul(tinv[x], g_inv))
+            schreier.add(arith.mul(tinv[y], prod))
+    if len(reference_closure(list(schreier), q)) != len(reference_closure(_flat(spec.h_gens), q)):
+        raise OracleError("H is not contained in the group generated by G")
+    return reference_enumerate_by_act(spec)
 
 
 # -- the oracle's orbits by canonicalising every image --------------------------

@@ -611,6 +611,29 @@ def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
     assert run(capsys, *argv, *path) == (2, "", f"error: {message}\n")
 
 
+_DIGITS = "9" * 5000  # past the 4,300 digits that int() converts by default
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["gen-flag", "A" + _DIGITS], None),
+    (["validate"], datum_text("rank1_u").replace('"dim": 2', '"dim": ' + _DIGITS)),
+    (["oracle", "enumerate"], oracle_spec_text("torus").replace("[2, 0]", f"[{_DIGITS}, 0]")),
+], ids=["gen-flag-rank", "validate-dim", "oracle-entry"])
+def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys, argv, text):
+    """A 5,000-digit rank, datum field or spec entry is refused with exit 2
+    and one error: line that does not echo the digits, not a traceback."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        assert _DIGITS in text
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, *([] if text is None else [str(path)]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "9" * 40 not in err
+    if text is None:
+        assert err == "error: rank of A has 5000 digits, past the limit 32\n"
+
+
 @pytest.mark.parametrize("argv", [["validate"], ["oracle", "enumerate"]],
                          ids=["validate", "oracle-enumerate"])
 def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):

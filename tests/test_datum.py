@@ -748,7 +748,10 @@ _KEYS = st.sampled_from(["id", "dim", "c", "rk", "s", "open", "lattice", "kind",
 def mutated_records(draw):
     """A bundled or small flag datum object with one to three records
     mutated; root_system fields keep their JSON types."""
-    obj = copy.deepcopy(draw(st.sampled_from(BUNDLED_OBJS + FLAG_OBJS[:7])))
+    def fresh(strategy):  # a drawn list or dict is shared by every example that draws it
+        return copy.deepcopy(draw(strategy))
+
+    obj = fresh(st.sampled_from(BUNDLED_OBJS + FLAG_OBJS[:7]))
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["orbit", "orbit-drop", "cell", "cell-drop", "record",
                                    "cells", "top", "root_system"]))
@@ -758,7 +761,7 @@ def mutated_records(draw):
             if not isinstance(entry, dict):
                 continue
             if op == "orbit":
-                entry[draw(_KEYS)] = draw(_ODD)
+                entry[draw(_KEYS)] = fresh(_ODD)
             elif entry:
                 entry.pop(draw(st.sampled_from(sorted(entry))))
         elif op in ("cell", "cell-drop") and isinstance(cells, dict) and cells:
@@ -769,27 +772,27 @@ def mutated_records(draw):
             if not isinstance(cell, dict):
                 continue
             if op == "cell":
-                cell[draw(_KEYS)] = draw(_ODD)
+                cell[draw(_KEYS)] = fresh(_ODD)
             elif cell:
                 cell.pop(draw(st.sampled_from(sorted(cell))))
         elif op == "record" and isinstance(orbits, list) and isinstance(cells, dict):
             if draw(st.booleans()) or not cells:
-                orbits.append(draw(_ODD | st.sampled_from(orbits)))
+                orbits.append(fresh(_ODD | st.sampled_from(orbits)) if orbits else fresh(_ODD))
             else:
                 row = cells[draw(st.sampled_from(sorted(cells)))]
                 if isinstance(row, list):
-                    row.insert(draw(st.integers(0, len(row))), draw(_ODD))
+                    row.insert(draw(st.integers(0, len(row))), fresh(_ODD))
         elif op == "cells" and isinstance(cells, dict):
-            cells[draw(st.sampled_from(["0", "1", "01", "2", "9", "x"]))] = draw(
+            cells[draw(st.sampled_from(["0", "1", "01", "2", "9", "x"]))] = fresh(
                 _ODD | st.just([{"kind": "A", "y": "y"}]))
         elif op == "top":
             key = draw(st.sampled_from(["root_system", "orbits", "cells", "notes", "extra"]))
             if draw(st.booleans()):
                 obj.pop(key, None)
             else:
-                obj[key] = draw(_ODD | st.just(["a note"]))
+                obj[key] = fresh(_ODD | st.just(["a note"]))
         elif op == "root_system" and isinstance(obj.get("root_system"), dict):
-            field, value = draw(st.sampled_from([
+            field, value = fresh(st.sampled_from([
                 ("family", "A"), ("family", "A2"), ("family", "Q"), ("family", ""),
                 ("rank", 1), ("rank", 2), ("rank", 0), ("raise_dims", []),
                 ("raise_dims", [1, 1]), ("raise_dims", [0]), ("raise_dims", [2]),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -54,6 +55,7 @@ from references import (
     mod_inverse,
     mod_mul,
     outside_obj,
+    reference_certified_enumeration,
     reference_closure,
     reference_enumerate_by_act,
     reference_fit_monomial,
@@ -524,6 +526,47 @@ def test_schreier_generator_outside_h_is_named(monkeypatch):
     assert str(err.value) == "H is not contained in the group generated by G"
 
 
+@st.composite
+def _certificate_specs(draw):
+    """A spec with k <= 3 at q in {3, 5}, conjugated by a random g: G is
+    GL_k, SL_k, the upper triangular B, its unipotent radical U or the
+    diagonal torus T (GL_3 and SL_3 at q = 3 only); H is generated by one
+    to three matrices, each a G generator, a product of two, or a
+    diagonal, lower unipotent or permutation matrix that G may not hold,
+    such as a diagonal of determinant 2 with G = SL_k."""
+    q, k = draw(st.sampled_from([3, 5])), draw(st.integers(1, 3))
+    upper = [elementary(k, i, i + 1) for i in range(k - 1)]
+    lower = [elementary(k, i + 1, i) for i in range(k - 1)]
+    torus = [diagonal(k, i, 2) for i in range(k)]  # 2 is a primitive root mod 3 and 5
+    groups = {"GL": upper + lower + torus[:1], "SL": upper + lower, "B": torus + upper,
+              "U": upper, "T": torus}
+    kind = draw(st.sampled_from(sorted(groups) if k < 3 or q == 3 else ["B", "T", "U"]))
+    g_gens = groups[kind] or [diagonal(k, 0, 1)]
+    perm = draw(st.permutations(range(k)))
+    outside = [diagonal(k, draw(st.integers(0, k - 1)), draw(st.integers(2, q - 1))),
+               tuple(tuple(int(perm[r] == c) for c in range(k)) for r in range(k)), *lower]
+    h_gens = [draw(st.one_of(st.sampled_from(g_gens), st.sampled_from(outside),
+                             st.builds(lambda a, b: mod_mul(a, b, q), st.sampled_from(g_gens),
+                                       st.sampled_from(g_gens))))
+              for _ in range(draw(st.integers(1, 3)))]
+    b_gens = draw(st.lists(st.sampled_from(g_gens), min_size=1, max_size=2))
+    obj = {"name": f"{kind}{k}", "root_system": "A1", "q": q, "dimension": k,
+           "generators": {"G": g_gens, "B": b_gens, "H": h_gens,
+                          "P": {"1": g_gens} if draw(st.booleans()) else {}}}
+    g, _ = draw(invertible(qs=(q,), ks=(k,)))
+    return conjugated(obj, g, q), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certificate_specs())
+def test_certificate_matches_the_set_closure_of_g_cap_h(case):
+    """G ∩ H grown on a chain refuses H exactly where the closure of the
+    Schreier generators as one set did, and the report is the same."""
+    obj, q = case
+    spec = spec_from_obj(obj, q)
+    assert _outcome(enumerate_orbits, spec) == _outcome(reference_certified_enumeration, spec)
+
+
 def test_fit_monomial_frozen_cases():
     assert fit_monomial([(5, 20), (7, 42)]) == (1, 1, Fraction(1))
     assert fit_monomial([(5, 5), (7, 7)]) == (1, 0, Fraction(1))
@@ -544,9 +587,10 @@ def test_fit_monomial_needs_primes():
         fit_monomial([(5, 20), (5, 20)])
 
 
-def _outcome(fit, points):
+def _outcome(run, arg):
+    """run(arg), or the text of the OracleError it raises."""
     try:
-        return fit(points)
+        return run(arg)
     except OracleError as exc:
         return str(exc)
 
@@ -724,11 +768,15 @@ def test_infer_refuses_each_bad_shape(sizes, merges, root_system, message):
 def test_infer_without_a_size_fit_prints_no_datum():
     """An orbit whose sizes fit no c q^a (q-1)^b is refused, each such
     orbit named with its sizes, so no datum is ever printed (the CLI's
-    exit 2 on a real spec: tests/test_cli.py)."""
+    exit 2 on a real spec: tests/test_cli.py).  Sizes (7, 5) at q = 5 and
+    (5, 7) at q = 7 in one class align by swapping the two orbits, each
+    then of constant size, and validate refuses what that gives; sizes
+    that no pairing fits align by merge structure alone."""
     with pytest.raises(OracleError) as exc:
         _infer_synthetic(lambda q: (12 - q, q, q * q), {1: ((0, 1), (2,))})
     assert str(exc.value) == (
-        "orbit 0 fits no size c * q^a * (q-1)^b: 7 at q = 5, 5 at q = 7")
+        _FAILS + "VIOLATION cell-y-not-max at alpha 1 cell y=o3: o2 has dim 0 >= y dim 0; "
+        "VIOLATION cell-U-dim at alpha 1 cell y=o3: dim(y)=0 != dim(z)+n_alpha=0+1")
     with pytest.raises(OracleError) as exc:
         _infer_synthetic(lambda q: (q + 1, q, q * q + 1))
     assert str(exc.value) == (
@@ -878,6 +926,54 @@ def test_gl2_over_sl2_mismatches_rank1_a_in_invariants(tmp_path, capsys):
         "invariant mismatch: s(y) = 1 vs s(o1) = 0\n")
 
 
+def _sym2(g) -> list[list[int]]:
+    """Sym^2 of a 2x2 matrix: its action on the quadratic forms x^2, xy, y^2."""
+    (a, b), (c, d) = g
+    return [[a * a, a * b, b * b], [2 * a * c, a * d + b * c, 2 * b * d],
+            [c * c, c * d, d * d]]
+
+
+def test_gl3_over_go3_aligns_orbits_by_size_fits(tmp_path, capsys, monkeypatch):
+    """GL3 ⊃ GO3 at q = 5 and 7: H is Sym^2 of GL2's generators with the
+    scalars r·I3, so |H| = 480 and 2016, with 3100 and 16758 points in 7
+    B-orbits.  Six orbits of size 500 = 4 q^3 at q = 5 have sizes 2058 =
+    q^3 (q-1) or 3087 = q^3 (q-1)^2 / 4 at q = 7: equal sizes at one
+    prime are unequal at the other, so orbits are paired by sizes that
+    admit one monomial.  enumerate prints every row, and infer gets as
+    far as validate, which refuses four open orbits."""
+    paths = []
+    for q, root in ((5, 2), (7, 3)):
+        obj = {**bruhat_obj(3, q, root), "name": "gl3_go3"}
+        obj["generators"]["H"] = [
+            *(_sym2(m) for m in (elementary(2, 0, 1), elementary(2, 1, 0), diagonal(2, 0, root))),
+            [[root * (i == j) for j in range(3)] for i in range(3)]]
+        path = tmp_path / f"gl3_go3_q{q}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        paths.append(str(path))
+    args = [*paths, "--q-list", "5,7", "--cap", "100000000"]
+    runs, enumerate_ = {}, oracle.enumerate_orbits
+
+    def enumerate_once(spec, cap):  # infer reuses enumerate's runs
+        if spec.q not in runs:
+            runs[spec.q] = enumerate_(spec, cap)
+        return runs[spec.q]
+
+    monkeypatch.setattr(oracle, "enumerate_orbits", enumerate_once)
+    assert main(["oracle", "enumerate", *args]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "|H| = 480, 3100 points, 7 B-orbits" in out
+    assert "|H| = 2016, 16758 points, 7 B-orbits" in out
+    assert Counter(line.split(": ", 1)[1] for line in out.splitlines()
+                   if line.startswith("pointCounts")) == {
+        "q=5: 100, q=7: 294": 1, "q=5: 500, q=7: 2058": 2, "q=5: 500, q=7: 3087": 4}
+    assert main(["oracle", "infer", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + _FAILS + "VIOLATION open-orbit at datum: "
+                          "expected exactly one open orbit, found 4; ")
+
+
 def reference_signature(d: OrbitDatum, oid: str) -> tuple:
     """Per alpha with cells, the kind class and role of oid's first alpha-cell,
     by one membership probe per orbit and alpha."""
@@ -960,6 +1056,14 @@ def test_align_reports_tie_heavy():
     assert [o.size for o in aligned[1].orbits] == [o.size for o in other.orbits]
 
 
+def test_align_reports_counts_an_ambiguous_fit_as_a_fit():
+    """Two runs at one prime: every monomial fits a size against itself,
+    and that ambiguous fit pairs the orbits by size, where the merge
+    structure alone would keep the order in which they came."""
+    base, rep = _tiny_report(5, (5, 25)), _tiny_report(5, (25, 5))
+    assert [o.size for o in align_reports([base, rep])[1].orbits] == [5, 25]
+
+
 def _image(f, block):
     label, groups = block
     return label, tuple(frozenset(f[v] for v in g) for g in groups)
@@ -1012,6 +1116,7 @@ def _structures(draw):
 def test_matcher_agrees_with_brute_force(structure):
     ca, ba, cb, bb = structure
     found = _match(ca, ba, cb, bb)
+    assert _match(ca, ba, cb, bb, lambda v, w: ca[v] == cb[w]) == found
     expected = _brute_force_match(ca, ba, cb, bb)
     assert (found is None) == (expected is None)
     if found is not None:
