@@ -14,6 +14,7 @@ pays only for the layers it runs.
 
 import importlib.util
 import sys
+from itertools import dropwhile
 
 __version__ = "0.1.0"
 
@@ -22,6 +23,24 @@ class InputError(Exception):
     """Input or arguments that weylorb refuses; the command line exits 2.
     Each layer's refusal derives from it, next to its ValueError or
     RuntimeError base."""
+
+
+def check_digits(token, limit: int, error: type[InputError], what: str) -> None:
+    """Refuse, with error, a token whose run of digits after its sign and
+    leading zeros is longer than limit's, before int() reads it: no valid
+    value has that many digits, and int() stops at 4,300.  The refusal
+    names the count, not the digits."""
+    run = str(token).strip().lstrip("+-").lstrip("0")
+    n = len(run) - len("".join(dropwhile(str.isdecimal, run)))
+    if n > len(str(limit)):
+        raise error(f"{what} has {n} digits, past the limit {limit}")
+
+
+def clip(token, width: int = 32) -> str:
+    """repr(token), cut after width characters: what a refusal quotes of a
+    token."""
+    text = repr(token)
+    return text if len(text) <= width else text[:width] + "..."
 
 
 #: Layer modules, each after the layers it imports from: ``__getattr__``

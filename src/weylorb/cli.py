@@ -12,11 +12,17 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections.abc import Iterator
+from math import isqrt
 from pathlib import Path
 
 # each layer executes on its first attribute access, so a command runs
 # only the layers it uses
-from . import InputError, action, bundled, coxeter, datum, hecke, oracle
+from . import InputError, action, bundled, check_digits, clip, coxeter, datum, hecke, oracle
+
+
+#: The largest q a spec loads at, at dimension 1: past it, q^2 overflows 64 bits.
+_MAX_Q = isqrt(2**63 - 1)
 
 
 class UsageError(InputError):
@@ -51,10 +57,13 @@ def _load_spec_obj(arg: str) -> dict:
 def _parse_word(text: str, rank: int) -> tuple[int, ...]:
     if text == "e":
         return ()
+    tokens = text.split(".")
+    for t in tokens:
+        check_digits(t, coxeter.MAX_RANK, UsageError, "word letter")
     try:
-        word = tuple(int(t) for t in text.split("."))
+        word = tuple(map(int, tokens))
     except ValueError:
-        raise UsageError(f"bad word {text!r}; expected e or dotted indices like 1.2")
+        raise UsageError(f"bad word {clip(text)}; expected e or dotted indices like 1.2")
     for a in word:
         if not 1 <= a <= rank:
             raise UsageError(f"word letter {a} outside 1..{rank}")
@@ -62,12 +71,15 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
+    tokens = text.split(",")
+    for t in tokens:
+        check_digits(t, _MAX_Q, UsageError, "q-list entry")
     try:
-        qs = tuple(int(t) for t in text.split(","))
+        qs = tuple(map(int, tokens))
     except ValueError:
-        raise UsageError(f"bad q-list {text!r}; expected comma-separated primes")
+        raise UsageError(f"bad q-list {clip(text)}; expected comma-separated primes")
     if len(set(qs)) != len(qs):
-        raise UsageError(f"bad q-list {text!r}: a prime is repeated")
+        raise UsageError(f"bad q-list {clip(text)}: a prime is repeated")
     return qs
 
 
@@ -159,10 +171,10 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
     return (0 if theorem.holds else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_hecke(args) -> tuple[int, str]:
+def _cmd_hecke(args) -> tuple[int, Iterator[str]]:
     report = hecke.check_module(_load_datum(args.datum))
-    body = _json_body(report.to_obj()) if args.json else "\n".join(report.lines()) + "\n"
-    return (0 if report.ok else 1), body
+    # the columns are rendered as main writes them, one operator at a time
+    return (0 if report.ok else 1), report.render_json() if args.json else report.render_text()
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
@@ -305,13 +317,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, body = args.func(args)
+        pieces = (body,) if isinstance(body, str) else body  # a str, or its pieces
         if args.out:
-            Path(args.out).write_text(body, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
     except (InputError, OSError) as exc:  # bad input or arguments: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.out:
-        sys.stdout.write(body)
+        sys.stdout.writelines(pieces)
     return code
 
 

@@ -20,7 +20,7 @@ import re
 from functools import cached_property
 from itertools import combinations
 
-from . import InputError
+from . import InputError, check_digits
 
 __all__ = [
     "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
@@ -76,9 +76,7 @@ def _components(family: str, rank: int | None) -> tuple[str, list[tuple[str, int
             raise RootSystemError(f"unknown family {token!r}" if lone
                                   else f"cannot parse root-system token {token!r}")
         fam, digits = m.groups()
-        if len(digits.lstrip("0")) > len(str(MAX_RANK)):  # before int(), which stops at 4,300
-            raise RootSystemError(f"rank of {fam} has {len(digits.lstrip('0'))} digits, "
-                                  f"past the limit {MAX_RANK}")
+        check_digits(digits, MAX_RANK, RootSystemError, f"rank of {fam}")
         implied = _IMPLIED_RANK.get(fam)
         if lone and digits and rank is not None and int(digits) != rank:
             raise RootSystemError(f"token {token!r} conflicts with explicit rank {rank}")

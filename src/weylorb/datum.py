@@ -25,8 +25,9 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import InputError
+from . import InputError, check_digits, clip
 from .coxeter import (
+    MAX_RANK,
     RootSystem,
     RootSystemError,
     build_root_system,
@@ -41,20 +42,32 @@ __all__ = [
     "load_path", "loads", "validate",
 ]
 
-KINDS = ("U", "TU", "A", "RT", "RI", "N")
 
-#: Member roles carried by each cell kind, in serialization order.
-ROLES = {
-    "U": ("y", "z"),
-    "TU": ("y", "z1", "z2"),
-    "A": ("y",),
-    "RT": ("y", "z1", "z2"),
-    "RI": ("y", "z"),
-    "N": ("y", "z"),
+class CellKind(NamedTuple):
+    """A cell kind's shape: its roles in serialization order, the member
+    positions whose ids sigma_alpha swaps ((0, 0): it fixes all), and its
+    DOT edges between member positions in style (none: a comment naming y)."""
+
+    roles: tuple[str, ...]
+    swap: tuple[int, int]
+    edges: tuple[tuple[int, int], ...]
+    style: str
+
+
+#: The six cell kinds and their shapes, the one table every layer reads.
+KINDS = {
+    "U": CellKind(("y", "z"), (0, 1), ((0, 1),), "solid"),
+    "TU": CellKind(("y", "z1", "z2"), (1, 2), ((0, 1), (1, 2)), "solid"),
+    "A": CellKind(("y",), (0, 0), (), ""),
+    "RT": CellKind(("y", "z1", "z2"), (1, 2), ((0, 1), (0, 2)), "solid"),
+    "RI": CellKind(("y", "z"), (0, 0), ((0, 1),), "dotted"),
+    "N": CellKind(("y", "z"), (0, 0), ((0, 1),), "dotted"),
 }
 
 
+_ARITY = {name: len(kind.roles) for name, kind in KINDS.items()}
 _new = tuple.__new__  #: a record from all its fields, as NamedTuple._make minus a Python call
+_members = attrgetter("members")
 
 
 class DatumFormatError(InputError, ValueError):
@@ -75,23 +88,20 @@ class Orbit(NamedTuple):
 
 
 class RaiseCell(NamedTuple):
-    alpha: int  # 1-based simple root index
-    kind: str
-    y: str
-    z: str | None = None
-    z1: str | None = None
-    z2: str | None = None
+    """A cell of one simple root, which is its key in ``OrbitDatum.cells``:
+    its kind and its member ids in the order of ``KINDS[kind].roles``."""
 
-    def members(self) -> tuple[str, ...]:
-        """The member ids, in the order of ``ROLES[self.kind]``."""
-        if self.kind in ("TU", "RT"):
-            return (self.y, self.z1, self.z2)
-        return (self.y,) if self.kind == "A" else (self.y, self.z)
+    kind: str
+    members: tuple[str, ...]
+
+    @property
+    def y(self) -> str:
+        return self.members[0]
 
     def image(self, m: str) -> str:
-        """sigma_alpha of the member m inside this cell: U swaps y and z,
-        TU and RT swap z1 and z2, and every other member is fixed."""
-        a, b = (self.y, self.z) if self.kind == "U" else (self.z1, self.z2)
+        """sigma_alpha of the member m: the ids at the kind's swap positions trade."""
+        i, j = KINDS[self.kind].swap
+        a, b = self.members[i], self.members[j]
         return b if m == a else a if m == b else m
 
 
@@ -128,7 +138,9 @@ class OrbitDatum:
 
     The constructor is the one home of the structural rules: it refuses,
     with DatumFormatError naming the witness, what no layer could read.
-    In this order: a repeated orbit id (the first orbit in (dim, id) order
+    In this order: a cell of a kind not in :data:`KINDS` or with members
+    that do not fill its kind's roles (per simple root in order, the first
+    such cell), a repeated orbit id (the first orbit in (dim, id) order
     whose id an earlier orbit has), a lattice row whose length is not the
     rank (the first such orbit), and per simple root in order, a cell key
     outside 1..rank, then a cell member that is not an orbit id (the first
@@ -139,6 +151,11 @@ class OrbitDatum:
                  cells: dict[int, tuple[RaiseCell, ...]],
                  notes: tuple[str, ...] = ()) -> None:
         self.root_system, self.notes = root_system, notes
+        for alpha, cs in sorted(cells.items()):
+            for cell in cs:
+                if len(cell.members) != _ARITY.get(cell.kind):
+                    raise DatumFormatError(
+                        f"alpha {alpha}: {cell!r} does not fill the roles of a kind in KINDS")
         self.orbits = tuple(sorted(orbits, key=attrgetter("dim", "id")))
         self.cells = {a: tuple(sorted(cs, key=attrgetter("y")))
                       for a, cs in sorted(cells.items())}
@@ -160,8 +177,8 @@ class OrbitDatum:
             if not 1 <= alpha <= rank:
                 raise DatumFormatError(
                     f"cells: simple root index {alpha} out of range 1..{rank}")
-            if not all(map(known, chain.from_iterable(map(RaiseCell.members, cs)))):
-                cell, m = next((c, m) for c in cs for m in c.members() if not known(m))
+            if not all(map(known, chain.from_iterable(map(_members, cs)))):
+                cell, m = next((c, m) for c in cs for m in c.members if not known(m))
                 raise DatumFormatError(
                     f"alpha {alpha} cell y={cell.y}: unknown orbit id {m!r}")
 
@@ -197,7 +214,7 @@ class OrbitDatum:
         for alpha in range(1, self.root_system.rank + 1):
             perm: list[int | None] = [None] * len(self.orbits)
             for cell in self.cells.get(alpha, ()):
-                for m in cell.members():
+                for m in cell.members:
                     if perm[pos[m]] is None:
                         perm[pos[m]] = pos[cell.image(m)]
             out[alpha] = perm
@@ -277,7 +294,7 @@ def validate(d: OrbitDatum) -> ValidationReport:
 
     ids = d.orbit_ids()
     for alpha in range(1, rank + 1):
-        members = list(chain.from_iterable(map(RaiseCell.members, d.cells.get(alpha, ()))))
+        members = list(chain.from_iterable(map(_members, d.cells.get(alpha, ()))))
         seen = set(members)
         missing = sorted(set(ids) - seen)
         extra = (sorted(m for m, k in Counter(members).items() if k > 1)
@@ -297,7 +314,7 @@ def validate(d: OrbitDatum) -> ValidationReport:
     for alpha, cells in d.cells.items():
         n_alpha = d.root_system.raise_dims[alpha - 1]
         for cell in cells:
-            y, *zs = map(pos.__getitem__, cell.members())
+            y, *zs = map(pos.__getitem__, cell.members)
             for m in zs:
                 if dim[m] >= dim[y]:
                     bad("cell-y-not-max", f"{ids[m]} has dim {dim[m]} >= y dim {dim[y]}")
@@ -366,7 +383,7 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
     for alpha, cs in d.cells.items():
         for cell in cs:
             where = f"alpha {alpha} cell y={cell.y}"
-            members = [d.orbit(m) for m in cell.members()]
+            members = [d.orbit(m) for m in cell.members]
             have = [o for o in members if o.lattice is not None]
             if not have:
                 continue
@@ -376,7 +393,7 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
                 continue
             lat = {o.id: o.lattice for o in members}
             checked = set()
-            for src in cell.members():
+            for src in cell.members:
                 dst = cell.image(src)
                 if (src, dst) in checked:  # from its other end: s_alpha is an involution
                     continue
@@ -422,7 +439,7 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
             p = row[i]  # s_i·w; each pair once, from its first member in BFS order
             if p > w:
                 y, z = (w, p) if dims[w] > dims[p] else (p, w)
-                cs.append(_new(RaiseCell, (i + 1, "U", ids[y], ids[z], None, None)))
+                cs.append(_new(RaiseCell, ("U", (ids[y], ids[z]))))
         cells[i + 1] = tuple(cs)
     return OrbitDatum(root_system=rs, orbits=orbits, cells=cells)
 
@@ -430,7 +447,7 @@ def generate_flag_datum(rs: RootSystem) -> OrbitDatum:
 # -- serialization -----------------------------------------------------------
 
 _ORBIT_KEYS = {"id", "dim", "c", "rk", "s", "open", "lattice"}
-_CELL_KEYS = {kind: {"kind", *roles} for kind, roles in ROLES.items()}
+_CELL_KEYS = {name: {"kind", *kind.roles} for name, kind in KINDS.items()}
 _TOP_KEYS = {"root_system", "orbits", "cells", "notes"}
 _RS_KEYS = {"family", "rank", "raise_dims"}
 
@@ -448,12 +465,8 @@ def datum_to_obj(d: OrbitDatum) -> dict:
         if o.lattice is not None:
             entry["lattice"] = [list(row) for row in o.lattice]
         orbits.append(entry)
-    cells = {}
-    for alpha, cs in sorted(d.cells.items()):
-        cells[str(alpha)] = [
-            {"kind": c.kind, **{role: getattr(c, role) for role in ROLES[c.kind]}}
-            for c in cs
-        ]
+    cells = {str(alpha): [{"kind": c.kind, **dict(zip(KINDS[c.kind].roles, c.members))}
+                          for c in cs] for alpha, cs in sorted(d.cells.items())}
     obj = {
         "root_system": {
             "family": d.root_system.family,
@@ -479,9 +492,9 @@ def _block(items, indent: int, brackets: str = "[]") -> str:
 # Each template lists its record's keys in the order sort_keys gives them.
 _ORBIT = ('{\n      "c": %d,\n      "dim": %d,\n      "id": %s,\n%s'
           '      "open": %s,\n      "rk": %d,\n      "s": %d\n    }')
-_CELL = {kind: '{\n        "kind": "%s"' % kind
-         + "".join(f',\n        "{role}": %s' for role in roles) + "\n      }"
-         for kind, roles in ROLES.items()}
+_CELL = {name: '{\n        "kind": "%s"' % name
+         + "".join(f',\n        "{role}": %s' for role in kind.roles) + "\n      }"
+         for name, kind in KINDS.items()}
 
 
 def dumps(d: OrbitDatum) -> str:
@@ -497,7 +510,7 @@ def dumps(d: OrbitDatum) -> str:
             [_block(map(str, row), 8) for row in o.lattice], 6),
         "true" if o.open else "false", o.rk, o.s) for o in d.orbits]
     # sort_keys orders the cell keys as strings: "10" before "2"
-    cells = [f'"{alpha}": ' + _block([_CELL[c.kind] % tuple(map(q, c.members()))
+    cells = [f'"{alpha}": ' + _block([_CELL[c.kind] % tuple(map(q, c.members))
                                       for c in cs], 4)
              for alpha, cs in sorted(d.cells.items(), key=lambda kv: str(kv[0]))]
     rs = d.root_system
@@ -581,10 +594,11 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
         raise DatumFormatError("cells must be an object keyed by simple root index")
     cells: dict[int, tuple[RaiseCell, ...]] = {}
     for key, raw_cells in cells_obj.items():
+        check_digits(key, MAX_RANK, DatumFormatError, "cells: simple root key")
         try:
             alpha = int(key)
         except (TypeError, ValueError):
-            raise DatumFormatError(f"cells: bad simple root key {key!r}") from None
+            raise DatumFormatError(f"cells: bad simple root key {clip(key)}") from None
         if alpha in cells:
             first = next(k for k in cells_obj if int(k) == alpha)
             raise DatumFormatError(
@@ -595,22 +609,19 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
         for j, c in enumerate(raw_cells):
             if type(c) is not dict:
                 raise DatumFormatError(f"cells[{key}][{j}]: must be an object")
-            kind = c.get("kind")
-            roles = ROLES.get(kind) if type(kind) is str else None
-            if roles is None:
-                raise DatumFormatError(f"cells[{key}][{j}]: unknown kind {kind!r}")
-            if not c.keys() <= _CELL_KEYS[kind]:
-                raise _unknown_fields(c, _CELL_KEYS[kind], f"cells[{key}][{j}]")
-            members = list(map(c.get, roles))
+            name = c.get("kind")
+            kind = KINDS.get(name) if type(name) is str else None
+            if kind is None:
+                raise DatumFormatError(f"cells[{key}][{j}]: unknown kind {name!r}")
+            if not c.keys() <= _CELL_KEYS[name]:
+                raise _unknown_fields(c, _CELL_KEYS[name], f"cells[{key}][{j}]")
+            members = tuple(map(c.get, kind.roles))
             try:
                 "".join(members)  # TypeError unless every role value is a string
             except TypeError:
-                role = next(r for r, v in zip(roles, members) if type(v) is not str)
+                role = next(r for r, v in zip(kind.roles, members) if type(v) is not str)
                 raise DatumFormatError(f"cells[{key}][{j}]: missing role {role!r}") from None
-            if len(members) == 3:  # TU and RT: y, z1, z2 with no z
-                members.insert(1, None)
-            members += [None] * (4 - len(members))
-            parsed.append(_new(RaiseCell, (alpha, kind, *members)))
+            parsed.append(_new(RaiseCell, (name, members)))
         cells[alpha] = tuple(parsed)
 
     notes = obj.get("notes", [])
@@ -641,8 +652,6 @@ def load_path(path) -> OrbitDatum:
 
 # -- DOT export --------------------------------------------------------------
 
-_EDGE_STYLE = {"U": "solid", "TU": "solid", "RT": "solid",
-               "RI": "dotted", "N": "dotted"}
 #: DOT escapes for text inside a quoted string or a ``//`` comment line.
 _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
 
@@ -650,7 +659,8 @@ _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
 def export_dot(d: OrbitDatum) -> str:
     """Deterministic Graphviz DOT text for the raise structure.
 
-    Nodes are labeled ``id (dim|c,rk,s)``; U and TU chains appear as
+    Nodes are labeled ``id (dim|c,rk,s)``; each cell's edges and their
+    style are its kind's in :data:`KINDS`: U and TU chains appear as
     directed raise edges (y -> z, and z1 -> z2 for TU), RT as two raise
     edges, RI and N as dotted pairing edges, and A cells as comments.
     Orbit ids are written with backslash, double quote and newline
@@ -664,22 +674,11 @@ def export_dot(d: OrbitDatum) -> str:
         lines.append(f'  "{oid}" [label="{oid} ({o.dim}|{o.c},{o.rk},{o.s})"];')
     for alpha, cells in sorted(d.cells.items()):
         for cell in cells:
-            tag = f"a{alpha} {cell.kind}"
-            style = _EDGE_STYLE.get(cell.kind)
-            if cell.kind == "U":
-                edges = [(cell.y, cell.z)]
-            elif cell.kind == "TU":
-                edges = [(cell.y, cell.z1), (cell.z1, cell.z2)]
-            elif cell.kind == "RT":
-                edges = [(cell.y, cell.z1), (cell.y, cell.z2)]
-            elif cell.kind in ("RI", "N"):
-                edges = [(cell.y, cell.z)]
-            else:  # A
-                lines.append(f"  // {tag} {{{cell.y.translate(_DOT_ESCAPES)}}}")
-                continue
-            for src, dst in edges:
-                src, dst = (x.translate(_DOT_ESCAPES) for x in (src, dst))
-                lines.append(
-                    f'  "{src}" -> "{dst}" [label="{tag}", style={style}];')
+            tag, kind = f"a{alpha} {cell.kind}", KINDS[cell.kind]
+            ids = [m.translate(_DOT_ESCAPES) for m in cell.members]
+            if not kind.edges:
+                lines.append(f"  // {tag} {{{ids[0]}}}")
+            lines.extend(f'  "{ids[i]}" -> "{ids[j]}" [label="{tag}", style={kind.style}];'
+                         for i, j in kind.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,9 @@ itself; :func:`check_module` runs these checks for ``weylorb hecke``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import json
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, NamedTuple
 
 from . import InputError
 from .coxeter import (
@@ -22,7 +24,7 @@ from .coxeter import (
     enumerate_group,
     weyl_group,
 )
-from .datum import OrbitDatum
+from .datum import OrbitDatum, _block
 
 __all__ = [
     "HeckeBraidViolation", "HeckeError", "HeckeModule", "HeckeReport",
@@ -97,7 +99,7 @@ def build_module(d: OrbitDatum) -> HeckeModule:
         col = [frozenset((i,)) for i in range(len(at))]
         for cell in d.cells.get(alpha, ()):
             y = (at[cell.y],) if cell.kind in ("TU", "RT") else ()
-            for m in cell.members():
+            for m in cell.members:
                 if (n := cell.image(m)) != m:
                     col[at[m]] = frozenset((*y, at[n]))
         columns[alpha] = tuple(col)
@@ -230,42 +232,53 @@ class HeckeReport(NamedTuple):
     def ok(self) -> bool:
         return not self.problems
 
-    def _images(self) -> dict[str, dict[str, list[str]]]:
+    def render_text(self) -> Iterator[str]:
+        """The text output in pieces: the basis line, then one piece per
+        operator, its line per basis vector rendered from its column as
+        the walk reaches it, then one line per check."""
         m = self.module
-        return {str(alpha): {oid: m.terms(col[i]) for i, oid in enumerate(m.basis)}
-                for alpha, col in sorted(m.columns.items())}
-
-    def lines(self) -> list[str]:
-        out = ["basis: " + " ".join(self.module.basis)]
-        for alpha, images in self._images().items():
-            out.extend(f"T_{alpha}[{oid}] = " + " + ".join(terms)
-                       for oid, terms in images.items())
-        for label, ok in (("involutions", self.involutions),
-                          ("leading terms match sigma", self.leading_terms_match_sigma),
-                          ("module braid", not self.braid_violations)):
-            out.append(f"{label}: " + ("OK" if ok else "FAIL"))
+        yield "basis: " + " ".join(m.basis) + "\n"
+        for alpha, col in sorted(m.columns.items()):
+            yield "".join(f"T_{alpha}[{oid}] = " + " + ".join(m.terms(vec)) + "\n"
+                          for oid, vec in zip(m.basis, col))
         r = self.regular
+        out = [f"{label}: " + ("OK" if ok else "FAIL") for label, ok in (
+            ("involutions", self.involutions),
+            ("leading terms match sigma", self.leading_terms_match_sigma),
+            ("module braid", not self.braid_violations))]
         out.append("regular representation: " + (
             "skipped (no identity orbit)" if r is None else
             f"group {r.group_order}, images {r.distinct_images}, span {r.span_dimension}: "
             + ("regular" if r.ok else "NOT regular")))
         out.extend("PROBLEM " + p for p in self.problems)
-        return out
+        yield "\n".join(out) + "\n"
 
-    def to_obj(self) -> dict:
-        r = self.regular
-        return {
-            "ok": self.ok,
-            "basis": list(self.module.basis),
-            "columns": self._images(),
+    def render_json(self) -> Iterator[str]:
+        """The ``--json`` output in pieces, one per operator as the walk
+        reaches its column: together the bytes of ``json.dumps(obj,
+        indent=2, sort_keys=True)`` and a newline, where obj maps "columns"
+        to {alpha: {id: the ids in T_alpha [id]}}."""
+        q, m, r = encode_basestring_ascii, self.module, self.regular
+        by_id = sorted(range(len(m.basis)), key=m.basis.__getitem__)
+        yield '{\n  "basis": ' + _block(map(q, m.basis), 2) + ',\n  "columns": '
+        sep = "{"  # sort_keys orders the operators as strings: "10" before "2"
+        for alpha, col in sorted(m.columns.items(), key=lambda kv: str(kv[0])):
+            yield f'{sep}\n    "{alpha}": ' + _block(
+                [f"{q(m.basis[i])}: " + _block(map(q, m.terms(col[i])), 6) for i in by_id],
+                4, "{}")
+            sep = ","
+        # the other keys sort after "columns": their own dump, less its "{"
+        rest = json.dumps({
             "involutions": self.involutions,
             "leading_terms_match_sigma": self.leading_terms_match_sigma,
             "module_braid_ok": not self.braid_violations,
+            "ok": self.ok,
+            "problems": list(self.problems),
             "regular_representation": None if r is None else {
                 "ok": r.ok, "group_order": r.group_order,
                 "distinct_images": r.distinct_images, "span_dimension": r.span_dimension},
-            "problems": list(self.problems),
-        }
+        }, indent=2, sort_keys=True)
+        yield ("{}" if sep == "{" else "\n  }") + "," + rest[1:] + "\n"
 
 
 def check_module(d: OrbitDatum) -> HeckeReport:

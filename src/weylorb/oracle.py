@@ -25,8 +25,8 @@ from itertools import product as iproduct
 from math import inf, isqrt
 from typing import NamedTuple
 
-from . import InputError
-from .coxeter import RootSystem, build_root_system
+from . import InputError, check_digits, clip
+from .coxeter import MAX_RANK, RootSystem, build_root_system
 # datum and action execute on first attribute access: only inference and
 # compare run them
 from . import action, datum
@@ -197,10 +197,11 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         raise OracleError("spec: generators P must be an object keyed by simple root index")
     parabolics = {}
     for key, mats in raw_parabolics.items():
+        check_digits(key, MAX_RANK, OracleError, "P: simple root key")
         try:
             alpha = int(key)
         except (TypeError, ValueError):
-            raise OracleError(f"P: bad simple root key {key!r}") from None
+            raise OracleError(f"P: bad simple root key {clip(key)}") from None
         if not 1 <= alpha <= rs.rank:
             raise OracleError(f"parabolic index {key} outside 1..{rs.rank}")
         if alpha in parabolics:
@@ -409,11 +410,12 @@ def enumerate_orbits(spec: MatGroupSpec,
                 trans.append(prod)
                 tinv.append(mul(tinv[x], g_inv))
                 continue
-            gen = mul(tinv[y], prod)  # in H; a new one at least doubles the chain
-            if chain.order < top.order and _canon(gen, chain) != _canon(eye, chain):
-                gen_inv = mul(mul(tinv[x], g_inv), trans[y])
-                chain = _Level(chain.gens + [gen], chain.invs + [gen_inv], None, arith)
-                chain.reduce(eye[:k])
+            if chain.order < top.order:  # once |G ∩ H| = |H|, no generator is read
+                gen = mul(tinv[y], prod)  # in H; a new one at least doubles the chain
+                if _canon(gen, chain) != _canon(eye, chain):
+                    gen_inv = mul(mul(tinv[x], g_inv), trans[y])
+                    chain = _Level(chain.gens + [gen], chain.invs + [gen_inv], None, arith)
+                    chain.reduce(eye[:k])
         frontier = range(frontier.stop, len(labels))
     if chain.order != top.order:
         raise OracleError("H is not contained in the group generated by G")
@@ -679,7 +681,7 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                 raise OracleError(
                     f"P_{alpha} class with {len(block)} B-orbits is out of scope")
             y, *zs = sorted(block, key=lambda i: -dims[i])
-            ids = [name_of[i] for i in (y, *zs)]
+            ids = tuple(name_of[i] for i in (y, *zs))
             # the kind by shape alone; validate and braid_check judge it
             if not zs:
                 kind = "A"
@@ -692,7 +694,7 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                     f"cell alpha {alpha} {{{ids[0]}, {ids[1]}}}: kind RI|N "
                     "ambiguous (stabilizer connectedness is invisible "
                     "to point counts); recorded as RI")
-            row.append(datum.RaiseCell(alpha, kind, **dict(zip(datum.ROLES[kind], ids))))
+            row.append(datum.RaiseCell(kind, ids))
         cells[alpha] = tuple(row)
 
     candidate = datum.OrbitDatum(rs, tuple(orbits), cells)
@@ -726,8 +728,8 @@ def _structure(d: datum.OrbitDatum) -> tuple[list, list]:
     blocks = []
     for k, (alpha, cells) in enumerate(d.cells.items()):
         for cell in cells:
-            kind, ids = _kindclass(cell.kind), [d.position[m] for m in cell.members()]
-            for role, i in zip(datum.ROLES[cell.kind], ids):
+            kind, ids = _kindclass(cell.kind), [d.position[m] for m in cell.members]
+            for role, i in zip(datum.KINDS[cell.kind].roles, ids):
                 if rows[i][k][1] is None:
                     rows[i][k] = (alpha, (kind, "z" if kind == "RT" and role != "y" else role))
             blocks.append(((alpha, kind), ((ids[0],), tuple(ids[1:])) if kind == "RT"

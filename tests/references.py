@@ -2,7 +2,9 @@
 the test files: the ones several files share, the datum loader and
 validator as they were before each record was checked in one pass, sigma,
 the Hecke columns and the lattice checks as per-kind branches before
-:meth:`RaiseCell.image` stated the cell rule once, the Weyl group as
+:meth:`RaiseCell.image` stated the cell rule once, the cell record with
+one field per role and its ``members()``, ``image()`` and DOT edges as
+kind branches before ``datum.KINDS`` held each kind's shape, the Weyl group as
 integer matrices found by a matrix BFS, the model that
 :class:`weylorb.coxeter.WeylGroup`'s tables replaced, the Hecke module on
 packed ints (bit i for basis position i) with its word-by-word T_w, the
@@ -28,6 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import isqrt
+from typing import NamedTuple
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -42,8 +45,6 @@ from weylorb.coxeter import (
     enumerate_group,
 )
 from weylorb.datum import (
-    KINDS,
-    ROLES,
     DatumFormatError,
     Orbit,
     OrbitDatum,
@@ -349,9 +350,77 @@ def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell
     index: dict[tuple[int, str], tuple[RaiseCell, str]] = {}
     for alpha, cells in d.cells.items():
         for cell in cells:
-            for role, oid in zip(ROLES[cell.kind], cell.members()):
+            for role, oid in zip(LEGACY_ROLES[cell.kind], cell.members):
                 index.setdefault((alpha, oid), (cell, role))
     return index
+
+
+# -- the cell record with a field per role, and its per-kind branches ---------
+
+#: Member roles per cell kind, in serialization order, as the datum module
+#: listed them before its one table of kinds.
+LEGACY_ROLES = {"U": ("y", "z"), "TU": ("y", "z1", "z2"), "A": ("y",),
+                "RT": ("y", "z1", "z2"), "RI": ("y", "z"), "N": ("y", "z")}
+
+
+class LegacyCell(NamedTuple):
+    """RaiseCell as it was before ``RaiseCell(kind, members)``, less the
+    simple root it carried: one field per role, None where the kind has
+    no such role, and the kind branches of its two methods."""
+
+    kind: str
+    y: str
+    z: str | None = None
+    z1: str | None = None
+    z2: str | None = None
+
+    def members(self) -> tuple[str, ...]:
+        if self.kind in ("TU", "RT"):
+            return (self.y, self.z1, self.z2)
+        return (self.y,) if self.kind == "A" else (self.y, self.z)
+
+    def image(self, m: str) -> str:
+        a, b = (self.y, self.z) if self.kind == "U" else (self.z1, self.z2)
+        return b if m == a else a if m == b else m
+
+
+def legacy_cell(cell: RaiseCell) -> LegacyCell:
+    """The cell with its members read into role fields through LEGACY_ROLES."""
+    return LegacyCell(cell.kind, **dict(zip(LEGACY_ROLES[cell.kind], cell.members)))
+
+
+_LEGACY_STYLE = {"U": "solid", "TU": "solid", "RT": "solid", "RI": "dotted", "N": "dotted"}
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
+def legacy_export_dot(d: OrbitDatum) -> str:
+    """export_dot with its five-way branch over the cell kinds."""
+    lines = ["digraph orbit_datum {", f"  // root_system: {d.root_system.to_text()}",
+             "  node [shape=box];"]
+    for o in d.orbits:
+        oid = o.id.translate(_DOT_ESCAPES)
+        lines.append(f'  "{oid}" [label="{oid} ({o.dim}|{o.c},{o.rk},{o.s})"];')
+    for alpha, cells in sorted(d.cells.items()):
+        for cell in map(legacy_cell, cells):
+            tag = f"a{alpha} {cell.kind}"
+            style = _LEGACY_STYLE.get(cell.kind)
+            if cell.kind == "U":
+                edges = [(cell.y, cell.z)]
+            elif cell.kind == "TU":
+                edges = [(cell.y, cell.z1), (cell.z1, cell.z2)]
+            elif cell.kind == "RT":
+                edges = [(cell.y, cell.z1), (cell.y, cell.z2)]
+            elif cell.kind in ("RI", "N"):
+                edges = [(cell.y, cell.z)]
+            else:  # A
+                lines.append(f"  // {tag} {{{cell.y.translate(_DOT_ESCAPES)}}}")
+                continue
+            for src, dst in edges:
+                src, dst = (x.translate(_DOT_ESCAPES) for x in (src, dst))
+                lines.append(
+                    f'  "{src}" -> "{dst}" [label="{tag}", style={style}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # -- sigma's cell rule, written out per kind ---------------------------------
@@ -360,6 +429,7 @@ def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell
 def kind_swap(cell: RaiseCell) -> dict[str, str]:
     """sigma_alpha inside one cell, by kind and read by orbit ids: U swaps
     y and z, TU and RT swap z1 and z2, A, RI and N fix their members."""
+    cell = legacy_cell(cell)
     if cell.kind == "U":
         return {cell.y: cell.z, cell.z: cell.y}
     if cell.kind in ("TU", "RT"):
@@ -369,7 +439,7 @@ def kind_swap(cell: RaiseCell) -> dict[str, str]:
 
 def names_distinct_orbits(d: OrbitDatum) -> bool:
     """Whether every cell of d names each of its orbits in one role only."""
-    return all(len(set(cell.members())) == len(cell.members())
+    return all(len(set(cell.members)) == len(cell.members)
                for cells in d.cells.values() for cell in cells)
 
 
@@ -383,7 +453,7 @@ def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
         perm: list[int | None] = [None] * len(d.orbits)
         for cell in d.cells.get(alpha, ()):
             swap = kind_swap(cell)
-            for m in cell.members():
+            for m in cell.members:
                 if perm[pos[m]] is None:
                     perm[pos[m]] = pos[swap.get(m, m)]
         out[alpha] = perm
@@ -409,7 +479,9 @@ def reference_columns(d: OrbitDatum, follow_sigma: bool = False) -> dict[int, tu
                 for m, n in kind_swap(cell).items():
                     if n != m:
                         col[at[m]] = y | 1 << at[n]
-            elif cell.kind == "U":
+                continue
+            cell = legacy_cell(cell)
+            if cell.kind == "U":
                 col[at[cell.y]] = 1 << at[cell.z]
                 col[at[cell.z]] = 1 << at[cell.y]
             elif cell.kind in ("TU", "RT"):
@@ -522,7 +594,7 @@ def packed_leading_position(basis, dims, alpha: int, col: tuple[int, ...], i: in
 def reference_check_module(d: OrbitDatum) -> HeckeReport:
     """check_module on packed ints, columns by :func:`reference_columns`.
     The report's module holds the same columns as sets of positions, so
-    that lines() and to_obj() render it."""
+    that render_text() and render_json() render it."""
     basis = d.orbit_ids()
     dims = [o.dim for o in d.orbits]
     columns = reference_columns(d, follow_sigma=True)
@@ -554,6 +626,48 @@ def reference_check_module(d: OrbitDatum) -> HeckeReport:
                        tuple(problems))
 
 
+def _reference_images(report: HeckeReport) -> dict[str, dict[str, list[str]]]:
+    m = report.module
+    return {str(alpha): {oid: m.terms(col[i]) for i, oid in enumerate(m.basis)}
+            for alpha, col in sorted(m.columns.items())}
+
+
+def reference_hecke_text(report: HeckeReport) -> str:
+    """``weylorb hecke``'s text as HeckeReport.lines() built it: every
+    column's term lists in one dict, then every line in one list."""
+    out = ["basis: " + " ".join(report.module.basis)]
+    for alpha, images in _reference_images(report).items():
+        out.extend(f"T_{alpha}[{oid}] = " + " + ".join(terms) for oid, terms in images.items())
+    for label, ok in (("involutions", report.involutions),
+                      ("leading terms match sigma", report.leading_terms_match_sigma),
+                      ("module braid", not report.braid_violations)):
+        out.append(f"{label}: " + ("OK" if ok else "FAIL"))
+    r = report.regular
+    out.append("regular representation: " + (
+        "skipped (no identity orbit)" if r is None else
+        f"group {r.group_order}, images {r.distinct_images}, span {r.span_dimension}: "
+        + ("regular" if r.ok else "NOT regular")))
+    out.extend("PROBLEM " + p for p in report.problems)
+    return "\n".join(out) + "\n"
+
+
+def reference_hecke_json(report: HeckeReport) -> str:
+    """``weylorb hecke --json`` as HeckeReport.to_obj() and json.dumps made it."""
+    r = report.regular
+    return json.dumps({
+        "ok": report.ok,
+        "basis": list(report.module.basis),
+        "columns": _reference_images(report),
+        "involutions": report.involutions,
+        "leading_terms_match_sigma": report.leading_terms_match_sigma,
+        "module_braid_ok": not report.braid_violations,
+        "regular_representation": None if r is None else {
+            "ok": r.ok, "group_order": r.group_order,
+            "distinct_images": r.distinct_images, "span_dimension": r.span_dimension},
+        "problems": list(report.problems),
+    }, indent=2, sort_keys=True) + "\n"
+
+
 @st.composite
 def overlapping_cells(draw) -> OrbitDatum:
     """Up to four cells per simple root over six orbits, cells sharing
@@ -571,8 +685,8 @@ def overlapping_cells(draw) -> OrbitDatum:
         for oid in ids)
     members = st.permutations(ids) | st.lists(st.sampled_from(ids), min_size=3, max_size=3)
     cells = {alpha: tuple(
-        RaiseCell(alpha, kind, **dict(zip(ROLES[kind], draw(members))))
-        for kind in draw(st.lists(st.sampled_from(KINDS), max_size=4)))
+        RaiseCell(kind, tuple(draw(members))[:len(LEGACY_ROLES[kind])])
+        for kind in draw(st.lists(st.sampled_from(tuple(LEGACY_ROLES)), max_size=4)))
         for alpha in range(1, rs.rank + 1)}
     return OrbitDatum(rs, orbits, cells)
 
@@ -586,8 +700,8 @@ def braid_breaker() -> OrbitDatum:
     orbits = (Orbit("p", 3, 0, 0, 0, open=True),
               Orbit("q", 2, 0, 0, 0),
               Orbit("r", 1, 0, 0, 0))
-    cells = {1: (RaiseCell(1, "U", y="p", z="q"), RaiseCell(1, "A", y="r")),
-             2: (RaiseCell(2, "U", y="q", z="r"), RaiseCell(2, "A", y="p"))}
+    cells = {1: (RaiseCell("U", ("p", "q")), RaiseCell("A", ("r",))),
+             2: (RaiseCell("U", ("q", "r")), RaiseCell("A", ("p",)))}
     return OrbitDatum(rs, orbits, cells)
 
 
@@ -598,7 +712,7 @@ def non_involution() -> OrbitDatum:
     orbits = (Orbit("y", 1, 0, 0, 0, open=True),
               Orbit("z", 0, 0, 0, 0),
               Orbit("w", 0, 0, 0, 0))
-    cells = {1: (RaiseCell(1, "U", y="y", z="z"), RaiseCell(1, "U", y="y", z="w"))}
+    cells = {1: (RaiseCell("U", ("y", "z")), RaiseCell("U", ("y", "w")))}
     return OrbitDatum(rs, orbits, cells)
 
 
@@ -606,15 +720,15 @@ def partly_covered() -> OrbitDatum:
     """A1xA1 datum whose alpha-2 cells leave z uncovered."""
     return OrbitDatum(build_root_system("A1xA1"),
                       (Orbit("y", 1, 0, 0, 0, open=True), Orbit("z", 0, 0, 0, 0)),
-                      {1: (RaiseCell(1, "U", y="y", z="z"),),
-                       2: (RaiseCell(2, "A", y="y"),)})
+                      {1: (RaiseCell("U", ("y", "z")),),
+                       2: (RaiseCell("A", ("y",)),)})
 
 
 def missing_alpha() -> OrbitDatum:
     """A1xA1 datum with no cells at all for alpha 2."""
     return OrbitDatum(build_root_system("A1xA1"),
                       (Orbit("y", 1, 0, 0, 0, open=True), Orbit("z", 0, 0, 0, 0)),
-                      {1: (RaiseCell(1, "U", y="y", z="z"),)})
+                      {1: (RaiseCell("U", ("y", "z")),)})
 
 
 def tu_y_is_z1() -> OrbitDatum:
@@ -623,8 +737,8 @@ def tu_y_is_z1() -> OrbitDatum:
     return OrbitDatum(build_root_system("A1"),
                       (Orbit("y", 2, 0, 0, 0, open=True), Orbit("q", 1, 0, 0, 0),
                        Orbit("r", 0, 0, 0, 0)),
-                      {1: (RaiseCell(1, "TU", y="q", z1="q", z2="r"),
-                           RaiseCell(1, "A", y="y"))})
+                      {1: (RaiseCell("TU", ("q", "q", "r")),
+                           RaiseCell("A", ("y",)))})
 
 
 #: A double-covered orbit, a partly covered alpha, a missing alpha, a
@@ -732,16 +846,16 @@ def reference_datum_from_obj(obj: dict) -> OrbitDatum:
             if not isinstance(c, dict):
                 raise DatumFormatError(f"{where}: must be an object")
             kind = c.get("kind")
-            if kind not in KINDS:
+            if not (isinstance(kind, str) and kind in LEGACY_ROLES):
                 raise DatumFormatError(f"{where}: unknown kind {kind!r}")
-            _require_keys(c, {"kind", *ROLES[kind]}, where)
+            _require_keys(c, {"kind", *LEGACY_ROLES[kind]}, where)
             roles = {}
-            for role in ROLES[kind]:
+            for role in LEGACY_ROLES[kind]:
                 v = c.get(role)
                 if not isinstance(v, str):
                     raise DatumFormatError(f"{where}: missing role {role!r}")
                 roles[role] = v
-            parsed.append(RaiseCell(alpha=alpha, kind=kind, **roles))
+            parsed.append(RaiseCell(kind, LegacyCell(kind, **roles).members()))
         cells[alpha] = tuple(parsed)
 
     notes = obj.get("notes", [])
@@ -773,7 +887,7 @@ def _reference_structure(rank: int, orbits: list[Orbit],
         if not 1 <= alpha <= rank:
             raise DatumFormatError(f"cells: simple root index {alpha} out of range 1..{rank}")
         for cell in sorted(cells[alpha], key=lambda c: c.y):
-            for m in (getattr(cell, role) for role in ROLES[cell.kind]):
+            for m in cell.members:
                 if m not in known:
                     raise DatumFormatError(
                         f"alpha {alpha} cell y={cell.y}: unknown orbit id {m!r}")
@@ -801,7 +915,7 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
     for alpha in range(1, rank + 1):
         seen: dict[str, int] = {}
         for cell in d.cells.get(alpha, ()):
-            for m in cell.members():
+            for m in cell.members:
                 seen[m] = seen.get(m, 0) + 1
         missing = sorted(ids - set(seen))
         extra = sorted(m for m, k in seen.items() if k > 1)
@@ -814,7 +928,7 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
 
     for alpha, cells in d.cells.items():
         n_alpha = d.root_system.raise_dims[alpha - 1]
-        for cell in cells:
+        for cell in map(legacy_cell, cells):
             where = f"alpha {alpha} cell y={cell.y}"
             members = [d.orbit(m) for m in cell.members()]
             y = members[0]
@@ -890,6 +1004,7 @@ def kind_checks(cell: RaiseCell) -> list[tuple[str, str]]:
     """The lattice checks (src, dst) of one cell as check_lattices made
     them per kind: U moves y to z, TU and RT fix y and move z1 to z2, A
     fixes y, RI and N fix y and z."""
+    cell = legacy_cell(cell)
     y = cell.y
     if cell.kind == "U":
         return [(y, cell.z)]
@@ -905,7 +1020,7 @@ def sigma_checks(cell: RaiseCell) -> list[tuple[str, str]]:
     is :func:`kind_checks`."""
     swap = kind_swap(cell)
     out: list[tuple[str, str]] = []
-    for m in cell.members():
+    for m in cell.members:
         pair = (m, swap.get(m, m))
         if pair not in out and pair[::-1] not in out:
             out.append(pair)
@@ -921,7 +1036,7 @@ def reference_check_lattices(d: OrbitDatum, checks=kind_checks) -> ValidationRep
         s_mat = simple_matrix(d.root_system, alpha - 1)
         for cell in cells:
             where = f"alpha {alpha} cell y={cell.y}"
-            members = [d.orbit(m) for m in cell.members()]
+            members = [d.orbit(m) for m in cell.members]
             have = [o for o in members if o.lattice is not None]
             if not have:
                 continue

@@ -40,6 +40,7 @@ from references import (
     FLAG_TOKENS,
     braid_breaker,
     element_matrix,
+    legacy_cell,
     mat_identity,
     mat_mul,
     matrix_bfs,
@@ -131,6 +132,7 @@ def test_stabilizer_refuses_non_involution():
 
 def reference_cell_sigma(cell: RaiseCell, orbit_id: str) -> str:
     """Image of orbit_id under the cell involution."""
+    cell = legacy_cell(cell)
     if cell.kind == "U":
         return cell.z if orbit_id == cell.y else cell.y
     if cell.kind in ("TU", "RT"):
@@ -250,9 +252,7 @@ def schreier_stabilizer(d: OrbitDatum) -> frozenset:
 def renamed(d: OrbitDatum, names: dict[str, str]) -> OrbitDatum:
     """A copy of d with every orbit id x renamed to names[x]."""
     def cell(c: RaiseCell) -> RaiseCell:
-        return c._replace(**{role: names[getattr(c, role)]
-                             for role in ("y", "z", "z1", "z2")
-                             if getattr(c, role) is not None})
+        return c._replace(members=tuple(names[m] for m in c.members))
     return OrbitDatum(d.root_system,
                       tuple(o._replace(id=names[o.id]) for o in d.orbits),
                       {a: tuple(cell(c) for c in cs) for a, cs in d.cells.items()})

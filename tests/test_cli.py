@@ -407,8 +407,7 @@ def test_export_dot_escapes_ids(name, tmp_path, capsys):
     d = bundled_datum(name)
     odd = ['"; evil', "\\", "\n}", '\\"', "\\n"]
     names = {o.id: f"{o.id}{odd[i % len(odd)]}" for i, o in enumerate(d.orbits)}
-    cells = {a: tuple(c._replace(**{r: names[getattr(c, r)] for r in ("y", "z", "z1", "z2")
-                                    if getattr(c, r) is not None}) for c in cs)
+    cells = {a: tuple(c._replace(members=tuple(map(names.get, c.members))) for c in cs)
              for a, cs in d.cells.items()}
     path = tmp_path / "odd.json"
     path.write_text(dumps(OrbitDatum(
@@ -614,14 +613,26 @@ def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
 _DIGITS = "9" * 5000  # past the 4,300 digits that int() converts by default
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["gen-flag", "A" + _DIGITS], None),
-    (["validate"], datum_text("rank1_u").replace('"dim": 2', '"dim": ' + _DIGITS)),
-    (["oracle", "enumerate"], oracle_spec_text("torus").replace("[2, 0]", f"[{_DIGITS}, 0]")),
-], ids=["gen-flag-rank", "validate-dim", "oracle-entry"])
-def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys, argv, text):
-    """A 5,000-digit rank, datum field or spec entry is refused with exit 2
-    and one error: line that does not echo the digits, not a traceback."""
+@pytest.mark.parametrize("argv,text,message", [
+    (["gen-flag", "A" + _DIGITS], None, "rank of A has 5000 digits, past the limit 32"),
+    (["validate"], datum_text("rank1_u").replace('"dim": 2', '"dim": ' + _DIGITS), None),
+    (["oracle", "enumerate"], oracle_spec_text("torus").replace("[2, 0]", f"[{_DIGITS}, 0]"),
+     None),
+    (["oracle", "enumerate"], oracle_spec_text("torus").replace('"1": [', f'"{_DIGITS}": ['),
+     "P: simple root key has 5000 digits, past the limit 32"),
+    (["validate"], datum_text("rank1_u").replace('"1": [', f'"{_DIGITS}": ['),
+     "cells: simple root key has 5000 digits, past the limit 32"),
+    (["oracle", "enumerate", "torus", "--q-list", "5," + _DIGITS], None,
+     "q-list entry has 5000 digits, past the limit 3037000499"),
+    (["act", "rank1_u", "1." + _DIGITS, "y"], None,
+     "word letter has 5000 digits, past the limit 32"),
+], ids=["gen-flag-rank", "validate-dim", "oracle-entry", "oracle-p-key", "datum-cells-key",
+        "q-list", "act-word"])
+def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys, argv, text, message):
+    """A 5,000-digit rank, datum field, spec entry, simple root key, prime
+    or word letter is refused with exit 2 and one short error: line that
+    does not echo the digits, not a traceback; a number token is refused
+    for its digit count before int() reads it."""
     path = tmp_path / "input.json"
     if text is not None:
         assert _DIGITS in text
@@ -629,9 +640,32 @@ def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys, argv, text)
     code, out, err = run(capsys, *argv, *([] if text is None else [str(path)]))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "9" * 40 not in err
-    if text is None:
-        assert err == "error: rank of A has 5000 digits, past the limit 32\n"
+    assert "9" * 40 not in err and len(err.encode()) < 200
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["act", "rank1_u", "1." + "x" * 5000, "y"], None,
+     "bad word '1." + "x" * 29 + "...; expected e or dotted indices like 1.2"),
+    (["oracle", "enumerate", "torus", "--q-list", "5,x" + "9" * 5000], None,
+     "bad q-list '5,x" + "9" * 28 + "...; expected comma-separated primes"),
+    (["validate"], datum_text("rank1_u").replace('"1": [', f'"x{_DIGITS}": ['),
+     "cells: bad simple root key 'x" + "9" * 30 + "..."),
+    (["oracle", "enumerate"], oracle_spec_text("torus").replace('"1": [', f'"x{_DIGITS}": ['),
+     "P: bad simple root key 'x" + "9" * 30 + "..."),
+    (["oracle", "enumerate", "torus", "--q-list", "00000000000005,7"], None, None),
+], ids=["word", "q-list", "datum-cells-key", "oracle-p-key", "leading-zeros"])
+def test_refusals_quote_a_short_prefix_of_a_bad_token(tmp_path, capsys, argv, text, message):
+    """A long token that is no integer is quoted by the first 32
+    characters of its repr; leading zeros are not digits past a limit."""
+    path = tmp_path / "input.json"
+    path.write_text(text or "", encoding="utf-8")
+    code, out, err = run(capsys, *argv, *([] if text is None else [str(path)]))
+    if message is None:
+        assert code == 0, err
+        return
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["oracle", "enumerate"]],

@@ -6,6 +6,7 @@ import copy
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from weylorb.bundled import (
 from weylorb.coxeter import build_root_system, enumerate_group, word_name
 from weylorb.datum import (
     KINDS,
-    ROLES,
     DatumFormatError,
     Orbit,
     OrbitDatum,
@@ -41,8 +41,11 @@ from weylorb.hecke import build_module
 from references import (
     DEFECTIVE_CASES,
     FLAG_TOKENS,
+    LEGACY_ROLES,
     element_matrix,
     kind_checks,
+    legacy_cell,
+    legacy_export_dot,
     line_raises,
     mat_apply,
     names_distinct_orbits,
@@ -69,24 +72,24 @@ def rank1_datum(kind: str, with_lattices: bool = False) -> OrbitDatum:
                         lattice=((1,),) if with_lattices else None),
                   Orbit("z", 1, 0, 1, 0,
                         lattice=((1,),) if with_lattices else None))
-        cells = {1: (RaiseCell(1, "U", y="y", z="z"),)}
+        cells = {1: (RaiseCell("U", ("y", "z")),)}
     elif kind == "TU":
         orbits = (Orbit("y", 3, 0, 1, 0, open=True, lattice=latt["y"]),
                   Orbit("z1", 2, 0, 0, 0, lattice=latt["z"]),
                   Orbit("z2", 1, 0, 0, 0, lattice=latt["z"]))
-        cells = {1: (RaiseCell(1, "TU", y="y", z1="z1", z2="z2"),)}
+        cells = {1: (RaiseCell("TU", ("y", "z1", "z2")),)}
     elif kind == "A":
         orbits = (Orbit("y", 2, 0, 0, 1, open=True, lattice=None),)
-        cells = {1: (RaiseCell(1, "A", y="y"),)}
+        cells = {1: (RaiseCell("A", ("y",)),)}
     elif kind == "RT":
         orbits = (Orbit("y", 2, 0, 1, 0, open=True, lattice=latt["y"]),
                   Orbit("z1", 1, 0, 0, 0, lattice=latt["z"]),
                   Orbit("z2", 1, 0, 0, 0, lattice=latt["z"]))
-        cells = {1: (RaiseCell(1, "RT", y="y", z1="z1", z2="z2"),)}
+        cells = {1: (RaiseCell("RT", ("y", "z1", "z2")),)}
     elif kind in ("RI", "N"):
         orbits = (Orbit("y", 2, 0, 1, 0, open=True, lattice=latt["y"]),
                   Orbit("z", 1, 0, 0, 0, lattice=latt["z"]))
-        cells = {1: (RaiseCell(1, kind, y="y", z="z"),)}
+        cells = {1: (RaiseCell(kind, ("y", "z")),)}
     else:
         raise AssertionError(kind)
     return OrbitDatum(root_system=rs, orbits=orbits, cells=cells)
@@ -256,12 +259,12 @@ def test_sigma_rule_matches_reference_on_overlapping_cells(d):
 @pytest.mark.parametrize("cell,sigma,columns,checks", [
     # y is also z1: sigma, read by ids, sends q to r, so the lattice check
     # of q is (q, r) and no (q, q) check is made
-    (RaiseCell(1, "TU", y="q", z1="q", z2="r"), {"q": "r", "r": "q"},
+    (RaiseCell("TU", ("q", "q", "r")), {"q": "r", "r": "q"},
      {"q": ["r", "q"], "r": ["q"], "t": ["t"]}, ["q", "r"]),
     # z1 is z2: sigma fixes q, so T_1 [q] = [q] and q is checked once
-    (RaiseCell(1, "RT", y="t", z1="q", z2="q"), {"q": "q", "t": "t"},
+    (RaiseCell("RT", ("t", "q", "q")), {"q": "q", "t": "t"},
      {"q": ["q"], "r": ["r"], "t": ["t"]}, ["q", "q"]),
-    (RaiseCell(1, "N", y="q", z="q"), {"q": "q"},
+    (RaiseCell("N", ("q", "q")), {"q": "q"},
      {"q": ["q"], "r": ["r"], "t": ["t"]}, ["q", "q"]),
 ], ids=["TU-y-is-z1", "RT-z1-is-z2", "N-y-is-z"])
 def test_cell_naming_an_orbit_twice_follows_sigma(cell, sigma, columns, checks):
@@ -347,12 +350,12 @@ def test_validate_ri_n_rank_drop(kind):
 def test_validate_partition_defect():
     d = rank1_datum("U")
     broken = OrbitDatum(d.root_system, d.orbits,
-                        {1: (RaiseCell(1, "A", y="y"),)})
+                        {1: (RaiseCell("A", ("y",)),)})
     codes = {v.code for v in validate(broken).violations}
     assert "partition-defect" in codes
     double = OrbitDatum(d.root_system, d.orbits,
-                        {1: (RaiseCell(1, "U", y="y", z="z"),
-                             RaiseCell(1, "A", y="z"))})
+                        {1: (RaiseCell("U", ("y", "z")),
+                             RaiseCell("A", ("z",)))})
     assert "partition-defect" in {v.code for v in validate(double).violations}
 
 
@@ -395,7 +398,7 @@ def test_orbit_datum_refuses_a_cell_key_outside_the_rank():
         with pytest.raises(DatumFormatError, match=rf"^cells: simple root index {alpha} "
                                                    r"out of range 1\.\.1$"):
             OrbitDatum(d.root_system, d.orbits,
-                       {**d.cells, alpha: (RaiseCell(alpha, "A", y="y"),)})
+                       {**d.cells, alpha: (RaiseCell("A", ("y",)),)})
 
 
 def test_orbit_datum_refuses_a_repeated_orbit_id():
@@ -413,10 +416,23 @@ def test_orbit_datum_refuses_an_unknown_cell_member():
     with pytest.raises(DatumFormatError,
                        match=r"^alpha 1 cell y=y: unknown orbit id 'ghost'$"):
         OrbitDatum(d.root_system, d.orbits,
-                   {1: (RaiseCell(1, "TU", y="y", z1="z1", z2="ghost"),)})
+                   {1: (RaiseCell("TU", ("y", "z1", "ghost")),)})
     # a role left empty names no orbit either
     with pytest.raises(DatumFormatError, match=r"^alpha 1 cell y=y: unknown orbit id None$"):
-        OrbitDatum(d.root_system, d.orbits, {1: (RaiseCell(1, "U", y="y"),)})
+        OrbitDatum(d.root_system, d.orbits, {1: (RaiseCell("U", ("y", None)),)})
+
+
+@pytest.mark.parametrize("cell", [RaiseCell("U", ("y",)), RaiseCell("A", ()),
+                                  RaiseCell("TU", ("y", "z1")), RaiseCell("Q", ("y", "z"))],
+                         ids=["U-short", "A-empty", "TU-short", "unknown-kind"])
+def test_orbit_datum_refuses_a_cell_that_does_not_fill_its_kind(cell):
+    """A cell built in code with a member per role missing, or of a kind
+    KINDS does not have, is refused before any layer reads it, naming the
+    cell, and before every other structural rule."""
+    d = rank1_datum("TU")
+    message = rf"^alpha 2: {re.escape(repr(cell))} does not fill the roles of a kind in KINDS$"
+    with pytest.raises(DatumFormatError, match=message):
+        OrbitDatum(d.root_system, d.orbits * 2, {**d.cells, 2: (RaiseCell("A", ("y",)), cell)})
 
 
 def test_lattice_rank_exact():
@@ -437,8 +453,8 @@ def test_check_lattices_u_span_mismatch_fails():
     rs = build_root_system("A1xA1")
     orbits = (Orbit("y", 3, 0, 1, 0, open=True, lattice=((1, 1),)),
               Orbit("z", 2, 0, 1, 0, lattice=((1, 1),)))
-    cells = {1: (RaiseCell(1, "U", y="y", z="z"),),
-             2: (RaiseCell(2, "U", y="y", z="z"),)}
+    cells = {1: (RaiseCell("U", ("y", "z")),),
+             2: (RaiseCell("U", ("y", "z")),)}
     d = OrbitDatum(rs, orbits, cells)
     report = check_lattices(d)
     assert not report.ok
@@ -452,7 +468,7 @@ def test_check_lattices_ri_span_alpha_passes():
     rs = build_root_system("A", 1)
     orbits = (Orbit("y", 2, 0, 1, 0, open=True, lattice=((1,),)),
               Orbit("z", 1, 0, 1, 0, lattice=((1,),)))
-    cells = {1: (RaiseCell(1, "RI", y="y", z="z"),)}
+    cells = {1: (RaiseCell("RI", ("y", "z")),)}
     report = check_lattices(OrbitDatum(rs, orbits, cells))
     assert report.ok  # spans only; validate would flag the rank rule
 
@@ -478,9 +494,9 @@ def test_check_lattices_tu_swap_rule():
     orbits = (Orbit("y", 3, 0, 1, 0, open=True, lattice=((1, 1),)),
               Orbit("z1", 2, 0, 0, 0, lattice=((1, 0),)),
               Orbit("z2", 1, 0, 0, 0, lattice=((-1, 0),)))
-    cells = {1: (RaiseCell(1, "TU", y="y", z1="z1", z2="z2"),),
-             2: (RaiseCell(2, "A", y="y"), RaiseCell(2, "A", y="z1"),
-                 RaiseCell(2, "A", y="z2"))}
+    cells = {1: (RaiseCell("TU", ("y", "z1", "z2")),),
+             2: (RaiseCell("A", ("y",)), RaiseCell("A", ("z1",)),
+                 RaiseCell("A", ("z2",)))}
     d = OrbitDatum(rs, orbits, cells)
     report = check_lattices(d)
     # s_1 fixes span(1,1)? s_1(1,1) = (-1,1): not the same line -> y rule fails
@@ -603,10 +619,9 @@ def _data(draw) -> OrbitDatum:
               for oid in ids]
     cells = {}
     for alpha in draw(st.sets(st.integers(1, rank), max_size=4)):
-        kinds = draw(st.lists(st.sampled_from(KINDS), max_size=3))
+        kinds = draw(st.lists(st.sampled_from(tuple(KINDS)), max_size=3))
         cells[alpha] = tuple(
-            RaiseCell(alpha, kind, **{role: draw(st.sampled_from(ids))
-                                      for role in ROLES[kind]})
+            RaiseCell(kind, tuple(draw(st.sampled_from(ids)) for _ in KINDS[kind].roles))
             for kind in kinds)
     notes = tuple(draw(st.lists(_TEXT, max_size=2)))
     return OrbitDatum(_rank_a(rank), tuple(orbits), cells, notes)
@@ -663,18 +678,69 @@ def test_export_dot_kinds():
     assert '"y" -> "z1"' in tu and '"z1" -> "z2"' in tu
 
 
-def roles_members(cell: RaiseCell) -> tuple[str, ...]:
-    """Reference for RaiseCell.members: the role fields read through ROLES."""
-    return tuple(getattr(cell, role) for role in ROLES[cell.kind])
+#: Cells of every kind over the ids y, z and w, an id repeated or not.
+_CELLS = st.sampled_from(tuple(KINDS)).flatmap(lambda kind: st.builds(
+    RaiseCell, st.just(kind), st.lists(st.sampled_from("yzw"), min_size=len(LEGACY_ROLES[kind]),
+                                       max_size=len(LEGACY_ROLES[kind])).map(tuple)))
+
+
+def assert_cell_matches_legacy(cell: RaiseCell) -> None:
+    """The table-driven record against the per-role record and its kind
+    branches: the members in role order and the sigma image of each."""
+    legacy = legacy_cell(cell)
+    assert KINDS[cell.kind].roles == LEGACY_ROLES[cell.kind]
+    assert cell.members == legacy.members()
+    assert [cell.image(m) for m in cell.members] == [legacy.image(m) for m in cell.members]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=50, deadline=None)
-@given(y=st.sampled_from("yzw"), rest=st.lists(st.none() | st.sampled_from("yzw"),
-                                               min_size=3, max_size=3))
-def test_members_match_roles_reference(kind, y, rest):
-    cell = RaiseCell(1, kind, y, *rest)
-    assert cell.members() == roles_members(cell)
+@given(members=st.lists(st.sampled_from("yzw"), min_size=3, max_size=3))
+def test_members_match_roles_reference(kind, members):
+    assert_cell_matches_legacy(RaiseCell(kind, tuple(members[:len(KINDS[kind].roles)])))
+
+
+_KIND_CASES = ([bundled_datum(name) for name in DATUM_NAMES]
+               + [generate_flag_datum(build_root_system(t)) for t in ("A2", "B3", "G2")])
+
+
+@pytest.mark.parametrize("d", _KIND_CASES, ids=lambda d: d.root_system.to_text())
+def test_cells_and_dot_match_the_kind_branches(d):
+    for cells in d.cells.values():
+        for cell in cells:
+            assert_cell_matches_legacy(cell)
+    assert export_dot(d) == legacy_export_dot(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CELLS, max_size=6), st.lists(_CELLS, max_size=6))
+def test_cells_and_dot_match_the_kind_branches_on_drawn_cells(first, second):
+    orbits = tuple(Orbit(oid, dim, 0, 0, 0, open=dim == 2)
+                   for oid, dim in (("y", 2), ("z", 1), ("w", 0)))
+    d = OrbitDatum(build_root_system("A2"), orbits, {1: tuple(first), 2: tuple(second)})
+    for cell in first + second:
+        assert_cell_matches_legacy(cell)
+    assert export_dot(d) == legacy_export_dot(d)
+
+
+def test_simple_roots_come_only_from_the_cell_keys():
+    """A cell carries no simple root: the key it is filed under is its
+    root, for sigma, validation, serialization and DOT alike."""
+    assert RaiseCell._fields == ("kind", "members")
+    d = bundled_datum("sl3_so12")
+    swapped = OrbitDatum(d.root_system, d.orbits, {1: d.cells[2], 2: d.cells[1]})
+    assert [swapped.involutions[a] for a in (1, 2)] == [d.involutions[a] for a in (2, 1)]
+    obj = datum_to_obj(swapped)
+    assert obj["cells"] == {"1": datum_to_obj(d)["cells"]["2"],
+                            "2": datum_to_obj(d)["cells"]["1"]}
+    assert loads(dumps(swapped)) == swapped
+    assert "a1 " + d.cells[2][0].kind in export_dot(swapped)
+    # the A1 datum of one U cell: the cell filed under 1 is sigma_1's, and
+    # no other key can name a root of rank 1
+    u = rank1_datum("U")
+    assert u.sigma(1, "y") == "z" and datum_to_obj(u)["cells"].keys() == {"1"}
+    with pytest.raises(DatumFormatError, match=r"^cells: simple root index 7 "):
+        OrbitDatum(u.root_system, u.orbits, {7: u.cells[1]})
 
 
 # -- malformed root systems --------------------------------------------------
@@ -733,7 +799,7 @@ def test_loader_matches_reference(obj):
         assert type(o) is Orbit and o == Orbit(*o)
     for cells in got.cells.values():
         for c in cells:
-            assert type(c) is RaiseCell and c == RaiseCell(*c) and c.z2 == c[5]
+            assert type(c) is RaiseCell and c == RaiseCell(*c) and c.members is c[1]
 
 
 #: Values of every JSON type, ids of the rank-1 and flag data, and kinds.
@@ -811,7 +877,7 @@ def with_extra_cell(d: OrbitDatum) -> OrbitDatum:
     """d with one more alpha-1 cell, a U cell from its last orbit to its
     first, so that alpha 1 covers both orbits once more."""
     cells = dict(d.cells)
-    cells[1] = cells.get(1, ()) + (RaiseCell(1, "U", y=d.orbits[-1].id, z=d.orbits[0].id),)
+    cells[1] = cells.get(1, ()) + (RaiseCell("U", (d.orbits[-1].id, d.orbits[0].id)),)
     return OrbitDatum(d.root_system, d.orbits, cells, d.notes)
 
 

@@ -44,6 +44,8 @@ from references import (
     packed_step_braid_violations,
     packed_terms,
     reference_check_module,
+    reference_hecke_json,
+    reference_hecke_text,
 )
 
 ALL_DATA = [bundled_datum(name) for name in DATUM_NAMES]
@@ -128,7 +130,7 @@ def test_leading_term_tie_raises():
     orbits = (Orbit("y", 2, 0, 1, 0, open=True),
               Orbit("z1", 1, 0, 0, 0),
               Orbit("z2", 1, 0, 0, 0))
-    cells = {1: (RaiseCell(1, "TU", y="y", z1="z1", z2="z2"),)}
+    cells = {1: (RaiseCell("TU", ("y", "z1", "z2")),)}
     d = OrbitDatum(rs, orbits, cells)
     m = build_module(d)
     # column of z1 is [y] + [z2] with dim y == 2 > dim z2: fine
@@ -181,12 +183,7 @@ def test_non_regular_module_reported():
                          lattice=o.lattice) for o in d.orbits)
 
     def fix(cell):
-        kw = {}
-        for role in ("y", "z", "z1", "z2"):
-            v = getattr(cell, role)
-            if v is not None:
-                kw[role] = relabel[v]
-        return RaiseCell(cell.alpha, cell.kind, **kw)
+        return RaiseCell(cell.kind, tuple(relabel[m] for m in cell.members))
 
     cells = {a: tuple(fix(c) for c in cs) for a, cs in d.cells.items()}
     d2 = OrbitDatum(d.root_system, orbits, cells)
@@ -197,7 +194,7 @@ def test_non_regular_module_reported():
     # weylorb hecke's report carries it and prints the verdict
     full = check_module(d2)
     assert full.regular == report
-    assert any("NOT regular" in line for line in full.lines())
+    assert "NOT regular" in "".join(full.render_text())
 
 
 def test_hecke_braid_violation_has_witness():
@@ -205,8 +202,8 @@ def test_hecke_braid_violation_has_witness():
     orbits = (Orbit("p", 3, 0, 0, 0, open=True),
               Orbit("q", 2, 0, 0, 0),
               Orbit("r", 1, 0, 0, 0))
-    cells = {1: (RaiseCell(1, "U", y="p", z="q"), RaiseCell(1, "A", y="r")),
-             2: (RaiseCell(2, "U", y="q", z="r"), RaiseCell(2, "A", y="p"))}
+    cells = {1: (RaiseCell("U", ("p", "q")), RaiseCell("A", ("r",))),
+             2: (RaiseCell("U", ("q", "r")), RaiseCell("A", ("p",)))}
     m = build_module(OrbitDatum(rs, orbits, cells))
     violations = braid_check_module(m)
     assert len(violations) == 1
@@ -332,8 +329,7 @@ def with_identity(d: OrbitDatum, oid: str) -> OrbitDatum:
     """d with orbit oid renamed "e", so the regular-representation check runs."""
     def name(x):
         return "e" if x == oid else x
-    cells = {a: tuple(c._replace(**{r: name(getattr(c, r)) for r in ("y", "z", "z1", "z2")
-                                    if getattr(c, r) is not None}) for c in cs)
+    cells = {a: tuple(c._replace(members=tuple(map(name, c.members))) for c in cs)
              for a, cs in d.cells.items()}
     return OrbitDatum(d.root_system, tuple(o._replace(id=name(o.id)) for o in d.orbits),
                       cells)
@@ -388,7 +384,7 @@ def check_module_outcome(f, d):
         report = f(d)
     except (DatumFormatError, HeckeError) as exc:
         return type(exc), str(exc)
-    return report, report.lines(), report.to_obj()
+    return report, "".join(report.render_text()), "".join(report.render_json())
 
 
 @pytest.mark.parametrize("d", every_datum() + DEFECTIVE_CASES,
@@ -403,3 +399,28 @@ def test_check_module_matches_packed_reference(d):
 def test_check_module_matches_packed_reference_on_overlapping_cells(d):
     assert (check_module_outcome(check_module, d)
             == check_module_outcome(reference_check_module, d))
+
+
+def assert_report_renders_as_the_reference(d):
+    """render_text() and render_json() render the columns as they walk them, with
+    the bytes of the report built whole and passed to json.dumps."""
+    try:
+        report = check_module(d)
+    except (DatumFormatError, HeckeError):  # an uncovered orbit: no report
+        return
+    assert "".join(report.render_text()) == reference_hecke_text(report)
+    assert "".join(report.render_json()) == reference_hecke_json(report)
+
+
+@pytest.mark.parametrize("d", every_datum() + DEFECTIVE_CASES + [
+    # rank 10: json.dumps sorts the column keys as strings, "10" before "2"
+    generate_flag_datum(build_root_system("x".join(["A1"] * 10)))],
+                         ids=lambda d: d.root_system.to_text())
+def test_report_renders_as_the_reference(d):
+    assert_report_renders_as_the_reference(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_cells())
+def test_report_renders_as_the_reference_on_overlapping_cells(d):
+    assert_report_renders_as_the_reference(d)

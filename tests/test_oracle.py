@@ -10,14 +10,14 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylorb import oracle
 from weylorb.bundled import ORACLE_SPEC_NAMES, bundled_datum, oracle_spec_text
 from weylorb.cli import main
 from weylorb.coxeter import build_root_system
-from weylorb.datum import ROLES, OrbitDatum, RaiseCell, generate_flag_datum, validate
+from weylorb.datum import OrbitDatum, RaiseCell, generate_flag_datum, validate
 from weylorb.oracle import (
     DEFAULT_Q_LIST,
     OracleError,
@@ -564,7 +564,11 @@ def test_certificate_matches_the_set_closure_of_g_cap_h(case):
     Schreier generators as one set did, and the report is the same."""
     obj, q = case
     spec = spec_from_obj(obj, q)
-    assert _outcome(enumerate_orbits, spec) == _outcome(reference_certified_enumeration, spec)
+    expected = _outcome(reference_certified_enumeration, spec)
+    # an H the set closure cannot hold (GL3 at q = 5 has 1,488,000
+    # elements) is past what the reference decides
+    assume(not str(expected).startswith("H closure exceeds cap"))
+    assert _outcome(enumerate_orbits, spec) == expected
 
 
 def test_fit_monomial_frozen_cases():
@@ -730,7 +734,7 @@ def test_infer_picks_each_kind_by_shape(sizes, kind):
     inf = _infer_synthetic(sizes)
     n = len(sizes(5))
     assert [c.kind for c in inf.datum.cells[1]] == [kind]
-    assert inf.datum.cells[1][0].members() == tuple(f"o{i + 1}" for i in range(n))
+    assert inf.datum.cells[1][0].members == tuple(f"o{i + 1}" for i in range(n))
     assert validate(inf.datum).ok
     assert any("RI|N" in note for note in inf.notes) == (kind == "RI")
 
@@ -1003,9 +1007,7 @@ def _relabelled(d: OrbitDatum, seed: int) -> OrbitDatum:
     fresh = [f"x{i}" for i in range(len(ids))]
     random.Random(seed).shuffle(fresh)
     new = dict(zip(ids, fresh))
-    cells = {alpha: tuple(RaiseCell(alpha, c.kind,
-                                    **{r: new[getattr(c, r)] for r in ROLES[c.kind]})
-                          for c in cs)
+    cells = {alpha: tuple(RaiseCell(c.kind, tuple(map(new.get, c.members))) for c in cs)
              for alpha, cs in d.cells.items()}
     return OrbitDatum(d.root_system, tuple(o._replace(id=new[o.id]) for o in d.orbits),
                       cells)
@@ -1018,7 +1020,7 @@ def test_compare_relabelled_flag_datum():
     assert compare(d, e).match
     first, *rest = e.cells[2]
     swapped = dict(e.cells)
-    swapped[2] = (RaiseCell(2, "U", y=first.z, z=first.y), *rest)
+    swapped[2] = (RaiseCell("U", first.members[::-1]), *rest)
     rep = compare(d, OrbitDatum(e.root_system, e.orbits, swapped))
     assert time.perf_counter() - start < 5
     assert not rep.match
@@ -1033,7 +1035,7 @@ def _bruhat_report(q: int, seed: int) -> OracleReport:
     random.Random(seed).shuffle(ids)
     ids.sort(key=lambda oid: d.orbit(oid).dim)
     at = {oid: i for i, oid in enumerate(ids)}
-    merges = {alpha: tuple(sorted(tuple(sorted((at[c.y], at[c.z]))) for c in cs))
+    merges = {alpha: tuple(sorted(tuple(sorted(map(at.get, c.members))) for c in cs))
               for alpha, cs in d.cells.items()}
     orbits = tuple(OrbitInfo(representative=oid, size=q ** d.orbit(oid).dim)
                    for oid in ids)

@@ -88,12 +88,8 @@ class RefOrbit:
 
 @dataclass(frozen=True)
 class RefRaiseCell:
-    alpha: int
     kind: str
-    y: str
-    z: str | None = None
-    z1: str | None = None
-    z2: str | None = None
+    members: tuple
 
 
 @dataclass(frozen=True)
@@ -249,8 +245,8 @@ def weyl_elements(draw):
 elements = weyl_elements().map(lambda args: WeylElement(*args))
 orbits = st.tuples(name, small, small, small, small, flag,
                    st.none() | st.just(((1, 0),)) | st.just(((0, 1),)))
-cells = st.tuples(st.integers(1, 2), st.sampled_from(["U", "A", "TU"]), name,
-                  st.none() | name, st.none() | name, st.none() | name)
+cells = st.tuples(st.sampled_from(["U", "A", "TU"]),
+                  st.lists(name, min_size=1, max_size=3).map(tuple))
 violations = st.tuples(st.sampled_from(["open-orbit", "cell-U-dim"]), name, name)
 braid_violations = st.tuples(small, small, st.sampled_from([2, 3]), name)
 datum_fields = st.sampled_from(DATA).flatmap(lambda d: st.tuples(
@@ -358,8 +354,8 @@ def test_records_are_named_tuples_with_replace():
     orbit = Orbit("y", 1, 0, 0, 0, open=True)
     assert orbit == ("y", 1, 0, 0, 0, True, None)  # a NamedTuple equals its plain tuple
     assert orbit._replace(dim=2).dim == 2 and orbit.dim == 1
-    cell = RaiseCell(1, "U", "y", z="z")
-    assert cell._replace(z="w").members() == ("y", "w")
+    cell = RaiseCell("U", ("y", "z"))
+    assert cell._replace(members=("y", "w")).members == ("y", "w") and cell.y == "y"
     for name_ in DATUM_NAMES:
         d = bundled_datum(name_)
         copy = OrbitDatum(d.root_system, tuple(o._replace() for o in d.orbits), d.cells, d.notes)
