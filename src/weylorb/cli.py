@@ -23,10 +23,24 @@ from . import InputError, action, bundled, check_digits, clip, coxeter, datum, h
 
 #: The largest q a spec loads at, at dimension 1: past it, q^2 overflows 64 bits.
 _MAX_Q = isqrt(2**63 - 1)
+#: The digit screen of --cap: no enumeration comes near 2^63 points x |H|.
+_MAX_CAP = 2**63 - 1
 
 
 class UsageError(InputError):
     """Bad arguments or unreadable input; maps to exit code 2."""
+
+
+def _int_type(what: str, limit):
+    """An argparse type: int(text), but a text with more digits than
+    limit() is refused through check_digits, which names the count, not
+    the digits; argparse words the refusal of any other bad text.  limit
+    is called per value, so that building the parser runs no layer."""
+    def convert(text: str) -> int:
+        check_digits(text, limit(), UsageError, what)
+        return int(text)
+    convert.__name__ = "int"  # argparse's "invalid int value: 'x'"
+    return convert
 
 
 def _load_datum(arg: str) -> datum.OrbitDatum:
@@ -94,7 +108,7 @@ def _cmd_gen_flag(args) -> tuple[int, str]:
         try:
             raise_dims = [int(t) for t in args.raise_dims.split(",")]
         except ValueError:
-            raise UsageError(f"bad raise-dims {args.raise_dims!r}")
+            raise UsageError(f"bad raise-dims {clip(args.raise_dims)}")
     rs = coxeter.build_root_system(args.family, args.rank, raise_dims=raise_dims)
     return 0, datum.dumps(datum.generate_flag_datum(rs))
 
@@ -261,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-flag", help="write the full flag datum of a root system")
     p.add_argument("family", help="family token like A, B2 or A1xA1")
-    p.add_argument("rank", nargs="?", type=int, default=None)
+    p.add_argument("rank", nargs="?", default=None,
+                   type=_int_type("rank", lambda: coxeter.MAX_RANK))
     p.add_argument("--raise-dims", default=None,
                    help="comma-separated raise dimension per simple root")
     p.set_defaults(func=_cmd_gen_flag)
@@ -297,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     # defaults resolved in _cmd_oracle, so that building the parser
     # does not execute the oracle
     p.add_argument("--q-list", default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_type("--cap", lambda: _MAX_CAP), default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("export-dot", help="raise structure as a DOT graph")
@@ -314,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code, body = args.func(args)
         pieces = (body,) if isinstance(body, str) else body  # a str, or its pieces
         if args.out:

@@ -1,14 +1,17 @@
 """Finite-field brute force: B(F_q)-orbits on G/H for small matrix groups.
 
 Ground truth for the combinatorial layer, in exact pure-Python arithmetic
-on flat row-major tuples.  Points of G/H are canonical coset labels (the
+on flat row-major tuples.  Every subgroup is a stabilizer chain on row
+vectors grown by sifting (Sims 1970): a level keeps its generators and
+their inverses and the orbit of its base row with a transversal, never a
+set of group elements.  Points of G/H are canonical coset labels (the
 lexicographically smallest matrix in the coset under row-major order),
-found through H's pointwise row-stabilizer chain, which also gives |H|;
+found through a chain of H's row stabilizers; H's own chain gives |H|;
 each generator's permutation of the points is computed once, and orbits
 and the merge structure under each subminimal parabolic P_alpha are
 closures over those permutations.  Neither G nor H is enumerated: |G|
 and B, H, P_alpha <= G are certified by orbit-stabilizer with Schreier
-generators, which grow G ∩ H on a row-stabilizer chain of its own.
+generators, which grow G ∩ H on one chain of its own.
 Orbit sizes fitted to c * q^a * (q-1)^b across several primes give
 dimension and rank proxies from which a candidate datum is inferred; RI
 and N stay indistinguishable to point counts and are flagged, never
@@ -18,11 +21,11 @@ silently resolved.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import chain
 from itertools import product as iproduct
-from math import inf, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from . import InputError, check_digits, clip
@@ -218,83 +221,104 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
     )
 
 
-def _close(group: dict, new: list, gens: list, mul, cap=inf, what="") -> dict:
-    """Close the ordered set `group` under right multiplication by gens, in
-    BFS layers from the elements `new`; every other element of group must
-    already have its products in it."""
-    while new:
-        fresh = []
-        for x in new:
-            for g in gens:
-                y = mul(x, g)
-                if y not in group:
-                    group[y] = None
-                    fresh.append(y)
-        if len(group) > cap:
-            raise OracleError(
-                f"{what} closure exceeds cap {cap}: reached {len(group)} elements")
-        new = fresh
-    return group
+def _close(x, gens: list, act) -> list:
+    """The orbit of x, a row vector or a point, under act(y, g) for g in
+    gens, in breadth-first order from x."""
+    members, seen = [x], {x}
+    for y in members:
+        for g in gens:
+            z = act(y, g)
+            if z not in seen:
+                seen.add(z)
+                members.append(z)
+    return members
 
 
-def _adjoin(group: dict, gens: list, gen, mul, cap=inf, what="") -> dict:
-    """Add gen to gens and extend group, the closure of the old gens, to
-    the closure of all of them without redoing the old products."""
-    gens.append(gen)
-    new = [y for y in dict.fromkeys(mul(x, gen) for x in group) if y not in group]
-    group.update(dict.fromkeys(new))
-    return _close(group, new, gens, mul, cap, what)
+class _Chain:
+    """A stabilizer chain level (Sims 1970; Seress, ch. 4) on row vectors,
+    v·g: generators and inverses, the base row's orbit with a transversal,
+    and the chain of its stabilizer; the order is the product of the orbit
+    lengths down the chain, and no other group element is kept."""
+
+    def __init__(self, base: tuple, arith: _Arith, gens=(), invs=(), order: int = 0):
+        self.base, self.arith, self.gens, self.invs = base, arith, [], []
+        self.trans = {base: (arith.eye, arith.eye)}  # w -> (u, u^-1), w·u = base
+        self.below = None  # the chain of Stab(base); None while that is trivial
+        for h in zip(gens, invs):
+            self.add(*h, order=order)
+
+    @property
+    def order(self) -> int:
+        return len(self.trans) * (self.below.order if self.below else 1)
+
+    def add(self, g: tuple, *inv: tuple, order: int = 0) -> None:
+        """Extend the group by g, inv's product being g^-1.  g is sifted down
+        the chain; a residue other than 1 is adjoined here, its inverse formed
+        only then, its orbit closed, and each new Schreier generator
+        u_w^-1·h·u_{w·h} sifted into the level below, until `order` if known."""
+        k, eye, mul, vmul = self.arith
+        level, steps = self, []
+        while level is not None and (t := level.trans.get(vmul(level.base, g))):
+            if t[0] is not eye:  # only the base's u is 1
+                g = mul(g, t[0])
+                steps.append(t[1])
+            level = level.below
+        if level is None and g == eye:
+            return
+        self.gens.append(g)
+        self.invs.append(reduce(mul, steps[::-1] + list(inv)))
+        members, old = list(self.trans), len(self.trans)
+        for i, x in enumerate(members):  # from x with each h^-1: the pair (x·h^-1, h)
+            u, u_inv = self.trans[x]
+            for h, h_inv in zip(self.gens, self.invs) if i >= old else ((g, self.invs[-1]),):
+                w = vmul(x, h_inv)
+                t = self.trans.get(w)
+                if t is None:
+                    self.trans[w] = mul(h, u), mul(u_inv, h_inv)
+                    members.append(w)
+                    continue
+                if order and self.order == order:
+                    return
+                s = mul(mul(t[1], h), u)
+                if s == eye:
+                    continue
+                if self.below is None:  # on a base row that s moves
+                    j = next(j for j in range(0, k * k, k) if s[j:j + k] != eye[j:j + k])
+                    self.below = _Chain(eye[j:j + k], self.arith)
+                self.below.add(s, u_inv, h_inv, t[0])
 
 
 class _Level:
-    """One level L of H's pointwise row-stabilizer chain: generators, their
+    """One level L of the chain that labels cosets of H: generators, their
     inverses and |L|, with every L-orbit of row vectors met so far and,
-    under its minimum, the level of that minimum's stabilizer.  The top
-    level starts with order None, and its first reduce sets |H|."""
+    under its minimum mu, the level of Stab_L(mu)."""
 
-    def __init__(self, gens: list, invs: list, order, arith: _Arith, cap=inf):
-        self.gens, self.invs, self.order, self.arith, self.cap = gens, invs, order, arith, cap
+    def __init__(self, gens: list, invs: list, order: int, arith: _Arith):
+        self.gens, self.invs, self.order, self.arith = gens, invs, order, arith
         self.orbit: dict = {}  # w -> (mu, u): mu its orbit minimum, u in L, w·u = mu
         self.below: dict = {}  # mu -> the _Level of Stab_L(mu)
 
     def reduce(self, v: tuple) -> tuple:
         """(mu, u): the minimum mu of v's L-orbit and u in L with v·u = mu.
-        A new orbit is searched from v for mu, then from mu with the inverse
-        generators for u and u^-1; the Schreier generators u_w^-1·h·u_{w·h}
-        of Stab_L(mu) are adjoined until its order is |L| / |orbit|; while
-        |L| is unknown, all of them, up to cap, and |L| = |orbit| |Stab|."""
+        A new orbit is searched from v for mu; a chain on the base row mu,
+        stopped once its order is |L|, gives the transversal, and the level
+        below its base Stab_L(mu), of order |L| / |orbit|."""
         if v not in self.orbit:
-            _, eye, mul, vmul = self.arith
-            mu = min(_close({v: None}, [v], self.gens, vmul))
-            members, trans = [mu], {mu: (eye, eye)}  # w -> (u, u^-1), w·u = mu
-            for x in members:
-                u, r = trans[x]
-                for g, g_inv in zip(self.gens, self.invs):
-                    w = vmul(x, g_inv)
-                    if w not in trans:
-                        trans[w] = mul(g, u), mul(r, g_inv)
-                        members.append(w)
-            self.orbit.update((w, (mu, u)) for w, (u, _) in trans.items())
-            below, order = self, self.order and self.order // len(members)
-            if order is None or len(members) > 1:
-                group, gens, invs = {eye: None}, [], []
-                for w, (h, h_inv) in iproduct(members, zip(self.gens, self.invs)):
-                    if len(group) == order:
-                        break
-                    (u, r), (ux, rx) = trans[w], trans[vmul(w, h)]
-                    s = mul(mul(r, h), ux)
-                    if s not in group:
-                        invs.append(mul(mul(rx, h_inv), u))
-                        _adjoin(group, gens, s, mul, self.cap, "H row-stabilizer")
-                below = _Level(gens, invs, len(group), self.arith)
-                self.order = len(members) * len(group)
-            self.below[mu] = below
+            orbit = _close(v, self.gens, self.arith.vmul)
+            if len(orbit) == 1:
+                self.orbit[v], self.below[v] = (v, self.arith.eye), self
+                return self.orbit[v]
+            mu = min(orbit)
+            chain = _Chain(mu, self.arith, self.gens, self.invs, self.order)
+            below = chain.below or _Chain(mu, self.arith)  # no generators: the trivial group
+            self.orbit.update((w, (mu, u)) for w, (u, _) in chain.trans.items())
+            self.below[mu] = _Level(below.gens, below.invs, self.order // len(orbit), self.arith)
         return self.orbit[v]
 
 
 def _canon(m: tuple, level: _Level) -> tuple:
     """The lex-minimal (row-major) element of the coset m·H, level the top
-    of H's chain.  Row i goes to the minimum of its orbit under the level
+    label level, H.  Row i goes to the minimum of its orbit under the level
     L_i fixing rows 0..i-1, by u in L_i, which leaves those rows fixed."""
     k, mul = level.arith.k, level.arith.mul
     for i in range(0, k * k, k):
@@ -365,18 +389,17 @@ def enumerate_orbits(spec: MatGroupSpec,
                      cap: int = DEFAULT_POINT_CAP) -> OracleReport:
     """Enumerate B-orbits on G/H over F_q with canonical coset labels.
 
-    Neither G nor H is enumerated: |H| is read off H's chain.  The
+    Neither G nor H is enumerated: |H| is the order of H's chain.  The
     Schreier generators t_y^-1 g t_x of the coset BFS (t_x in G, t_x H = x)
-    lie in H, as g t_x H = t_y H, and generate G ∩ H, grown on a second
-    chain from the trivial group: while its order is below |H|, a
-    generator s outside its group C (the canonical form of s·C is not
-    that of C) is adjoined and the chain rebuilt, at most log2 |H| times.
-    So H <= G iff that order reaches |H|, |G| = points * |H|, and then b
-    in B or P_alpha is in G iff b·H is a point.  The BFS records each G
-    generator's permutation of the points; any other generator's is
-    canonicalised once, its image of H deciding its membership, and
-    orbits are closures over the permutations.  The cap bounds the
-    chain's top stabilizer, |H| and, while the BFS grows, points * |H|.
+    lie in H, as g t_x H = t_y H, and generate G ∩ H, which one chain
+    grows in place from the trivial group by sifting them until its order
+    is |H|.  So H <= G iff that order reaches |H|, |G| = points * |H|, and
+    then b in B or P_alpha is in G iff b·H is a point.  The BFS records
+    each G generator's permutation of the points; any other generator's
+    is canonicalised once, its image of H deciding its membership, and
+    orbits are closures over the permutations.  The cap bounds |H| and,
+    while the BFS grows, points * |H|; it does not bound the orbits and
+    transversals the chains store.
 
     Deterministic: cosets are named by their lex-minimal element, orbits
     sorted by (size, representative), merge blocks by first member.
@@ -386,15 +409,15 @@ def enumerate_orbits(spec: MatGroupSpec,
     eye, mul = arith.eye, arith.mul
     # a generator listed twice is one generator, with one permutation
     g_gens = dict(zip(_flat(spec.g_gens), [_inv_mod(g, q) for g in spec.g_gens]))
-    top = _Level(_flat(spec.h_gens), [_inv_mod(h, q) for h in spec.h_gens], None, arith, cap)
-    top.reduce(eye[:k])  # the first orbit of the top level sets |H|
+    h_gens, h_invs = _flat(spec.h_gens), [_inv_mod(h, q) for h in spec.h_gens]
+    top = _Level(h_gens, h_invs, _Chain(eye[:k], arith, h_gens, h_invs).order, arith)
     if top.order > cap:
         raise OracleError(f"H exceeds cap {cap}: |H| = {top.order}")
 
     labels, trans, tinv = [_canon(eye, top)], [eye], [eye]
     index = {labels[0]: 0}
     perms = {g: [] for g in g_gens}  # perms[g][x] is the point g·x
-    chain = _Level([], [], 1, arith)  # G ∩ H, grown from the Schreier generators
+    chain, meet = _Chain(eye[:k], arith), 1  # G ∩ H and its order, grown in place
     frontier = range(1)
     while frontier:
         for x, (g, g_inv) in iproduct(frontier, g_gens.items()):
@@ -409,15 +432,11 @@ def enumerate_orbits(spec: MatGroupSpec,
                 labels.append(label)
                 trans.append(prod)
                 tinv.append(mul(tinv[x], g_inv))
-                continue
-            if chain.order < top.order:  # once |G ∩ H| = |H|, no generator is read
-                gen = mul(tinv[y], prod)  # in H; a new one at least doubles the chain
-                if _canon(gen, chain) != _canon(eye, chain):
-                    gen_inv = mul(mul(tinv[x], g_inv), trans[y])
-                    chain = _Level(chain.gens + [gen], chain.invs + [gen_inv], None, arith)
-                    chain.reduce(eye[:k])
+            elif meet < top.order:  # once |G ∩ H| = |H|, no generator is read
+                chain.add(mul(tinv[y], prod), tinv[x], g_inv, trans[y], order=top.order)
+                meet = chain.order
         frontier = range(frontier.stop, len(labels))
-    if chain.order != top.order:
+    if meet != top.order:
         raise OracleError("H is not contained in the group generated by G")
 
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
@@ -432,7 +451,7 @@ def enumerate_orbits(spec: MatGroupSpec,
         lists, seen, out = [perms[b] for b in _flat(mats)], set(), []
         for i in range(len(labels)):
             if i not in seen:
-                out.append(list(_close({i: None}, [i], lists, lambda x, p: p[x])))
+                out.append(_close(i, lists, lambda x, p: p[x]))
                 seen.update(out[-1])
         return out
 

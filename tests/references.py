@@ -68,7 +68,9 @@ from weylorb.oracle import (
     OracleReport,
     OrbitInfo,
     _arith,
+    _Arith,
     _canon,
+    _Chain,
     _close,
     _flat,
     _fmt_matrix,
@@ -1172,6 +1174,91 @@ def reference_closure(gens, q: int, cap: int = 10**6) -> dict:
     return group
 
 
+# -- the oracle's chain of explicit stabilizer sets ------------------------------
+
+def reference_close(group: dict, new: list, gens: list, mul) -> dict:
+    """Close the ordered set `group` under right multiplication by gens, in
+    BFS layers from the elements `new`; every other element of group must
+    already have its products in it."""
+    while new:
+        fresh = []
+        for x in new:
+            for g in gens:
+                y = mul(x, g)
+                if y not in group:
+                    group[y] = None
+                    fresh.append(y)
+        new = fresh
+    return group
+
+
+def reference_adjoin(group: dict, gens: list, gen, mul) -> dict:
+    """Add gen to gens and extend group, the closure of the old gens, to
+    the closure of all of them without redoing the old products."""
+    gens.append(gen)
+    new = [y for y in dict.fromkeys(mul(x, gen) for x in group) if y not in group]
+    group.update(dict.fromkeys(new))
+    return reference_close(group, new, gens, mul)
+
+
+class ReferenceLevel:
+    """The label level the oracle had before its Schreier–Sims chain: one
+    level L of H's pointwise row-stabilizer chain, generators, their
+    inverses and |L|, with every L-orbit of row vectors met so far and,
+    under its minimum, the level of that minimum's stabilizer, which is
+    closed as a set of matrices.  The top level starts with order None,
+    and its first reduce sets |H|.  :func:`weylorb.oracle._canon` reads it
+    as it reads a :class:`weylorb.oracle._Level`."""
+
+    def __init__(self, gens: list, invs: list, order, arith: _Arith):
+        self.gens, self.invs, self.order, self.arith = gens, invs, order, arith
+        self.orbit: dict = {}  # w -> (mu, u): mu its orbit minimum, u in L, w·u = mu
+        self.below: dict = {}  # mu -> the ReferenceLevel of Stab_L(mu)
+
+    def reduce(self, v: tuple) -> tuple:
+        """(mu, u): the minimum mu of v's L-orbit and u in L with v·u = mu.
+        A new orbit is searched from v for mu, then from mu with the inverse
+        generators for u and u^-1; the Schreier generators u_w^-1·h·u_{w·h}
+        of Stab_L(mu) are adjoined until its order is |L| / |orbit|; while
+        |L| is unknown, all of them, and |L| = |orbit| |Stab|."""
+        if v not in self.orbit:
+            _, eye, mul, vmul = self.arith
+            mu = min(reference_close({v: None}, [v], self.gens, vmul))
+            members, trans = [mu], {mu: (eye, eye)}  # w -> (u, u^-1), w·u = mu
+            for x in members:
+                u, r = trans[x]
+                for g, g_inv in zip(self.gens, self.invs):
+                    w = vmul(x, g_inv)
+                    if w not in trans:
+                        trans[w] = mul(g, u), mul(r, g_inv)
+                        members.append(w)
+            self.orbit.update((w, (mu, u)) for w, (u, _) in trans.items())
+            below, order = self, self.order and self.order // len(members)
+            if order is None or len(members) > 1:
+                group, gens, invs = {eye: None}, [], []
+                for w, (h, h_inv) in iproduct(members, zip(self.gens, self.invs)):
+                    if len(group) == order:
+                        break
+                    (u, r), (ux, rx) = trans[w], trans[vmul(w, h)]
+                    s = mul(mul(r, h), ux)
+                    if s not in group:
+                        invs.append(mul(mul(rx, h_inv), u))
+                        reference_adjoin(group, gens, s, mul)
+                below = ReferenceLevel(gens, invs, len(group), self.arith)
+                self.order = len(members) * len(group)
+            self.below[mu] = below
+        return self.orbit[v]
+
+
+def reference_top(h_gens, q: int) -> ReferenceLevel:
+    """The top of H's explicit-set chain, of unknown order until the
+    identity's first row is reduced, as the oracle primed it."""
+    arith = _arith(len(h_gens[0]), q)
+    top = ReferenceLevel(_flat(h_gens), [_inv_mod(h, q) for h in h_gens], None, arith)
+    top.reduce(arith.eye[:arith.k])
+    return top
+
+
 # -- the oracle's certificate H <= G as a set of |G ∩ H| matrices --------------
 
 def reference_certified_enumeration(spec: MatGroupSpec) -> OracleReport:
@@ -1181,7 +1268,7 @@ def reference_certified_enumeration(spec: MatGroupSpec) -> OracleReport:
     |H| elements, |H| the closure of H.  Refuses as enumerate_orbits
     does, then forms the report by :func:`reference_enumerate_by_act`."""
     q, arith = spec.q, _arith(spec.dimension, spec.q)
-    top = chain_top(spec.h_gens, q)
+    top = reference_top(spec.h_gens, q)
     gens = list(zip(_flat(spec.g_gens), _flat(mod_inverse(g, q) for g in spec.g_gens)))
     index, trans, tinv, schreier = {_canon(arith.eye, top): 0}, [arith.eye], [arith.eye], set()
     for x, t in enumerate(trans):  # trans grows while it is read: a BFS over cosets
@@ -1206,10 +1293,9 @@ def reference_enumerate_by_act(spec: MatGroupSpec) -> OracleReport:
     neither the caps nor H <= G."""
     q, k = spec.q, spec.dimension
     arith = _arith(k, q)
-    top = _Level(_flat(spec.h_gens), [_inv_mod(h, q) for h in spec.h_gens], None, arith)
+    top = reference_top(spec.h_gens, q)
     start = _canon(arith.eye, top)
-    labels = list(_close({start: None}, [start], _flat(spec.g_gens),
-                         lambda m, g: _canon(arith.mul(g, m), top)))
+    labels = _close(start, _flat(spec.g_gens), lambda m, g: _canon(arith.mul(g, m), top))
     index = {label: i for i, label in enumerate(labels)}
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
     for name, mats in blocks:  # H <= G: b in G iff b·H is a point
@@ -1223,7 +1309,7 @@ def reference_enumerate_by_act(spec: MatGroupSpec) -> OracleReport:
         gens, seen, out = _flat(mats), set(), []
         for i in range(len(labels)):
             if i not in seen:
-                out.append(list(_close({i: None}, [i], gens, act)))
+                out.append(_close(i, gens, act))
                 seen.update(out[-1])
         return out
 
@@ -1314,10 +1400,10 @@ def bundled_cases():
 
 
 def chain_top(h_gens, q: int, order: int | None = None) -> _Level:
-    """The top level of H's chain, as enumerate_orbits builds it: by
-    default of unknown order, which its first reduce sets."""
-    return _Level(_flat(h_gens), [_inv_mod(h, q) for h in h_gens], order,
-                  _arith(len(h_gens[0]), q))
+    """The top level of H's label chain, as enumerate_orbits builds it: by
+    default |H| is the order of H's Schreier–Sims chain."""
+    arith, gens, invs = _arith(len(h_gens[0]), q), _flat(h_gens), [_inv_mod(h, q) for h in h_gens]
+    return _Level(gens, invs, order or _Chain(arith.eye[:arith.k], arith, gens, invs).order, arith)
 
 
 def outside_obj(block: str) -> dict:

@@ -626,8 +626,13 @@ _DIGITS = "9" * 5000  # past the 4,300 digits that int() converts by default
      "q-list entry has 5000 digits, past the limit 3037000499"),
     (["act", "rank1_u", "1." + _DIGITS, "y"], None,
      "word letter has 5000 digits, past the limit 32"),
+    (["gen-flag", "A", _DIGITS], None, "rank has 5000 digits, past the limit 32"),
+    (["oracle", "enumerate", "torus", "--cap", _DIGITS], None,
+     "--cap has 5000 digits, past the limit 9223372036854775807"),
+    (["gen-flag", "A2", "--raise-dims", "1," + _DIGITS], None,
+     "bad raise-dims '1," + "9" * 29 + "..."),
 ], ids=["gen-flag-rank", "validate-dim", "oracle-entry", "oracle-p-key", "datum-cells-key",
-        "q-list", "act-word"])
+        "q-list", "act-word", "gen-flag-rank-argument", "cap", "raise-dims"])
 def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys, argv, text, message):
     """A 5,000-digit rank, datum field, spec entry, simple root key, prime
     or word letter is refused with exit 2 and one short error: line that
@@ -685,6 +690,19 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen-flag", "A", "x"], "argument rank: invalid int value: 'x'"),
+    (["oracle", "enumerate", "torus", "--cap", "1e9"], "argument --cap: invalid int value: '1e9'"),
+], ids=["rank", "cap"])
+def test_a_short_bad_integer_argument_keeps_argparse_text(capsys, argv, message):
+    """Only a text past the digit limit is refused through check_digits;
+    argparse refuses any other, after its usage line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 #: The package's data directory, whose files name bundled data by path.

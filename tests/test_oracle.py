@@ -23,7 +23,6 @@ from weylorb.oracle import (
     OracleError,
     OracleReport,
     OrbitInfo,
-    _adjoin,
     _arith,
     _canon,
     _flat,
@@ -61,6 +60,7 @@ from references import (
     reference_fit_monomial,
     reference_membership,
     reference_spec_from_obj,
+    reference_top,
 )
 
 _CACHE: dict[tuple[str, int], OracleReport] = {}
@@ -222,11 +222,8 @@ def test_bundled_specs_load_as_the_reference_loader_does(name, q):
 
 
 def _chain_order(h_gens, q: int) -> int:
-    """|H| as enumerate_orbits reads it: off the chain, once the identity
-    coset is labelled."""
-    top = chain_top(h_gens, q)
-    _canon(_arith(len(h_gens[0]), q).eye, top)
-    return top.order
+    """|H| as enumerate_orbits reads it: off H's Schreier–Sims chain."""
+    return chain_top(h_gens, q).order
 
 
 def test_closure_keys_wide_enough_past_q_256():
@@ -390,21 +387,37 @@ def test_unrolled_products_match_matmul(q, k, rnd):
 @settings(max_examples=200, deadline=None)
 @given(canon_cases())
 def test_adjoined_generators_and_both_chains_agree_with_the_closure_of_h(case):
-    """H adjoined one generator at a time is its BFS closure; a chain
-    given |H| and one that reads |H| off its first orbit give every matrix
-    the same label, and the second reads |H| right.  That the label is the
+    """H's chain, its generators adjoined one at a time, has the order of
+    H's BFS closure; a label chain given |H| and one that reads |H| off
+    H's chain give every matrix the same label.  That the label is the
     lex-minimum of the coset, tests/test_oracle_numpy.py checks."""
     h_gens, mats, q = case
     h_all = reference_closure(_flat(h_gens), q, 10**5)
-    arith = _arith(len(h_gens[0]), q)
-    grown, gens = {arith.eye: None}, []
-    for h in _flat(h_gens):  # adjoined one at a time: the same group
-        _adjoin(grown, gens, h, arith.mul)
-    assert set(grown) == set(h_all)
     tops = chain_top(h_gens, q, len(h_all)), chain_top(h_gens, q)
+    assert tops[1].order == len(h_all)
     for m in mats:  # one chain for all: later matrices reuse its orbits
         assert _canon(m, tops[0]) == _canon(m, tops[1])
-    assert tops[1].order == len(h_all)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canon_cases())
+def test_sifted_chain_matches_the_explicit_set_chain(case):
+    """The label chain whose stabilizers come from Schreier–Sims sifting
+    and the reference whose stabilizers are closed as sets of matrices
+    read the same |H|, give every matrix the same label, and have the
+    same stabilizer order under every orbit minimum both met."""
+    h_gens, mats, q = case
+    top, ref = chain_top(h_gens, q), reference_top(h_gens, q)
+    for m in mats:
+        assert _canon(m, top) == _canon(m, ref)
+    pairs = [(top, ref)]
+    seen = {(id(top), id(ref))}
+    for a, b in pairs:  # below[mu] may be the level itself
+        assert a.order == b.order
+        for mu in a.below.keys() & b.below.keys():
+            if (id(a.below[mu]), id(b.below[mu])) not in seen:
+                seen.add((id(a.below[mu]), id(b.below[mu])))
+                pairs.append((a.below[mu], b.below[mu]))
 
 
 @pytest.mark.parametrize("block,message", [
@@ -497,9 +510,9 @@ def test_cap_messages_name_cap_and_value():
         with pytest.raises(OracleError) as err:
             enumerate_orbits(spec, cap=cap)
         assert str(err.value) == f"H exceeds cap {cap}: |H| = 16"
-    with pytest.raises(OracleError) as err:  # the stabilizer closure itself
+    with pytest.raises(OracleError) as err:  # the cap bounds |H|, not the chain's work
         enumerate_orbits(spec, cap=3)
-    assert str(err.value) == "H row-stabilizer closure exceeds cap 3: reached 4 elements"
+    assert str(err.value) == "H exceeds cap 3: |H| = 16"
     upper = [[1, 1], [0, 1]]  # G = H = B, of order 5: the H cap is met exactly
     spec = spec_from_obj({"name": "u", "root_system": "A1", "q": None, "dimension": 2,
                           "generators": {"G": [upper], "B": [upper], "H": [upper]}}, 5)

@@ -215,7 +215,7 @@ def test_chain_canon_matches_lexsort(case):
     h_all = reference_closure(flat, q, 10**5)
     h_ref = _closure_reference(np.array(h_gens, dtype=np.int64), q, 10**5, "H")
     assert list(h_all) == [tuple(m.ravel().tolist()) for m in h_ref]  # BFS order
-    # one chain given |H|, one that reads |H| off its first orbit
+    # one chain given |H|, one that reads |H| off H's Schreier–Sims chain
     tops = chain_top(h_gens, q, len(h_all)), chain_top(h_gens, q)
     for m in mats:  # one chain for all: later matrices reuse its orbits
         want = _canon_reference(np.array(m).reshape(k, k), h_ref, q)
