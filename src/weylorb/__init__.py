@@ -43,6 +43,17 @@ def clip(token, width: int = 32) -> str:
     return text if len(text) <= width else text[:width] + "..."
 
 
+def read_utf8(data: bytes, name, error: type[InputError]) -> str:
+    """data as strict UTF-8 with universal newlines, as open() reads a text
+    file; bytes that are not UTF-8 are refused, with error, naming name and
+    the first bad byte.  Files, bundled data and stdin all read through it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 #: Layer modules, each after the layers it imports from: ``__getattr__``
 #: searches them in this order, so a lookup runs few layers beyond its own.
 _LAYERS = ("coxeter", "datum", "bundled", "action", "hecke", "oracle")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from . import InputError, read_utf8
 # datum executes on first attribute access: spec names and texts do not run it
 from . import datum
 
@@ -30,7 +31,7 @@ def _data_root():
 def datum_text(name: str) -> str:
     if name not in DATUM_NAMES:
         raise KeyError(f"no bundled datum named {name!r}")
-    return (_data_root() / f"{name}.json").read_text(encoding="utf-8")
+    return read_utf8((_data_root() / f"{name}.json").read_bytes(), name, InputError)
 
 
 def bundled_datum(name: str) -> datum.OrbitDatum:
@@ -45,4 +46,4 @@ def bundled_datum(name: str) -> datum.OrbitDatum:
 def oracle_spec_text(name: str) -> str:
     if name not in ORACLE_SPEC_NAMES:
         raise KeyError(f"no bundled oracle spec named {name!r}")
-    return (_data_root() / "oracle" / f"{name}.json").read_text(encoding="utf-8")
+    return read_utf8((_data_root() / "oracle" / f"{name}.json").read_bytes(), name, InputError)

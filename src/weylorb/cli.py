@@ -18,13 +18,14 @@ from pathlib import Path
 
 # each layer executes on its first attribute access, so a command runs
 # only the layers it uses
-from . import InputError, action, bundled, check_digits, clip, coxeter, datum, hecke, oracle
+from . import (InputError, action, bundled, check_digits, clip, coxeter, datum, hecke, oracle,
+               read_utf8)
 
 
 #: The largest q a spec loads at, at dimension 1: past it, q^2 overflows 64 bits.
 _MAX_Q = isqrt(2**63 - 1)
-#: The digit screen of --cap: no enumeration comes near 2^63 points x |H|.
-_MAX_CAP = 2**63 - 1
+#: The digit screen of --cap and --raise-dims: no count comes near 2^63.
+_MAX_INT = 2**63 - 1
 
 
 class UsageError(InputError):
@@ -45,7 +46,7 @@ def _int_type(what: str, limit):
 
 def _load_datum(arg: str) -> datum.OrbitDatum:
     if arg == "-":
-        return datum.loads(sys.stdin.read())
+        return datum.loads(read_utf8(sys.stdin.buffer.read(), "stdin", UsageError))
     path = Path(arg)
     if path.exists():
         return datum.load_path(path)
@@ -59,25 +60,31 @@ def _load_spec_obj(arg: str) -> dict:
     if not path.exists() and arg not in bundled.ORACLE_SPEC_NAMES:
         raise UsageError(f"no such oracle spec file or bundled name: {arg}")
     import json  # only commands that parse or print JSON pay for it
-    try:
-        return json.loads(path.read_text(encoding="utf-8") if path.exists()
+    try:  # read_utf8's UsageError is not a ValueError
+        return json.loads(read_utf8(path.read_bytes(), arg, UsageError) if path.exists()
                           else bundled.oracle_spec_text(arg))
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{arg} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except ValueError as exc:  # a JSONDecodeError, or an integer past 4,300 digits
         raise UsageError(str(exc)) from exc
+
+
+def _int_list(text: str, sep: str, limit: int, what: str, bad: str) -> tuple[int, ...]:
+    """The integers of text split at sep.  Every token is screened by
+    check_digits, as a what past limit, before any is converted; a token
+    int() refuses is refused with the text bad."""
+    tokens = text.split(sep)
+    for t in tokens:
+        check_digits(t, limit, UsageError, what)
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise UsageError(bad) from None
 
 
 def _parse_word(text: str, rank: int) -> tuple[int, ...]:
     if text == "e":
         return ()
-    tokens = text.split(".")
-    for t in tokens:
-        check_digits(t, coxeter.MAX_RANK, UsageError, "word letter")
-    try:
-        word = tuple(map(int, tokens))
-    except ValueError:
-        raise UsageError(f"bad word {clip(text)}; expected e or dotted indices like 1.2")
+    word = _int_list(text, ".", coxeter.MAX_RANK, "word letter",
+                     f"bad word {clip(text)}; expected e or dotted indices like 1.2")
     for a in word:
         if not 1 <= a <= rank:
             raise UsageError(f"word letter {a} outside 1..{rank}")
@@ -85,13 +92,8 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
-    tokens = text.split(",")
-    for t in tokens:
-        check_digits(t, _MAX_Q, UsageError, "q-list entry")
-    try:
-        qs = tuple(map(int, tokens))
-    except ValueError:
-        raise UsageError(f"bad q-list {clip(text)}; expected comma-separated primes")
+    qs = _int_list(text, ",", _MAX_Q, "q-list entry",
+                   f"bad q-list {clip(text)}; expected comma-separated primes")
     if len(set(qs)) != len(qs):
         raise UsageError(f"bad q-list {clip(text)}: a prime is repeated")
     return qs
@@ -105,10 +107,8 @@ def _json_body(obj) -> str:
 def _cmd_gen_flag(args) -> tuple[int, str]:
     raise_dims = None
     if args.raise_dims is not None:
-        try:
-            raise_dims = [int(t) for t in args.raise_dims.split(",")]
-        except ValueError:
-            raise UsageError(f"bad raise-dims {clip(args.raise_dims)}")
+        raise_dims = _int_list(args.raise_dims, ",", _MAX_INT, "raise-dims entry",
+                               f"bad raise-dims {clip(args.raise_dims)}")
     rs = coxeter.build_root_system(args.family, args.rank, raise_dims=raise_dims)
     return 0, datum.dumps(datum.generate_flag_datum(rs))
 
@@ -202,7 +202,7 @@ def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
         obj = _load_spec_obj(arg)
         pinned = oracle.pinned_q(obj)
         if pinned not in (None, *qs):
-            raise UsageError(f"spec {arg} is pinned to q = {pinned}, not in the q-list")
+            raise UsageError(f"spec {arg} is pinned to q = {clip(pinned)}, not in the q-list")
         for q in qs if pinned is None else (pinned,):
             reports.append(oracle.enumerate_orbits(oracle.spec_from_obj(obj, q), cap=cap))
     reports.sort(key=lambda r: (r.spec_name, r.q))
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     # defaults resolved in _cmd_oracle, so that building the parser
     # does not execute the oracle
     p.add_argument("--q-list", default=None)
-    p.add_argument("--cap", type=_int_type("--cap", lambda: _MAX_CAP), default=None)
+    p.add_argument("--cap", type=_int_type("--cap", lambda: _MAX_INT), default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("export-dot", help="raise structure as a DOT graph")

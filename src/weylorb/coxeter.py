@@ -20,7 +20,7 @@ import re
 from functools import cached_property
 from itertools import combinations
 
-from . import InputError, check_digits
+from . import InputError, check_digits, clip
 
 __all__ = [
     "DEFAULT_GROUP_CAP", "CapExceeded", "RootSystem", "RootSystemError",
@@ -58,6 +58,38 @@ class CapExceeded(InputError, RuntimeError):
     """A group enumeration grew past the configured cap."""
 
 
+def orbit_closure(seeds, gens, act) -> list:
+    """The closure of seeds under act(x, g) for g in gens, breadth-first
+    from the seeds in order: the roots, reflections, subgroups and orbits."""
+    members = list(seeds)
+    seen = set(members)
+    for x in members:  # members grows as the search finds new ones
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return members
+
+
+def keyed_by_simple_root(obj: dict, error: type[InputError], where: str):
+    """(alpha, key, value) per key of a JSON object keyed by simple root,
+    each key refused, naming where, as it is reached: past MAX_RANK's
+    digits, not an integer, or naming an earlier key's root ("1", "01")."""
+    first: dict[int, str] = {}
+    for key, value in obj.items():
+        check_digits(key, MAX_RANK, error, f"{where}: simple root key")
+        try:
+            alpha = int(key)
+        except (TypeError, ValueError):
+            raise error(f"{where}: bad simple root key {clip(key)}") from None
+        if alpha in first:
+            raise error(f"{where}: keys {first[alpha]!r} and {key!r} "
+                        f"both name simple root {alpha}")
+        first[alpha] = key
+        yield alpha, key, value
+
+
 def simple_reflection(cartan: Matrix, i: int, v: Vector) -> Vector:
     """s_i(v) = v - <v, alpha_i-vee> alpha_i, which changes coordinate i
     only: the pairing is read off Cartan row i."""
@@ -79,7 +111,7 @@ def _components(family: str, rank: int | None) -> tuple[str, list[tuple[str, int
         check_digits(digits, MAX_RANK, RootSystemError, f"rank of {fam}")
         implied = _IMPLIED_RANK.get(fam)
         if lone and digits and rank is not None and int(digits) != rank:
-            raise RootSystemError(f"token {token!r} conflicts with explicit rank {rank}")
+            raise RootSystemError(f"token {token!r} conflicts with explicit rank {clip(rank)}")
         if implied and digits and int(digits) != implied:
             raise RootSystemError(f"{fam} has rank {implied}, not {digits}")
         if implied and lone and rank not in (None, implied):
@@ -94,12 +126,12 @@ def _components(family: str, rank: int | None) -> tuple[str, list[tuple[str, int
         f if f in _IMPLIED_RANK else f"{f}{r}" for f, r in comps)
     total = sum(r for _, r in comps)
     if rank is not None and rank != total:
-        raise RootSystemError(f"rank {rank} does not match {name} (rank {total})")
+        raise RootSystemError(f"rank {clip(rank)} does not match {name} (rank {total})")
     if total > MAX_RANK:
-        raise RootSystemError(f"rank {total} exceeds the limit {MAX_RANK}")
+        raise RootSystemError(f"rank {clip(total)} exceeds the limit {MAX_RANK}")
     for fam, r in comps:
         if r < 1:
-            raise RootSystemError(f"family {fam} needs rank >= 1, got {r}")
+            raise RootSystemError(f"family {fam} needs rank >= 1, got {clip(r)}")
         if fam == "D" and r < 2:
             raise RootSystemError("family D needs rank >= 2")
     return name, comps
@@ -225,14 +257,12 @@ def build_root_system(family: str, rank: int | None = None,
             raise RootSystemError("raise dims must be >= 1")
         _check_raise_dims(cartan, dims)
 
-    roots = [tuple(int(i == j) for j in range(total)) for i in range(total)]
-    seen = set(roots)
-    for v in roots:  # roots grows as the closure finds them
-        for i in range(total):
-            w = simple_reflection(cartan, i, v)
-            if w[i] >= 0 and w not in seen:  # s_i turns only alpha_i negative
-                seen.add(w)
-                roots.append(w)
+    def reflect(v: Vector, i: int) -> Vector:  # s_i turns only alpha_i negative
+        w = simple_reflection(cartan, i, v)
+        return v if w[i] < 0 else w
+
+    roots = orbit_closure([tuple(int(i == j) for j in range(total)) for i in range(total)],
+                          range(total), reflect)
     doubled, off = [], 0
     for fam, r in comps:
         block = range(off, off + r)
@@ -259,16 +289,14 @@ def _check_raise_dims(cartan: Matrix, dims: tuple[int, ...]) -> None:
     for top in reversed(range(rank)):
         if top in seen:
             continue
-        cls = [top]
-        for i in cls:  # cls grows as the search finds single bonds
-            cls.extend(j for j in range(rank) if j not in cls
-                       and cartan[i][j] * cartan[j][i] == 1)
+        cls = orbit_closure([top], range(rank),
+                            lambda i, j: j if cartan[i][j] * cartan[j][i] == 1 else i)
         seen.update(cls)
         ns = sorted({dims[i] for i in cls})
         if len(ns) > 1:
             raise RootSystemError(
                 "raise dims must agree on Weyl-conjugate simple roots; conflict "
-                f"{ns} in the orbit of {tuple(int(i == top) for i in range(rank))}")
+                f"{clip(ns)} in the orbit of {tuple(int(i == top) for i in range(rank))}")
 
 
 class WeylElement(_Frozen):
@@ -414,15 +442,13 @@ class WeylGroup:
         >>> [g.words[w] for w in g.reflections]
         [(1,), (0,), (0, 1, 0)]
         """
-        order = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        found = {beta: self.mul[0][i] for i, beta in enumerate(order)}
-        for beta in order:  # order grows as conjugation reaches new lines
-            r = found[beta]
-            for j in range(self.rank):
-                gamma = simple_reflection(self.cartan, j, beta)
-                if gamma[j] >= 0 and gamma not in found:  # < 0 only for beta = alpha_j
-                    found[gamma] = self.left[self.mul[r][j]][j]
-                    order.append(gamma)
+        def conjugate(line: tuple, j: int) -> tuple:  # line: (beta, its reflection)
+            gamma = simple_reflection(self.cartan, j, line[0])
+            return line if gamma[j] < 0 else (gamma, self.left[self.mul[line[1]][j]][j])
+
+        simple = [(tuple(int(i == j) for j in range(self.rank)), self.mul[0][i])
+                  for i in range(self.rank)]
+        found = dict(orbit_closure(simple, range(self.rank), conjugate))
         return tuple(found[line] for line in self.lines)
 
     def product(self, a: int, b: int) -> int:
@@ -439,18 +465,11 @@ class WeylGroup:
         >>> sorted(g.words[w] for w in g.closure([g.product(1, 2)]))
         [(), (0, 1), (1, 0)]
         """
-        seen = {0}
-        order = [0]
-        for w in order:  # order grows as the BFS discovers elements
-            for g in ids:
-                x = self.product(w, g)
-                if x not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
-                                          f"reached {cap + 1} elements")
-                    seen.add(x)
-                    order.append(x)
-        return seen
+        members = orbit_closure([0], ids, self.product)
+        if len(members) > cap:  # W, built under a cap, bounds the search
+            raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
+                              f"reached {cap + 1} elements")
+        return set(members)
 
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}

@@ -25,12 +25,12 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import InputError, check_digits, clip
+from . import InputError, read_utf8
 from .coxeter import (
-    MAX_RANK,
     RootSystem,
     RootSystemError,
     build_root_system,
+    keyed_by_simple_root,
     simple_reflection,
     weyl_group,
 )
@@ -593,16 +593,7 @@ def datum_from_obj(obj: dict) -> OrbitDatum:
     if not isinstance(cells_obj, dict):
         raise DatumFormatError("cells must be an object keyed by simple root index")
     cells: dict[int, tuple[RaiseCell, ...]] = {}
-    for key, raw_cells in cells_obj.items():
-        check_digits(key, MAX_RANK, DatumFormatError, "cells: simple root key")
-        try:
-            alpha = int(key)
-        except (TypeError, ValueError):
-            raise DatumFormatError(f"cells: bad simple root key {clip(key)}") from None
-        if alpha in cells:
-            first = next(k for k in cells_obj if int(k) == alpha)
-            raise DatumFormatError(
-                f"cells: keys {first!r} and {key!r} both name simple root {alpha}")
+    for alpha, key, raw_cells in keyed_by_simple_root(cells_obj, DatumFormatError, "cells"):
         if not isinstance(raw_cells, list):
             raise DatumFormatError(f"cells[{key}] must be a list")
         parsed = []
@@ -642,12 +633,8 @@ def loads(text: str) -> OrbitDatum:
 
 
 def load_path(path) -> OrbitDatum:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return loads(fh.read())
-        except UnicodeDecodeError as exc:
-            raise DatumFormatError(
-                f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    with open(path, "rb") as fh:
+        return loads(read_utf8(fh.read(), path, DatumFormatError))
 
 
 # -- DOT export --------------------------------------------------------------

@@ -28,8 +28,8 @@ from itertools import product as iproduct
 from math import isqrt
 from typing import NamedTuple
 
-from . import InputError, check_digits, clip
-from .coxeter import MAX_RANK, RootSystem, build_root_system
+from . import InputError, clip
+from .coxeter import RootSystem, build_root_system, keyed_by_simple_root, orbit_closure
 # datum and action execute on first attribute access: only inference and
 # compare run them
 from . import action, datum
@@ -160,7 +160,7 @@ def pinned_q(obj: dict) -> int | None:
     if type(dim) is not int or dim < 1:
         raise OracleError("spec: dimension must be an integer >= 1")
     if dim > MAX_DIMENSION:
-        raise OracleError(f"spec: dimension {dim} exceeds the limit {MAX_DIMENSION}")
+        raise OracleError(f"spec: dimension {clip(dim)} exceeds the limit {MAX_DIMENSION}")
     if type(notes) is not list or any(type(n) is not str for n in notes):
         raise OracleError("spec: notes must be a list of strings")
     return pinned
@@ -182,7 +182,7 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         raise OracleError(f"q = {q} is not prime")
     if pinned is not None and pinned != q:
         raise OracleError(
-            f"spec {obj['name']!r} is pinned to q = {pinned}, cannot load at q = {q}")
+            f"spec {obj['name']!r} is pinned to q = {clip(pinned)}, cannot load at q = {q}")
     gens = obj["generators"]
     if type(gens) is not dict:
         raise OracleError("spec: generators must be an object")
@@ -199,17 +199,9 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
     if type(raw_parabolics) is not dict:
         raise OracleError("spec: generators P must be an object keyed by simple root index")
     parabolics = {}
-    for key, mats in raw_parabolics.items():
-        check_digits(key, MAX_RANK, OracleError, "P: simple root key")
-        try:
-            alpha = int(key)
-        except (TypeError, ValueError):
-            raise OracleError(f"P: bad simple root key {clip(key)}") from None
+    for alpha, key, mats in keyed_by_simple_root(raw_parabolics, OracleError, "P"):
         if not 1 <= alpha <= rs.rank:
             raise OracleError(f"parabolic index {key} outside 1..{rs.rank}")
-        if alpha in parabolics:
-            first = next(k for k in raw_parabolics if int(k) == alpha)
-            raise OracleError(f"P: keys {first!r} and {key!r} both name simple root {alpha}")
         parabolics[alpha] = _as_matrices(mats, dim, q, f"P_{alpha} generators")
     return MatGroupSpec(
         name=obj["name"],
@@ -219,19 +211,6 @@ def spec_from_obj(obj: dict, q: int) -> MatGroupSpec:
         g_gens=g_gens, b_gens=b_gens, h_gens=h_gens,
         parabolics=parabolics,
     )
-
-
-def _close(x, gens: list, act) -> list:
-    """The orbit of x, a row vector or a point, under act(y, g) for g in
-    gens, in breadth-first order from x."""
-    members, seen = [x], {x}
-    for y in members:
-        for g in gens:
-            z = act(y, g)
-            if z not in seen:
-                seen.add(z)
-                members.append(z)
-    return members
 
 
 class _Chain:
@@ -304,7 +283,7 @@ class _Level:
         stopped once its order is |L|, gives the transversal, and the level
         below its base Stab_L(mu), of order |L| / |orbit|."""
         if v not in self.orbit:
-            orbit = _close(v, self.gens, self.arith.vmul)
+            orbit = orbit_closure([v], self.gens, self.arith.vmul)
             if len(orbit) == 1:
                 self.orbit[v], self.below[v] = (v, self.arith.eye), self
                 return self.orbit[v]
@@ -451,7 +430,7 @@ def enumerate_orbits(spec: MatGroupSpec,
         lists, seen, out = [perms[b] for b in _flat(mats)], set(), []
         for i in range(len(labels)):
             if i not in seen:
-                out.append(_close(i, lists, lambda x, p: p[x]))
+                out.append(orbit_closure([i], lists, lambda x, p: p[x]))
                 seen.update(out[-1])
         return out
 

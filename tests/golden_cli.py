@@ -9,8 +9,9 @@ JSON.  An argument ``@name`` stands for a file: one of :data:`DATA` or
 :data:`TEXTS`, or a flag datum ``@flag-<token>`` that gen-flag writes.
 
 Re-record from the repository root with
-``PYTHONPATH=src python tests/golden_cli.py``; tests/test_cli.py replays
-the file.
+``PYTHONPATH=src python tests/golden_cli.py``, which names each entry it
+adds, removes or changes against the file it overwrites; tests/test_cli.py
+replays the file.
 """
 
 from __future__ import annotations
@@ -173,6 +174,14 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         transcript = record(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(transcript, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
+    for label in sorted(old.keys() | transcript.keys()):
+        if label not in old:
+            print(f"added: {label}")
+        elif label not in transcript:
+            print(f"removed: {label}")
+        elif old[label] != transcript[label]:
+            print(f"changed: {label}")
     print(f"{len(transcript)} commands -> {GOLDEN}")

@@ -43,6 +43,7 @@ from weylorb.coxeter import (
     braid_order,
     build_root_system,
     enumerate_group,
+    orbit_closure,
 )
 from weylorb.datum import (
     DatumFormatError,
@@ -71,7 +72,6 @@ from weylorb.oracle import (
     _Arith,
     _canon,
     _Chain,
-    _close,
     _flat,
     _fmt_matrix,
     _inv_mod,
@@ -1295,7 +1295,7 @@ def reference_enumerate_by_act(spec: MatGroupSpec) -> OracleReport:
     arith = _arith(k, q)
     top = reference_top(spec.h_gens, q)
     start = _canon(arith.eye, top)
-    labels = _close(start, _flat(spec.g_gens), lambda m, g: _canon(arith.mul(g, m), top))
+    labels = orbit_closure([start], _flat(spec.g_gens), lambda m, g: _canon(arith.mul(g, m), top))
     index = {label: i for i, label in enumerate(labels)}
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]
     for name, mats in blocks:  # H <= G: b in G iff b·H is a point
@@ -1309,7 +1309,7 @@ def reference_enumerate_by_act(spec: MatGroupSpec) -> OracleReport:
         gens, seen, out = _flat(mats), set(), []
         for i in range(len(labels)):
             if i not in seen:
-                out.append(_close(i, gens, act))
+                out.append(orbit_closure([i], gens, act))
                 seen.update(out[-1])
         return out
 

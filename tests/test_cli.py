@@ -78,7 +78,7 @@ def write_datum(tmp_path: Path, name: str, obj: dict) -> str:
 def test_gen_flag_validate_pipeline(capsys, monkeypatch):
     code, out, _ = run(capsys, "gen-flag", "A", "2")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(out.encode())))
     code, out2, _ = run(capsys, "validate")
     assert code == 0
     assert out2 == "OK\n"
@@ -321,6 +321,34 @@ def test_repeated_simple_root_key_is_refused(tmp_path, capsys):
     path = write_datum(tmp_path, "repeated", REPEATED_KEY)
     assert run(capsys, "validate", path) == (
         2, "", "error: cells: keys '1' and '01' both name simple root 1\n")
+
+
+@pytest.mark.parametrize("site,key,message", [
+    ("cells", "x", "cells: bad simple root key 'x'"),
+    ("P", "x", "P: bad simple root key 'x'"),
+    ("cells", "9" * 33, "cells: simple root key has 33 digits, past the limit 32"),
+    ("P", "9" * 33, "P: simple root key has 33 digits, past the limit 32"),
+    ("cells", "01", "cells: keys '1' and '01' both name simple root 1"),
+    ("P", "01", "P: keys '1' and '01' both name simple root 1"),
+    ("cells", "2", "cells: simple root index 2 out of range 1..1"),
+    ("P", "2", "parabolic index 2 outside 1..1"),
+], ids=["cells-bad-key", "P-bad-key", "cells-digit-limit", "P-digit-limit",
+        "cells-duplicate-key", "P-duplicate-key", "cells-range", "P-range"])
+def test_simple_root_key_refusals_at_both_call_sites(tmp_path, capsys, site, key, message):
+    """A datum's cells and a spec's P are objects keyed by simple root,
+    read by one reader that refuses, naming the site, a key that is not
+    an integer, one past MAX_RANK's digits and one naming an earlier key's
+    root; the range of a key is each site's own check.  key is added
+    after "1", whose value it shares."""
+    if site == "cells":
+        argv, obj = ["validate"], json.loads(datum_text("rank1_u"))
+        keyed = obj["cells"]
+    else:
+        argv, obj = ["oracle", "enumerate"], json.loads(oracle_spec_text("torus"))
+        keyed = obj["generators"]["P"]
+    keyed[key] = keyed["1"]
+    path = write_datum(tmp_path, "input", obj)
+    assert run(capsys, *argv, path) == (2, "", f"error: {message}\n")
 
 
 def test_wrong_length_lattice_row_is_refused_by_every_datum_command(tmp_path, capsys):
@@ -611,6 +639,8 @@ def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
 
 
 _DIGITS = "9" * 5000  # past the 4,300 digits that int() converts by default
+_NEAR = "9" * 4000  # within them: int() reads it, and a refusal quotes its start
+_CLIPPED = "9" * 32 + "..."
 
 
 @pytest.mark.parametrize("argv,text,message", [
@@ -630,17 +660,43 @@ _DIGITS = "9" * 5000  # past the 4,300 digits that int() converts by default
     (["oracle", "enumerate", "torus", "--cap", _DIGITS], None,
      "--cap has 5000 digits, past the limit 9223372036854775807"),
     (["gen-flag", "A2", "--raise-dims", "1," + _DIGITS], None,
-     "bad raise-dims '1," + "9" * 29 + "..."),
+     "raise-dims entry has 5000 digits, past the limit 9223372036854775807"),
+    (["gen-flag", "A2", "--raise-dims", "1," + _NEAR], None,
+     "raise-dims entry has 4000 digits, past the limit 9223372036854775807"),
+    (["validate"], datum_text("rank1_u").replace(
+        '"family": "A", "rank": 1, "raise_dims": [1]',
+        f'"family": "A2", "rank": 2, "raise_dims": [1, {_NEAR}]'),
+     "root_system: raise dims must agree on Weyl-conjugate simple roots; "
+     "conflict [1, " + "9" * 28 + "... in the orbit of (0, 1)"),
+    (["validate"], datum_text("rank1_u").replace('"rank": 1', '"rank": ' + _NEAR),
+     f"root_system: rank {_CLIPPED} exceeds the limit 32"),
+    (["validate"], datum_text("rank1_u").replace('"family": "A", "rank": 1',
+                                                 '"family": "A2", "rank": ' + _NEAR),
+     f"root_system: token 'A2' conflicts with explicit rank {_CLIPPED}"),
+    (["validate"], datum_text("rank1_u").replace('"family": "A", "rank": 1',
+                                                 '"family": "A1xA1", "rank": ' + _NEAR),
+     f"root_system: rank {_CLIPPED} does not match A1xA1 (rank 2)"),
+    (["validate"], datum_text("rank1_u").replace('"rank": 1', '"rank": -' + _NEAR),
+     "root_system: family A needs rank >= 1, got -" + "9" * 31 + "..."),
+    (["oracle", "enumerate"], oracle_spec_text("torus").replace('"q": null', '"q": ' + _NEAR),
+     None),  # the message names the spec's path: spec ... is pinned to q = 99...
+    (["oracle", "enumerate"], oracle_spec_text("torus").replace('"dimension": 2',
+                                                                '"dimension": ' + _NEAR),
+     f"spec: dimension {_CLIPPED} exceeds the limit 16"),
 ], ids=["gen-flag-rank", "validate-dim", "oracle-entry", "oracle-p-key", "datum-cells-key",
-        "q-list", "act-word", "gen-flag-rank-argument", "cap", "raise-dims"])
+        "q-list", "act-word", "gen-flag-rank-argument", "cap", "raise-dims",
+        "raise-dims-4000", "datum-raise-dims-conflict", "datum-rank", "datum-rank-conflict",
+        "datum-rank-mismatch", "datum-rank-negative", "spec-pinned-q", "spec-dimension"])
 def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys, argv, text, message):
-    """A 5,000-digit rank, datum field, spec entry, simple root key, prime
-    or word letter is refused with exit 2 and one short error: line that
-    does not echo the digits, not a traceback; a number token is refused
-    for its digit count before int() reads it."""
+    """A 5,000-digit rank, datum field, spec entry, simple root key, prime,
+    word letter or raise dimension is refused with exit 2 and one short
+    error: line that does not echo the digits, not a traceback; a number
+    token is refused for its digit count before int() reads it.  A 4,000-
+    digit integer, which int() and JSON read, is quoted by its first 32
+    characters where a refusal names it."""
     path = tmp_path / "input.json"
     if text is not None:
-        assert _DIGITS in text
+        assert _NEAR in text
         path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *argv, *([] if text is None else [str(path)]))
     assert (code, out) == (2, "")
@@ -673,14 +729,24 @@ def test_refusals_quote_a_short_prefix_of_a_bad_token(tmp_path, capsys, argv, te
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [["validate"], ["oracle", "enumerate"]],
-                         ids=["validate", "oracle-enumerate"])
-def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,errors", [
+    (["validate"], None), (["oracle", "enumerate"], None),
+    (["validate", "-"], "strict"), (["validate", "-"], "surrogateescape"),
+], ids=["validate", "oracle-enumerate", "stdin-strict", "stdin-surrogateescape"])
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, monkeypatch, argv, errors):
+    """A datum on stdin is read as a file is, whatever the decoding of
+    sys.stdin: strict, as under a UTF-8 locale, or surrogateescape, as
+    under the POSIX one."""
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe{}")
-    code, out, err = run(capsys, *argv, str(bad))
+    if errors is None:
+        name, code, out, err = bad, *run(capsys, *argv, str(bad))
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()),
+                                                          encoding="utf-8", errors=errors))
+        name, code, out, err = "stdin", *run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {bad} is not UTF-8: invalid start byte at byte 0\n"
+    assert err == f"error: {name} is not UTF-8: invalid start byte at byte 0\n"
     if argv == ["validate"]:  # the library loader refuses it as bad datum input
         with pytest.raises(DatumFormatError, match="is not UTF-8"):
             load_path(bad)

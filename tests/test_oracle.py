@@ -127,6 +127,10 @@ def test_report_serialization_keys():
 def test_spec_pinned_q_refuses_retarget():
     with pytest.raises(OracleError, match="pinned"):
         spec_from_obj(json.loads(oracle_spec_text("product_diag_q5")), 7)
+    # a 4,000-digit q, which JSON reads, is quoted by its first 32 characters
+    with pytest.raises(OracleError) as err:
+        spec_from_obj({**json.loads(oracle_spec_text("torus")), "q": int("9" * 4000)}, 5)
+    assert str(err.value) == f"spec 'torus' is pinned to q = {'9' * 32}..., cannot load at q = 5"
 
 
 def test_spec_rejects_nonprime_and_bad_fields():
