@@ -60,10 +60,6 @@ class GeneratorTheoremResult(NamedTuple):
     stabilizer: SubgroupDescription
     generated_order: int
 
-    @property
-    def stabilizer_order(self) -> int:
-        return self.stabilizer.order
-
 
 def _involutions(d: OrbitDatum) -> dict[int, list[int]]:
     """sigma_alpha over orbit positions per simple root alpha; refuses the

@@ -23,15 +23,23 @@ ORACLE_SPEC_NAMES = (
     "product_diag_q5", "product_diag_q7",
 )
 
+#: Each kind of bundled file: its names, and its file under data/ by name.
+_KINDS = {"datum": (DATUM_NAMES, "{}.json"),
+          "oracle spec": (ORACLE_SPEC_NAMES, "oracle/{}.json")}
 
-def _data_root():
-    return resources.files("weylorb") / "data"
+
+def text(kind: str, name: str) -> str:
+    """The text of the bundled file of kind ("datum" or "oracle spec")
+    named name; KeyError for a name that is not of that kind."""
+    names, file = _KINDS[kind]
+    if name not in names:
+        raise KeyError(f"no bundled {kind} named {name!r}")
+    data = (resources.files("weylorb") / "data" / file.format(name)).read_bytes()
+    return read_utf8(data, name, InputError)
 
 
 def datum_text(name: str) -> str:
-    if name not in DATUM_NAMES:
-        raise KeyError(f"no bundled datum named {name!r}")
-    return read_utf8((_data_root() / f"{name}.json").read_bytes(), name, InputError)
+    return text("datum", name)
 
 
 def bundled_datum(name: str) -> datum.OrbitDatum:
@@ -44,6 +52,4 @@ def bundled_datum(name: str) -> datum.OrbitDatum:
 
 
 def oracle_spec_text(name: str) -> str:
-    if name not in ORACLE_SPEC_NAMES:
-        raise KeyError(f"no bundled oracle spec named {name!r}")
-    return read_utf8((_data_root() / "oracle" / f"{name}.json").read_bytes(), name, InputError)
+    return text("oracle spec", name)

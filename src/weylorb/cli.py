@@ -2,19 +2,19 @@
 
 Batch-oriented: every run is deterministic given its inputs, reports are
 line-oriented text with a --json alternative, and exit codes are stable:
-0 clean, 1 violations found, 2 usage or input errors.  Datum arguments
-accept a file path, a bundled datum name, or "-" for stdin, so commands
-compose in pipelines.
+0 clean, 1 violations found, 2 usage or input errors.  A datum or oracle
+spec argument is, in this order: "-" for stdin (a datum only, so commands
+compose in pipelines), a file at that path, or a bundled name of its kind.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from collections.abc import Iterator
 from math import isqrt
-from pathlib import Path
 
 # each layer executes on its first attribute access, so a command runs
 # only the layers it uses
@@ -44,27 +44,19 @@ def _int_type(what: str, limit):
     return convert
 
 
-def _load_datum(arg: str) -> datum.OrbitDatum:
-    if arg == "-":
-        return datum.loads(read_utf8(sys.stdin.buffer.read(), "stdin", UsageError))
-    path = Path(arg)
-    if path.exists():
-        return datum.load_path(path)
-    if arg in bundled.DATUM_NAMES:
-        return bundled.bundled_datum(arg)
-    raise UsageError(f"no such datum file or bundled name: {arg}")
-
-
-def _load_spec_obj(arg: str) -> dict:
-    path = Path(arg)
-    if not path.exists() and arg not in bundled.ORACLE_SPEC_NAMES:
-        raise UsageError(f"no such oracle spec file or bundled name: {arg}")
-    import json  # only commands that parse or print JSON pay for it
-    try:  # read_utf8's UsageError is not a ValueError
-        return json.loads(read_utf8(path.read_bytes(), arg, UsageError) if path.exists()
-                          else bundled.oracle_spec_text(arg))
-    except ValueError as exc:  # a JSONDecodeError, or an integer past 4,300 digits
-        raise UsageError(str(exc)) from exc
+def _arg_text(arg: str, kind: str) -> str:
+    """The text of a datum or oracle spec argument (kind "datum" or
+    "oracle spec"), in the order the module docstring gives.  Every
+    refusal names the argument as typed."""
+    if arg == "-" and kind == "datum":
+        return read_utf8(sys.stdin.buffer.read(), "stdin", UsageError)
+    if os.path.exists(arg):
+        with open(arg, "rb") as fh:
+            return read_utf8(fh.read(), arg, UsageError)
+    try:
+        return bundled.text(kind, arg)
+    except KeyError:
+        raise UsageError(f"no such {kind} file or bundled name: {arg}") from None
 
 
 def _int_list(text: str, sep: str, limit: int, what: str, bad: str) -> tuple[int, ...]:
@@ -114,7 +106,7 @@ def _cmd_gen_flag(args) -> tuple[int, str]:
 
 
 def _cmd_validate(args) -> tuple[int, str]:
-    d = _load_datum(args.datum)
+    d = datum.loads(_arg_text(args.datum, "datum"))
     structure = datum.validate(d)
     lattices = datum.check_lattices(d)
     ok = structure.ok and lattices.ok
@@ -129,7 +121,7 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 def _cmd_act(args) -> tuple[int, str]:
-    d = _load_datum(args.datum)
+    d = datum.loads(_arg_text(args.datum, "datum"))
     word = _parse_word(args.word, d.root_system.rank)
     result = action.act_word(d, word, args.orbit)
     if args.json:
@@ -145,7 +137,7 @@ def _obstruction(args, exc: Exception) -> str:
 
 
 def _cmd_braid(args) -> tuple[int, str]:
-    d = _load_datum(args.datum)
+    d = datum.loads(_arg_text(args.datum, "datum"))
     try:
         violations = action.braid_check(d)
     except action.BraidObstruction as exc:
@@ -161,7 +153,7 @@ def _cmd_braid(args) -> tuple[int, str]:
 
 
 def _cmd_stabilizer(args) -> tuple[int, str]:
-    d = _load_datum(args.datum)
+    d = datum.loads(_arg_text(args.datum, "datum"))
     try:
         theorem = action.check_generator_theorem(d)
     except action.BraidObstruction as exc:
@@ -180,26 +172,30 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
     lines.append("generator theorem: "
                  + ("holds" if theorem.holds else
                     f"FAILS (generated {theorem.generated_order} "
-                    f"of {theorem.stabilizer_order})"))
+                    f"of {desc.order})"))
     lines.append("generating set: " + (", ".join(gen_names) or "(empty)"))
     return (0 if theorem.holds else 1), "\n".join(lines) + "\n"
 
 
 def _cmd_hecke(args) -> tuple[int, Iterator[str]]:
-    report = hecke.check_module(_load_datum(args.datum))
+    report = hecke.check_module(datum.loads(_arg_text(args.datum, "datum")))
     # the columns are rendered as main writes them, one operator at a time
     return (0 if report.ok else 1), report.render_json() if args.json else report.render_text()
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
-    return 0, datum.export_dot(_load_datum(args.datum))
+    return 0, datum.export_dot(datum.loads(_arg_text(args.datum, "datum")))
 
 
 def _oracle_specs(paths: list[str], qs: tuple[int, ...], cap: int):
     """Pair every spec with its applicable primes and enumerate."""
+    import json  # only commands that parse or print JSON pay for it
     reports = []
     for arg in paths:
-        obj = _load_spec_obj(arg)
+        try:  # read_utf8's UsageError is not a ValueError
+            obj = json.loads(_arg_text(arg, "oracle spec"))
+        except ValueError as exc:  # a JSONDecodeError, or an integer past 4,300 digits
+            raise UsageError(str(exc)) from exc
         pinned = oracle.pinned_q(obj)
         if pinned not in (None, *qs):
             raise UsageError(f"spec {arg} is pinned to q = {clip(pinned)}, not in the q-list")
@@ -245,24 +241,22 @@ def _cmd_oracle(args) -> tuple[int, str]:
         rs = coxeter.build_root_system(reports[0].root_system)
         return 0, _json_body(oracle.infer_datum(reports, rs).to_obj())
 
-    if args.mode == "compare":
-        if len(args.paths) < 2:
-            raise UsageError("compare needs oracle spec(s) followed by a datum")
-        reference = _load_datum(args.paths[-1])
-        reports = _oracle_specs(args.paths[:-1], qs, cap)
-        inferred = oracle.infer_datum(reports, reference.root_system)
-        result = oracle.compare(reference, inferred.datum, inferred.fits)
-        if args.json:
-            return (0 if result.match else 1), _json_body({
-                "match": result.match,
-                "lines": list(result.lines),
-                "confidence": list(inferred.notes),
-            })
-        if result.match:
-            return 0, "match\n"
-        return 1, "\n".join(result.lines) + "\n"
-
-    raise UsageError(f"unknown oracle mode {args.mode!r}")
+    # compare: argparse's choices leave no other mode
+    if len(args.paths) < 2:
+        raise UsageError("compare needs oracle spec(s) followed by a datum")
+    reference = datum.loads(_arg_text(args.paths[-1], "datum"))
+    reports = _oracle_specs(args.paths[:-1], qs, cap)
+    inferred = oracle.infer_datum(reports, reference.root_system)
+    result = oracle.compare(reference, inferred.datum, inferred.fits)
+    if args.json:
+        return (0 if result.match else 1), _json_body({
+            "match": result.match,
+            "lines": list(result.lines),
+            "confidence": list(inferred.notes),
+        })
+    if result.match:
+        return 0, "match\n"
+    return 1, "\n".join(result.lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

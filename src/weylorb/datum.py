@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import InputError, read_utf8
+from . import InputError
 from .coxeter import (
     RootSystem,
     RootSystemError,
@@ -39,7 +39,7 @@ __all__ = [
     "KINDS", "DatumFormatError", "Orbit", "OrbitDatum", "RaiseCell",
     "ValidationReport", "Violation", "check_lattices", "datum_from_obj",
     "datum_to_obj", "dumps", "export_dot", "generate_flag_datum",
-    "load_path", "loads", "validate",
+    "loads", "validate",
 ]
 
 
@@ -630,11 +630,6 @@ def loads(text: str) -> OrbitDatum:
     except ValueError as exc:  # a JSONDecodeError, or an integer past 4,300 digits
         raise DatumFormatError(f"not valid JSON: {exc}") from exc
     return datum_from_obj(obj)
-
-
-def load_path(path) -> OrbitDatum:
-    with open(path, "rb") as fh:
-        return loads(read_utf8(fh.read(), path, DatumFormatError))
 
 
 # -- DOT export --------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_stabilizer_matches_reference_under_renaming(d, data):
 def test_generator_theorem_product_needs_the_pair():
     res = check_generator_theorem(bundled_datum("product_a1a1"))
     assert res.holds
-    assert res.stabilizer_order == 2
+    assert res.stabilizer.order == 2
     # no reflection stabilizes; the single generator is s1 s2
     assert len(res.generating_set) == 1
     assert len(res.generating_set[0]) == 2
@@ -316,7 +316,7 @@ def test_generator_theorem_product_needs_the_pair():
 def test_generator_theorem_sl3():
     res = check_generator_theorem(bundled_datum("sl3_so12"))
     assert res.holds
-    assert res.stabilizer_order == 6
+    assert res.stabilizer.order == 6
     # all three reflections stabilize the fixed open orbit
     assert sum(1 for w in res.generating_set if len(w) % 2 == 1) == 3
 
@@ -332,7 +332,7 @@ def test_generator_theorem_rank1(name):
 def test_generator_theorem_flag(token):
     res = check_generator_theorem(generate_flag_datum(build_root_system(token)))
     assert res.holds
-    assert res.stabilizer_order == 1
+    assert res.stabilizer.order == 1
 
 
 def test_generator_theorem_builds_no_group_matrices(monkeypatch):

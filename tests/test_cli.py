@@ -22,12 +22,10 @@ from weylorb.bundled import DATUM_NAMES, bundled_datum, datum_text, oracle_spec_
 from weylorb.cli import build_parser, main
 from weylorb.coxeter import build_root_system
 from weylorb.datum import (
-    DatumFormatError,
     OrbitDatum,
     dumps,
     export_dot,
     generate_flag_datum,
-    load_path,
     loads,
 )
 
@@ -747,9 +745,53 @@ def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, monkeypatch, 
         name, code, out, err = "stdin", *run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {name} is not UTF-8: invalid start byte at byte 0\n"
-    if argv == ["validate"]:  # the library loader refuses it as bad datum input
-        with pytest.raises(DatumFormatError, match="is not UTF-8"):
-            load_path(bad)
+
+
+#: Files in the working directory of every resolution case: two named
+#: like bundled names, a directory, and bytes that are not UTF-8.
+_CWD_FILES = {"rank1_u": b"[]", "torus": b"[]", "dir": None, "bad.bin": b"\xff\xfe{}"}
+
+
+@pytest.mark.parametrize("argv,stdin,want", [
+    (["validate", "rank1_u"], b"", (2, "", "error: datum must be a JSON object\n")),
+    (["oracle", "enumerate", "torus"], b"",
+     (2, "", "error: oracle spec must be a JSON object\n")),
+    (["validate", "-"], datum_text("rank1_u").encode(), (0, "OK\n", "")),
+    (["oracle", "compare", "torus_normalizer", "-"], datum_text("rank1_ri").encode(),
+     (0, "match\n", "")),
+    (["oracle", "enumerate", "-"], oracle_spec_text("horospherical").encode(),
+     (2, "", "error: no such oracle spec file or bundled name: -\n")),
+    (["validate", "./dir"], b"", (2, "", "error: [Errno 21] Is a directory: './dir'\n")),
+    (["oracle", "enumerate", "./dir"], b"",
+     (2, "", "error: [Errno 21] Is a directory: './dir'\n")),
+    (["validate", "nope"], b"", (2, "", "error: no such datum file or bundled name: nope\n")),
+    (["oracle", "enumerate", "nope"], b"",
+     (2, "", "error: no such oracle spec file or bundled name: nope\n")),
+    (["validate", "horospherical"], b"",
+     (2, "", "error: no such datum file or bundled name: horospherical\n")),
+    (["oracle", "enumerate", "sl3_so12"], b"",
+     (2, "", "error: no such oracle spec file or bundled name: sl3_so12\n")),
+    (["validate", "./bad.bin"], b"",
+     (2, "", "error: ./bad.bin is not UTF-8: invalid start byte at byte 0\n")),
+    (["oracle", "enumerate", "./bad.bin"], b"",
+     (2, "", "error: ./bad.bin is not UTF-8: invalid start byte at byte 0\n")),
+], ids=["datum-file-before-bundled", "spec-file-before-bundled", "datum-stdin",
+        "compare-datum-stdin", "spec-stdin-refused", "datum-directory", "spec-directory",
+        "datum-unknown", "spec-unknown", "spec-name-as-datum", "datum-name-as-spec",
+        "datum-not-utf8-as-typed", "spec-not-utf8-as-typed"])
+def test_an_argument_resolves_to_stdin_then_a_file_then_a_bundled_name(
+        tmp_path, capsys, monkeypatch, argv, stdin, want):
+    """A datum or oracle spec argument is "-" for stdin (a datum only),
+    else the file at that path, else a bundled name of its own kind; a
+    refusal names the argument as typed."""
+    for name, data in _CWD_FILES.items():
+        if data is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+    assert run(capsys, *argv) == want
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -22,7 +22,7 @@ EXPORTED = {
     "KINDS", "DatumFormatError", "Orbit", "OrbitDatum", "RaiseCell",
     "ValidationReport", "Violation", "check_lattices", "datum_from_obj",
     "datum_to_obj", "dumps", "export_dot", "generate_flag_datum",
-    "load_path", "loads", "validate",
+    "loads", "validate",
     "HeckeBraidViolation", "HeckeError", "HeckeModule", "HeckeReport",
     "RegularRepReport", "braid_check_module", "build_module", "check_module",
     "leading_term", "verify_regular_representation",
