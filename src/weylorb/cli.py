@@ -232,7 +232,7 @@ def _cmd_oracle(args) -> tuple[int, str]:
             lines.extend(r.lines())
         if aligned_counts is not None:
             for i, counts in enumerate(aligned_counts):
-                pairs = ", ".join(f"q={q}: {counts[q]}" for q in sorted(counts))
+                pairs = ", ".join(f"q={q}: {counts[q]}" for q in sorted(counts, key=int))
                 lines.append(f"pointCounts orbit {i}: {pairs}")
         return 0, "\n".join(lines) + "\n"
 

@@ -72,6 +72,27 @@ def orbit_closure(seeds, gens, act) -> list:
     return members
 
 
+def rref(rows, pivots: int, inverse, reduce=None) -> list[list]:
+    """Exact Gauss-Jordan: the rows in reduced echelon form over their first
+    `pivots` columns, less those with no pivot there; inverse(x) inverts an
+    entry x != 0, and reduce, if given, normalises each entry computed: over
+    Q, Fraction entries and 1 / x; over F_q, pow(x, -1, q) and x % q."""
+    fix = list if reduce is None else (lambda xs: list(map(reduce, xs)))
+    mat, done = [list(r) for r in rows], 0
+    for col in range(pivots):
+        p = next((r for r in range(done, len(mat)) if mat[r][col]), None)
+        if p is None:
+            continue
+        mat[done], mat[p] = mat[p], mat[done]
+        inv = inverse(mat[done][col])
+        pivot = mat[done] = fix(x * inv for x in mat[done])
+        for r, row in enumerate(mat):
+            if r != done and (f := row[col]):
+                mat[r] = fix(x - f * y for x, y in zip(row, pivot))
+        done += 1
+    return mat[:done]
+
+
 def keyed_by_simple_root(obj: dict, error: type[InputError], where: str):
     """(alpha, key, value) per key of a JSON object keyed by simple root,
     each key refused, naming where, as it is reached: past MAX_RANK's

@@ -31,6 +31,7 @@ from .coxeter import (
     RootSystemError,
     build_root_system,
     keyed_by_simple_root,
+    rref,
     simple_reflection,
     weyl_group,
 )
@@ -45,23 +46,28 @@ __all__ = [
 
 class CellKind(NamedTuple):
     """A cell kind's shape: its roles in serialization order, the member
-    positions whose ids sigma_alpha swaps ((0, 0): it fixes all), and its
-    DOT edges between member positions in style (none: a comment naming y)."""
+    positions whose ids sigma_alpha swaps ((0, 0): it fixes all), its DOT
+    edges between member positions in style (none: a comment naming y), and
+    what point counts see: its class and roles, the kinds or members they
+    cannot tell apart sharing one (RI and N; RT's z1 and z2)."""
 
     roles: tuple[str, ...]
     swap: tuple[int, int]
     edges: tuple[tuple[int, int], ...]
     style: str
+    seen: tuple[str, tuple[str, ...]]
 
 
 #: The six cell kinds and their shapes, the one table every layer reads.
 KINDS = {
-    "U": CellKind(("y", "z"), (0, 1), ((0, 1),), "solid"),
-    "TU": CellKind(("y", "z1", "z2"), (1, 2), ((0, 1), (1, 2)), "solid"),
-    "A": CellKind(("y",), (0, 0), (), ""),
-    "RT": CellKind(("y", "z1", "z2"), (1, 2), ((0, 1), (0, 2)), "solid"),
-    "RI": CellKind(("y", "z"), (0, 0), ((0, 1),), "dotted"),
-    "N": CellKind(("y", "z"), (0, 0), ((0, 1),), "dotted"),
+    "U": CellKind(("y", "z"), (0, 1), ((0, 1),), "solid", ("U", ("y", "z"))),
+    "TU": CellKind(("y", "z1", "z2"), (1, 2), ((0, 1), (1, 2)), "solid",
+                   ("TU", ("y", "z1", "z2"))),
+    "A": CellKind(("y",), (0, 0), (), "", ("A", ("y",))),
+    "RT": CellKind(("y", "z1", "z2"), (1, 2), ((0, 1), (0, 2)), "solid",
+                   ("RT", ("y", "z", "z"))),
+    "RI": CellKind(("y", "z"), (0, 0), ((0, 1),), "dotted", ("RI|N", ("y", "z"))),
+    "N": CellKind(("y", "z"), (0, 0), ((0, 1),), "dotted", ("RI|N", ("y", "z"))),
 }
 
 
@@ -231,42 +237,18 @@ class OrbitDatum:
         return self.orbits[j].id
 
 
-# -- exact linear algebra over Q --------------------------------------------
-
-
-def _rref(rows: list[tuple]) -> tuple[tuple, ...]:
-    """Reduced row echelon form over Q; canonical for span comparison."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivots, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[pivots], mat[pivot] = mat[pivot], mat[pivots]
-        pv = mat[pivots][col]
-        mat[pivots] = [x / pv for x in mat[pivots]]
-        for r in range(len(mat)):
-            if r != pivots and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[pivots])]
-        pivots += 1
-    return tuple(tuple(row) for row in mat[:pivots])
+# -- lattice spans, exactly over Q -------------------------------------------
 
 
 def lattice_rank(lattice: tuple[tuple[int, ...], ...]) -> int:
     return len(_span(lattice))
 
 
-def _reflected_span(cartan, i: int, lattice) -> tuple[tuple, ...]:
-    """The span of the lattice rows after s_i."""
-    return _span([simple_reflection(cartan, i, tuple(row)) for row in lattice])
-
-
-def _span(lattice) -> tuple[tuple, ...]:
+def _span(lattice) -> list[list]:
     """The row span of an integer lattice, as an exact rational RREF."""
     from fractions import Fraction  # only lattice data make fractions
-    return _rref([tuple(map(Fraction, row)) for row in lattice])
+    return rref([list(map(Fraction, row)) for row in lattice],
+                len(lattice[0]) if lattice else 0, lambda x: 1 / x)
 
 
 # -- validation --------------------------------------------------------------
@@ -398,7 +380,8 @@ def check_lattices(d: OrbitDatum) -> ValidationReport:
                 if (src, dst) in checked:  # from its other end: s_alpha is an involution
                     continue
                 checked.update(((src, dst), (dst, src)))
-                if _reflected_span(cartan, alpha - 1, lat[src]) != _span(lat[dst]):
+                s_src = [simple_reflection(cartan, alpha - 1, tuple(row)) for row in lat[src]]
+                if _span(s_src) != _span(lat[dst]):
                     out.append(Violation(
                         f"lattice-span-{cell.kind}", where,
                         f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"))

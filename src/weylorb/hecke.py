@@ -24,7 +24,7 @@ from .coxeter import (
     enumerate_group,
     weyl_group,
 )
-from .datum import OrbitDatum, _block
+from .datum import KINDS, OrbitDatum, _block
 
 __all__ = [
     "HeckeBraidViolation", "HeckeError", "HeckeModule", "HeckeReport",
@@ -82,8 +82,9 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     """Assemble the T_alpha operators from the raise cells.
 
     T_alpha sends each member m that sigma_alpha moves to [sigma_alpha(m)]
-    (:meth:`RaiseCell.image`), plus [y] in TU and RT cells, and fixes the
-    rest of the basis; on a defective partition the last cell wins.
+    (:meth:`RaiseCell.image`), plus [y] where sigma_alpha fixes y and swaps
+    the pair below it (``KINDS[kind].swap[0] != 0``: TU and RT), and fixes
+    the rest of the basis; on a defective partition the last cell wins.
     A column is the set of basis positions in its support:
 
     >>> from weylorb.bundled import bundled_datum
@@ -98,7 +99,7 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     for alpha in range(1, d.root_system.rank + 1):
         col = [frozenset((i,)) for i in range(len(at))]
         for cell in d.cells.get(alpha, ()):
-            y = (at[cell.y],) if cell.kind in ("TU", "RT") else ()
+            y = (at[cell.y],) if KINDS[cell.kind].swap[0] else ()
             for m in cell.members:
                 if (n := cell.image(m)) != m:
                     col[at[m]] = frozenset((*y, at[n]))

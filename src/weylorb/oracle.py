@@ -26,10 +26,11 @@ from heapq import heappop, heappush
 from itertools import chain
 from itertools import product as iproduct
 from math import isqrt
+from numbers import Rational  # hints a fit's Fraction c; fractions loads only for a fit
 from typing import NamedTuple
 
 from . import InputError, clip
-from .coxeter import RootSystem, build_root_system, keyed_by_simple_root, orbit_closure
+from .coxeter import RootSystem, build_root_system, keyed_by_simple_root, orbit_closure, rref
 # datum and action execute on first attribute access: only inference and
 # compare run them
 from . import action, datum
@@ -63,19 +64,9 @@ def _inv_mod(mat: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...] | None
     the inverse the loader computes to refuse a singular generator is the
     one enumeration reads."""
     k = len(mat)
-    rows = [[x % q for x in row] + [int(i == j) for j in range(k)]
-            for i, row in enumerate(mat)]
-    for c in range(k):
-        p = next((r for r in range(c, k) if rows[r][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        inv = pow(rows[c][c], -1, q)
-        pivot = rows[c] = [x * inv % q for x in rows[c]]
-        for r, row in enumerate(rows):
-            if r != c and row[c]:
-                rows[r] = [(x - row[c] * y) % q for x, y in zip(row, pivot)]
-    return tuple(x for row in rows for x in row[k:])
+    rows = rref([[x % q for x in row] + [int(i == j) for j in range(k)]
+                 for i, row in enumerate(mat)], k, lambda x: pow(x, -1, q), lambda x: x % q)
+    return tuple(x for row in rows for x in row[k:]) if len(rows) == k else None
 
 
 _Arith = namedtuple("_Arith", "k eye mul vmul")
@@ -470,7 +461,7 @@ def _monomial_exponents(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hits
 
 
-def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Fraction] | None:
+def fit_monomial(points: list[tuple[int, int]]) -> tuple[int, int, Rational] | None:
     """Exponents (a, b) and positive rational c with size = c q^a (q-1)^b.
 
     Returns None when no monomial matches all (q, size) pairs; raises
@@ -496,7 +487,7 @@ class InferredDatum(NamedTuple):
     datum: datum.OrbitDatum
     notes: tuple[str, ...]
     point_counts: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
-    fits: tuple[tuple[str, tuple[int, int, Fraction]], ...]
+    fits: tuple[tuple[str, tuple[int, int, Rational]], ...]
 
     def to_obj(self) -> dict:
         return {
@@ -687,11 +678,12 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                 kind = "U" if fits[y][1] == fits[zs[0]][1] else "RI"
             else:
                 kind = "RT" if dims[zs[0]] == dims[zs[1]] else "TU"
-            if kind == "RI":
+            seen = datum.KINDS[kind].seen[0]
+            if seen != kind:
                 notes.append(
-                    f"cell alpha {alpha} {{{ids[0]}, {ids[1]}}}: kind RI|N "
+                    f"cell alpha {alpha} {{{', '.join(ids)}}}: kind {seen} "
                     "ambiguous (stabilizer connectedness is invisible "
-                    "to point counts); recorded as RI")
+                    f"to point counts); recorded as {kind}")
             row.append(datum.RaiseCell(kind, ids))
         cells[alpha] = tuple(row)
 
@@ -708,30 +700,28 @@ def infer_datum(reports: list[OracleReport], rs: RootSystem) -> InferredDatum:
                          point_counts=point_counts, fits=fit_rows)
 
 
-def _kindclass(kind: str) -> str:
-    return "RI|N" if kind in ("RI", "N") else kind
-
-
 class CompareReport(NamedTuple):
     match: bool
     lines: tuple[str, ...]
 
 
 def _structure(d: datum.OrbitDatum) -> tuple[list, list]:
-    """One pass over the cells.  Per orbit its colour: its signature (per
-    alpha with cells, the kind class and role, RT's z1 and z2 as one "z",
-    of its first alpha-cell, or None) and its open flag.  And the cells as
-    blocks over orbit positions: one group per role but RT's z pair."""
+    """One pass over the cells, as point counts see them (``KINDS[kind].seen``).
+    Per orbit its colour: its signature (per alpha with cells, the class
+    and seen role in its first alpha-cell, or None) and its open flag.  And
+    the cells as blocks over orbit positions: one group per seen role."""
     rows = [[(alpha, None) for alpha in d.cells] for _ in d.orbits]
     blocks = []
     for k, (alpha, cells) in enumerate(d.cells.items()):
         for cell in cells:
-            kind, ids = _kindclass(cell.kind), [d.position[m] for m in cell.members]
-            for role, i in zip(datum.KINDS[cell.kind].roles, ids):
+            kind, roles = datum.KINDS[cell.kind].seen
+            groups: dict[str, list[int]] = {}
+            for role, m in zip(roles, cell.members):
+                i = d.position[m]
+                groups.setdefault(role, []).append(i)
                 if rows[i][k][1] is None:
-                    rows[i][k] = (alpha, (kind, "z" if kind == "RT" and role != "y" else role))
-            blocks.append(((alpha, kind), ((ids[0],), tuple(ids[1:])) if kind == "RT"
-                           else tuple((i,) for i in ids)))
+                    rows[i][k] = (alpha, (kind, role))
+            blocks.append(((alpha, kind), tuple(map(tuple, groups.values()))))
     return [(tuple(row), o.open) for row, o in zip(rows, d.orbits)], blocks
 
 
@@ -755,7 +745,9 @@ def _unmatched(reference: datum.OrbitDatum, candidate: datum.OrbitDatum,
 def compare(reference: datum.OrbitDatum, candidate: datum.OrbitDatum, fits=()) -> CompareReport:
     """Isomorphism test of the cell-labeled raise structures.
 
-    Kinds are compared up to the RI|N ambiguity; orbit ids may differ.
+    Cells are compared as point counts see them, by the class and roles of
+    ``KINDS[kind].seen``: RI and N are one class, and RT's z1 and z2 one
+    role.  Orbit ids may differ.
     A structure-preserving bijection is searched for, then dim/rk/c/s
     are checked through it.  Lattice data is outside what the oracle
     can see and is not compared.  On an orbit-count mismatch it lists the
@@ -773,11 +765,12 @@ def compare(reference: datum.OrbitDatum, candidate: datum.OrbitDatum, fits=()) -
         lines += _unmatched(reference, candidate, dict(fits))
         return CompareReport(match=False, lines=tuple(lines))
     for alpha in sorted(reference.cells):
-        ka = sorted(_kindclass(c.kind) for c in reference.cells.get(alpha, ()))
-        kb = sorted(_kindclass(c.kind) for c in candidate.cells.get(alpha, ()))
+        ka, kb = (sorted(datum.KINDS[c.kind].seen[0] for c in d.cells.get(alpha, ()))
+                  for d in (reference, candidate))
         if ka != kb:
+            merged = " and ".join(n for n, kind in datum.KINDS.items() if kind.seen[0] != n)
             lines.append(f"cell kind mismatch at alpha {alpha}: "
-                         f"{ka} vs {kb} (RI and N identified)")
+                         f"{ka} vs {kb} ({merged} identified)")
     if lines:
         return CompareReport(match=False, lines=tuple(lines))
 

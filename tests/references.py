@@ -2,10 +2,11 @@
 the test files: the ones several files share, the datum loader and
 validator as they were before each record was checked in one pass, sigma,
 the Hecke columns and the lattice checks as per-kind branches before
-:meth:`RaiseCell.image` stated the cell rule once, the cell record with
-one field per role and its ``members()``, ``image()`` and DOT edges as
-kind branches before ``datum.KINDS`` held each kind's shape, the Weyl group as
-integer matrices found by a matrix BFS, the model that
+:meth:`RaiseCell.image` stated the cell rule once, the lattice spans'
+elimination over Q before the oracle's inverses mod q shared it, the cell
+record with one field per role and its ``members()``, ``image()`` and DOT
+edges as kind branches before ``datum.KINDS`` held each kind's shape, the
+Weyl group as integer matrices found by a matrix BFS, the model that
 :class:`weylorb.coxeter.WeylGroup`'s tables replaced, the Hecke module on
 packed ints (bit i for basis position i) with its word-by-word T_w, the
 oracle's spec loader and monomial fit as they were before exact type
@@ -52,7 +53,6 @@ from weylorb.datum import (
     RaiseCell,
     ValidationReport,
     Violation,
-    _rref,
 )
 from weylorb.hecke import (
     HeckeBraidViolation,
@@ -994,7 +994,7 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
     for o in d.orbits:
         if o.lattice is None:
             continue
-        r = len(_rref([tuple(Fraction(x) for x in row) for row in o.lattice]))
+        r = len(reference_rref([tuple(Fraction(x) for x in row) for row in o.lattice]))
         if r != o.rk:
             out.append(Violation("lattice-rank", o.id,
                                  f"lattice rank {r} != rk {o.rk}"))
@@ -1060,11 +1060,33 @@ def _span_after(matrix, lattice):
     for row in lattice:
         rows.append(tuple(Fraction(sum(matrix[i][j] * row[j] for j in range(len(row))))
                           for i in range(len(matrix))))
-    return _rref(list(rows))
+    return reference_rref(list(rows))
 
 
 def _span(lattice):
-    return _rref([tuple(Fraction(x) for x in row) for row in lattice])
+    return reference_rref([tuple(Fraction(x) for x in row) for row in lattice])
+
+
+def reference_rref(rows: list[tuple]) -> tuple[tuple, ...]:
+    """Reduced row echelon form over Q, dividing each pivot row by its
+    pivot, as the datum layer computed it before its lattice spans and the
+    oracle's inverses mod q shared ``coxeter.rref``."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(pivots, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[pivots], mat[pivot] = mat[pivot], mat[pivots]
+        pv = mat[pivots][col]
+        mat[pivots] = [x / pv for x in mat[pivots]]
+        for r in range(len(mat)):
+            if r != pivots and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[pivots])]
+        pivots += 1
+    return tuple(tuple(row) for row in mat[:pivots])
 
 
 # -- the oracle's spec loader through int(), and its monomial fit over Fraction

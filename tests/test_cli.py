@@ -454,6 +454,22 @@ def test_oracle_enumerate_json(capsys):
     assert obj["pointCounts"][2] == {"5": 20, "7": 42}
 
 
+def test_oracle_enumerate_point_counts_run_in_prime_order(capsys):
+    # the report lines run q = 5, then 11, and so does each pointCounts row;
+    # --json keeps its keys as json.dumps sorts strings
+    code, out, _ = run(capsys, "oracle", "enumerate", "torus", "--q-list", "5,11")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("spec")] == [
+        "spec torus at q = 5", "spec torus at q = 11"]
+    assert [line for line in out.splitlines() if line.startswith("pointCounts")] == [
+        "pointCounts orbit 0: q=5: 5, q=11: 11",
+        "pointCounts orbit 1: q=5: 5, q=11: 11",
+        "pointCounts orbit 2: q=5: 20, q=11: 110"]
+    code, out, _ = run(capsys, "oracle", "enumerate", "torus", "--q-list", "5,11", "--json")
+    assert code == 0
+    assert out.index('"11": 110') < out.index('"5": 20')
+
+
 def test_oracle_enumerate_pinned_pair(capsys):
     code, out, _ = run(capsys, "oracle", "enumerate",
                        "product_diag_q5", "product_diag_q7")

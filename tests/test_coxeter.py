@@ -44,6 +44,7 @@ from references import (
     mat_mul,
     matrix_bfs,
     reference_build_root_system,
+    reference_rref,
     simple_element,
     simple_matrix,
 )
@@ -668,3 +669,48 @@ def test_braid_witnesses_match_step_reference(token, seed, n, involutive):
         tables[alpha] = perm
     got = braid_witnesses(rs, tables, list(range(n)), lambda p, q: [p[x] for x in q])
     assert got == step_witnesses(rs, tables)
+
+
+@st.composite
+def _rational_rows(draw):
+    """(columns, rows) of an integer lattice as Fraction rows, possibly no
+    rows at all, each row drawn free, zero, or an integer combination of two
+    earlier rows."""
+    ncols, entry = draw(st.integers(1, 5)), st.integers(-6, 6)
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if shape == "zero":
+            rows.append([0] * ncols)
+        elif shape == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(entry), draw(entry)
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return ncols, [tuple(map(Fraction, row)) for row in rows]
+
+
+def _rref_q(rows, ncols: int) -> tuple[tuple, ...]:
+    return tuple(map(tuple, coxeter.rref(rows, ncols, lambda x: 1 / x)))
+
+
+@pytest.mark.parametrize("ncols, rows, rank", [
+    (3, [], 0),
+    (2, [(0, 0)], 0),
+    (2, [(0, 0), (0, 0), (0, 0)], 0),
+    (2, [(2, 4), (1, 2)], 1),
+    (3, [(1, 2, 3), (4, 5, 6), (5, 7, 9), (0, 0, 0)], 2),
+    (3, [(0, 0, 2), (0, 3, 1), (5, 0, 0)], 3),
+], ids=["empty", "zero", "zeros", "dependent", "sum-and-zero", "permuted"])
+def test_rref_over_q_on_zero_dependent_and_empty_lattices(ncols, rows, rank):
+    rows = [tuple(map(Fraction, row)) for row in rows]
+    got = _rref_q(rows, ncols)
+    assert got == reference_rref(rows) and len(got) == rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_rref_over_q_matches_the_reference(case):
+    ncols, rows = case
+    assert _rref_q(rows, ncols) == reference_rref(rows)

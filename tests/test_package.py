@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import weylorb
@@ -78,3 +80,30 @@ def test_benchmark_targets_resolve_after_importing_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
 
+
+
+def _public_callables():
+    """(name, object) for every public function, class and method that
+    ``weylorb`` exports: a class's own methods and property getters,
+    ``__init__`` included."""
+    for name in weylorb.__all__:
+        obj = getattr(weylorb, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                member = getattr(member, "fget", member)  # a property's getter
+                if inspect.isfunction(member) and (attr == "__init__"
+                                                   or not attr.startswith("_")):
+                    yield f"{name}.{attr}", member
+
+
+def test_type_hints_of_the_public_api_resolve():
+    unresolved = []
+    for name, obj in _public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
