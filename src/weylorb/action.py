@@ -61,20 +61,11 @@ class GeneratorTheoremResult(NamedTuple):
     generated_order: int
 
 
-def _involutions(d: OrbitDatum) -> dict[int, list[int]]:
-    """sigma_alpha over orbit positions per simple root alpha; refuses the
-    first orbit, alpha by alpha in basis order, that no alpha-cell covers."""
-    for alpha, perm in d.involutions.items():
-        if None in perm:
-            d.sigma(alpha, d.orbits[perm.index(None)].id)  # raises
-    return d.involutions
-
-
 def action_table(d: OrbitDatum) -> dict[int, dict[str, str]]:
     """Per simple root, the sigma involution as an explicit permutation."""
     ids = d.orbit_ids()
     return {alpha: {ids[i]: ids[j] for i, j in enumerate(perm)}
-            for alpha, perm in _involutions(d).items()}
+            for alpha, perm in d.involutions.items()}
 
 
 def act_word(d: OrbitDatum, word: tuple[int, ...], orbit_id: str) -> str:
@@ -91,42 +82,26 @@ def act_word(d: OrbitDatum, word: tuple[int, ...], orbit_id: str) -> str:
 def braid_check(d: OrbitDatum) -> list[BraidViolation]:
     """Check (sigma_a sigma_b)^m = id for every pair of simple roots.
 
-    Returns the list of failing pairs, each with a witness orbit.  If
-    none fails, raises BraidObstruction when some sigma_alpha is not an
-    involution, as then the action cannot factor through W either.
+    Returns the list of failing pairs, each with a witness orbit.  Cells
+    that do not partition the orbits are refused by ``d.involutions``
+    (DatumFormatError); on a partition each sigma_alpha is an involution.
     """
-    return _braid_violations(d, _involutions(d))
-
-
-def _braid_violations(d: OrbitDatum, perms: dict[int, list[int]]) -> list[BraidViolation]:
     ids = d.orbit_ids()
-    identity = list(range(len(ids)))
-    out = [BraidViolation(a, b, m, ids[i]) for a, b, m, i in braid_witnesses(
-        d.root_system, perms, identity, lambda p, q: [p[x] for x in q])]
-    if not out:  # the relations hold; each sigma must also square to 1
-        for alpha, perm in perms.items():
-            square = [perm[y] for y in perm]
-            if square != identity:
-                x = next(x for x in identity if square[x] != x)
-                y = perm[x]
-                raise BraidObstruction(
-                    f"sigma_{alpha} is not an involution: it sends {ids[x]} to "
-                    f"{ids[y]} and {ids[y]} to {ids[perm[y]]}")
-    return out
+    return [BraidViolation(a, b, m, ids[i]) for a, b, m, i in braid_witnesses(
+        d.root_system, d.involutions, list(range(len(ids))), lambda p, q: [p[x] for x in q])]
 
 
 def stabilizer_open(d: OrbitDatum,
                     cap: int = DEFAULT_GROUP_CAP) -> SubgroupDescription:
     """Stabilizer of the open orbit in the Weyl group.
 
-    Refuses to run unless every sigma is an involution and the braid
+    Refuses to run unless the cells partition the orbits and the braid
     relations hold, since only then does the action factor through W.
     One pass over the group in table order then sends each element w to
     w^-1 applied to the open orbit, from its BFS parent w·s_i; the
     stabilizer is the set of w whose image is the open orbit.
     """
-    perms = _involutions(d)
-    violations = _braid_violations(d, perms)
+    violations = braid_check(d)
     if violations:
         raise BraidObstruction(
             "sigma does not satisfy the braid relations: "
@@ -134,7 +109,7 @@ def stabilizer_open(d: OrbitDatum,
     rs = d.root_system
     group = weyl_group(rs, cap=cap)
 
-    start = d.position[d.open_orbit().id]
+    perms, start = d.involutions, d.position[d.open_orbit().id]
     image = [start]  # image[w] = w^-1 applied to the open orbit
     for w in range(1, len(group)):
         i = group.words[w][-1]  # w^-1 = s_i·parent^-1 with parent = w·s_i

@@ -130,18 +130,8 @@ def _cmd_act(args) -> tuple[int, str]:
     return 0, result + "\n"
 
 
-def _obstruction(args, exc: Exception) -> str:
-    if args.json:
-        return _json_body({"ok": False, "obstruction": str(exc)})
-    return f"VIOLATION {exc}\n"
-
-
 def _cmd_braid(args) -> tuple[int, str]:
-    d = datum.loads(_arg_text(args.datum, "datum"))
-    try:
-        violations = action.braid_check(d)
-    except action.BraidObstruction as exc:
-        return 1, _obstruction(args, exc)
+    violations = action.braid_check(datum.loads(_arg_text(args.datum, "datum")))
     if args.json:
         return (1 if violations else 0), _json_body({
             "ok": not violations,
@@ -157,7 +147,8 @@ def _cmd_stabilizer(args) -> tuple[int, str]:
     try:
         theorem = action.check_generator_theorem(d)
     except action.BraidObstruction as exc:
-        return 1, _obstruction(args, exc)
+        return 1, (_json_body({"ok": False, "obstruction": str(exc)}) if args.json
+                   else f"VIOLATION {exc}\n")
     desc = theorem.stabilizer
     gen_names = sorted(map(coxeter.word_name, theorem.generating_set))
     if args.json:

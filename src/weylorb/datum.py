@@ -211,18 +211,29 @@ class OrbitDatum:
         return opens[0]
 
     @cached_property
-    def involutions(self) -> dict[int, list[int | None]]:
-        """Per simple root, sigma_alpha over positions, None where no
-        alpha-cell covers the orbit; the first cell wins on a defective
-        partition.  Built on first use."""
-        pos = self.position
+    def involutions(self) -> dict[int, list[int]]:
+        """Per simple root, sigma_alpha over positions, built on first use.
+
+        sigma_alpha is defined by the alpha-cells only where they partition
+        the orbits, so the first use refuses, alpha by alpha in basis
+        order, the first orbit that the alpha-cells name other than once.
+        """
+        pos, n = self.position, len(self.orbits)
         out = {}
         for alpha in range(1, self.root_system.rank + 1):
-            perm: list[int | None] = [None] * len(self.orbits)
-            for cell in self.cells.get(alpha, ()):
+            cells = self.cells.get(alpha, ())
+            perm: list = [None] * n
+            for cell in cells:
                 for m in cell.members:
-                    if perm[pos[m]] is None:
-                        perm[pos[m]] = pos[cell.image(m)]
+                    perm[pos[m]] = pos[cell.image(m)]
+            # n names, none missing: each orbit is named exactly once
+            if None in perm or sum(len(c.members) for c in cells) != n:
+                named = Counter(chain.from_iterable(map(_members, cells)))
+                o = next(o.id for o in self.orbits if named[o.id] != 1)
+                raise DatumFormatError(
+                    f"orbit {o!r} is not covered by any cell for alpha {alpha}"
+                    if not named[o] else
+                    f"orbit {o!r} is named {named[o]} times by the cells for alpha {alpha}")
             out[alpha] = perm
         return out
 
@@ -230,11 +241,10 @@ class OrbitDatum:
         """Involution of the orbit set attached to the simple root alpha."""
         self.orbit(orbit_id)  # an unknown id raises
         perm = self.involutions.get(alpha)
-        j = None if perm is None else perm[self.position[orbit_id]]
-        if j is None:
+        if perm is None:
             raise DatumFormatError(
                 f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
-        return self.orbits[j].id
+        return self.orbits[perm[self.position[orbit_id]]].id
 
 
 # -- lattice spans, exactly over Q -------------------------------------------

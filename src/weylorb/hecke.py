@@ -81,11 +81,11 @@ class HeckeModule(_Frozen):
 def build_module(d: OrbitDatum) -> HeckeModule:
     """Assemble the T_alpha operators from the raise cells.
 
-    T_alpha sends each member m that sigma_alpha moves to [sigma_alpha(m)]
-    (:meth:`RaiseCell.image`), plus [y] where sigma_alpha fixes y and swaps
-    the pair below it (``KINDS[kind].swap[0] != 0``: TU and RT), and fixes
-    the rest of the basis; on a defective partition the last cell wins.
-    A column is the set of basis positions in its support:
+    T_alpha sends each basis vector [m] to [sigma_alpha(m)]
+    (``d.involutions``, which refuses cells that do not partition the
+    orbits), plus [y] on the pair that sigma_alpha swaps below a y it
+    fixes (``KINDS[kind].swap[0] != 0``: TU and RT).  A column is the set
+    of basis positions in its support:
 
     >>> from weylorb.bundled import bundled_datum
     >>> m = build_module(bundled_datum("rank1_tu"))
@@ -96,13 +96,13 @@ def build_module(d: OrbitDatum) -> HeckeModule:
     """
     at = d.position
     columns: dict[int, tuple[frozenset[int], ...]] = {}
-    for alpha in range(1, d.root_system.rank + 1):
-        col = [frozenset((i,)) for i in range(len(at))]
-        for cell in d.cells.get(alpha, ()):
-            y = (at[cell.y],) if KINDS[cell.kind].swap[0] else ()
-            for m in cell.members:
-                if (n := cell.image(m)) != m:
-                    col[at[m]] = frozenset((*y, at[n]))
+    for alpha, perm in d.involutions.items():
+        col = [frozenset((j,)) for j in perm]
+        for cell in d.cells[alpha]:
+            i, j = KINDS[cell.kind].swap
+            if i:
+                y, a, b = at[cell.y], at[cell.members[i]], at[cell.members[j]]
+                col[a], col[b] = frozenset((y, b)), frozenset((y, a))
         columns[alpha] = tuple(col)
     return HeckeModule(datum=d, columns=columns)
 
@@ -283,8 +283,9 @@ class HeckeReport(NamedTuple):
 
 
 def check_module(d: OrbitDatum) -> HeckeReport:
-    """Build the module of d and run the checks of :class:`HeckeReport`; an
-    orbit that no alpha-cell covers raises DatumFormatError from d.sigma."""
+    """Build the module of d and run the checks of :class:`HeckeReport`;
+    cells that do not partition the orbits raise DatumFormatError from
+    ``d.involutions``."""
     module = build_module(d)
     not_involutive = [f"T_{alpha} is not an involution at [{oid}]"
                       for alpha, col in sorted(module.columns.items())
@@ -300,10 +301,10 @@ def check_module(d: OrbitDatum) -> HeckeReport:
             except HeckeError as exc:
                 wrong_lead.append(str(exc))
                 continue
-            if lead != sigma[i]:  # None, uncovered: d.sigma raises
+            if lead != sigma[i]:
                 wrong_lead.append(
                     f"leading term of T_{alpha}[{oid}] is [{module.basis[lead]}], "
-                    f"sigma gives [{d.sigma(alpha, oid)}]")
+                    f"sigma gives [{module.basis[sigma[i]]}]")
     # the regular-representation check runs the module braid check itself
     regular = verify_regular_representation(module) if "e" in module.basis else None
     braid = (regular.braid_violations if regular is not None

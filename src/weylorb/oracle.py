@@ -707,10 +707,12 @@ class CompareReport(NamedTuple):
 
 def _structure(d: datum.OrbitDatum) -> tuple[list, list]:
     """One pass over the cells, as point counts see them (``KINDS[kind].seen``).
-    Per orbit its colour: its signature (per alpha with cells, the class
-    and seen role in its first alpha-cell, or None) and its open flag.  And
-    the cells as blocks over orbit positions: one group per seen role."""
-    rows = [[(alpha, None) for alpha in d.cells] for _ in d.orbits]
+    Per orbit its colour: its signature (per alpha, the class and seen
+    role of its one alpha-cell) and its open flag.  And the cells as blocks
+    over orbit positions: one group per seen role.  Cells that do not
+    partition the orbits are refused by ``d.involutions``."""
+    d.involutions
+    rows: list[list] = [[None] * len(d.cells) for _ in d.orbits]
     blocks = []
     for k, (alpha, cells) in enumerate(d.cells.items()):
         for cell in cells:
@@ -719,8 +721,7 @@ def _structure(d: datum.OrbitDatum) -> tuple[list, list]:
             for role, m in zip(roles, cell.members):
                 i = d.position[m]
                 groups.setdefault(role, []).append(i)
-                if rows[i][k][1] is None:
-                    rows[i][k] = (alpha, (kind, role))
+                rows[i][k] = (alpha, (kind, role))
             blocks.append(((alpha, kind), tuple(map(tuple, groups.values()))))
     return [(tuple(row), o.open) for row, o in zip(rows, d.orbits)], blocks
 
@@ -753,7 +754,10 @@ def compare(reference: datum.OrbitDatum, candidate: datum.OrbitDatum, fits=()) -
     can see and is not compared.  On an orbit-count mismatch it lists the
     orbits left unpaired by (dim, rk), with a candidate's fitted size from
     ``fits``, pairs (id, (a, b, c)) as in :attr:`InferredDatum.fits`.
+    A reference whose cells do not partition the orbits is refused
+    (DatumFormatError from ``reference.involutions``) before any of this.
     """
+    reference.involutions
     lines: list[str] = []
     if reference.root_system.key != candidate.root_system.key:
         lines.append(f"root system mismatch: {reference.root_system.to_text()} "

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from weylorb.bundled import DATUM_NAMES, bundled_datum
 from weylorb.cli import main
+from weylorb.datum import datum_from_obj
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -40,8 +41,8 @@ _A1XA1 = {"family": "A1xA1", "rank": 2, "raise_dims": [1, 1]}
 
 #: Hand-made data, by the file name the replay writes them under.
 DATA = {
-    # two U cells share y: T_1 is not an involution at [z], and its
-    # leading term at [y] (last cell) differs from sigma (first cell)
+    # two U cells share y: the alpha-1 cells name y twice, so every reader
+    # of sigma refuses it (exit 2) and validate reports a partition-defect
     "non-involution": {
         "root_system": _A1,
         "orbits": [_orbit("y", 1, True), _orbit("z", 0), _orbit("w", 0)],
@@ -113,20 +114,18 @@ def commands() -> list[list[str]]:
     """The recorded command lines."""
     out: list[list[str]] = []
 
-    def checks(datum: str, act: list[str] | None) -> None:
+    def checks(datum: str, act: list[str]) -> None:
         for command in CHECKS:
             out.extend([[command, datum], [command, datum, "--json"]])
-        if act is not None:
-            argv = [act[0], datum, *act[1:]]
-            out.extend([argv, [*argv, "--json"]])
-        out.append(["export-dot", datum])
+        argv = [act[0], datum, *act[1:]]
+        out.extend([argv, [*argv, "--json"], ["export-dot", datum]])
 
     for name in DATUM_NAMES:
         checks(name, _act_argv(bundled_datum(name)))
     for token in FLAGS:
         checks(f"@flag-{token}", ["act", "1.2", "e"])
-    for name in DATA:
-        checks(f"@{name}", None)
+    for name, obj in DATA.items():
+        checks(f"@{name}", _act_argv(datum_from_obj(obj)))
     out.extend([["gen-flag", "A2"], ["gen-flag", "G2"], ["gen-flag", "A1xA1"],
                 ["gen-flag", "BC2", "--raise-dims", "2,1"], ["gen-flag", "Q3"]])
     for argv in (["enumerate", "torus"], ["compare", "torus", "rank1_rt"],

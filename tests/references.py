@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -347,14 +348,29 @@ def reference_build_root_system(family: str, rank=None, raise_dims=None) -> dict
 # -- the string-keyed sigma index the int tables replaced ---------------------
 
 
+def reference_partition(d: OrbitDatum) -> None:
+    """sigma's domain rule: the alpha-cells name each orbit exactly once.
+    Refuses, alpha by alpha in basis order, the first orbit in orbit order
+    that they name zero or several times, counting every role of every
+    cell, with the text of OrbitDatum.involutions."""
+    for alpha in range(1, d.root_system.rank + 1):
+        named = Counter(oid for cell in d.cells.get(alpha, ())
+                        for oid in legacy_cell(cell)[1:] if oid is not None)
+        for oid in d.orbit_ids():
+            if named[oid] == 0:
+                raise DatumFormatError(
+                    f"orbit {oid!r} is not covered by any cell for alpha {alpha}")
+            if named[oid] > 1:
+                raise DatumFormatError(
+                    f"orbit {oid!r} is named {named[oid]} times by the cells for alpha {alpha}")
+
+
 def reference_membership(d: OrbitDatum) -> dict[tuple[int, str], tuple[RaiseCell, str]]:
-    """(alpha, orbit id) -> (cell, role), the first hit on a defective partition."""
-    index: dict[tuple[int, str], tuple[RaiseCell, str]] = {}
-    for alpha, cells in d.cells.items():
-        for cell in cells:
-            for role, oid in zip(LEGACY_ROLES[cell.kind], cell.members):
-                index.setdefault((alpha, oid), (cell, role))
-    return index
+    """(alpha, orbit id) -> (cell, role), after :func:`reference_partition`."""
+    reference_partition(d)
+    return {(alpha, oid): (cell, role)
+            for alpha, cells in d.cells.items() for cell in cells
+            for role, oid in zip(LEGACY_ROLES[cell.kind], cell.members)}
 
 
 # -- the cell record with a field per role, and its per-kind branches ---------
@@ -439,50 +455,30 @@ def kind_swap(cell: RaiseCell) -> dict[str, str]:
     return {}
 
 
-def names_distinct_orbits(d: OrbitDatum) -> bool:
-    """Whether every cell of d names each of its orbits in one role only."""
-    return all(len(set(cell.members)) == len(cell.members)
-               for cells in d.cells.values() for cell in cells)
-
-
-def reference_involutions(d: OrbitDatum) -> dict[int, list[int | None]]:
-    """OrbitDatum.involutions by kind.  The swap reads orbit ids, not
-    roles, so in a TU cell whose y is also z1 that orbit goes to z2; the
-    first cell wins."""
+def reference_involutions(d: OrbitDatum) -> dict[int, list[int]]:
+    """OrbitDatum.involutions by kind, after :func:`reference_partition`."""
+    reference_partition(d)
     pos = d.position
     out = {}
     for alpha in range(1, d.root_system.rank + 1):
-        perm: list[int | None] = [None] * len(d.orbits)
-        for cell in d.cells.get(alpha, ()):
-            swap = kind_swap(cell)
-            for m in cell.members:
-                if perm[pos[m]] is None:
-                    perm[pos[m]] = pos[swap.get(m, m)]
+        perm = list(range(len(d.orbits)))
+        for cell in d.cells[alpha]:
+            for m, n in kind_swap(cell).items():
+                perm[pos[m]] = pos[n]
         out[alpha] = perm
     return out
 
 
-def reference_columns(d: OrbitDatum, follow_sigma: bool = False) -> dict[int, tuple[int, ...]]:
-    """build_module's columns by kind: U cells swap their two basis
-    vectors, TU and RT cells send [z1] to [y] + [z2] and back, the rest
-    act as the identity; the last cell wins.  That is how build_module
-    read each cell before sigma's rule was stated once, and it still
-    holds on cells that name distinct orbits.  With follow_sigma, a cell
-    writes the column of each orbit that :func:`kind_swap` moves, to
-    [sigma(m)] plus [y] in TU and RT, as build_module does on every cell:
-    an RT cell whose z1 is z2 then leaves the identity."""
+def reference_columns(d: OrbitDatum) -> dict[int, tuple[int, ...]]:
+    """build_module's columns by kind, after :func:`reference_partition`:
+    U cells swap their two basis vectors, TU and RT cells send [z1] to
+    [y] + [z2] and back, the rest act as the identity."""
+    reference_partition(d)
     at = d.position
     columns = {}
     for alpha in range(1, d.root_system.rank + 1):
         col = [1 << i for i in range(len(d.orbits))]
-        for cell in d.cells.get(alpha, ()):
-            if follow_sigma:
-                y = 1 << at[cell.y] if cell.kind in ("TU", "RT") else 0
-                for m, n in kind_swap(cell).items():
-                    if n != m:
-                        col[at[m]] = y | 1 << at[n]
-                continue
-            cell = legacy_cell(cell)
+        for cell in map(legacy_cell, d.cells[alpha]):
             if cell.kind == "U":
                 col[at[cell.y]] = 1 << at[cell.z]
                 col[at[cell.z]] = 1 << at[cell.y]
@@ -599,7 +595,7 @@ def reference_check_module(d: OrbitDatum) -> HeckeReport:
     that render_text() and render_json() render it."""
     basis = d.orbit_ids()
     dims = [o.dim for o in d.orbits]
-    columns = reference_columns(d, follow_sigma=True)
+    columns = reference_columns(d)
     not_involutive = [f"T_{alpha} is not an involution at [{oid}]"
                       for alpha, col in columns.items() for i, oid in enumerate(basis)
                       if packed_image(col, col[i]) != 1 << i]
@@ -673,9 +669,11 @@ def reference_hecke_json(report: HeckeReport) -> str:
 @st.composite
 def overlapping_cells(draw) -> OrbitDatum:
     """Up to four cells per simple root over six orbits, cells sharing
-    orbits freely: first-wins and last-wins both show.  A cell names
-    distinct orbits, or draws each role's orbit on its own, so that one
-    orbit may fill two roles.  Lattices are random rows or absent."""
+    orbits freely; or, for a simple root drawn so, cells that cut one
+    shuffle of the orbits into consecutive runs, which partition them.  A
+    free cell names distinct orbits, or draws each role's orbit on its own,
+    so that one orbit may fill two roles.  Lattices are random rows or
+    absent."""
     rs = draw(st.sampled_from([build_root_system(t) for t in ("A1", "A2", "B2", "G2")]))
     ids = ["a", "b", "c", "d", "e", "f"]
     row = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank).map(tuple)
@@ -686,7 +684,18 @@ def overlapping_cells(draw) -> OrbitDatum:
               if with_lattices else None)
         for oid in ids)
     members = st.permutations(ids) | st.lists(st.sampled_from(ids), min_size=3, max_size=3)
-    cells = {alpha: tuple(
+
+    def partition() -> tuple[RaiseCell, ...]:
+        rest, out = draw(st.permutations(ids)), []
+        while rest:
+            kind = draw(st.sampled_from([k for k, roles in LEGACY_ROLES.items()
+                                         if len(roles) <= len(rest)]))
+            n = len(LEGACY_ROLES[kind])
+            out.append(RaiseCell(kind, tuple(rest[:n])))
+            rest = rest[n:]
+        return tuple(out)
+
+    cells = {alpha: partition() if draw(st.booleans()) else tuple(
         RaiseCell(kind, tuple(draw(members))[:len(LEGACY_ROLES[kind])])
         for kind in draw(st.lists(st.sampled_from(tuple(LEGACY_ROLES)), max_size=4)))
         for alpha in range(1, rs.rank + 1)}
@@ -708,8 +717,8 @@ def braid_breaker() -> OrbitDatum:
 
 
 def non_involution() -> OrbitDatum:
-    """A1 datum whose open orbit sits in two U cells, so sigma_1 sends
-    w to y and y to z: not an involution, with no braid pair to notice."""
+    """A1 datum whose open orbit y sits in two U cells: the alpha-1 cells
+    name y twice, so they define no sigma_1."""
     rs = build_root_system("A1")
     orbits = (Orbit("y", 1, 0, 0, 0, open=True),
               Orbit("z", 0, 0, 0, 0),
@@ -734,8 +743,8 @@ def missing_alpha() -> OrbitDatum:
 
 
 def tu_y_is_z1() -> OrbitDatum:
-    """A1 datum with a TU cell whose y is also its z1: sigma reads the ids,
-    so q goes to r although q's first role is y."""
+    """A1 datum with a TU cell whose y is also its z1: the alpha-1 cells
+    name q twice."""
     return OrbitDatum(build_root_system("A1"),
                       (Orbit("y", 2, 0, 0, 0, open=True), Orbit("q", 1, 0, 0, 0),
                        Orbit("r", 0, 0, 0, 0)),
@@ -1002,24 +1011,12 @@ def reference_validate(d: OrbitDatum) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def kind_checks(cell: RaiseCell) -> list[tuple[str, str]]:
-    """The lattice checks (src, dst) of one cell as check_lattices made
-    them per kind: U moves y to z, TU and RT fix y and move z1 to z2, A
-    fixes y, RI and N fix y and z."""
-    cell = legacy_cell(cell)
-    y = cell.y
-    if cell.kind == "U":
-        return [(y, cell.z)]
-    if cell.kind in ("TU", "RT"):
-        return [(y, y), (cell.z1, cell.z2)]
-    return [(y, y)] if cell.kind == "A" else [(y, y), (cell.z, cell.z)]
-
-
 def sigma_checks(cell: RaiseCell) -> list[tuple[str, str]]:
     """The lattice checks of one cell following sigma by orbit ids: each
     member m in order against :func:`kind_swap`'s image of m, a pair once
-    whichever end comes first.  On a cell that names distinct orbits this
-    is :func:`kind_checks`."""
+    whichever end comes first.  On a cell that names distinct orbits, U
+    moves y to z, TU and RT fix y and move z1 to z2, A fixes y, and RI and
+    N fix y and z."""
     swap = kind_swap(cell)
     out: list[tuple[str, str]] = []
     for m in cell.members:
@@ -1029,10 +1026,10 @@ def sigma_checks(cell: RaiseCell) -> list[tuple[str, str]]:
     return out
 
 
-def reference_check_lattices(d: OrbitDatum, checks=kind_checks) -> ValidationReport:
+def reference_check_lattices(d: OrbitDatum) -> ValidationReport:
     """check_lattices as it was: every cell walked, lattices or not, with
-    a reflection matrix per simple root; checks(cell) lists each cell's
-    (src, dst) pairs."""
+    a reflection matrix per simple root, and each cell's (src, dst) pairs
+    by :func:`sigma_checks`."""
     out: list[Violation] = []
     for alpha, cells in sorted(d.cells.items()):
         s_mat = simple_matrix(d.root_system, alpha - 1)
@@ -1047,7 +1044,7 @@ def reference_check_lattices(d: OrbitDatum, checks=kind_checks) -> ValidationRep
                                      "partial lattice data in cell"))
                 continue
             lat = {o.id: o.lattice for o in members}
-            for src, dst in checks(cell):
+            for src, dst in sigma_checks(cell):
                 if _span_after(s_mat, lat[src]) != _span(lat[dst]):
                     out.append(Violation(
                         f"lattice-span-{cell.kind}", where,

@@ -118,13 +118,12 @@ def test_stabilizer_refuses_braid_violation():
 
 def test_stabilizer_refuses_non_involution():
     d = non_involution()
-    # braid_check and stabilizer_open share the one involution check
-    for check in (braid_check, stabilizer_open):
-        with pytest.raises(BraidObstruction) as err:
+    # every reader of sigma refuses, through d.involutions, the orbit that
+    # two cells name
+    for check in (braid_check, stabilizer_open, check_generator_theorem):
+        with pytest.raises(DatumFormatError) as err:
             check(d)
-        assert str(err.value) == "sigma_1 is not an involution: it sends w to y and y to z"
-    with pytest.raises(BraidObstruction):
-        check_generator_theorem(d)
+        assert str(err.value) == "orbit 'y' is named 2 times by the cells for alpha 1"
 
 
 # -- reference: the string-keyed sigma path the int tables replaced ----------
@@ -172,13 +171,6 @@ def reference_braid_check(d: OrbitDatum) -> list[BraidViolation]:
             if y != x:
                 out.append(BraidViolation(a, b, m, x))
                 break
-    if not out:
-        for alpha, perm in table.items():
-            for x, y in perm.items():
-                if perm[y] != x:
-                    raise BraidObstruction(
-                        f"sigma_{alpha} is not an involution: it sends {x} to {y} "
-                        f"and {y} to {perm[y]}")
     return out
 
 
@@ -191,7 +183,16 @@ def outcome(f, *args):
 
 
 def assert_sigma_paths_match_reference(d: OrbitDatum) -> None:
-    membership = reference_membership(d)
+    membership = outcome(reference_membership, d)
+    if membership[0] != "ok":  # the cells do not partition the orbits
+        for alpha in range(d.root_system.rank + 2):
+            for oid in d.orbit_ids():
+                assert outcome(d.sigma, alpha, oid) == membership
+        assert outcome(d.sigma, 1, "nope") == ("DatumFormatError", "unknown orbit id 'nope'")
+        for got in (action_table, braid_check):
+            assert outcome(got, d) == membership, got.__name__
+        return
+    membership = membership[1]
     for alpha in range(d.root_system.rank + 2):  # 0 and rank + 1 name no root
         for oid in d.orbit_ids() + ("nope",):
             assert (outcome(d.sigma, alpha, oid)

@@ -254,13 +254,17 @@ def test_stabilizer_refuses_non_involution(tmp_path, capsys):
         "cells": {"1": [{"kind": "U", "y": "y", "z": "z"},
                         {"kind": "U", "y": "y", "z": "w"}]},
     }
-    bad = tmp_path / "twou.json"
-    bad.write_text(json.dumps(obj), encoding="utf-8")
-    message = "sigma_1 is not an involution: it sends w to y and y to z"
-    for command in ("stabilizer", "braid"):
-        assert run(capsys, command, str(bad))[:2] == (1, f"VIOLATION {message}\n")
-        code, out, _ = run(capsys, command, str(bad), "--json")
-        assert (code, json.loads(out)) == (1, {"ok": False, "obstruction": message})
+    bad = str(tmp_path / "twou.json")
+    Path(bad).write_text(json.dumps(obj), encoding="utf-8")
+    # every reader of sigma refuses the orbit that two alpha-1 cells name,
+    # and act does so also for an orbit that only one of them names
+    refusal = (2, "", "error: orbit 'y' is named 2 times by the cells for alpha 1\n")
+    for argv in (["act", bad, "1", "w"], ["braid", bad], ["stabilizer", bad], ["hecke", bad],
+                 ["oracle", "compare", "torus", bad]):
+        assert run(capsys, *argv) == refusal
+        assert run(capsys, *argv, "--json") == refusal
+    assert run(capsys, "validate", bad)[:2] == (
+        1, "VIOLATION partition-defect at alpha 1: orbits covered more than once: y\n")
 
 
 def test_hecke_involutions_verdict_ignores_orbit_names(tmp_path, capsys):
@@ -298,9 +302,10 @@ def test_uncovered_orbit_is_refused(tmp_path, capsys, obj):
     for command in ("hecke", "braid", "stabilizer"):
         assert run(capsys, command, path) == refusal
         assert run(capsys, command, path, "--json") == refusal
-    assert run(capsys, "act", path, "2", "z") == refusal
-    # letters whose cells cover the orbit still act
-    assert run(capsys, "act", path, "1.1.1", "z") == (0, "y\n", "")
+    # act reads every sigma_alpha on first use, so a word whose letters'
+    # cells cover the orbit is refused too
+    for word in ("2", "1.1.1"):
+        assert run(capsys, "act", path, word, "z") == refusal
 
 
 @pytest.mark.parametrize("field,value", [
@@ -594,6 +599,8 @@ _GENS = _TORUS["generators"]
 _RANK1_U = json.loads(datum_text("rank1_u"))
 #: rank1_u with both orbits named y.
 _TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
+#: rank1_u with both orbits open.
+_TWO_OPENS = {**_RANK1_U, "orbits": [{**o, "open": True} for o in _RANK1_U["orbits"]]}
 
 
 @pytest.mark.parametrize("argv,obj,message", [
@@ -627,6 +634,8 @@ _TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
     (["act", "rank1_u", "1..2", "y"], None,
      "bad word '1..2'; expected e or dotted indices like 1.2"),
     (["act", "rank1_u", "1", "q"], None, "unknown orbit id 'q'"),
+    (["stabilizer"], _TWO_OPENS, "expected exactly one open orbit, got 2"),
+    (["stabilizer", "--json"], _TWO_OPENS, "expected exactly one open orbit, got 2"),
     (["oracle", "enumerate", "no_such_spec"], None,
      "no such oracle spec file or bundled name: no_such_spec"),
     # torus's first G generator, diag(3, 1), is singular mod 3; G is
@@ -641,7 +650,8 @@ _TWO_YS = {**_RANK1_U, "orbits": [{**o, "id": "y"} for o in _RANK1_U["orbits"]]}
 ], ids=["spec-generators", "spec-block", "spec-shape", "spec-empty", "spec-missing",
         "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-notes",
         "datum-ids", "datum-member", "braid-member", "datum-range",
-        "shape-before-structure", "word", "act-orbit", "spec-name", "spec-singular",
+        "shape-before-structure", "word", "act-orbit", "stabilizer-opens",
+        "stabilizer-opens-json", "spec-name", "spec-singular",
         "rank-limit-gen-flag", "rank-limit-datum", "rank-limit-spec"])
 def test_input_refusals_name_the_defect(tmp_path, capsys, argv, obj, message):
     """Each refusal exits 2 with one error: line; obj, when given, is a
@@ -1006,11 +1016,11 @@ def test_failed_out_write_is_an_input_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-#: A1 data whose sigma_1 is not an involution: two U cells share y.
-NON_INVOLUTION = {"root_system": {"family": "A1", "rank": 1, "raise_dims": [1]},
-                  "orbits": [_orbit("y", 1, True), _orbit("z", 0), _orbit("w", 0)],
-                  "cells": {"1": [{"kind": "U", "y": "y", "z": "z"},
-                                  {"kind": "U", "y": "y", "z": "w"}]}}
+#: A1xA1 data whose sigmas generate a 3-cycle, where m = 2.
+BRAID_BREAKER = {"root_system": {"family": "A1xA1", "rank": 2, "raise_dims": [1, 1]},
+                 "orbits": [_orbit("p", 3, True), _orbit("q", 2), _orbit("r", 1)],
+                 "cells": {"1": [{"kind": "U", "y": "p", "z": "q"}, {"kind": "A", "y": "r"}],
+                           "2": [{"kind": "U", "y": "q", "z": "r"}, {"kind": "A", "y": "p"}]}}
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -1023,7 +1033,7 @@ NON_INVOLUTION = {"root_system": {"family": "A1", "rank": 1, "raise_dims": [1]},
 def test_process_entry_matches_main(tmp_path, capsys, monkeypatch, argv, want):
     """python -m weylorb.cli runs main() with the collector off; output and
     exit code are main()'s, and main() itself leaves the collector alone."""
-    argv = [a.format(bad=write_datum(tmp_path, "bad", NON_INVOLUTION)) for a in argv]
+    argv = [a.format(bad=write_datum(tmp_path, "bad", BRAID_BREAKER)) for a in argv]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
     frozen = gc.get_freeze_count()
     try:

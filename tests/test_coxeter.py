@@ -253,6 +253,16 @@ def test_mixed_systems_rejected():
         simple_element(a2, 0) * simple_element(b2, 0)
 
 
+def test_subgroup_closure_refuses_no_generators_and_two_root_systems():
+    with pytest.raises(RootSystemError) as err:
+        subgroup_closure([])
+    assert str(err.value) == "subgroup_closure needs at least one element"
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    with pytest.raises(RootSystemError) as err:
+        subgroup_closure([simple_element(a2, 0), simple_element(b2, 0)])
+    assert str(err.value) == "generators come from different root systems"
+
+
 def test_raise_dims_consistency():
     # A2 simple roots are Weyl-conjugate: unequal dims must be rejected
     with pytest.raises(RootSystemError):

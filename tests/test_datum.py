@@ -36,19 +36,18 @@ from weylorb.datum import (
     loads,
     validate,
 )
-from weylorb.hecke import build_module
+from weylorb.action import braid_check
+from weylorb.hecke import build_module, check_module
 
 from references import (
     DEFECTIVE_CASES,
     FLAG_TOKENS,
     LEGACY_ROLES,
     element_matrix,
-    kind_checks,
     legacy_cell,
     legacy_export_dot,
     line_raises,
     mat_apply,
-    names_distinct_orbits,
     overlapping_cells,
     packed_columns,
     reference_check_lattices,
@@ -56,7 +55,6 @@ from references import (
     reference_datum_from_obj,
     reference_involutions,
     reference_validate,
-    sigma_checks,
 )
 
 
@@ -229,14 +227,14 @@ def test_sigma_unknown_orbit():
 
 
 def assert_sigma_rule_matches_reference(d: OrbitDatum) -> None:
-    """sigma (first cell wins), the Hecke columns (last cell wins) and the
-    lattice checks agree with the per-kind branches of tests/references.py:
-    as they were where every cell names distinct orbits, and following
-    sigma by orbit ids where a cell names an orbit twice."""
-    assert d.involutions == reference_involutions(d)
-    assert packed_columns(build_module(d)) == reference_columns(
-        d, follow_sigma=not names_distinct_orbits(d))
-    assert outcome(check_lattices, d) == lattice_reference(d)
+    """sigma and the Hecke columns agree with the per-kind branches of
+    tests/references.py, refusals included: where the alpha-cells do not
+    partition the orbits both refuse, naming one orbit with one text.  The
+    lattice checks, which read each cell on its own, agree on every datum."""
+    assert outcome(getattr, d, "involutions") == outcome(reference_involutions, d)
+    assert (outcome(lambda: packed_columns(build_module(d)))
+            == outcome(reference_columns, d))
+    assert outcome(check_lattices, d) == outcome(reference_check_lattices, d)
 
 
 SIGMA_RULE_CASES = ([bundled_datum(name) for name in DATUM_NAMES] + DEFECTIVE_CASES
@@ -256,29 +254,50 @@ def test_sigma_rule_matches_reference_on_overlapping_cells(d):
     assert_sigma_rule_matches_reference(d)
 
 
-@pytest.mark.parametrize("cell,sigma,columns,checks", [
-    # y is also z1: sigma, read by ids, sends q to r, so the lattice check
-    # of q is (q, r) and no (q, q) check is made
-    (RaiseCell("TU", ("q", "q", "r")), {"q": "r", "r": "q"},
-     {"q": ["r", "q"], "r": ["q"], "t": ["t"]}, ["q", "r"]),
-    # z1 is z2: sigma fixes q, so T_1 [q] = [q] and q is checked once
-    (RaiseCell("RT", ("t", "q", "q")), {"q": "q", "t": "t"},
-     {"q": ["q"], "r": ["r"], "t": ["t"]}, ["q", "q"]),
-    (RaiseCell("N", ("q", "q")), {"q": "q"},
-     {"q": ["q"], "r": ["r"], "t": ["t"]}, ["q", "q"]),
+@settings(max_examples=300, deadline=None)
+@given(overlapping_cells())
+def test_sigma_readers_refuse_exactly_the_partition_defects(d):
+    """d.involutions, braid_check and check_module refuse exactly when
+    validate reports a partition-defect, and name an orbit that the
+    violation for that simple root lists."""
+    listed = {(v.where, oid) for v in validate(d).violations if v.code == "partition-defect"
+              for oid in v.message.split(": ", 1)[1].split(", ")}
+    for read in (functools.partial(getattr, d, "involutions"), functools.partial(braid_check, d),
+                 functools.partial(check_module, d)):
+        try:
+            read()
+        except DatumFormatError as exc:
+            m = re.fullmatch(r"orbit '(\w)' is (?:not covered by any cell|named [2-9] times "
+                             r"by the cells) for alpha (\d)", str(exc))
+            assert m and (f"alpha {m[2]}", m[1]) in listed, str(exc)
+        else:
+            assert not listed
+
+
+@pytest.mark.parametrize("cell,refusal,checks", [
+    # y is also z1: the cell's image reads ids and sends q to r, so the
+    # lattice check of q is (q, r) and no (q, q) check is made
+    (RaiseCell("TU", ("q", "q", "r")), "orbit 'q' is named 2 times by the cells for alpha 1",
+     ["q", "r"]),
+    # z1 is z2: the cell's image fixes q, which is checked once
+    (RaiseCell("RT", ("t", "q", "q")), "orbit 'r' is not covered by any cell for alpha 1",
+     ["q", "q"]),
+    (RaiseCell("N", ("q", "q")), "orbit 'r' is not covered by any cell for alpha 1",
+     ["q", "q"]),
 ], ids=["TU-y-is-z1", "RT-z1-is-z2", "N-y-is-z"])
-def test_cell_naming_an_orbit_twice_follows_sigma(cell, sigma, columns, checks):
-    """A cell naming one orbit in two roles is a partition defect; its
-    Hecke column and lattice checks follow sigma, which reads ids: each
-    pair (m, sigma(m)) is checked once."""
+def test_cell_naming_an_orbit_twice_follows_sigma(cell, refusal, checks):
+    """A cell naming one orbit in two roles is a partition defect: sigma
+    and the Hecke module refuse it, naming the first orbit that the cells
+    do not name once.  Its lattice checks follow the cell's own image,
+    which reads ids: each pair (m, image(m)) is checked once."""
     lattice = {"q": ((0, 1),), "r": ((1, 0),), "t": ((1, 0),)}
     d = OrbitDatum(build_root_system("A2"), tuple(
         Orbit(oid, dim, 0, 0, 0, open=oid == "t", lattice=lattice[oid])
         for oid, dim in (("q", 2), ("r", 1), ("t", 3))), {1: (cell,)})
-    assert {oid: d.sigma(1, oid) for oid in sigma} == sigma
-    module = build_module(d)
-    assert {oid: module.terms(module.columns[1][module.index(oid)])
-            for oid in module.basis} == columns
+    for read in (functools.partial(d.sigma, 1, "t"), functools.partial(build_module, d)):
+        with pytest.raises(DatumFormatError) as err:
+            read()
+        assert str(err.value) == refusal
     src, dst = checks
     assert [v.message for v in check_lattices(d).violations] == [
         f"s_alpha * span(Lambda({src})) != span(Lambda({dst}))"]
@@ -892,17 +911,9 @@ VALIDATE_CASES = ([bundled_datum(name) for name in DATUM_NAMES]
                      with_extra_cell(generate_flag_datum(build_root_system("A2")))])
 
 
-def lattice_reference(d: OrbitDatum):
-    """reference_check_lattices(d) as check_lattices was, where every cell
-    names distinct orbits; following sigma by orbit ids, where a cell
-    names an orbit in two roles."""
-    checks = kind_checks if names_distinct_orbits(d) else sigma_checks
-    return outcome(reference_check_lattices, d, checks=checks)
-
-
 def assert_validators_match_reference(d: OrbitDatum) -> None:
     assert validate(d) == reference_validate(d)
-    assert outcome(check_lattices, d) == lattice_reference(d)
+    assert outcome(check_lattices, d) == outcome(reference_check_lattices, d)
 
 
 @pytest.mark.parametrize("d", VALIDATE_CASES, ids=lambda d: d.root_system.to_text())

@@ -343,7 +343,18 @@ def dense_modules():
             for t, m in sorted(RANDOM_MODULE_BASES.items()) if t != "F4"]
 
 
-TABLE_CASES = ([build_module(d) for d in every_datum() + DEFECTIVE_CASES]
+def table_module(d: OrbitDatum) -> HeckeModule:
+    """build_module(d); on data whose cells do not partition the orbits,
+    which it refuses, random dense columns over d's basis."""
+    try:
+        return build_module(d)
+    except DatumFormatError:
+        rng = random.Random(6)
+        return HeckeModule(d, {alpha: tuple(random_vector(rng, len(d.orbits)) for _ in d.orbits)
+                               for alpha in range(1, d.root_system.rank + 1)})
+
+
+TABLE_CASES = ([table_module(d) for d in every_datum() + DEFECTIVE_CASES]
                + [build_module(generate_flag_datum(build_root_system("F4")))]
                + [build_module(with_identity(braid_breaker(), "r"))] + dense_modules())
 
@@ -406,7 +417,7 @@ def assert_report_renders_as_the_reference(d):
     the bytes of the report built whole and passed to json.dumps."""
     try:
         report = check_module(d)
-    except (DatumFormatError, HeckeError):  # an uncovered orbit: no report
+    except (DatumFormatError, HeckeError):  # the cells are no partition: no report
         return
     assert "".join(report.render_text()) == reference_hecke_text(report)
     assert "".join(report.render_json()) == reference_hecke_json(report)
