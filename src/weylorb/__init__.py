@@ -36,11 +36,11 @@ def check_digits(token, limit: int, error: type[InputError], what: str) -> None:
         raise error(f"{what} has {n} digits, past the limit {limit}")
 
 
-def clip(token, width: int = 32) -> str:
-    """repr(token), cut after width characters: what a refusal quotes of a
+def clip(token) -> str:
+    """repr(token), cut after 32 characters: what a refusal quotes of a
     token."""
     text = repr(token)
-    return text if len(text) <= width else text[:width] + "..."
+    return text if len(text) <= 32 else text[:32] + "..."
 
 
 def read_utf8(data: bytes, name, error: type[InputError]) -> str:

@@ -31,7 +31,7 @@ __all__ = [
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-#: Default cap on group enumeration and subgroup closure (the order of W(E6)).
+#: The one limit on W: the Weyl group's BFS refuses past it (|W(E6)|).
 DEFAULT_GROUP_CAP = 51840
 #: Largest total rank of a root system.  No cap bounds the build, whose
 #: time grows as rank^4: 0.2 s for BC32, 2.5 s for B64 (Python 3.11).
@@ -55,7 +55,7 @@ class RootSystemError(InputError, ValueError):
 
 
 class CapExceeded(InputError, RuntimeError):
-    """A group enumeration grew past the configured cap."""
+    """A Weyl group grew past DEFAULT_GROUP_CAP."""
 
 
 def orbit_closure(seeds, gens, act) -> list:
@@ -402,7 +402,7 @@ class WeylGroup:
     (6, (0, 1), (1, 0), True)
     """
 
-    def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
+    def __init__(self, rs: RootSystem):
         self.rank, self.cartan, self.lines = rs.rank, rs.cartan, rs.positive_lines
         two_rho = tuple(map(sum, zip(*self.lines)))
         ids = {two_rho: 0}
@@ -424,9 +424,9 @@ class WeylGroup:
                 u = tuple(u)
                 x = ids.get(u)
                 if x is None:
-                    if len(ids) >= cap:
-                        raise CapExceeded(
-                            f"Weyl group exceeds cap {cap}: reached {cap + 1} elements")
+                    if len(ids) >= DEFAULT_GROUP_CAP:
+                        raise CapExceeded(f"Weyl group exceeds cap {DEFAULT_GROUP_CAP}: "
+                                          f"reached {DEFAULT_GROUP_CAP + 1} elements")
                     x = ids[u] = len(keys)
                     keys.append(u)
                     words.append(words[w] + (i,))
@@ -478,7 +478,7 @@ class WeylGroup:
             a = self.mul[a][i]
         return a
 
-    def closure(self, ids: list[int], cap: int = DEFAULT_GROUP_CAP) -> set[int]:
+    def closure(self, ids: list[int]) -> set[int]:
         """Ids of the subgroup generated by ids, breadth-first from the
         identity by right multiplication through the tables.
 
@@ -486,47 +486,40 @@ class WeylGroup:
         >>> sorted(g.words[w] for w in g.closure([g.product(1, 2)]))
         [(), (0, 1), (1, 0)]
         """
-        members = orbit_closure([0], ids, self.product)
-        if len(members) > cap:  # W, built under a cap, bounds the search
-            raise CapExceeded(f"subgroup closure exceeds cap {cap}: "
-                              f"reached {cap + 1} elements")
-        return set(members)
+        return set(orbit_closure([0], ids, self.product))
 
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
 
-def weyl_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
+def weyl_group(rs: RootSystem) -> WeylGroup:
     """The indexed Weyl group of rs, built once per Cartan type (family,
     rank) and shared by every choice of raise dims."""
     group = _GROUPS.get((rs.family, rs.rank))
-    if group is None or len(group) > cap:  # the latter BFS stops at the cap
-        group = _GROUPS[rs.family, rs.rank] = WeylGroup(rs, cap)
+    if group is None:
+        group = _GROUPS[rs.family, rs.rank] = WeylGroup(rs)
     return group
 
 
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> list[WeylElement]:
+def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     """All elements of the Weyl group, BFS order from the identity.
 
     Each element carries a canonical reduced word (shortlex from the BFS),
     so ids and output derived from this list are deterministic.
     """
-    return [WeylElement(rs, w, word) for w, word in enumerate(weyl_group(rs, cap).words)]
+    return [WeylElement(rs, w, word) for w, word in enumerate(weyl_group(rs).words)]
 
 
-def subgroup_closure(gens: list[WeylElement],
-                     cap: int = DEFAULT_GROUP_CAP) -> set[WeylElement]:
+def subgroup_closure(gens: list[WeylElement]) -> set[WeylElement]:
     """Smallest subgroup containing gens, closed over the Weyl group's
-    tables (:meth:`WeylGroup.closure`); words are canonical.  W itself is
-    built under the larger of cap and the default cap."""
+    tables (:meth:`WeylGroup.closure`); words are canonical."""
     if not gens:
         raise RootSystemError("subgroup_closure needs at least one element")
     rs = gens[0].system
     if any(g.system != rs for g in gens):
         raise RootSystemError("generators come from different root systems")
-    group = weyl_group(rs, max(cap, DEFAULT_GROUP_CAP))
-    return {WeylElement(rs, w, group.words[w])
-            for w in group.closure([g.id for g in gens], cap)}
+    group = weyl_group(rs)
+    return {WeylElement(rs, w, group.words[w]) for w in group.closure([g.id for g in gens])}
 
 
 def reflections(rs: RootSystem) -> list[WeylElement]:

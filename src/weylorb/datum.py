@@ -240,10 +240,10 @@ class OrbitDatum:
     def sigma(self, alpha: int, orbit_id: str) -> str:
         """Involution of the orbit set attached to the simple root alpha."""
         self.orbit(orbit_id)  # an unknown id raises
-        perm = self.involutions.get(alpha)
+        perm = self.involutions.get(alpha)  # every alpha in 1..rank is a key
         if perm is None:
             raise DatumFormatError(
-                f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
+                f"simple root index {alpha} out of range 1..{self.root_system.rank}")
         return self.orbits[perm[self.position[orbit_id]]].id
 
 

@@ -17,13 +17,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
 
 from . import InputError
-from .coxeter import (
-    DEFAULT_GROUP_CAP,
-    _Frozen,
-    braid_witnesses,
-    enumerate_group,
-    weyl_group,
-)
+from .coxeter import _Frozen, braid_witnesses, enumerate_group, weyl_group
 from .datum import KINDS, OrbitDatum, _block
 
 __all__ = [
@@ -121,9 +115,9 @@ def apply(module: HeckeModule, alpha: int, vec: frozenset[int]) -> frozenset[int
     return _image(module.columns[alpha], vec)
 
 
-def leading_position(module: HeckeModule, alpha: int, i: int, dim) -> int:
+def leading_position(module: HeckeModule, alpha: int, i: int) -> int:
     """Basis position of the unique minimum-dimension term of T_alpha on
-    basis vector i, dim(j) being the dimension of basis orbit j.
+    basis vector i; the basis is the datum's orbits, in order.
 
     A zero column, or a tie in the minimum dimension, means the datum the
     module was built from is corrupt, so that raises instead of picking
@@ -134,8 +128,9 @@ def leading_position(module: HeckeModule, alpha: int, i: int, dim) -> int:
         return terms[0]
     if not terms:
         raise HeckeError(f"T_{alpha} [{module.basis[i]}] is zero")
-    low = min(map(dim, terms))
-    lead = [j for j in terms if dim(j) == low]
+    orbits = module.datum.orbits
+    low = min(orbits[j].dim for j in terms)
+    lead = [j for j in terms if orbits[j].dim == low]
     if len(lead) != 1:
         raise HeckeError(
             f"leading-term tie in T_{alpha} [{module.basis[i]}]: "
@@ -146,9 +141,7 @@ def leading_position(module: HeckeModule, alpha: int, i: int, dim) -> int:
 def leading_term(module: HeckeModule, alpha: int, orbit_id: str) -> str:
     """The unique minimum-dimension orbit in T_alpha [orbit_id]; see
     :func:`leading_position`."""
-    d = module.datum
-    return module.basis[leading_position(module, alpha, module.index(orbit_id),
-                                         lambda j: d.orbit(module.basis[j]).dim)]
+    return module.basis[leading_position(module, alpha, module.index(orbit_id))]
 
 
 def braid_check_module(module: HeckeModule) -> list[HeckeBraidViolation]:
@@ -178,8 +171,7 @@ class RegularRepReport(NamedTuple):
     braid_violations: tuple[HeckeBraidViolation, ...]
 
 
-def verify_regular_representation(module: HeckeModule,
-                                  cap: int = DEFAULT_GROUP_CAP) -> RegularRepReport:
+def verify_regular_representation(module: HeckeModule) -> RegularRepReport:
     """Check that w -> T_w [e] realizes the regular representation.
 
     Requires a module whose basis ids are canonical reduced words (as the
@@ -201,8 +193,8 @@ def verify_regular_representation(module: HeckeModule,
     violations = tuple(braid_check_module(module))
     rs = module.datum.root_system
     # through enumerate_group: the benchmark's traced run reads |W| there
-    order = len(enumerate_group(rs, cap))
-    group = weyl_group(rs, cap)
+    order = len(enumerate_group(rs))
+    group = weyl_group(rs)
     vectors = [module.unit("e")]
     for w in range(1, order):
         a = group.words[w][0]
@@ -292,12 +284,11 @@ def check_module(d: OrbitDatum) -> HeckeReport:
                       for i, oid in enumerate(module.basis)
                       if apply(module, alpha, col[i]) != {i}]
     wrong_lead: list[str] = []
-    dims = [o.dim for o in d.orbits]  # the basis is d.orbit_ids()
     for alpha in sorted(module.columns):
         sigma = d.involutions[alpha]
         for i, oid in enumerate(module.basis):
             try:
-                lead = leading_position(module, alpha, i, dims.__getitem__)
+                lead = leading_position(module, alpha, i)
             except HeckeError as exc:
                 wrong_lead.append(str(exc))
                 continue

@@ -144,11 +144,11 @@ def reference_cell_sigma(cell: RaiseCell, orbit_id: str) -> str:
 
 def reference_sigma(d: OrbitDatum, alpha: int, orbit_id: str, membership=None) -> str:
     d.orbit(orbit_id)
-    hit = (membership or reference_membership(d)).get((alpha, orbit_id))
-    if hit is None:
-        raise DatumFormatError(
-            f"orbit {orbit_id!r} is not covered by any cell for alpha {alpha}")
-    return reference_cell_sigma(hit[0], orbit_id)
+    membership = membership or reference_membership(d)
+    rank = d.root_system.rank
+    if not 1 <= alpha <= rank:
+        raise DatumFormatError(f"simple root index {alpha} out of range 1..{rank}")
+    return reference_cell_sigma(membership[alpha, orbit_id][0], orbit_id)
 
 
 def reference_table(d: OrbitDatum) -> dict[int, dict[str, str]]:

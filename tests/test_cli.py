@@ -621,6 +621,8 @@ _TWO_OPENS = {**_RANK1_U, "orbits": [{**o, "open": True} for o in _RANK1_U["orbi
      "cells: bad simple root key 'x'"),
     (["validate"], {**_RANK1_U, "cells": {"1": _RANK1_U["cells"]["1"][0]}},
      "cells[1] must be a list"),
+    (["validate"], {**_RANK1_U, "cells": [_RANK1_U["cells"]["1"]]},
+     "cells must be an object keyed by simple root index"),
     (["validate"], {**_RANK1_U, "notes": [1]}, "notes must be a list of strings"),
     (["validate"], _TWO_YS, "duplicate orbit id 'y'"),
     (["validate"], {**_RANK1_U, "cells": {"1": [{"kind": "U", "y": "y", "z": "ghost"}]}},
@@ -648,8 +650,8 @@ _TWO_OPENS = {**_RANK1_U, "orbits": [{**o, "open": True} for o in _RANK1_U["orbi
     (["oracle", "enumerate"], {**_TORUS, "root_system": "A32xA1"},
      "rank 33 exceeds the limit 32"),
 ], ids=["spec-generators", "spec-block", "spec-shape", "spec-empty", "spec-missing",
-        "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-notes",
-        "datum-ids", "datum-member", "braid-member", "datum-range",
+        "spec-parabolic", "datum-object", "datum-key", "datum-cells", "datum-cells-object",
+        "datum-notes", "datum-ids", "datum-member", "braid-member", "datum-range",
         "shape-before-structure", "word", "act-orbit", "stabilizer-opens",
         "stabilizer-opens-json", "spec-name", "spec-singular",
         "rank-limit-gen-flag", "rank-limit-datum", "rank-limit-spec"])

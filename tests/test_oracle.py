@@ -1142,6 +1142,12 @@ def _structures(draw):
     return ca, ba, cb, bb
 
 
+def test_matcher_refuses_colour_multisets_that_differ():
+    # equal sizes and no blocks: only the colour counts tell the sides apart
+    assert _match((0, 1), [], (1, 1), []) is None
+    assert _match((0, 1), [], (1, 0), []) == [1, 0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_structures())
 def test_matcher_agrees_with_brute_force(structure):
