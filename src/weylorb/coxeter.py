@@ -214,8 +214,6 @@ class RootSystem(_Frozen):
         True
         """
         v = tuple(v)
-        if len(v) != self.rank:
-            return False
         pos = set(self.positive_roots)
         return v in pos or tuple(-x for x in v) in pos
 

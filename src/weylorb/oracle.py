@@ -290,12 +290,12 @@ def _canon(m: tuple, level: _Level) -> tuple:
     """The lex-minimal (row-major) element of the coset m·H, level the top
     label level, H.  Row i goes to the minimum of its orbit under the level
     L_i fixing rows 0..i-1, by u in L_i, which leaves those rows fixed."""
-    k, mul = level.arith.k, level.arith.mul
+    k, eye, mul, _ = level.arith
     for i in range(0, k * k, k):
         if level.order == 1:
             break
-        mu, u = level.reduce(m[i:i + k])
-        m, level = mul(m, u), level.below[mu]
+        mu, u = level.reduce(m[i:i + k])  # u is eye itself when the row is mu
+        m, level = m if u is eye else mul(m, u), level.below[mu]
     return m
 
 
@@ -387,7 +387,7 @@ def enumerate_orbits(spec: MatGroupSpec,
     labels, trans, tinv = [_canon(eye, top)], [eye], [eye]
     index = {labels[0]: 0}
     perms = {g: [] for g in g_gens}  # perms[g][x] is the point g·x
-    chain, meet = _Chain(eye[:k], arith), 1  # G ∩ H and its order, grown in place
+    chain = _Chain(eye[:k], arith)  # G ∩ H, grown in place
     frontier = range(1)
     while frontier:
         for x, (g, g_inv) in iproduct(frontier, g_gens.items()):
@@ -402,11 +402,10 @@ def enumerate_orbits(spec: MatGroupSpec,
                 labels.append(label)
                 trans.append(prod)
                 tinv.append(mul(tinv[x], g_inv))
-            elif meet < top.order:  # once |G ∩ H| = |H|, no generator is read
+            elif chain.order < top.order:  # once |G ∩ H| = |H|, no generator is read
                 chain.add(mul(tinv[y], prod), tinv[x], g_inv, trans[y], order=top.order)
-                meet = chain.order
         frontier = range(frontier.stop, len(labels))
-    if meet != top.order:
+    if chain.order != top.order:
         raise OracleError("H is not contained in the group generated by G")
 
     blocks = [("B", spec.b_gens)] + [(f"P_{a}", m) for a, m in spec.parabolics.items()]

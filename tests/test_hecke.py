@@ -20,6 +20,7 @@ from weylorb.datum import (
 from weylorb.hecke import (
     HeckeError,
     HeckeModule,
+    _image,
     _span_dimension,
     apply,
     braid_check_module,
@@ -279,6 +280,19 @@ def test_apply_and_terms_match_bitwise_reference(case):
         assert image == packed_image(columns[alpha], packed(vec))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.frozensets(st.integers(0, n - 1)), min_size=n, max_size=n),
+    st.frozensets(st.integers(0, n - 1), max_size=1) | st.frozensets(st.integers(0, n - 1)))))
+def test_image_is_the_xor_fold_of_its_columns(case):
+    """The one-position path returns the column itself: the fold's vector."""
+    col, vec = case
+    fold = frozenset()
+    for i in vec:
+        fold = fold ^ col[i]
+    assert _image(col, vec) == fold
+
+
 def test_index_and_unit_follow_basis_order():
     m = RANDOM_MODULE_BASES["B3"]
     for i, oid in enumerate(m.basis):
@@ -410,6 +424,23 @@ def test_check_module_matches_packed_reference(d):
 def test_check_module_matches_packed_reference_on_overlapping_cells(d):
     assert (check_module_outcome(check_module, d)
             == check_module_outcome(reference_check_module, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_cells())
+def test_accepted_cells_give_involutive_columns_led_by_sigma(d):
+    """The facts check_module takes from involutions: on cells that it
+    accepts, T_alpha^2 = 1 on every column, and a one-term column is
+    [sigma_alpha(i)]."""
+    try:
+        sigma = d.involutions
+    except DatumFormatError:
+        return
+    m = build_module(d)
+    for alpha, col in m.columns.items():
+        for i, v in enumerate(col):
+            assert apply(m, alpha, v) == {i}
+            assert len(v) == 2 or v == {sigma[alpha][i]}
 
 
 def assert_report_renders_as_the_reference(d):
